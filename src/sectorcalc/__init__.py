@@ -16,14 +16,13 @@ from .funcalc import (Contour, HFun, HinfFun, HinfProbeReport, bn_f_deformed,
                       f_of_symbol, hinf_bound_probe, imaginary_power,
                       imaginary_power_regularized, power_quotient,
                       regularizer_value, resolvent_decay_probe, resolvent_quotient)
-from .grid import (GridSymbol, TorusGrid, grid_seminorm, sample, seminorm,
-                   unit_symbol)
+from .grid import (GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm,
+                   sample, seminorm, unit_symbol)
 from .hypo import (HypoReport, check_spectrum, eigenvalues_grid,
                    estimate_hypo_constants, omega_region)
 from .parametrix import (LeibnizResolvent, ParametrixCalculator,
                          ParamSymbolFamily, bj_derivative_bound, bj_term_lists,
-                         class_weighted_sup, excision_weights, parametrix_sweep,
-                         shift, smooth_step)
+                         excision_weights, parametrix_sweep, shift, smooth_step)
 from .presets import get_preset, preset_names
 from .quantop import (QuantOp, compose_exact, extract_symbol, leibniz_inverse,
                       leibniz_truncated, quantize)

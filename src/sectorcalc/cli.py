@@ -156,8 +156,6 @@ def build_parser():
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=".", help="output directory for CSV reports")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; outputs are deterministic and seed-free")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -181,7 +179,7 @@ def main(argv=None):
         return EXIT_CONFIG
     except (SingularOperatorError, ContourError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if "resolvent" in str(exc) or "singular" in str(exc).lower():
+        if isinstance(exc, SingularOperatorError):
             print("hint: a larger shift c may move the spectrum off the contour",
                   file=sys.stderr)
         return EXIT_NUMERICAL

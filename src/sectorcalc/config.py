@@ -89,7 +89,6 @@ class RunConfig:
     lambda_min: float
     lambda_max: float
     lambda_count: int
-    contour_tol: float
     contour_nodes_per_decade: int
     calc_quad_tol: float
     function_specs: list = field(default_factory=list)
@@ -151,7 +150,6 @@ def resolve_config(values):
         lambda_min=cfg.get_float("lambda.min", 0.0),
         lambda_max=cfg.get_float("lambda.max", 1e4),
         lambda_count=cfg.get_int("lambda.count", 10),
-        contour_tol=cfg.get_float("contour.tol", 1e-8),
         contour_nodes_per_decade=cfg.get_int("contour.nodes_per_decade", 0),
         calc_quad_tol=cfg.get_float("calc.quad_tol", 1e-5),
         function_specs=function_specs,

@@ -136,7 +136,7 @@ def _phase_table(grid):
     return np.einsum("pm,qn->pqmn", ph1, ph1)
 
 
-def resolvent_norm_sweep(A, sector, radii, norm_tol=1e-8):
+def resolvent_norm_sweep(A, sector, radii):
     """(lambda, ||(A-lambda)^{-1}||) along both boundary rays of the sector.
 
     Rows come in deterministic order: for each radius, the upper ray point
@@ -148,5 +148,5 @@ def resolvent_norm_sweep(A, sector, radii, norm_tol=1e-8):
         for phase in (np.exp(1j * sector.theta), np.exp(-1j * sector.theta)):
             lam = r * phase
             X = dense_resolvent(M, lam)
-            rows.append((complex(lam), operator_norm(X, tol=norm_tol)))
+            rows.append((complex(lam), operator_norm(X)))
     return rows

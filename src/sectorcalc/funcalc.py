@@ -136,9 +136,7 @@ class HinfFun:
 
     def regularized(self, n):
         def f_n(z):
-            z = np.asarray(z, dtype=complex)
-            psi = (n * z / (1.0 + n * z)) * (1.0 / (1.0 + z / n))
-            return self.fn(z) * psi
+            return self.fn(np.asarray(z, dtype=complex)) * regularizer_value(z, n)
         return HFun(f_n, d=1.0, name=f"{self.name}~reg{n}")
 
 
@@ -304,11 +302,16 @@ def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
 def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
     """sum_q coeffs_q (M - lambda_q)^{-1} by chunked LU inversion.
 
-    Inverses come from stacked LAPACK LU (getrf/getri); one spot node per
-    call is residual-checked so a near-singular shift cannot pass silently.
+    Inverses come from stacked LAPACK LU (getrf/getri).  Every node is
+    residual-checked on one fixed unit vector x, ||M y - lambda y - x|| with
+    y = (M - lambda)^{-1} x, and one spot node per call against the full
+    identity, so a near-singular shift cannot pass silently.
     """
     dim = M.shape[0]
     eye = np.eye(dim, dtype=complex)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
     acc = np.zeros_like(M)
     spot_done = False
     for start in range(0, len(nodes), chunk):
@@ -328,6 +331,13 @@ def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
                     f"resolvent residual {residual:.2e} at lambda={lam[0]!r}; "
                     "contour touches the spectrum")
             spot_done = True
+        y = inv @ x
+        node_res = np.linalg.norm(y @ M.T - lam[:, None] * y - x, axis=1)
+        worst = int(np.argmax(node_res))
+        if not node_res[worst] <= spot_tol:
+            raise SingularOperatorError(
+                f"resolvent residual {node_res[worst]:.2e} on a unit vector at "
+                f"lambda={lam[worst]!r}; contour touches the spectrum")
         acc = acc + np.einsum("q,qij->ij", cf, inv)
     return acc
 
@@ -454,13 +464,10 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8, c0=1.0):
 def bn_f_straight(calc, f, R, r_outer, per_decade=24):
     """(i/2 pi) int over the boundary rays restricted to |lambda| >= R of
     f(lambda) b^N(lambda); reference path for the deformation check."""
-    up_n, up_w = _log_gl_ray(calc.sector.theta, R, r_outer, per_decade)
-    lo_n, lo_w = _log_gl_ray(-calc.sector.theta, R, r_outer, per_decade)
-    nodes = np.concatenate([up_n, lo_n])
-    weights = np.concatenate([-up_w, lo_w])
+    contour = _assemble_contour(calc.sector, R, r_outer, per_decade)
     acc = None
-    fvals = f(nodes)
-    for lam, w, fv in zip(nodes, weights, fvals):
+    fvals = f(contour.nodes)
+    for lam, w, fv in zip(contour.nodes, contour.weights, fvals):
         term = (w * fv) * calc.assemble_bN(complex(lam)).values
         acc = term if acc is None else acc + term
     return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * acc, calc.class_params,

@@ -3,7 +3,10 @@
 The sup over continuous phase space is replaced by a sup over grid nodes:
 x runs over the P-point uniform grid per axis, xi over the integer frequency
 window {-Xi..Xi}^n.  Class membership is therefore only certified on the
-window; reports record the window used.
+window; reports record the window used.  Window sups of a tabulated symbol
+(plain, weighted by a power of <xi>, or on the interior window) all go
+through :func:`class_weighted_sup`; the pointwise matrix modulus is the
+spectral norm.
 """
 
 from __future__ import annotations
@@ -29,14 +32,11 @@ class TorusGrid:
     xi_max : int, optional
         Window half-width Xi; defaults to P/2 - 1, the largest window with
         no aliasing (P >= 2*Xi + 2).
-    h_xi : float
-        Step used by off-lattice finite-difference validation only.
     """
 
     n: int
     points: int
     xi_max: int = field(default=-1)
-    h_xi: float = 1e-4
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -200,14 +200,7 @@ class GridSymbol:
         far from the window edge (composition outputs are only faithful
         there).
         """
-        norms = self.spectral_norms()
-        if interior_margin > 0:
-            mask = self.grid.interior_mask(interior_margin)
-            if not np.any(mask):
-                raise ValueError(f"interior margin {interior_margin} leaves no "
-                                 f"window modes (half-width {self.grid.xi_max})")
-            norms = norms[(slice(None),) * self.grid.n + (mask,)]
-        return float(np.max(norms))
+        return class_weighted_sup(self, 0.0, interior_margin)
 
     # -- export ---------------------------------------------------------------
 
@@ -256,11 +249,8 @@ def seminorm(expr, alpha, beta, class_params, grid):
     """
     class_params.validate(strict=False)
     deriv = expr.diff(alpha, beta)
-    tab = sample(deriv, grid)
-    weight = grid.bracket_xi() ** class_params.xi_weight_exponent(
-        _tup(alpha, grid.n), _tup(beta, grid.n))
-    weighted = tab.spectral_norms() * weight.reshape((1,) * grid.n + grid.xi_shape)
-    return float(np.max(weighted))
+    return class_weighted_sup(sample(deriv, grid), class_params.xi_weight_exponent(
+        _tup(alpha, grid.n), _tup(beta, grid.n)))
 
 
 def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):
@@ -275,30 +265,48 @@ def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):
     beta = _tup(beta, gs.grid.n)
     vals = gs.values
     for ax, order in enumerate(beta):
-        vals = _spectral_x_derivative(vals, gs.grid, ax, order)
+        vals = spectral_Dx(vals, gs.grid, ax, order)
     for ax, order in enumerate(alpha):
         for _ in range(order):
             vals = np.gradient(vals, 1.0, axis=gs.grid.n + ax)
-    weight = gs.grid.bracket_xi() ** class_params.xi_weight_exponent(alpha, beta)
-    norms = _spectral_norms(vals) * weight.reshape((1,) * gs.grid.n + gs.grid.xi_shape)
+    return class_weighted_sup(GridSymbol(gs.grid, vals, check=False),
+                              class_params.xi_weight_exponent(alpha, beta),
+                              interior_margin)
+
+
+def class_weighted_sup(gs, weight_exponent, interior_margin=0):
+    """sup over (interior) nodes of |p(x, xi)| <xi>^weight_exponent.
+
+    With weight_exponent = -(order of p's class) this is the q_{0,0}
+    seminorm of the class, the quantity the decay statements are about.
+    ``interior_margin`` keeps only window modes at least that far from the
+    window edge.
+    """
+    g = gs.grid
+    w = g.bracket_xi() ** weight_exponent
+    norms = gs.spectral_norms() * w.reshape((1,) * g.n + g.xi_shape)
     if interior_margin > 0:
-        mask = gs.grid.interior_mask(interior_margin)
+        mask = g.interior_mask(interior_margin)
         if not np.any(mask):
             raise ValueError(f"interior margin {interior_margin} leaves no "
-                             f"window modes (half-width {gs.grid.xi_max})")
-        norms = norms[(slice(None),) * gs.grid.n + (mask,)]
+                             f"window modes (half-width {g.xi_max})")
+        norms = norms[(slice(None),) * g.n + (mask,)]
     return float(np.max(norms))
 
 
-def _spectral_x_derivative(vals, grid, axis, order):
+def spectral_Dx(vals, grid, axis, order):
+    """(D_x)^order = (-i d_x)^order along one x-axis: multiplier m^order on mode m.
+
+    The D_x and d_x conventions differ by the unit factor (-i)^order, which
+    no spectral norm sees.
+    """
     if order == 0:
         return vals
     freqs = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
     shape = [1] * vals.ndim
     shape[axis] = grid.points
-    mult = (1j * freqs.reshape(shape)) ** order
     spec = np.fft.fft(vals, axis=axis)
-    return np.fft.ifft(spec * mult, axis=axis)
+    return np.fft.ifft(spec * freqs.reshape(shape) ** order, axis=axis)
 
 
 def _tup(idx, n):

@@ -3,8 +3,9 @@
 The pointwise spectrum of a(x, xi) must avoid the sector and a disc at the
 origin for |xi| >= C; the constants c_{alpha,beta} and c0 quantifying the
 derivative-times-resolvent bounds are estimated as sups over the grid and a
-log-uniform lambda sample cloud.  Failures are data (collected in the
-report), not exceptions.
+log-uniform lambda sample cloud.  Pointwise eigenvalues come from one
+stacked LAPACK call (a slice for scalar symbols).  Failures are data
+(collected in the report), not exceptions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import sample
+from .grid import _spectral_norms, sample
 from .sector import OmegaRegion, Sector
 from .util import multi_indices_below
 
@@ -22,58 +23,13 @@ _MAX_STORED_VIOLATIONS = 1000
 
 
 def eigenvalues_grid(values):
-    """Pointwise eigenvalues of a tabulated (..., k, k) symbol, k <= 4.
+    """Pointwise eigenvalues of a tabulated (..., k, k) symbol.
 
-    k <= 2 by closed form; k = 3, 4 via characteristic-polynomial companion
-    roots with a few Newton polish sweeps (no general eigensolver needed at
-    these sizes).
+    k = 1 is a slice; every k >= 2 is one stacked LAPACK call.
     """
-    k = values.shape[-1]
-    if k == 1:
+    if values.shape[-1] == 1:
         return values[..., 0, 0][..., None]
-    if k == 2:
-        tr = values[..., 0, 0] + values[..., 1, 1]
-        det = values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0]
-        disc = np.sqrt(tr * tr - 4.0 * det)
-        return np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=-1)
-    if k > 4:
-        raise ValueError("eigenvalue path supports k <= 4")
-    coeffs = _char_poly(values)
-    flat = coeffs.reshape(-1, k + 1)
-    roots = np.empty((flat.shape[0], k), dtype=complex)
-    for i in range(flat.shape[0]):
-        roots[i] = np.roots(flat[i])
-    roots = _newton_polish(flat, roots).reshape(values.shape[:-2] + (k,))
-    return roots
-
-
-def _char_poly(values):
-    """Characteristic polynomial coefficients by Faddeev-LeVerrier (monic)."""
-    k = values.shape[-1]
-    eye = np.eye(k, dtype=complex)
-    coeffs = [np.ones(values.shape[:-2], dtype=complex)]
-    Mstep = values.copy()
-    for j in range(1, k + 1):
-        cj = -np.trace(Mstep, axis1=-2, axis2=-1) / j
-        coeffs.append(cj)
-        if j < k:
-            Mstep = values @ (Mstep + cj[..., None, None] * eye)
-    return np.stack(coeffs, axis=-1)
-
-
-def _newton_polish(coeffs, roots, sweeps=3):
-    k = coeffs.shape[-1] - 1
-    dcoeffs = coeffs[:, :-1] * np.arange(k, 0, -1)
-    for _ in range(sweeps):
-        p = np.zeros_like(roots)
-        dp = np.zeros_like(roots)
-        for j in range(k + 1):
-            p = p * roots + coeffs[:, j][:, None]
-            if j < k:
-                dp = dp * roots + dcoeffs[:, j][:, None]
-        safe = np.abs(dp) > 1e-300
-        roots = np.where(safe, roots - p / np.where(safe, dp, 1.0), roots)
-    return roots
+    return np.linalg.eigvals(values)
 
 
 @dataclass
@@ -201,7 +157,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     tab = sample(expr, grid, class_params)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
-    sup_a = float(np.max(tab.spectral_norms()))
+    sup_a = tab.sup_norm()
     lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
     radii = np.geomspace(lo, hi, samples_per_ray)
     lambdas = [0.0 + 0.0j]
@@ -251,8 +207,4 @@ def omega_region(expr, x, xi, sector):
     xi = (xi,) if np.isscalar(xi) else tuple(xi)
     val = expr.eval(tuple(np.asarray(v, dtype=float) for v in x),
                     tuple(np.asarray(v, dtype=float) for v in xi))
-    if expr.k == 1:
-        norm = float(np.abs(val[..., 0, 0]))
-    else:
-        norm = float(np.linalg.svd(val, compute_uv=False)[..., 0])
-    return OmegaRegion(radius=2.0 * norm, sector=sector)
+    return OmegaRegion(radius=2.0 * float(_spectral_norms(val)), sector=sector)

@@ -20,17 +20,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .densela import inverse_refined, operator_norm
 from .errors import SectorcalcError, SingularOperatorError
-from .grid import GridSymbol, sample, unit_symbol
+from .grid import (GridSymbol, _spectral_norms, class_weighted_sup, sample,
+                   unit_symbol)
 from .quantop import QuantOp, extract_symbol, leibniz_truncated, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
 
 _B0 = ("b0",)
+# Neumann series length cap; the tail bound decides K below it.
+_MAX_NEUMANN = 400
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +165,18 @@ def excision_weights(grid, C):
 
 @dataclass
 class LeibnizResolvent:
-    """Result of inverting a - lambda with respect to the Leibniz product."""
+    """Result of inverting a - lambda with respect to the Leibniz product.
+
+    ``b_n`` is the excised parametrix b^N the inversion started from and
+    ``r_n`` its remainder symbol r^N (None when only the dense path ran).
+    """
 
     symbol: GridSymbol
     s_n: GridSymbol
     matrix: np.ndarray
     diagnostics: dict
+    b_n: GridSymbol
+    r_n: GridSymbol | None
 
 
 class ParametrixCalculator:
@@ -190,7 +200,7 @@ class ParametrixCalculator:
         self.C = float(C)
         self.a_tab = sample(expr, grid, class_params)
         self.k = self.a_tab.k
-        self.sup_a = float(np.max(self.a_tab.spectral_norms()))
+        self.sup_a = self.a_tab.sup_norm()
         if self.k == 1:
             self.min_a = float(np.min(np.abs(self.a_tab.values[..., 0, 0])))
         else:
@@ -198,7 +208,6 @@ class ParametrixCalculator:
                 np.linalg.svd(self.a_tab.values, compute_uv=False)[..., -1]))
         self.phi = excision_weights(grid, self.C)
         self.term_lists = bj_term_lists(grid.n, N)
-        self.left_term_lists = left_bj_term_lists(grid.n, N)
         # Sweep sups exclude the edge band where mode-truncation leak of the
         # exact composition sits (lambda-flat, confined to O(1) modes);
         # clamped so tiny windows keep at least the central mode.
@@ -209,6 +218,10 @@ class ParametrixCalculator:
         self._q_a = None
 
     # -- caches ---------------------------------------------------------------
+
+    @cached_property
+    def left_term_lists(self):
+        return left_bj_term_lists(self.grid.n, self.N)
 
     def derivative_tab(self, alpha, beta):
         key = (tuple(alpha), tuple(beta))
@@ -343,7 +356,7 @@ class ParametrixCalculator:
 
     # -- resolvent ---------------------------------------------------------------
 
-    def leibniz_resolvent(self, lam, tol=1e-11, method="auto", max_neumann=400):
+    def leibniz_resolvent(self, lam, tol=1e-11, method="auto"):
         """(a - lambda)^{-#} with Neumann inversion of 1 + r^N when possible.
 
         The Neumann series is truncated once the geometric tail bound
@@ -356,14 +369,15 @@ class ParametrixCalculator:
                 "neumann_terms": 0, "residual": None}
         m_shift = self.shifted_matrix(lam)
         res_mat = None
+        r_sym = None
         if method in ("auto", "neumann"):
-            _, r_mat = self.remainder(lam, bN=bN)
+            r_sym, r_mat = self.remainder(lam, bN=bN)
             r_norm = operator_norm(r_mat)
             diag["r_norm"] = r_norm
             if r_norm < 0.5:
                 K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
                     if r_norm > 0 else 0
-                K = max(0, min(K, max_neumann))
+                K = max(0, min(K, _MAX_NEUMANN))
                 eye = np.eye(r_mat.shape[0], dtype=complex)
                 series = eye.copy()
                 for _ in range(K):
@@ -396,7 +410,7 @@ class ParametrixCalculator:
             diag["residual"] = residual_sym.sup_norm()
         symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
         return LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
-                                matrix=res_mat, diagnostics=diag)
+                                matrix=res_mat, diagnostics=diag, b_n=bN, r_n=r_sym)
 
     def resolvent_matrix(self, lam, tol=1e-11, method="dense"):
         """Fast path for contour quadrature: the resolvent matrix only."""
@@ -450,7 +464,6 @@ class ParamSymbolFamily:
     R: float
     rows: list
     slopes: dict = field(default_factory=dict)
-    symbols: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -472,83 +485,57 @@ class ParamSymbolFamily:
                                  "", "", "", "", "", "", ""])
 
 
-def class_weighted_sup(gs, weight_exponent, interior_margin=0):
-    """sup over (interior) nodes of |p(x, xi)| <xi>^weight_exponent.
-
-    With weight_exponent = -(order of p's class) this is the q_{0,0}
-    seminorm of the class, the quantity the decay statements are about.
-    """
-    g = gs.grid
-    w = g.bracket_xi() ** weight_exponent
-    norms = gs.spectral_norms() * w.reshape((1,) * g.n + g.xi_shape)
-    if interior_margin > 0:
-        mask = g.interior_mask(interior_margin)
-        if not np.any(mask):
-            raise ValueError(f"interior margin {interior_margin} leaves no "
-                             f"window modes (half-width {g.xi_max})")
-        norms = norms[(slice(None),) * g.n + (mask,)]
-    return float(np.max(norms))
-
-
-def parametrix_sweep(calc, radii, R, tol=1e-11, store_symbols=False,
-                     resolvent_method="auto", interior_margin=None,
-                     slope_min_bracket=None):
+def parametrix_sweep(calc, radii, R, tol=1e-11):
     """Sweep lambda over both boundary rays: sup norms of b^N, r^N, s^N.
 
     Record per lambda both the plain sup and the class seminorm
     (|.| <xi>^(N(rho-delta)-m), the q_{0,0} of the remainder class, which is
     what decays like <lambda>^{-1} for r^N and <lambda>^{-2} for s^N).
-    Sups are taken over the interior window - the default margin absorbs the
-    mode-truncation leak confined to the window edge.  s^N is only recorded
-    for |lambda| >= R where the Neumann inverse is trusted.
+    Sups are taken over the interior window - the calculator's default
+    margin absorbs the mode-truncation leak confined to the window edge.
+    s^N is only recorded for |lambda| >= R where the Neumann inverse is
+    trusted; there the resolvent's own b^N and r^N fill the row.
 
     Fitted log-log slopes against <lambda>: ``rN`` near -1, ``sN`` near -2,
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
     asymptotic; below the spectral-gap scale the remainder is flat, so the
-    fits exclude rows with <lambda> under ``slope_min_bracket`` (default:
-    twice the smallest pointwise symbol modulus, dropped if fewer than three
-    radii would survive).
+    fits exclude rows with <lambda> under twice the smallest pointwise
+    symbol modulus (dropped if fewer than three radii would survive).
     """
-    if interior_margin is None:
-        interior_margin = calc.default_interior_margin
-    if slope_min_bracket is None:
-        slope_min_bracket = 2.0 * calc.min_a
+    margin = calc.default_interior_margin
     params = calc.class_params
     rem_weight = calc.N * (params.rho - params.delta) - params.m
     rows = []
-    symbols = {}
     for rad in np.asarray(radii, dtype=float):
         for upper in (True, False):
             lam = complex(calc.sector.boundary_point(rad, upper=upper))
             if not calc.sector.contains(lam):
                 raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
-            bN = calc.assemble_bN(lam)
-            r_sym, _ = calc.remainder(lam, bN=bN)
+            if rad >= R:
+                lr = calc.leibniz_resolvent(lam, tol=tol)
+                bN, r_sym = lr.b_n, lr.r_n
+            else:
+                lr = None
+                bN = calc.assemble_bN(lam)
+                r_sym, _ = calc.remainder(lam, bN=bN)
             row = {
                 "lambda": lam,
                 "bracket": float(japanese_bracket(lam)),
-                "sup_bN": class_weighted_sup(bN, 0.0, interior_margin),
-                "sup_rN": class_weighted_sup(r_sym, 0.0, interior_margin),
-                "class_sup_rN": class_weighted_sup(r_sym, rem_weight, interior_margin),
+                "sup_bN": class_weighted_sup(bN, 0.0, margin),
+                "sup_rN": class_weighted_sup(r_sym, 0.0, margin),
+                "class_sup_rN": class_weighted_sup(r_sym, rem_weight, margin),
                 "sup_sN": None,
                 "class_sup_sN": None,
                 "residual": np.nan,
                 "method": "",
             }
-            if rad >= R:
-                lr = calc.leibniz_resolvent(lam, tol=tol, method=resolvent_method)
-                row["sup_sN"] = class_weighted_sup(lr.s_n, 0.0, interior_margin)
-                row["class_sup_sN"] = class_weighted_sup(lr.s_n, rem_weight,
-                                                         interior_margin)
+            if lr is not None:
+                row["sup_sN"] = class_weighted_sup(lr.s_n, 0.0, margin)
+                row["class_sup_sN"] = class_weighted_sup(lr.s_n, rem_weight, margin)
                 row["residual"] = lr.diagnostics["residual"]
                 row["method"] = lr.diagnostics["method"]
-                if store_symbols:
-                    symbols[lam] = {"bN": bN, "rN": r_sym, "sN": lr.s_n,
-                                    "resolvent": lr.symbol}
-            elif store_symbols:
-                symbols[lam] = {"bN": bN, "rN": r_sym}
             rows.append(row)
-    fit_rows = [row for row in rows if row["bracket"] >= slope_min_bracket]
+    fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows
     brackets = [row["bracket"] for row in fit_rows]
@@ -562,7 +549,7 @@ def parametrix_sweep(calc, radii, R, tol=1e-11, store_symbols=False,
     if len(s_pairs) >= 2:
         slopes["sN"], _ = fit_loglog_slope([p[0] for p in s_pairs],
                                            [p[1] for p in s_pairs])
-    return ParamSymbolFamily(N=calc.N, R=R, rows=rows, slopes=slopes, symbols=symbols)
+    return ParamSymbolFamily(N=calc.N, R=R, rows=rows, slopes=slopes)
 
 
 def bj_derivative_bound(calc, j, alpha, beta, arc_angles=None):
@@ -583,13 +570,8 @@ def bj_derivative_bound(calc, j, alpha, beta, arc_angles=None):
         b0 = calc.b0_values(lam)
         vals = calc.eval_terms(terms, lam, b0=b0)
         vals = np.broadcast_to(vals, calc.a_tab.values.shape)
-        num = _specnorm(vals) * weight
-        den = _specnorm(b0)
+        num = _spectral_norms(vals) * weight
+        den = _spectral_norms(b0)
         worst = max(worst, float(np.max(num / den)))
     return worst
 
-
-def _specnorm(values):
-    if values.shape[-1] == 1:
-        return np.abs(values[..., 0, 0])
-    return np.linalg.svd(values, compute_uv=False)[..., 0]

@@ -27,7 +27,7 @@ import numpy as np
 from .densela import inverse_refined
 from .dsl import SymbolExpr
 from .errors import GridMismatchError, SingularOperatorError
-from .grid import GridSymbol, sample, unit_symbol
+from .grid import GridSymbol, sample, spectral_Dx, unit_symbol
 from .util import multi_factorial, multi_indices_below
 
 
@@ -38,9 +38,9 @@ class QuantOp:
     ``mode_flat * k + component``.  Instances are immutable by convention.
     """
 
-    __slots__ = ("grid", "k", "matrix", "provenance")
+    __slots__ = ("grid", "k", "matrix")
 
-    def __init__(self, grid, k, matrix, provenance=None):
+    def __init__(self, grid, k, matrix):
         dim = k * grid.n_modes
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (dim, dim):
@@ -48,7 +48,6 @@ class QuantOp:
         self.grid = grid
         self.k = k
         self.matrix = matrix
-        self.provenance = provenance
 
     @property
     def dim(self):
@@ -59,15 +58,7 @@ class QuantOp:
             return NotImplemented
         if self.grid != other.grid or self.k != other.k:
             raise GridMismatchError("cannot compose operators from different grids")
-        prov = None
-        if self.provenance and other.provenance:
-            prov = f"({self.provenance})#({other.provenance})"
-        return QuantOp(self.grid, self.k, self.matrix @ other.matrix, prov)
-
-    def minus_lambda(self, lam):
-        return QuantOp(self.grid, self.k,
-                       self.matrix - lam * np.eye(self.dim, dtype=complex),
-                       self.provenance)
+        return QuantOp(self.grid, self.k, self.matrix @ other.matrix)
 
     # -- grid-function application -------------------------------------------
 
@@ -182,20 +173,9 @@ def leibniz_truncated(a_expr, b, K, grid=None, lam=None):
             da[..., idx, idx] -= lam
         dxb = b.values
         for ax, order in enumerate(alpha):
-            dxb = _dx_spectral(dxb, g, ax, order)
+            dxb = spectral_Dx(dxb, g, ax, order)
         acc = acc + np.einsum("...rs,...st->...rt", da, dxb) / multi_factorial(alpha)
     return GridSymbol(g, acc, b.class_params, check=False)
-
-
-def _dx_spectral(vals, grid, axis, order):
-    """(D_x)^order along one x-axis: multiplier m^order on mode m."""
-    if order == 0:
-        return vals
-    freqs = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
-    shape = [1] * vals.ndim
-    shape[axis] = grid.points
-    spec = np.fft.fft(vals, axis=axis)
-    return np.fft.ifft(spec * freqs.reshape(shape) ** order, axis=axis)
 
 
 def leibniz_inverse(u, tol=1e-10):

@@ -13,7 +13,7 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.cli import main as cli_main
 from sectorcalc.funcalc import _probe_fun
-from sectorcalc.parametrix import class_weighted_sup
+from sectorcalc.grid import class_weighted_sup
 from sectorcalc.util import japanese_bracket
 
 THETA = np.pi / 2

@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from sectorcalc import cli
 from sectorcalc.cli import main
+from sectorcalc.errors import ContourError, SingularOperatorError
 
 BASE_CFG = """
 symbol.preset = variable_laplace
@@ -81,6 +83,21 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self, cfg_file, tmp_path):
         assert main(["frobnicate", "--config", cfg_file, "--out", str(tmp_path)]) == 1
+
+
+class TestNumericalErrors:
+    @pytest.mark.parametrize("exc, hinted", [
+        (SingularOperatorError("pivot broke down"), True),
+        (ContourError("resolvent quadrature is singular"), False),
+    ], ids=["singular_operator", "contour"])
+    def test_shift_hint_follows_exception_type(self, cfg_file, tmp_path, monkeypatch,
+                                               capsys, exc, hinted):
+        def fail(rc, args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "check", fail)
+        assert main(["check", "--config", cfg_file, "--out", str(tmp_path)]) == 3
+        assert ("hint: a larger shift" in capsys.readouterr().err) == hinted
 
 
 class TestParametrixOutputs:

@@ -6,7 +6,7 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.densela import inverse_refined
 from sectorcalc.funcalc import _probe_fun
-from sectorcalc.parametrix import class_weighted_sup
+from sectorcalc.grid import class_weighted_sup
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,27 @@ class TestOperatorOracle:
         oracle = sc.f_of_operator_oracle(calc16.quantized_symbol, f, fine)
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) / sc.operator_norm(oracle)
         assert rel <= 1e-6
+
+
+    def test_every_node_residual_checked(self, calc16, contour_d1, monkeypatch):
+        # One corrupted inverse in the second chunk: the full spot check only
+        # sees the first node of the first chunk, so the per-node residual
+        # has to catch it.
+        real_inv = np.linalg.inv
+        calls = []
+
+        def corrupting_inv(a):
+            out = real_inv(a)
+            calls.append(a.shape)
+            if len(calls) == 2:
+                out[5] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", corrupting_inv)
+        with pytest.raises(sc.SingularOperatorError):
+            sc.f_of_operator_oracle(calc16.quantized_symbol, sc.power_quotient(1.0),
+                                    contour_d1)
+        assert len(calls) == 2
 
 
 class TestImaginaryPowers:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.parametrix import class_weighted_sup, smooth_step
+from sectorcalc.grid import class_weighted_sup
+from sectorcalc.parametrix import smooth_step
 from sectorcalc.util import fit_loglog_slope, japanese_bracket
 
 

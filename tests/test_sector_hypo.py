@@ -87,25 +87,42 @@ class TestCheckSpectrum:
         assert not sc.check_spectrum(shifted, sector_right, 2.1, 0.0, grid32).passed
 
 
+def _assert_spectrum(mat, spectrum):
+    """eigenvalues_grid of one matrix, tabulated on a 2 x 1 node stack,
+    matches the known spectrum to 1e-12 relative."""
+    mats = np.broadcast_to(np.asarray(mat, dtype=complex), (2, 1) + np.shape(mat))
+    ours = np.sort_complex(sc.eigenvalues_grid(mats).reshape(2, -1))
+    ref = np.sort_complex(np.asarray(spectrum, dtype=complex))
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestEigenvalues:
-    def test_k3_against_lapack(self):
-        rng = np.random.default_rng(5)
-        mats = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
-        ours = np.sort_complex(sc.eigenvalues_grid(mats).reshape(40, 3))
-        ref = np.sort_complex(np.linalg.eigvals(mats))
-        assert np.max(np.abs(ours - ref)) <= 1e-8 * np.max(np.abs(ref))
-
-    def test_k4_against_lapack(self):
-        rng = np.random.default_rng(6)
-        mats = rng.normal(size=(25, 4, 4)) + 1j * rng.normal(size=(25, 4, 4))
-        ours = np.sort_complex(sc.eigenvalues_grid(mats).reshape(25, 4))
-        ref = np.sort_complex(np.linalg.eigvals(mats))
-        assert np.max(np.abs(ours - ref)) <= 1e-7 * np.max(np.abs(ref))
-
     def test_k2_closed_form(self):
         mat = np.array([[[[1.0, 2.0], [0.0, 3.0]]]], dtype=complex)
         eigs = np.sort_complex(sc.eigenvalues_grid(mat).ravel())
         assert np.allclose(eigs, [1.0, 3.0])
+
+    def test_repeated_diagonal(self):
+        _assert_spectrum(np.diag([7.0, 7.0, 6.0]), [7.0, 7.0, 6.0])
+
+    @pytest.mark.parametrize("mat, spectrum", [
+        ([[7, 2, -1], [0, 7, 3], [0, 0, 6]], [7, 7, 6]),
+        ([[2, 1, 0, 3], [0, 2, 1j, 0], [0, 0, 2, 1], [0, 0, 0, 5j]], [2, 2, 2, 5j]),
+    ], ids=["k3", "k4"])
+    def test_triangular_with_repeated_diagonal(self, mat, spectrum):
+        _assert_spectrum(mat, spectrum)
+
+    @pytest.mark.parametrize("T", [
+        [[3, 0], [0, 3]],
+        [[7, 0, 1], [0, 7, 1], [0, 0, 6]],
+        [[2, 0, 0, 1], [0, 2, 0, 1j], [0, 0, 2, -1], [0, 0, 0, 5j]],
+    ], ids=["k2", "k3", "k4"])
+    def test_unitary_similarity(self, T):
+        T = np.asarray(T, dtype=complex)
+        k = T.shape[0]
+        rng = np.random.default_rng(k)
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        _assert_spectrum(Q @ T @ Q.conj().T, np.diag(T))
 
 
 @pytest.fixture(scope="module")
