@@ -95,7 +95,7 @@ def cmd_calc(rc, args):
         per_decade = rc.contour_nodes_per_decade or None
         contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f,
                                 nodes_per_decade=per_decade)
-        fa = f_of_symbol(calc, f, contour, tol=rc.parametrix_tol)
+        fa = f_of_symbol(calc, f, contour)
         oracle = f_of_operator_oracle(A, f, contour)
         sup = f.sup_norm(rc.sector)
         op_norm_oracle = operator_norm(oracle)

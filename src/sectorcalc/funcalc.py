@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .densela import operator_norm
+from .densela import _as_matrix, operator_norm
 from .errors import ContourError, SingularOperatorError
 from .grid import GridSymbol
-from .quantop import QuantOp, extract_symbol, quantize
+from .quantop import QuantOp, extract_symbol
 from .util import fit_loglog_slope
 
 _MAX_DECADES = 220
@@ -300,23 +300,27 @@ def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
 # ---------------------------------------------------------------------------
 
 def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
-    """sum_q coeffs_q (M - lambda_q)^{-1} by chunked LU inversion.
+    """(i/2 pi) sum_q coeffs[f, q] (M - lambda_q)^{-1}, stacked over rows f.
 
-    Inverses come from stacked LAPACK LU (getrf/getri).  Every node is
-    residual-checked on one fixed unit vector x, ||M y - lambda y - x|| with
-    y = (M - lambda)^{-1} x, and one spot node per call against the full
-    identity, so a near-singular shift cannot pass silently.
+    ``coeffs`` is (F, Q): each node is inverted once (stacked LAPACK LU,
+    getrf/getri) for all F rows, and skipped where every row vanishes.
+    Every node is residual-checked on one fixed unit vector x,
+    ||M y - lambda y - x|| with y = (M - lambda)^{-1} x, and one spot node
+    per call against the full identity, so a near-singular shift cannot
+    pass silently.
     """
+    keep = np.any(coeffs != 0.0, axis=0)
+    nodes, coeffs = nodes[keep], coeffs[:, keep]
     dim = M.shape[0]
     eye = np.eye(dim, dtype=complex)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
-    acc = np.zeros_like(M)
+    acc = np.zeros((len(coeffs), dim, dim), dtype=complex)
     spot_done = False
     for start in range(0, len(nodes), chunk):
         lam = nodes[start:start + chunk]
-        cf = coeffs[start:start + chunk]
+        cf = coeffs[:, start:start + chunk]
         shifted = M[None, :, :] - lam[:, None, None] * eye[None, :, :]
         try:
             inv = np.linalg.inv(shifted)
@@ -338,8 +342,8 @@ def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
             raise SingularOperatorError(
                 f"resolvent residual {node_res[worst]:.2e} on a unit vector at "
                 f"lambda={lam[worst]!r}; contour touches the spectrum")
-        acc = acc + np.einsum("q,qij->ij", cf, inv)
-    return acc
+        acc = acc + np.einsum("fq,qij->fij", cf, inv)
+    return 1j / (2.0 * np.pi) * acc
 
 
 def f_of_operator_oracle(A, f, contour):
@@ -347,50 +351,37 @@ def f_of_operator_oracle(A, f, contour):
 
     Pure LU solves per node - deliberately independent of the symbol path.
     """
-    M = A.matrix if hasattr(A, "matrix") else np.asarray(A, dtype=complex)
-    fvals = f(contour.nodes)
-    coeffs = contour.weights * fvals
-    keep = coeffs != 0.0
-    acc = _accumulate_resolvents(M, contour.nodes[keep], coeffs[keep])
-    return 1j / (2.0 * np.pi) * acc
+    coeffs = contour.weights * f(contour.nodes)
+    return _accumulate_resolvents(_as_matrix(A), contour.nodes, coeffs[None])[0]
 
 
-def f_of_symbol(calc, f, contour, method="dense", tol=1e-11, with_split=False):
+def f_of_symbol(calc, f, contour, method="dense", tol=1e-11):
     """Symbol-level calculus f(a) through the Leibniz resolvent.
 
     Accumulates (i/2 pi) sum_q w_q f(lambda_q) (a - lambda_q)^{-#} in the
     exact operator algebra and extracts the symbol once.  ``method`` picks
-    the per-node resolvent path ("dense" = exact Leibniz inverse, the fast
-    default; "auto" = Neumann parametrix with dense fallback).  With
-    ``with_split`` the contour integrals of b^N and s^N = resolvent - b^N
-    are returned alongside, mirroring the two-term estimate that bounds the
-    calculus.
+    the per-node resolvent path: "dense" (the default) runs the same LU
+    Dunford sum as :func:`f_of_operator_oracle` on the quantized symbol, so
+    its symbol agrees with the oracle up to the quantize/extract round trip;
+    any other value ("auto") runs the Leibniz resolvent (Neumann parametrix with dense
+    fallback, ``tol`` its residual target) at every node.
     """
-    dim = calc.k * calc.grid.n_modes
-    fvals = f(contour.nodes)
-    coeffs = contour.weights * fvals
-    keep = coeffs != 0.0
-    if method == "dense" and not with_split:
-        acc = _accumulate_resolvents(calc.quantized_symbol.matrix,
-                                     contour.nodes[keep], coeffs[keep])
+    coeffs = contour.weights * f(contour.nodes)
+    if method == "dense":
+        acc = _accumulate_resolvents(calc.quantized_symbol.matrix, contour.nodes,
+                                     coeffs[None])[0]
     else:
+        dim = calc.k * calc.grid.n_modes
+        keep = coeffs != 0.0
         acc = np.zeros((dim, dim), dtype=complex)
-        acc_b = np.zeros_like(acc) if with_split else None
         for lam, cf in zip(contour.nodes[keep], coeffs[keep]):
-            acc = acc + cf * calc.resolvent_matrix(lam, tol=tol, method=method)
-            if with_split:
-                acc_b = acc_b + cf * quantize(calc.assemble_bN(lam)).matrix
-    scale = 1j / (2.0 * np.pi)
-    total = extract_symbol(QuantOp(calc.grid, calc.k, scale * acc))
-    total = GridSymbol(calc.grid, total.values, calc.class_params, check=False)
-    if not with_split:
-        return total
-    b_part = extract_symbol(QuantOp(calc.grid, calc.k, scale * acc_b))
-    return total, b_part, total - b_part
+            acc = acc + cf * calc.leibniz_resolvent(lam, tol=tol).matrix
+        acc = 1j / (2.0 * np.pi) * acc
+    total = extract_symbol(QuantOp(calc.grid, calc.k, acc))
+    return GridSymbol(calc.grid, total.values, calc.class_params, check=False)
 
 
-def imaginary_power(calc, t, n_reg, contour=None, tol=1e-11, quad_tol=1e-8,
-                    method="dense"):
+def imaginary_power(calc, t, n_reg, contour=None, quad_tol=1e-8):
     """Regularized imaginary power: f_n(a) with f_n(z) = z^{it} psi_n(z).
 
     Returns (GridSymbol, HFun used).  The principal branch of z^{it} is
@@ -402,7 +393,7 @@ def imaginary_power(calc, t, n_reg, contour=None, tol=1e-11, quad_tol=1e-8,
     if contour is None:
         f_n.ensure_cf(calc.sector)
         contour = build_contour(calc.sector, d=1.0, tol=quad_tol, c_f=f_n.c_f)
-    return f_of_symbol(calc, f_n, contour, method=method, tol=tol), f_n
+    return f_of_symbol(calc, f_n, contour), f_n
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +419,29 @@ class HinfProbeReport:
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8, c0=1.0):
     """Estimate the calculus bound M = max_f ||f(A)|| / ||f||_inf.
 
-    Operator norms via power iteration on the dense Dunford oracle; sup
+    Operator norms via power iteration on the dense Dunford integral; sup
     norms via stabilized boundary sampling.  Each family member is
     validated against its declared decay before use.  Members of equal
     decay exponent share one contour (sized for the largest bound constant
     in the group), so scaling a member rescales numerator and denominator
-    exactly and leaves its ratio unchanged.
+    exactly and leaves its ratio unchanged.  One Dunford-engine call per
+    contour inverts each node once for the whole group.
     """
     if not family:
         raise ValueError("function family must be nonempty")
     for f in family:
         f.validate(sector)
-    contours = {}
-    for f in family:
-        cf_group = max(g.c_f for g in family if g.d == f.d)
-        key = (f.d, cf_group)
-        if key not in contours:
-            contours[key] = build_contour(sector, d=f.d, tol=quad_tol,
-                                          c_f=cf_group, c0=c0)
+    mat = _as_matrix(A)
+    ops = [None] * len(family)
+    for d in dict.fromkeys(f.d for f in family):
+        members = [i for i, f in enumerate(family) if f.d == d]
+        c_f = max(family[i].c_f for i in members)
+        contour = build_contour(sector, d=d, tol=quad_tol, c_f=c_f, c0=c0)
+        coeffs = np.array([contour.weights * family[i](contour.nodes) for i in members])
+        for i, op in zip(members, _accumulate_resolvents(mat, contour.nodes, coeffs)):
+            ops[i] = op
     rows = []
-    for f in family:
-        contour = contours[(f.d, max(g.c_f for g in family if g.d == f.d))]
-        op = f_of_operator_oracle(A, f, contour)
+    for f, op in zip(family, ops):
         opn = operator_norm(op)
         sup = f.sup_norm(sector)
         rows.append((f.name, sup, opn, opn / sup))

@@ -5,8 +5,8 @@ x runs over the P-point uniform grid per axis, xi over the integer frequency
 window {-Xi..Xi}^n.  Class membership is therefore only certified on the
 window; reports record the window used.  Window sups of a tabulated symbol
 (plain, weighted by a power of <xi>, or on the interior window) all go
-through :func:`class_weighted_sup`; the pointwise matrix modulus is the
-spectral norm.
+through :func:`window_sup`; the pointwise matrix modulus is the spectral
+norm.
 """
 
 from __future__ import annotations
@@ -282,9 +282,14 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     ``interior_margin`` keeps only window modes at least that far from the
     window edge.
     """
-    g = gs.grid
+    return window_sup(gs.grid, gs.spectral_norms(), weight_exponent, interior_margin)
+
+
+def window_sup(g, norms, weight_exponent, interior_margin=0):
+    """:func:`class_weighted_sup` of precomputed pointwise norms on grid ``g``,
+    so several weights of one symbol share one spectral-norm table."""
     w = g.bracket_xi() ** weight_exponent
-    norms = gs.spectral_norms() * w.reshape((1,) * g.n + g.xi_shape)
+    norms = norms * w.reshape((1,) * g.n + g.xi_shape)
     if interior_margin > 0:
         mask = g.interior_mask(interior_margin)
         if not np.any(mask):

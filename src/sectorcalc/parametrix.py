@@ -27,7 +27,7 @@ import numpy as np
 from .densela import inverse_refined, operator_norm
 from .errors import SectorcalcError, SingularOperatorError
 from .grid import (GridSymbol, _spectral_norms, class_weighted_sup, sample,
-                   unit_symbol)
+                   unit_symbol, window_sup)
 from .quantop import QuantOp, extract_symbol, leibniz_truncated, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -167,8 +167,9 @@ def excision_weights(grid, C):
 class LeibnizResolvent:
     """Result of inverting a - lambda with respect to the Leibniz product.
 
-    ``b_n`` is the excised parametrix b^N the inversion started from and
-    ``r_n`` its remainder symbol r^N (None when only the dense path ran).
+    ``b_n`` is the excised parametrix b^N and ``r_n`` its remainder r^N,
+    built at every lambda; ``diagnostics["method"]`` says which of
+    "neumann", "dense" or "neumann->dense" produced ``matrix``.
     """
 
     symbol: GridSymbol
@@ -176,7 +177,7 @@ class LeibnizResolvent:
     matrix: np.ndarray
     diagnostics: dict
     b_n: GridSymbol
-    r_n: GridSymbol | None
+    r_n: GridSymbol
 
 
 class ParametrixCalculator:
@@ -303,12 +304,13 @@ class ParametrixCalculator:
             acc = cur if acc is None else acc + cur
         return acc
 
-    def bj(self, lam):
-        """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible)."""
+    def bj(self, lam, left=False):
+        """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible); ``left``
+        selects the left parametrix."""
         self.require_admissible(lam)
         b0 = self.b0_values(complex(lam))
         out = []
-        for terms in self.term_lists:
+        for terms in (self.left_term_lists if left else self.term_lists):
             vals = self.eval_terms(terms, complex(lam), b0=b0)
             vals = np.broadcast_to(vals, self.a_tab.values.shape)
             out.append(GridSymbol(self.grid, np.ascontiguousarray(vals),
@@ -317,16 +319,8 @@ class ParametrixCalculator:
 
     def assemble_bN(self, lam, left=False):
         """b^N(lambda) = phi(xi) sum_{j<N} b_j(lambda)."""
-        self.require_admissible(lam)
-        term_lists = self.left_term_lists if left else self.term_lists
-        b0 = self.b0_values(complex(lam))
-        total = None
-        for terms in term_lists:
-            vals = self.eval_terms(terms, complex(lam), b0=b0)
-            total = vals if total is None else total + vals
-        total = np.ascontiguousarray(np.broadcast_to(total, self.a_tab.values.shape))
-        gs = GridSymbol(self.grid, total, self.class_params, check=False)
-        return gs.scale_modes(self.phi)
+        terms = self.bj(lam, left=left)
+        return sum(terms[1:], terms[0]).scale_modes(self.phi)
 
     def remainder(self, lam, bN=None, left=False):
         """r^N = (a-lambda)#b^N - 1 (or the left variant b^N#(a-lambda) - 1).
@@ -356,69 +350,50 @@ class ParametrixCalculator:
 
     # -- resolvent ---------------------------------------------------------------
 
-    def leibniz_resolvent(self, lam, tol=1e-11, method="auto"):
+    def leibniz_resolvent(self, lam, tol=1e-11):
         """(a - lambda)^{-#} with Neumann inversion of 1 + r^N when possible.
 
         The Neumann series is truncated once the geometric tail bound
-        ||r||^(K+1)/(1 - ||r||) drops below ``tol``; remainders with
-        ||quantize(r^N)|| >= 1/2 fall back to the dense Leibniz inverse.
+        ||r||^(K+1)/(1 - ||r||) drops below ``tol``; the dense Leibniz
+        inverse takes over when ||quantize(r^N)|| >= 1/2 or the Neumann
+        residual symbol stays above ``tol``.
         """
         self.require_admissible(lam)
         bN = self.assemble_bN(lam)
-        diag = {"lambda": complex(lam), "method": None, "r_norm": None,
+        r_sym, r_mat = self.remainder(lam, bN=bN)
+        r_norm = operator_norm(r_mat)
+        diag = {"lambda": complex(lam), "method": None, "r_norm": r_norm,
                 "neumann_terms": 0, "residual": None}
         m_shift = self.shifted_matrix(lam)
-        res_mat = None
-        r_sym = None
-        if method in ("auto", "neumann"):
-            r_sym, r_mat = self.remainder(lam, bN=bN)
-            r_norm = operator_norm(r_mat)
-            diag["r_norm"] = r_norm
-            if r_norm < 0.5:
-                K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
-                    if r_norm > 0 else 0
-                K = max(0, min(K, _MAX_NEUMANN))
-                eye = np.eye(r_mat.shape[0], dtype=complex)
-                series = eye.copy()
-                for _ in range(K):
-                    series = eye - r_mat @ series
-                res_mat = quantize(bN).matrix @ series
-                diag["method"] = "neumann"
-                diag["neumann_terms"] = K + 1
-            elif method == "neumann":
-                raise SingularOperatorError(
-                    f"Neumann precondition violated: ||quantize(r^N)|| = {r_norm:.3f} >= 1/2")
-        if res_mat is None:
+        eye = np.eye(m_shift.shape[0], dtype=complex)
+
+        def residual(res_mat):
+            return extract_symbol(
+                QuantOp(self.grid, self.k, m_shift @ res_mat - eye)).sup_norm()
+
+        if r_norm < 0.5:
+            K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
+                if r_norm > 0 else 0
+            K = max(0, min(K, _MAX_NEUMANN))
+            series = eye.copy()
+            for _ in range(K):
+                series = eye - r_mat @ series
+            res_mat = quantize(bN).matrix @ series
+            diag.update(method="neumann", neumann_terms=K + 1,
+                        residual=residual(res_mat))
+        if diag["method"] is None or diag["residual"] > tol:
+            # r^N too large, or the tail bound was optimistic (non-normal r^N)
             try:
                 res_mat, _ = inverse_refined(m_shift)
             except SingularOperatorError as exc:
                 raise SingularOperatorError(
                     f"neither Neumann nor dense inversion converged at lambda={lam!r}; "
                     f"lambda lies in the spectrum: {exc}") from exc
-            diag["method"] = "dense"
-        residual_sym = extract_symbol(
-            QuantOp(self.grid, self.k,
-                    m_shift @ res_mat - np.eye(res_mat.shape[0], dtype=complex)))
-        diag["residual"] = residual_sym.sup_norm()
-        if diag["residual"] > tol and diag["method"] == "neumann":
-            # tail bound was optimistic (non-normal remainder): dense rescue
-            res_mat, _ = inverse_refined(m_shift)
-            diag["method"] = "neumann->dense"
-            residual_sym = extract_symbol(
-                QuantOp(self.grid, self.k,
-                        m_shift @ res_mat - np.eye(res_mat.shape[0], dtype=complex)))
-            diag["residual"] = residual_sym.sup_norm()
+            diag["method"] = "dense" if diag["method"] is None else "neumann->dense"
+            diag["residual"] = residual(res_mat)
         symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
         return LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
                                 matrix=res_mat, diagnostics=diag, b_n=bN, r_n=r_sym)
-
-    def resolvent_matrix(self, lam, tol=1e-11, method="dense"):
-        """Fast path for contour quadrature: the resolvent matrix only."""
-        if method == "dense":
-            self.require_admissible(lam)
-            mat, _ = inverse_refined(self.shifted_matrix(lam))
-            return mat
-        return self.leibniz_resolvent(lam, tol=tol, method=method).matrix
 
     # -- invertibility radius ------------------------------------------------------
 
@@ -518,20 +493,22 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
                 lr = None
                 bN = calc.assemble_bN(lam)
                 r_sym, _ = calc.remainder(lam, bN=bN)
+            r_norms = r_sym.spectral_norms()
             row = {
                 "lambda": lam,
                 "bracket": float(japanese_bracket(lam)),
                 "sup_bN": class_weighted_sup(bN, 0.0, margin),
-                "sup_rN": class_weighted_sup(r_sym, 0.0, margin),
-                "class_sup_rN": class_weighted_sup(r_sym, rem_weight, margin),
+                "sup_rN": window_sup(calc.grid, r_norms, 0.0, margin),
+                "class_sup_rN": window_sup(calc.grid, r_norms, rem_weight, margin),
                 "sup_sN": None,
                 "class_sup_sN": None,
                 "residual": np.nan,
                 "method": "",
             }
             if lr is not None:
-                row["sup_sN"] = class_weighted_sup(lr.s_n, 0.0, margin)
-                row["class_sup_sN"] = class_weighted_sup(lr.s_n, rem_weight, margin)
+                s_norms = lr.s_n.spectral_norms()
+                row["sup_sN"] = window_sup(calc.grid, s_norms, 0.0, margin)
+                row["class_sup_sN"] = window_sup(calc.grid, s_norms, rem_weight, margin)
                 row["residual"] = lr.diagnostics["residual"]
                 row["method"] = lr.diagnostics["method"]
             rows.append(row)

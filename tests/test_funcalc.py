@@ -127,13 +127,6 @@ class TestFOfSymbol:
         auto = sc.f_of_symbol(calc16, f, contour_d1, method="auto", tol=1e-12)
         assert (dense - auto).sup_norm() <= 1e-9 * dense.sup_norm()
 
-    def test_split_adds_up(self, calc16, contour_d1):
-        f = sc.power_quotient(1.0)
-        total, b_part, s_part = sc.f_of_symbol(calc16, f, contour_d1,
-                                               with_split=True)
-        recon = (b_part + s_part - total).sup_norm()
-        assert recon <= 1e-12 * max(total.sup_norm(), 1e-30)
-
 
 class TestOperatorOracle:
     def test_diagonal_multiplier(self, sector_right, contour_d1):
@@ -267,6 +260,29 @@ class TestHinfProbe:
                                     quad_tol=1e-6).M
         assert m_ext >= m_base - 1e-12
         assert m_ext <= 2.0 * m_base
+
+    def test_shared_contour_inverted_once(self, calc16, sector_right, monkeypatch):
+        family = [sc.power_quotient(1.0), sc.resolvent_quotient(-25.0),
+                  sc.imaginary_power_regularized(1.0, 100)]
+        for f in family:
+            f.validate(sector_right)
+        contour = sc.build_contour(sector_right, d=1.0, tol=1e-6,
+                                   c_f=max(f.c_f for f in family))
+        A = calc16.quantized_symbol
+        expected = [sc.operator_norm(sc.f_of_operator_oracle(A, f, contour))
+                    for f in family]
+        real_inv = np.linalg.inv
+        inverted = []
+
+        def counting_inv(a):
+            inverted.append(a.shape[0] if a.ndim == 3 else 1)
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        report = sc.hinf_bound_probe(A, family, sector_right, quad_tol=1e-6)
+        assert sum(inverted) == len(contour)
+        for row, ref in zip(report.rows, expected):
+            assert row[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_empty_family_rejected(self, calc16, sector_right):
         with pytest.raises(ValueError):

@@ -6,7 +6,14 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.grid import class_weighted_sup
 from sectorcalc.parametrix import smooth_step
+from sectorcalc.quantop import QuantOp, extract_symbol
 from sectorcalc.util import fit_loglog_slope, japanese_bracket
+
+
+def dense_reference(calc, lam):
+    """Symbol of the LU resolvent (A - lambda)^{-1}, built outside the calculator."""
+    X = sc.dense_resolvent(calc.quantized_symbol, lam)
+    return extract_symbol(QuantOp(calc.grid, calc.k, X))
 
 
 @pytest.fixture(scope="module")
@@ -180,10 +187,30 @@ class TestLeibnizResolvent:
 
     def test_neumann_matches_dense(self, calc32):
         lam = complex(calc32.sector.boundary_point(64.0))
-        via_neumann = calc32.leibniz_resolvent(lam, tol=1e-13, method="neumann")
-        via_dense = calc32.leibniz_resolvent(lam, method="dense")
-        assert via_neumann.diagnostics["method"] == "neumann"
-        assert (via_neumann.symbol - via_dense.symbol).sup_norm() <= 1e-12
+        lr = calc32.leibniz_resolvent(lam, tol=1e-13)
+        assert lr.diagnostics["method"] == "neumann"
+        assert (lr.symbol - dense_reference(calc32, lam)).sup_norm() <= 1e-12
+
+    def test_large_remainder_takes_dense_branch(self, sector_right):
+        # small shift, strong x-variation, N=1: ||quantize(r^N)|| ~ 6.7 at i
+        grid = sc.TorusGrid(n=1, points=16)
+        expr = sc.shift(sc.parse_symbol("(2+1.9*sin(x1))*(1+xi1^2)", n=1), 0.1)
+        calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
+                                       sector_right, N=1)
+        lr = calc.leibniz_resolvent(1j)
+        assert lr.diagnostics["method"] == "dense"
+        assert lr.diagnostics["r_norm"] >= 0.5
+        assert lr.r_n is not None
+        assert (lr.symbol - dense_reference(calc, 1j)).sup_norm() <= 1e-12
+
+    def test_unreachable_tol_rescued_by_dense(self, calc32):
+        # tol below any attainable residual: the Neumann series runs to its
+        # tail-bound length, misses the residual target and is replaced
+        lam = complex(calc32.sector.boundary_point(64.0))
+        lr = calc32.leibniz_resolvent(lam, tol=1e-300)
+        assert lr.diagnostics["method"] == "neumann->dense"
+        assert lr.diagnostics["neumann_terms"] > 1
+        assert (lr.symbol - dense_reference(calc32, lam)).sup_norm() <= 1e-12
 
     def test_neumann_identity(self, calc32):
         # (1+r)^{-#} = 1 - r # (1+r)^{-#} in the operator algebra
