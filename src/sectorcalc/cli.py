@@ -39,7 +39,7 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
-def _run_base_check(rc, args):
+def _run_base_check(rc):
     report = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C,
                             rc.grid, rc.class_params)
     if report.passed:
@@ -49,7 +49,7 @@ def _run_base_check(rc, args):
 
 
 def cmd_check(rc, args):
-    report = _run_base_check(rc, args)
+    report = _run_base_check(rc)
     report.to_csv(_out_path(args, "hypo_report.csv"))
     with open(_out_path(args, "hypo_summary.txt"), "w") as fh:
         fh.write(report.summary_text() + "\n")

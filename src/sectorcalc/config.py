@@ -78,9 +78,6 @@ class RunConfig:
     class_params: SymbolClassParams
     sector: Sector
     grid: TorusGrid
-    n: int
-    k: int
-    shift_c: float
     hypo_c: float
     hypo_C: float
     hypo_max_order: int
@@ -141,7 +138,7 @@ def resolve_config(values):
     function_specs = [spec.strip() for spec in raw_functions.split(",") if spec.strip()]
     return RunConfig(
         expr=expr, base_expr=base_expr, class_params=params, sector=sector,
-        grid=grid, n=n, k=base_expr.k, shift_c=shift_c,
+        grid=grid,
         hypo_c=cfg.get_float("hypo.c", 0.5),
         hypo_C=cfg.get_float("hypo.C", 0.0),
         hypo_max_order=cfg.get_int("hypo.max_order", 2),

@@ -143,10 +143,5 @@ def resolvent_norm_sweep(A, sector, radii):
     then the lower ray point.
     """
     M = _as_matrix(A)
-    rows = []
-    for r in np.asarray(radii, dtype=float):
-        for phase in (np.exp(1j * sector.theta), np.exp(-1j * sector.theta)):
-            lam = r * phase
-            X = dense_resolvent(M, lam)
-            rows.append((complex(lam), operator_norm(X)))
-    return rows
+    return [(complex(lam), operator_norm(dense_resolvent(M, lam)))
+            for lam in sector.ray_points(np.asarray(radii, dtype=float))]

@@ -485,12 +485,7 @@ def bn_f_deformed(calc, f, R, per_decade=24, n_arc=48):
 
     def add(lam, w):
         nonlocal acc
-        b_sum = None
-        b0 = calc.b0_values(lam)
-        for terms in calc.term_lists:
-            v = calc.eval_terms(terms, lam, b0=b0)
-            b_sum = v if b_sum is None else b_sum + v
-        term = (w * f(lam))[..., None, None] * b_sum
+        term = (w * f(lam))[..., None, None] * calc.eval_terms(calc.bN_terms, lam)
         acc = term if acc is None else acc + term
 
     # Traversal matches the main contour's orientation: in along the lower

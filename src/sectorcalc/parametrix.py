@@ -14,6 +14,10 @@ boundedness diagnostics observable.
 On top of the recursion sit the excised sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
+b^N is evaluated from one term list, the b_0 .. b_{N-1} lists concatenated.
+For a scalar symbol every factor other than b_0 is lambda-independent, so a
+term list compiles once into one table per power of b_0 and evaluates as a
+polynomial in b_0; matrix symbols multiply the factors out per term.
 """
 
 from __future__ import annotations
@@ -183,10 +187,11 @@ class LeibnizResolvent:
 class ParametrixCalculator:
     """Caches the lambda-independent data of the parametrix construction.
 
-    Derivative tabulations of a, the term lists of the recursion, the
-    quantized symbol and the excision weights are computed once; everything
-    per-lambda (b_j, b^N, r^N, the resolvent) is then cheap and independent
-    across lambda.
+    Derivative tabulations of a, the term lists of the recursion (and their
+    concatenation ``bN_terms``, the one term list of b^N), the scalar
+    polynomial tables, the quantized symbol and the excision weights are
+    computed once; everything per-lambda (b_j, b^N, r^N, the resolvent) is
+    then cheap and independent across lambda.
     """
 
     def __init__(self, expr, grid, class_params, sector, N, C=0.0):
@@ -209,6 +214,7 @@ class ParametrixCalculator:
                 np.linalg.svd(self.a_tab.values, compute_uv=False)[..., -1]))
         self.phi = excision_weights(grid, self.C)
         self.term_lists = bj_term_lists(grid.n, N)
+        self.bN_terms = sum(self.term_lists, [])  # b^N before excision
         # Sweep sups exclude the edge band where mode-truncation leak of the
         # exact composition sits (lambda-flat, confined to O(1) modes);
         # clamped so tiny windows keep at least the central mode.
@@ -223,6 +229,10 @@ class ParametrixCalculator:
     @cached_property
     def left_term_lists(self):
         return left_bj_term_lists(self.grid.n, self.N)
+
+    @cached_property
+    def left_bN_terms(self):
+        return sum(self.left_term_lists, [])
 
     def derivative_tab(self, alpha, beta):
         key = (tuple(alpha), tuple(beta))
@@ -263,21 +273,21 @@ class ParametrixCalculator:
             lam[..., None, None] * np.eye(self.k, dtype=complex)
         return np.linalg.inv(shifted)
 
-    def _compiled_scalar(self, terms):
-        """k=1 fast path: per term, the lambda-independent factor product."""
+    def _scalar_polynomial(self, terms):
+        """k=1: lambda-independent tables S_0..S_p, one per power of b_0,
+        with sum(terms) = sum_p S_p b_0^p (evaluated by Horner in b_0)."""
         key = tuple(terms)
         if key not in self._scalar_compiled:
-            compiled = []
+            tables = {}
             for coeff, factors in terms:
-                nb0 = sum(1 for f in factors if f == _B0)
-                static = None
                 for f in factors:
-                    if f == _B0:
-                        continue
-                    tab = self.derivative_tab(f[1], f[2])[..., 0, 0]
-                    static = tab if static is None else static * tab
-                compiled.append((coeff, nb0, static))
-            self._scalar_compiled[key] = compiled
+                    if f != _B0:
+                        coeff = coeff * self.derivative_tab(f[1], f[2])[..., 0, 0]
+                power = factors.count(_B0)
+                tables[power] = tables.get(power, 0) + coeff
+            zero = np.zeros(self.a_tab.values.shape[:-2], dtype=complex)
+            self._scalar_compiled[key] = [zero + tables.get(p, 0)
+                                          for p in range(max(tables, default=0) + 1)]
         return self._scalar_compiled[key]
 
     def eval_terms(self, terms, lam, b0=None):
@@ -286,13 +296,10 @@ class ParametrixCalculator:
             b0 = self.b0_values(lam)
         if self.k == 1:
             s = b0[..., 0, 0]
-            acc = np.zeros(np.broadcast_shapes(s.shape, self.a_tab.values.shape[:-2]),
-                           dtype=complex)
-            for coeff, nb0, static in self._compiled_scalar(terms):
-                term = coeff * s ** nb0
-                if static is not None:
-                    term = term * static
-                acc = acc + term
+            tables = self._scalar_polynomial(terms)
+            acc = tables[-1]
+            for table in reversed(tables[:-1]):
+                acc = acc * s + table
             return acc[..., None, None]
         acc = None
         for coeff, factors in terms:
@@ -309,18 +316,17 @@ class ParametrixCalculator:
         selects the left parametrix."""
         self.require_admissible(lam)
         b0 = self.b0_values(complex(lam))
-        out = []
-        for terms in (self.left_term_lists if left else self.term_lists):
-            vals = self.eval_terms(terms, complex(lam), b0=b0)
-            vals = np.broadcast_to(vals, self.a_tab.values.shape)
-            out.append(GridSymbol(self.grid, np.ascontiguousarray(vals),
-                                  self.class_params, check=False))
-        return out
+        return [GridSymbol(self.grid, self.eval_terms(terms, complex(lam), b0=b0),
+                           self.class_params, check=False)
+                for terms in (self.left_term_lists if left else self.term_lists)]
 
     def assemble_bN(self, lam, left=False):
-        """b^N(lambda) = phi(xi) sum_{j<N} b_j(lambda)."""
-        terms = self.bj(lam, left=left)
-        return sum(terms[1:], terms[0]).scale_modes(self.phi)
+        """b^N(lambda) = phi(xi) sum_{j<N} b_j(lambda), one term list."""
+        self.require_admissible(lam)
+        vals = self.eval_terms(self.left_bN_terms if left else self.bN_terms,
+                               complex(lam))
+        return GridSymbol(self.grid, vals, self.class_params,
+                          check=False).scale_modes(self.phi)
 
     def remainder(self, lam, bN=None, left=False):
         """r^N = (a-lambda)#b^N - 1 (or the left variant b^N#(a-lambda) - 1).
@@ -405,14 +411,11 @@ class ParametrixCalculator:
         while r <= ceiling:
             radii.append(r)
             r *= 2.0
-        norms = []
-        for rad in radii:
-            for upper in (True, False):
-                lam = self.sector.boundary_point(rad, upper=upper)
-                _, r_mat = self.remainder(lam)
-                norms.append((rad, operator_norm(r_mat)))
+        norms = [operator_norm(self.remainder(lam)[1])
+                 for lam in self.sector.ray_points(radii)]
         for candidate in radii:
-            if all(nrm <= 0.5 for rad, nrm in norms if rad >= candidate):
+            if all(nrm <= 0.5 for rad, nrm in zip(np.repeat(radii, 2), norms)
+                   if rad >= candidate):
                 return candidate
         raise SectorcalcError(
             f"no invertibility radius R <= {ceiling:g}: remainder does not decay "
@@ -480,38 +483,38 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
     margin = calc.default_interior_margin
     params = calc.class_params
     rem_weight = calc.N * (params.rho - params.delta) - params.m
+    radii = np.asarray(radii, dtype=float)
     rows = []
-    for rad in np.asarray(radii, dtype=float):
-        for upper in (True, False):
-            lam = complex(calc.sector.boundary_point(rad, upper=upper))
-            if not calc.sector.contains(lam):
-                raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
-            if rad >= R:
-                lr = calc.leibniz_resolvent(lam, tol=tol)
-                bN, r_sym = lr.b_n, lr.r_n
-            else:
-                lr = None
-                bN = calc.assemble_bN(lam)
-                r_sym, _ = calc.remainder(lam, bN=bN)
-            r_norms = r_sym.spectral_norms()
-            row = {
-                "lambda": lam,
-                "bracket": float(japanese_bracket(lam)),
-                "sup_bN": class_weighted_sup(bN, 0.0, margin),
-                "sup_rN": window_sup(calc.grid, r_norms, 0.0, margin),
-                "class_sup_rN": window_sup(calc.grid, r_norms, rem_weight, margin),
-                "sup_sN": None,
-                "class_sup_sN": None,
-                "residual": np.nan,
-                "method": "",
-            }
-            if lr is not None:
-                s_norms = lr.s_n.spectral_norms()
-                row["sup_sN"] = window_sup(calc.grid, s_norms, 0.0, margin)
-                row["class_sup_sN"] = window_sup(calc.grid, s_norms, rem_weight, margin)
-                row["residual"] = lr.diagnostics["residual"]
-                row["method"] = lr.diagnostics["method"]
-            rows.append(row)
+    for rad, lam in zip(np.repeat(radii, 2), calc.sector.ray_points(radii)):
+        lam = complex(lam)
+        if not calc.sector.contains(lam):
+            raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
+        if rad >= R:
+            lr = calc.leibniz_resolvent(lam, tol=tol)
+            bN, r_sym = lr.b_n, lr.r_n
+        else:
+            lr = None
+            bN = calc.assemble_bN(lam)
+            r_sym, _ = calc.remainder(lam, bN=bN)
+        r_norms = r_sym.spectral_norms()
+        row = {
+            "lambda": lam,
+            "bracket": float(japanese_bracket(lam)),
+            "sup_bN": class_weighted_sup(bN, 0.0, margin),
+            "sup_rN": window_sup(calc.grid, r_norms, 0.0, margin),
+            "class_sup_rN": window_sup(calc.grid, r_norms, rem_weight, margin),
+            "sup_sN": None,
+            "class_sup_sN": None,
+            "residual": np.nan,
+            "method": "",
+        }
+        if lr is not None:
+            s_norms = lr.s_n.spectral_norms()
+            row["sup_sN"] = window_sup(calc.grid, s_norms, 0.0, margin)
+            row["class_sup_sN"] = window_sup(calc.grid, s_norms, rem_weight, margin)
+            row["residual"] = lr.diagnostics["residual"]
+            row["method"] = lr.diagnostics["method"]
+        rows.append(row)
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows
@@ -545,9 +548,7 @@ def bj_derivative_bound(calc, j, alpha, beta, arc_angles=None):
     for phi in arc_angles:
         lam = 2.0 * anorm * np.exp(1j * phi)
         b0 = calc.b0_values(lam)
-        vals = calc.eval_terms(terms, lam, b0=b0)
-        vals = np.broadcast_to(vals, calc.a_tab.values.shape)
-        num = _spectral_norms(vals) * weight
+        num = _spectral_norms(calc.eval_terms(terms, lam, b0=b0)) * weight
         den = _spectral_norms(b0)
         worst = max(worst, float(np.max(num / den)))
     return worst

@@ -22,6 +22,8 @@ shifts leak past the truncation at the edge.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .densela import inverse_refined
@@ -93,17 +95,21 @@ class QuantOp:
         return self.synthesize(self.matrix @ self.analyze(u))
 
 
+@lru_cache(maxsize=8)
 def _index_arrays(grid):
     """Gather/scatter index arrays between DFT bins and matrix entries.
 
     Entry (row mode eta_p, column mode xi_q) corresponds to the x-DFT bin
     (eta_p - xi_q) mod P of the tabulation column xi_q; the map is injective
     per column because the window spans fewer than P modes per axis.
+    Cached per grid and shared, so the arrays are read-only.
     """
     modes = grid.mode_vectors()
     diff = (modes[:, None, :] - modes[None, :, :]) % grid.points
     idx = tuple(diff[..., ax] for ax in range(grid.n))
     idx += (np.arange(grid.n_modes)[None, :],)
+    for arr in idx:
+        arr.flags.writeable = False
     return idx
 
 

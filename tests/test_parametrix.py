@@ -97,6 +97,68 @@ class TestRecursion:
         assert sc.bj_derivative_bound(calc32, 0, (0,), (0,)) == pytest.approx(1.0)
 
 
+def literal_terms(calc, terms, lam):
+    """A term list evaluated factor by factor, left to right with @."""
+    b0 = calc.b0_values(lam)
+    acc = np.zeros_like(b0)
+    for coeff, factors in terms:
+        prod = b0 if factors[0] == ("b0",) else calc.derivative_tab(*factors[0][1:])
+        for f in factors[1:]:
+            prod = prod @ (b0 if f == ("b0",) else calc.derivative_tab(*f[1:]))
+        acc = acc + coeff * prod
+    return acc
+
+
+def rel_sup_diff(values, ref):
+    return np.max(np.abs(values - ref)) / np.max(np.abs(ref))
+
+
+@pytest.fixture(scope="module", params=["calc32", "scalar2d", "jordan2", "matrix2"])
+def any_calc(request, sector_right):
+    if request.param == "calc32":
+        return request.getfixturevalue("calc32")
+    if request.param == "scalar2d":
+        grid = sc.TorusGrid(n=2, points=8)
+        expr = sc.shift(
+            sc.parse_symbol("(2+sin(x1)*cos(x2))*(1+xi1^2+xi2^2)", n=2), 3.0)
+        return sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
+                                       sector_right, N=3, C=1.5)
+    if request.param == "jordan2":
+        expr, params = sc.get_preset("jordan2", n=1)
+    else:
+        expr = sc.shift(sc.parse_symbol(
+            "[[(2+sin(x1))*(1+xi1^2), bracket(xi)], [0, (2+cos(x1))*(1+xi1^2)]]",
+            n=1, k=2), 2.0)
+        params = sc.SymbolClassParams(m=2)
+    return sc.ParametrixCalculator(expr, sc.TorusGrid(n=1, points=16), params,
+                                   sector_right, N=3)
+
+
+class TestCompiledTerms:
+    """The compiled b^N and b_j against the term lists multiplied out."""
+
+    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+    def test_assemble_bN_matches_literal_sum(self, any_calc, left):
+        calc = any_calc
+        lam = complex(calc.sector.boundary_point(20.0, upper=False))
+        lists = calc.left_term_lists if left else calc.term_lists
+        ref = sum(literal_terms(calc, terms, lam) for terms in lists)
+        ref = ref * calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape + (1, 1))
+        assert rel_sup_diff(calc.assemble_bN(lam, left=left).values, ref) <= 1e-13
+
+    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+    def test_bj_matches_literal_terms(self, any_calc, left):
+        calc = any_calc
+        lam = -4.0 + 3.0j
+        lists = calc.left_term_lists if left else calc.term_lists
+        for b, terms in zip(calc.bj(lam, left=left), lists):
+            ref = literal_terms(calc, terms, lam)
+            if np.max(np.abs(ref)) == 0.0:
+                assert np.max(np.abs(b.values)) == 0.0
+            else:
+                assert rel_sup_diff(b.values, ref) <= 1e-13
+
+
 class TestExcision:
     def test_smooth_step_plateaus(self):
         t = np.array([0.0, 1.0, 1.2, 1.5, 1.8, 2.0, 3.0])
