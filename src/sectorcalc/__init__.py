@@ -5,7 +5,7 @@ and contour-quadrature functional calculus validated against a dense
 operator oracle."""
 
 from .dsl import (MAX_DERIVATIVE_ORDER, SymbolClassParams, SymbolExpr,
-                  differentiate, parse_symbol, validate_symbol)
+                  parse_symbol, validate_symbol)
 from .densela import apply_fft, dense_resolvent, operator_norm, resolvent_norm_sweep
 from .errors import (ConfigError, ContourError, DerivativeOrderError,
                      GridMismatchError, NonPeriodicError, SectorcalcError,

@@ -29,28 +29,28 @@ def solve_refined(M, B):
     return X
 
 
-def inverse_refined(M, residual_tol=RESIDUAL_TOL):
+def inverse_refined(M):
     """Inverse with refinement; returns (X, residual) with residual = max|MX - I|."""
     eye = np.eye(M.shape[0], dtype=complex)
     X = solve_refined(M, eye)
     residual = float(np.max(np.abs(M @ X - eye)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise SingularOperatorError(
-            f"inverse residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"inverse residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "matrix is numerically singular")
     return X, residual
 
 
-def dense_resolvent(A, lam, residual_tol=RESIDUAL_TOL):
+def dense_resolvent(A, lam):
     """(A - lam)^{-1} by partial-pivot LU with one refinement step.
 
     Raises :class:`SingularOperatorError` when the residual stays above
-    ``residual_tol`` - the lambda is then flagged as (near-)spectrum.
+    ``RESIDUAL_TOL`` - the lambda is then flagged as (near-)spectrum.
     """
     M = _as_matrix(A)
     shifted = M - lam * np.eye(M.shape[0], dtype=complex)
     try:
-        X, _ = inverse_refined(shifted, residual_tol)
+        X, _ = inverse_refined(shifted)
     except SingularOperatorError as exc:
         raise SingularOperatorError(
             f"resolvent at lambda={lam!r}: {exc} (lambda near the spectrum)") from exc

@@ -28,6 +28,9 @@ from .util import fit_loglog_slope
 
 _MAX_DECADES = 220
 _MAX_NODES_PER_DECADE = 1024
+# Dunford engine: nodes per stacked LU batch; residual bound of its checks.
+_CHUNK = 24
+_SPOT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -65,50 +68,58 @@ class HFun:
         return HFun(lambda z: c * self.fn(z), self.d, None,
                     name or f"{c}*{self.name}")
 
-    def _ray_samples(self, sector, per_decade=20, lo=1e-4, hi=1e4):
-        eps = 1e-3
-        radii = np.geomspace(lo, hi, int(np.log10(hi / lo) * per_decade))
+    def _decay_products(self, sector):
+        """|f(z)| (|z|^d + |z|^-d) on the validation rays."""
+        lo, hi, eps = 1e-4, 1e4, 1e-3
+        radii = np.geomspace(lo, hi, int(np.log10(hi / lo) * 20))
         angles = (0.0, sector.theta - eps, -(sector.theta - eps))
-        return np.concatenate([radii * np.exp(1j * ang) for ang in angles])
+        z = np.concatenate([radii * np.exp(1j * ang) for ang in angles])
+        return np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
 
     def ensure_cf(self, sector):
         """Estimate c_f from ray samples when not supplied."""
         if self.c_f is None:
-            z = self._ray_samples(sector)
-            prod = np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
-            self.c_f = float(np.max(prod) * 1.01)
+            self.c_f = float(np.max(self._decay_products(sector)) * 1.01)
         return self.c_f
 
-    def validate(self, sector, slack=1e-9):
-        """Check the decay bound on the validation rays; returns c_f."""
-        cf = self.ensure_cf(sector)
-        z = self._ray_samples(sector)
-        vals = np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
-        if not np.all(np.isfinite(vals)):
+    def validate(self, sector):
+        """Check the decay bound on the validation rays; returns c_f.
+
+        The rays are arg 0 and +-(theta - 1e-3), sampled at 20 radii per
+        decade over 1e-4 .. 1e4.  Every sample of |f(z)| (|z|^d + |z|^-d)
+        must be finite, and a declared c_f must bound their maximum (relative
+        slack 1e-9); an undeclared c_f is set 1% above that maximum.
+        """
+        prod = self._decay_products(sector)
+        if not np.all(np.isfinite(prod)):
             raise ValueError(f"{self.name}: non-finite values on validation rays")
-        worst = float(np.max(vals))
-        if worst > cf * (1.0 + slack):
+        worst = float(np.max(prod))
+        if self.c_f is None:
+            self.c_f = worst * 1.01
+        elif worst > self.c_f * (1.0 + 1e-9):
             raise ValueError(
                 f"{self.name}: decay bound violated, sup |f| (|z|^d + |z|^-d) = "
-                f"{worst:.3e} > c_f = {cf:.3e}")
-        return cf
+                f"{worst:.3e} > c_f = {self.c_f:.3e}")
+        return self.c_f
 
-    def sup_norm(self, sector, per_decade=40, lo=1e-6, hi=1e6, stab_tol=0.01):
+    def sup_norm(self, sector):
         """sup |f| sampled on the boundary rays and the positive real axis.
 
-        Sampling density is doubled until the estimate moves by less than
-        ``stab_tol`` (maximum principle justifies boundary sampling).
+        Radii run over 1e-6 .. 1e6, 40 per decade; the density is doubled
+        (up to 4096 per decade) until the estimate moves by less than 1%
+        (maximum principle justifies boundary sampling).
         """
-        key = (round(sector.theta, 12), lo, hi)
+        key = round(sector.theta, 12)
         if key in self._sup_cache:
             return self._sup_cache[key]
+        lo, hi, per_decade = 1e-6, 1e6, 40
         prev = None
         while per_decade <= 4096:
             radii = np.geomspace(lo, hi, max(8, int(np.log10(hi / lo) * per_decade)))
             cur = 0.0
             for ang in (sector.theta, -sector.theta, 0.0):
                 cur = max(cur, float(np.max(np.abs(self(radii * np.exp(1j * ang))))))
-            if prev is not None and abs(cur - prev) <= stab_tol * max(cur, 1e-300):
+            if prev is not None and abs(cur - prev) <= 0.01 * max(cur, 1e-300):
                 self._sup_cache[key] = cur
                 return cur
             prev = cur
@@ -246,11 +257,11 @@ def _probe_fun(z, d=1.0):
     return np.exp(d * np.log(z) - 2.0 * d * np.log1p(z))
 
 
-def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
+def build_contour(sector, d, tol, c_f=1.0, r_min=None, r_max=None,
                   nodes_per_decade=None):
     """Contour with truncation radii from the decay tail bounds.
 
-    The outer tail c_f c0 r^{-d}/d and the inner tail c_f c0 r^{d+1}/(d+1)
+    The outer tail c_f r^{-d}/d and the inner tail c_f r^{d+1}/(d+1)
     are each kept below tol/4; the per-decade node count is doubled until
     the scalar Cauchy certificate moves by less than tol/4 and reproduces
     the probe values within tol.
@@ -258,9 +269,9 @@ def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
     if tol <= 0 or d <= 0:
         raise ContourError("tol and d must be positive")
     if r_max is None:
-        r_max = (4.0 * c_f * c0 / (d * tol)) ** (1.0 / d)
+        r_max = (4.0 * c_f / (d * tol)) ** (1.0 / d)
     if r_min is None:
-        r_min = ((d + 1.0) * tol / (4.0 * c_f * c0)) ** (1.0 / (d + 1.0))
+        r_min = ((d + 1.0) * tol / (4.0 * c_f)) ** (1.0 / (d + 1.0))
         r_min = min(r_min, 1e-2)
     if r_min > r_max:
         raise ContourError(f"r_min={r_min:g} > r_max={r_max:g}")
@@ -268,8 +279,8 @@ def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
         raise ContourError(
             f"contour spans {np.log10(r_max / r_min):.0f} decades (> {_MAX_DECADES}); "
             "decay exponent too small for the requested tolerance")
-    tails = (c_f * c0 * r_min ** (d + 1.0) / (d + 1.0),
-             c_f * c0 * r_max ** (-d) / d)
+    tails = (c_f * r_min ** (d + 1.0) / (d + 1.0),
+             c_f * r_max ** (-d) / d)
     probes = [z0 for z0 in _PROBE_Z0 if 10.0 * r_min <= z0 <= 0.1 * r_max] or [1.0]
 
     if nodes_per_decade is not None:
@@ -299,11 +310,12 @@ def build_contour(sector, d, tol, c_f=1.0, c0=1.0, r_min=None, r_max=None,
 # Dunford integrals
 # ---------------------------------------------------------------------------
 
-def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
+def _accumulate_resolvents(M, nodes, coeffs):
     """(i/2 pi) sum_q coeffs[f, q] (M - lambda_q)^{-1}, stacked over rows f.
 
     ``coeffs`` is (F, Q): each node is inverted once (stacked LAPACK LU,
-    getrf/getri) for all F rows, and skipped where every row vanishes.
+    getrf/getri, ``_CHUNK`` nodes per batch) for all F rows, and skipped
+    where every row vanishes.
     Every node is residual-checked on one fixed unit vector x,
     ||M y - lambda y - x|| with y = (M - lambda)^{-1} x, and one spot node
     per call against the full identity, so a near-singular shift cannot
@@ -318,9 +330,9 @@ def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
     x /= np.linalg.norm(x)
     acc = np.zeros((len(coeffs), dim, dim), dtype=complex)
     spot_done = False
-    for start in range(0, len(nodes), chunk):
-        lam = nodes[start:start + chunk]
-        cf = coeffs[:, start:start + chunk]
+    for start in range(0, len(nodes), _CHUNK):
+        lam = nodes[start:start + _CHUNK]
+        cf = coeffs[:, start:start + _CHUNK]
         shifted = M[None, :, :] - lam[:, None, None] * eye[None, :, :]
         try:
             inv = np.linalg.inv(shifted)
@@ -330,7 +342,7 @@ def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
                 f"{abs(lam[0]):.3g}: {exc}") from exc
         if not spot_done:
             residual = float(np.max(np.abs(shifted[0] @ inv[0] - eye)))
-            if residual > spot_tol:
+            if residual > _SPOT_TOL:
                 raise SingularOperatorError(
                     f"resolvent residual {residual:.2e} at lambda={lam[0]!r}; "
                     "contour touches the spectrum")
@@ -338,7 +350,7 @@ def _accumulate_resolvents(M, nodes, coeffs, chunk=24, spot_tol=1e-9):
         y = inv @ x
         node_res = np.linalg.norm(y @ M.T - lam[:, None] * y - x, axis=1)
         worst = int(np.argmax(node_res))
-        if not node_res[worst] <= spot_tol:
+        if not node_res[worst] <= _SPOT_TOL:
             raise SingularOperatorError(
                 f"resolvent residual {node_res[worst]:.2e} on a unit vector at "
                 f"lambda={lam[worst]!r}; contour touches the spectrum")
@@ -416,7 +428,7 @@ class HinfProbeReport:
             writer.writerow(["M", "", "", repr(self.M)])
 
 
-def hinf_bound_probe(A, family, sector, quad_tol=1e-8, c0=1.0):
+def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
     """Estimate the calculus bound M = max_f ||f(A)|| / ||f||_inf.
 
     Operator norms via power iteration on the dense Dunford integral; sup
@@ -436,7 +448,7 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8, c0=1.0):
     for d in dict.fromkeys(f.d for f in family):
         members = [i for i, f in enumerate(family) if f.d == d]
         c_f = max(family[i].c_f for i in members)
-        contour = build_contour(sector, d=d, tol=quad_tol, c_f=c_f, c0=c0)
+        contour = build_contour(sector, d=d, tol=quad_tol, c_f=c_f)
         coeffs = np.array([contour.weights * family[i](contour.nodes) for i in members])
         for i, op in zip(members, _accumulate_resolvents(mat, contour.nodes, coeffs)):
             ops[i] = op
@@ -453,10 +465,11 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8, c0=1.0):
 # Deformed-contour diagnostic for the b^N part
 # ---------------------------------------------------------------------------
 
-def bn_f_straight(calc, f, R, r_outer, per_decade=24):
+def bn_f_straight(calc, f, R, r_outer):
     """(i/2 pi) int over the boundary rays restricted to |lambda| >= R of
-    f(lambda) b^N(lambda); reference path for the deformation check."""
-    contour = _assemble_contour(calc.sector, R, r_outer, per_decade)
+    f(lambda) b^N(lambda), 24 Gauss-Legendre nodes per decade; reference
+    path for the deformation check."""
+    contour = _assemble_contour(calc.sector, R, r_outer, 24)
     acc = None
     fvals = f(contour.nodes)
     for lam, w, fv in zip(contour.nodes, contour.weights, fvals):
@@ -466,10 +479,11 @@ def bn_f_straight(calc, f, R, r_outer, per_decade=24):
                       check=False)
 
 
-def bn_f_deformed(calc, f, R, per_decade=24, n_arc=48):
+def bn_f_deformed(calc, f, R):
     """Same integral over the per-point deformed contour: in along the upper
     ray to radius 2|a(x,xi)|, clockwise about the origin on that arc, out
-    along the lower ray.  Agreement with the straight path is the numerical
+    along the lower ray (24 Gauss-Legendre nodes per ray piece, 48 on the
+    arc).  Agreement with the straight path is the numerical
     face of the contour-deformation argument; the arc length scaling is what
     bounds the b^N part by ||f||_inf."""
     theta = calc.sector.theta
@@ -478,8 +492,8 @@ def bn_f_deformed(calc, f, R, per_decade=24, n_arc=48):
         raise ValueError("symbol vanishes somewhere; no deformed contour")
     if R <= float(np.max(rho)):
         raise ValueError(f"R={R!r} must exceed 2 sup|a| = {float(np.max(rho))!r}")
-    t_ray, w_ray = leggauss(per_decade)
-    t_arc, w_arc = leggauss(n_arc)
+    t_ray, w_ray = leggauss(24)
+    t_arc, w_arc = leggauss(48)
     phi = calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape)
     acc = None
 

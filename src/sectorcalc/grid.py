@@ -180,9 +180,6 @@ class GridSymbol:
         out[..., idx, idx] += c
         return GridSymbol(self.grid, out, self.class_params, check=False)
 
-    def minus_lambda(self, lam):
-        return self.plus_scalar(-lam)
-
     def scale_modes(self, weights):
         """Multiply by a per-frequency-node weight array (e.g. an excision)."""
         w = np.asarray(weights).reshape((1,) * self.grid.n + self.grid.xi_shape + (1, 1))

@@ -141,15 +141,14 @@ def _pointwise_resolvent_norms(values, lam):
 
 
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
-                            max_order=2, samples_per_ray=16,
-                            omega_factors=(1.0, 2.0, 4.0, 8.0)):
+                            max_order=2, samples_per_ray=16):
     """Estimate c_{alpha,beta} and c0 and store them in the report.
 
     lambda samples: both boundary rays, log-uniform moduli from the gap c up
     to 10 sup|a|, plus lambda = 0 (all automatically outside the exclusion
-    regions), plus exterior samples |lambda| >= 2 sup|a| on the rays
-    arg in {0, +-theta/2} exercising the extension of the bound beyond the
-    sector.  Doubling ``samples_per_ray`` should move the constants by less
+    regions), plus exterior samples |lambda| = 2 sup|a| times 1, 2, 4 and 8
+    on the rays arg in {0, +-theta/2} exercising the extension of the bound
+    beyond the sector.  Doubling ``samples_per_ray`` should move the constants by less
     than a percent on admissible symbols.
     """
     if not report.passed:
@@ -188,7 +187,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     for lam, rn in zip(lambdas, resnorms):
         c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn[mask])))
     # Exterior-of-sector samples: outside every Omega_{x,xi} by construction.
-    for factor in omega_factors:
+    for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
             lam = factor * 2.0 * sup_a * np.exp(1j * angle)
             rn = _pointwise_resolvent_norms(tab.values, lam)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_ANG_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Sector:
@@ -21,15 +23,16 @@ class Sector:
         if not 0.0 < self.theta < np.pi:
             raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
 
-    def contains(self, z, ang_tol=1e-12):
+    def contains(self, z):
         """Vectorized membership; z = 0 belongs to the sector.
 
-        ``ang_tol`` absorbs the rounding of points constructed exactly on
-        the boundary rays (the sector is closed).
+        The angular slack ``_ANG_TOL`` absorbs the rounding of points
+        constructed exactly on the boundary rays (the sector is closed).
         """
         z = np.asarray(z, dtype=complex)
         arg = np.mod(np.angle(z), 2.0 * np.pi)
-        inside = (arg >= self.theta - ang_tol) & (arg <= 2.0 * np.pi - self.theta + ang_tol)
+        inside = (arg >= self.theta - _ANG_TOL) \
+            & (arg <= 2.0 * np.pi - self.theta + _ANG_TOL)
         return inside | (z == 0)
 
     def boundary_point(self, r, upper=True):

@@ -82,22 +82,22 @@ class TestParsing:
 
 class TestDerivatives:
     def test_bracket_square_xi_derivative(self):
-        d = sc.differentiate(sc.parse_symbol("bracket(xi)^2", n=1), alpha=(1,))
+        d = sc.parse_symbol("bracket(xi)^2", n=1).diff(alpha=(1,))
         assert ev(d, 0.0, 3.0) == pytest.approx(6.0)
 
     def test_x_derivative(self):
-        d = sc.differentiate(sc.parse_symbol("2+sin(x1)", n=1), beta=(1,))
+        d = sc.parse_symbol("2+sin(x1)", n=1).diff(beta=(1,))
         assert ev(d, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_mixed_derivative(self):
         expr = sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1)
-        d = sc.differentiate(expr, alpha=(1,), beta=(1,))
+        d = expr.diff(alpha=(1,), beta=(1,))
         assert ev(d, 0.0, 1.0) == pytest.approx(2.0)
 
     def test_order_budget_enforced(self):
         expr = sc.parse_symbol("bracket(xi)^2", n=1)
         with pytest.raises(DerivativeOrderError):
-            sc.differentiate(expr, alpha=(5,), beta=(4,))
+            expr.diff(alpha=(5,), beta=(4,))
 
     def test_derivatives_commute(self):
         rng = np.random.default_rng(7)

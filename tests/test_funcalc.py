@@ -33,6 +33,21 @@ class TestHFun:
         with pytest.raises(ValueError):
             bad.validate(sector_right)
 
+    def test_declared_cf_below_sampled_max_rejected(self, sector_right):
+        f = sc.power_quotient(1.0)
+        sampled_max = f.validate(sector_right) / 1.01
+        sc.HFun(f.fn, d=1.0, c_f=sampled_max).validate(sector_right)
+        tight = sc.HFun(f.fn, d=1.0, c_f=0.99 * sampled_max, name="tight")
+        with pytest.raises(ValueError, match="decay bound violated"):
+            tight.validate(sector_right)
+
+    def test_nan_on_ray_rejected_without_declared_cf(self, sector_right):
+        def fn(z):
+            return np.where(np.abs(z) > 100.0, np.nan, z / (1.0 + z) ** 2)
+        f = sc.HFun(fn, d=1.0, name="nan_tail")
+        with pytest.raises(ValueError, match="non-finite"):
+            f.validate(sector_right)
+
     def test_sup_norm_of_probe(self, sector_right):
         # |z/(1+z)^2| on the boundary ray: t/(1+t^2), maximal 1/2 at z = i
         f = sc.power_quotient(1.0)

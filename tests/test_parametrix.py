@@ -5,9 +5,10 @@ import pytest
 
 import sectorcalc as sc
 from sectorcalc.grid import class_weighted_sup
-from sectorcalc.parametrix import smooth_step
-from sectorcalc.quantop import QuantOp, extract_symbol
-from sectorcalc.util import fit_loglog_slope, japanese_bracket
+from sectorcalc.parametrix import apply_derivative, smooth_step
+from sectorcalc.quantop import QuantOp, extract_symbol, quantize
+from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
+                             multi_indices_of_order)
 
 
 def dense_reference(calc, lam):
@@ -109,6 +110,32 @@ def literal_terms(calc, terms, lam):
     return acc
 
 
+def left_term_lists(n, N):
+    """b_0 .. b_{N-1} from the left recursion (operands swapped),
+
+        b_{j+1} = -sum_{|alpha|+k=j+1} (1/alpha!) d^alpha_xi b_k . D^alpha_x a . b_0,
+
+    rebuilt here as an oracle: the calculator's one recursion must give the
+    same b_j."""
+    zero = (0,) * n
+    lists = [[(1.0 + 0.0j, (("b0",),))]]
+    for j in range(N - 1):
+        acc = {}
+        for total in range(1, j + 2):
+            for alpha in multi_indices_of_order(n, total):
+                scale = -((-1j) ** total) / multi_factorial(alpha)
+                dxib = apply_derivative(lists[j + 1 - total], alpha, zero, n)
+                for coeff, factors in dxib:
+                    key = factors + (("da", zero, tuple(alpha)), ("b0",))
+                    acc[key] = acc.get(key, 0.0) + scale * coeff
+        lists.append([(c, f) for f, c in sorted(acc.items()) if c != 0.0])
+    return lists
+
+
+def side_term_lists(calc, left):
+    return left_term_lists(calc.grid.n, calc.N) if left else calc.term_lists
+
+
 def rel_sup_diff(values, ref):
     return np.max(np.abs(values - ref)) / np.max(np.abs(ref))
 
@@ -135,23 +162,23 @@ def any_calc(request, sector_right):
 
 
 class TestCompiledTerms:
-    """The compiled b^N and b_j against the term lists multiplied out."""
+    """The compiled b^N and b_j against the term lists multiplied out: the
+    calculator's own lists (right) and the left recursion's (left)."""
 
     @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
     def test_assemble_bN_matches_literal_sum(self, any_calc, left):
         calc = any_calc
         lam = complex(calc.sector.boundary_point(20.0, upper=False))
-        lists = calc.left_term_lists if left else calc.term_lists
-        ref = sum(literal_terms(calc, terms, lam) for terms in lists)
+        ref = sum(literal_terms(calc, terms, lam)
+                  for terms in side_term_lists(calc, left))
         ref = ref * calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape + (1, 1))
-        assert rel_sup_diff(calc.assemble_bN(lam, left=left).values, ref) <= 1e-13
+        assert rel_sup_diff(calc.assemble_bN(lam).values, ref) <= 1e-13
 
     @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
     def test_bj_matches_literal_terms(self, any_calc, left):
         calc = any_calc
         lam = -4.0 + 3.0j
-        lists = calc.left_term_lists if left else calc.term_lists
-        for b, terms in zip(calc.bj(lam, left=left), lists):
+        for b, terms in zip(calc.bj(lam), side_term_lists(calc, left)):
             ref = literal_terms(calc, terms, lam)
             if np.max(np.abs(ref)) == 0.0:
                 assert np.max(np.abs(b.values)) == 0.0
@@ -219,14 +246,20 @@ class TestAssembleAndRemainder:
         # the class seminorm decays by orders of magnitude over the sweep
         assert fam.rows[-1]["class_sup_rN"] <= 1e-2 * fam.rows[0]["class_sup_rN"]
 
-    def test_left_remainder_decays_like_right(self, calc32):
+    @pytest.mark.parametrize("any_calc", ["calc32", "matrix2"], indirect=True)
+    def test_left_remainder_decays_like_right(self, any_calc):
+        # b^N is also a left parametrix: b^N#(a-lambda) - 1 decays, also for
+        # the x-dependent, non-commutative 2x2 symbol
+        calc = any_calc
         radii = (8.0, 32.0, 128.0, 512.0, 2048.0)
-        margin = calc32.default_interior_margin
-        weight = calc32.N - calc32.class_params.m
+        margin = calc.default_interior_margin
+        weight = calc.N - calc.class_params.m
         brackets, vals = [], []
         for rad in radii:
-            lam = complex(calc32.sector.boundary_point(rad))
-            r_sym, _ = calc32.remainder(lam, left=True)
+            lam = complex(calc.sector.boundary_point(rad))
+            left = quantize(calc.assemble_bN(lam)).matrix @ calc.shifted_matrix(lam)
+            r_sym = extract_symbol(QuantOp(calc.grid, calc.k,
+                                           left - np.eye(left.shape[0])))
             brackets.append(float(japanese_bracket(lam)))
             vals.append(class_weighted_sup(r_sym, weight, margin))
         slope, _ = fit_loglog_slope(brackets, vals)
@@ -235,9 +268,10 @@ class TestAssembleAndRemainder:
 
 class TestLeibnizResolvent:
     def test_reference_residual(self, calc32):
-        lr = calc32.leibniz_resolvent(-1.0, tol=1e-11)
+        lam = -1.0
+        lr = calc32.leibniz_resolvent(lam, tol=1e-11)
         one = sc.unit_symbol(calc32.grid)
-        a_min_lam = calc32.a_tab.minus_lambda(-1.0)
+        a_min_lam = calc32.a_tab.plus_scalar(-lam)
         residual = (sc.compose_exact(a_min_lam, lr.symbol) - one).sup_norm()
         assert residual <= 1e-10
 
@@ -311,7 +345,7 @@ class TestLeibnizResolvent:
 
 class TestFindR:
     def test_x_independent_returns_smallest(self, xind_calc):
-        assert xind_calc.find_R(start=1.0) == 1.0
+        assert xind_calc.find_R() == 1.0
 
     def test_default_symbol_finite(self, calc32):
         R = calc32.find_R()
@@ -341,7 +375,7 @@ class TestFindR:
         calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
                                        sector_right, N=3)
         with pytest.raises(sc.SectorcalcError):
-            calc.find_R(start=1.0, ceiling=0.5)
+            calc.find_R(ceiling=0.5)
 
 
 class TestShift:
