@@ -118,11 +118,22 @@ class TorusGrid:
 
 
 def _spectral_norms(values):
-    """Pointwise matrix modulus: |a(x,xi)| as the spectral norm."""
+    """Pointwise matrix modulus: |a(x,xi)| as the spectral norm.
+
+    For k > 1 this takes the Gram-matrix eigenvalue path, cheaper than a
+    stacked SVD: the square root of the largest eigenvalue of a^H a, clipped
+    at 0 so that a zero matrix gives exactly 0.  The Gram matrix is written
+    out entrywise in its lower triangle, the only part ``eigvalsh`` reads.
+    """
     k = values.shape[-1]
     if k == 1:
         return np.abs(values[..., 0, 0])
-    return np.linalg.svd(values, compute_uv=False)[..., 0]
+    gram = np.zeros(values.shape, dtype=complex)
+    for i in range(k):
+        for j in range(i + 1):
+            for m in range(k):
+                gram[..., i, j] += values[..., m, i].conj() * values[..., m, j]
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 class GridSymbol:

@@ -20,9 +20,12 @@ On top of the recursion sit the excised sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
 b^N is evaluated from one term list, the b_0 .. b_{N-1} lists concatenated.
-For a scalar symbol every factor other than b_0 is lambda-independent, so a
-term list compiles once into one table per power of b_0 and evaluates as a
-polynomial in b_0; matrix symbols multiply the factors out per term.
+Every factor other than b_0 is lambda-independent, so a term list compiles
+once.  For a scalar symbol it becomes one table per power of b_0 and
+evaluates as a polynomial in b_0.  For a matrix symbol it becomes one
+shared-prefix product tree of its factor words, so a product that begins
+several terms is formed once; the tree is evaluated on component-major
+(k, k, grid) arrays with each k x k product written out entrywise.
 """
 
 from __future__ import annotations
@@ -120,6 +123,48 @@ def bj_term_lists(n, N):
 
 
 # ---------------------------------------------------------------------------
+# Matrix term lists: component-major product tree
+# ---------------------------------------------------------------------------
+
+def _component_major(values):
+    """(..., k, k) node-shaped values viewed as (k, k, ...)."""
+    return np.moveaxis(values, (-2, -1), (0, 1))
+
+
+def _cm_matmul(a, b):
+    """Pointwise k x k product of component-major stacks, written out as k^3
+    vector multiply-adds (far cheaper than a stacked @ of tiny matrices)."""
+    k = a.shape[0]
+    out = np.empty(a.shape[:2] + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=complex)
+    tmp = np.empty(out.shape[2:], dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            cell = out[i, j]
+            np.multiply(a[i, 0], b[0, j], out=cell)
+            for m in range(1, k):
+                np.multiply(a[i, m], b[m, j], out=tmp)
+                cell += tmp
+    return out
+
+
+def _tree_sum(children, b0):
+    """sum_child F_child T(child) over a product-tree level, T as in
+    ``ParametrixCalculator._product_tree``; b0 is component-major."""
+    acc = None
+    for table, coeff, grand in children:
+        factor = b0 if table is None else table
+        term = _cm_matmul(factor, _tree_sum(grand, b0)) if grand else None
+        if coeff != 0:
+            term = coeff * factor if term is None else term + coeff * factor
+        if acc is None:
+            acc = term
+        else:
+            acc += term  # every term is a fresh array
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Excision
 # ---------------------------------------------------------------------------
 
@@ -175,10 +220,11 @@ class ParametrixCalculator:
     """Caches the lambda-independent data of the parametrix construction.
 
     Derivative tabulations of a, the term lists of the recursion (and their
-    concatenation ``bN_terms``, the one term list of b^N), the scalar
-    polynomial tables, the quantized symbol and the excision weights are
-    computed once; everything per-lambda (b_j, b^N, r^N, the resolvent) is
-    then cheap and independent across lambda.
+    concatenation ``bN_terms``, the one term list of b^N), the compiled
+    term lists (scalar polynomial tables or matrix product trees), the
+    quantized symbol and the excision weights are computed once; everything
+    per-lambda (b_j, b^N, r^N, the resolvent) is then cheap and independent
+    across lambda.
     """
 
     def __init__(self, expr, grid, class_params, sector, N, C=0.0):
@@ -208,16 +254,22 @@ class ParametrixCalculator:
         self.default_interior_margin = min(max(4, grid.xi_max // 6),
                                            max(0, grid.xi_max - 1))
         self._deriv_cache = {}
-        self._scalar_compiled = {}
+        self._compiled = {}
         self._q_a = None
 
     # -- caches ---------------------------------------------------------------
 
-    def derivative_tab(self, alpha, beta):
+    def _derivative_cm(self, alpha, beta):
+        """d^alpha_xi d^beta_x a tabulated component-major, shape (k, k) + grid."""
         key = (tuple(alpha), tuple(beta))
         if key not in self._deriv_cache:
-            self._deriv_cache[key] = sample(self.expr.diff(alpha, beta), self.grid).values
+            vals = sample(self.expr.diff(alpha, beta), self.grid).values
+            self._deriv_cache[key] = np.ascontiguousarray(_component_major(vals))
         return self._deriv_cache[key]
+
+    def derivative_tab(self, alpha, beta):
+        """The same table as a node-shaped (..., k, k) view."""
+        return np.moveaxis(self._derivative_cm(alpha, beta), (0, 1), (-2, -1))
 
     @property
     def quantized_symbol(self):
@@ -256,7 +308,7 @@ class ParametrixCalculator:
         """k=1: lambda-independent tables S_0..S_p, one per power of b_0,
         with sum(terms) = sum_p S_p b_0^p (evaluated by Horner in b_0)."""
         key = tuple(terms)
-        if key not in self._scalar_compiled:
+        if key not in self._compiled:
             tables = {}
             for coeff, factors in terms:
                 for f in factors:
@@ -265,12 +317,43 @@ class ParametrixCalculator:
                 power = factors.count(_B0)
                 tables[power] = tables.get(power, 0) + coeff
             zero = np.zeros(self.a_tab.values.shape[:-2], dtype=complex)
-            self._scalar_compiled[key] = [zero + tables.get(p, 0)
-                                          for p in range(max(tables, default=0) + 1)]
-        return self._scalar_compiled[key]
+            self._compiled[key] = [zero + tables.get(p, 0)
+                                   for p in range(max(tables, default=0) + 1)]
+        return self._compiled[key]
+
+    def _product_tree(self, terms):
+        """k>1: the term list as a prefix tree of its factor words.
+
+        A node is a list of children (table, c, grandchildren): ``table`` is
+        the component-major factor on the edge (None for b_0) and ``c`` the
+        summed coefficient of the words ending at the child.  With
+        T(node) = c_node 1 + sum_child F_child T(child), the term list is
+        T(root), and a factor prefix shared by several words is multiplied
+        once.
+        """
+        key = tuple(terms)
+        if key not in self._compiled:
+            root = [0.0, {}]
+            for coeff, factors in terms:
+                node = root
+                for f in factors:
+                    node = node[1].setdefault(f, [0.0, {}])
+                node[0] += coeff
+
+            def freeze(children):
+                return [(None if f == _B0 else self._derivative_cm(f[1], f[2]),
+                         c, freeze(grand)) for f, (c, grand) in children.items()]
+            self._compiled[key] = freeze(root[1])
+        return self._compiled[key]
 
     def eval_terms(self, terms, lam, b0=None):
-        """Evaluate a term list at lambda; returns node-shaped (..., k, k)."""
+        """Evaluate a term list at lambda; returns node-shaped (..., k, k).
+
+        ``lam`` may be a scalar or broadcast over node axes (one lambda per
+        grid node).  Scalars evaluate the compiled polynomial in b_0 by
+        Horner; matrices evaluate the compiled product tree on component-major
+        arrays, with b_0 viewed as (k, k, ...).
+        """
         if b0 is None:
             b0 = self.b0_values(lam)
         if self.k == 1:
@@ -280,15 +363,8 @@ class ParametrixCalculator:
             for table in reversed(tables[:-1]):
                 acc = acc * s + table
             return acc[..., None, None]
-        acc = None
-        for coeff, factors in terms:
-            cur = None
-            for f in factors:
-                arr = b0 if f == _B0 else self.derivative_tab(f[1], f[2])
-                cur = arr if cur is None else cur @ arr
-            cur = coeff * cur
-            acc = cur if acc is None else acc + cur
-        return acc
+        acc = _tree_sum(self._product_tree(terms), _component_major(b0))
+        return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def bj(self, lam):
         """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible)."""

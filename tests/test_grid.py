@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
+from sectorcalc.grid import _spectral_norms
 
 
 class TestTorusGrid:
@@ -108,6 +109,30 @@ class TestSeminorm:
         expr = sc.parse_symbol("[[0, 2], [0, 0]]", n=1, k=2)
         q = sc.seminorm(expr, (0,), (0,), sc.SymbolClassParams(m=0), grid16)
         assert q == pytest.approx(2.0, rel=1e-12)
+
+
+class TestSpectralNorms:
+    """The Gram-eigenvalue spectral norm against the largest singular value."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_complex_stack_matches_svd(self, k):
+        rng = np.random.default_rng(k)
+        vals = rng.standard_normal((64, 9, k, k)) + 1j * rng.standard_normal((64, 9, k, k))
+        ref = np.linalg.svd(vals, compute_uv=False)[..., 0]
+        assert np.max(np.abs(_spectral_norms(vals) - ref) / ref) <= 1e-14
+
+    def test_rank_one_stack_matches_svd(self):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((50, 3, 1)) + 1j * rng.standard_normal((50, 3, 1))
+        v = rng.standard_normal((50, 1, 3)) + 1j * rng.standard_normal((50, 1, 3))
+        vals = u @ v
+        ref = np.linalg.svd(vals, compute_uv=False)[..., 0]
+        assert np.max(np.abs(_spectral_norms(vals) - ref) / ref) <= 1e-14
+
+    def test_zero_stack_is_exactly_zero(self):
+        norms = _spectral_norms(np.zeros((4, 5, 3, 3), dtype=complex))
+        assert norms.shape == (4, 5)
+        assert np.all(norms == 0.0)
 
 
 class TestGridSeminorm:

@@ -140,7 +140,14 @@ def rel_sup_diff(values, ref):
     return np.max(np.abs(values - ref)) / np.max(np.abs(ref))
 
 
-@pytest.fixture(scope="module", params=["calc32", "scalar2d", "jordan2", "matrix2"])
+MATRIX2 = "[[(2+sin(x1))*(1+xi1^2), bracket(xi)], [0, (2+cos(x1))*(1+xi1^2)]]"
+# the benchmark's non-normal 3x3 scene, x-dependent and upper triangular
+MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
+           "[0, (2+cos(x1))*(1+xi1^2)+5, bracket(xi)], [0, 0, bracket(xi)^2+5]]")
+
+
+@pytest.fixture(scope="module", params=["calc32", "scalar2d", "jordan2", "matrix2",
+                                        "matrix2_N4", "matrix3"])
 def any_calc(request, sector_right):
     if request.param == "calc32":
         return request.getfixturevalue("calc32")
@@ -150,15 +157,17 @@ def any_calc(request, sector_right):
             sc.parse_symbol("(2+sin(x1)*cos(x2))*(1+xi1^2+xi2^2)", n=2), 3.0)
         return sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
                                        sector_right, N=3, C=1.5)
+    params = sc.SymbolClassParams(m=2)
     if request.param == "jordan2":
         expr, params = sc.get_preset("jordan2", n=1)
+    elif request.param == "matrix3":
+        expr = sc.parse_symbol(MATRIX3, n=1, k=3)
     else:
-        expr = sc.shift(sc.parse_symbol(
-            "[[(2+sin(x1))*(1+xi1^2), bracket(xi)], [0, (2+cos(x1))*(1+xi1^2)]]",
-            n=1, k=2), 2.0)
-        params = sc.SymbolClassParams(m=2)
+        expr = sc.shift(sc.parse_symbol(MATRIX2, n=1, k=2), 2.0)
+    # N=4: 52 terms, deeper shared prefixes than the 8 terms of N=3
+    N = 4 if request.param == "matrix2_N4" else 3
     return sc.ParametrixCalculator(expr, sc.TorusGrid(n=1, points=16), params,
-                                   sector_right, N=3)
+                                   sector_right, N=N)
 
 
 class TestCompiledTerms:
@@ -184,6 +193,15 @@ class TestCompiledTerms:
                 assert np.max(np.abs(b.values)) == 0.0
             else:
                 assert rel_sup_diff(b.values, ref) <= 1e-13
+
+    def test_grid_shaped_lambda_matches_literal_sum(self, any_calc):
+        # one lambda per grid node, as bn_f_deformed passes them
+        calc = any_calc
+        rho = 2.0 * calc.a_tab.spectral_norms()
+        angles = np.linspace(-1.4, 1.4, rho.size).reshape(rho.shape)
+        lam = rho * np.exp(1j * angles)
+        ref = literal_terms(calc, calc.bN_terms, lam)
+        assert rel_sup_diff(calc.eval_terms(calc.bN_terms, lam), ref) <= 1e-13
 
 
 class TestExcision:
@@ -249,21 +267,28 @@ class TestAssembleAndRemainder:
     @pytest.mark.parametrize("any_calc", ["calc32", "matrix2"], indirect=True)
     def test_left_remainder_decays_like_right(self, any_calc):
         # b^N is also a left parametrix: b^N#(a-lambda) - 1 decays, also for
-        # the x-dependent, non-commutative 2x2 symbol
-        calc = any_calc
+        # the x-dependent, non-commutative 2x2 symbol, and faster with every
+        # order N (b_0 alone already decays on matrix2, so decay by itself
+        # cannot tell N=1 from N=3)
+        base = any_calc
         radii = (8.0, 32.0, 128.0, 512.0, 2048.0)
-        margin = calc.default_interior_margin
-        weight = calc.N - calc.class_params.m
-        brackets, vals = [], []
-        for rad in radii:
-            lam = complex(calc.sector.boundary_point(rad))
-            left = quantize(calc.assemble_bN(lam)).matrix @ calc.shifted_matrix(lam)
-            r_sym = extract_symbol(QuantOp(calc.grid, calc.k,
-                                           left - np.eye(left.shape[0])))
-            brackets.append(float(japanese_bracket(lam)))
-            vals.append(class_weighted_sup(r_sym, weight, margin))
-        slope, _ = fit_loglog_slope(brackets, vals)
-        assert slope <= -0.8
+        slopes = []
+        for N in (1, 2, 3, 4):
+            calc = sc.ParametrixCalculator(base.expr, base.grid, base.class_params,
+                                           base.sector, N=N, C=base.C)
+            margin = calc.default_interior_margin
+            weight = calc.N - calc.class_params.m
+            brackets, vals = [], []
+            for rad in radii:
+                lam = complex(calc.sector.boundary_point(rad))
+                left = quantize(calc.assemble_bN(lam)).matrix @ calc.shifted_matrix(lam)
+                r_sym = extract_symbol(QuantOp(calc.grid, calc.k,
+                                               left - np.eye(left.shape[0])))
+                brackets.append(float(japanese_bracket(lam)))
+                vals.append(class_weighted_sup(r_sym, weight, margin))
+            slopes.append(fit_loglog_slope(brackets, vals)[0])
+        assert max(slopes) <= -0.8
+        assert all(lo < hi for hi, lo in zip(slopes, slopes[1:]))
 
 
 class TestLeibnizResolvent:
