@@ -12,8 +12,8 @@ from .errors import (ConfigError, ContourError, DerivativeOrderError,
                      SingularOperatorError, SymbolDomainError, SymbolSyntaxError,
                      UnknownIdentifierError)
 from .funcalc import (Contour, HFun, HinfFun, HinfProbeReport, bn_f_deformed,
-                      bn_f_straight, build_contour, f_of_operator_oracle,
-                      f_of_symbol, hinf_bound_probe, imaginary_power,
+                      bn_part, build_contour, f_of_operator_oracle, f_of_symbol,
+                      hinf_bound_probe, imaginary_power,
                       imaginary_power_regularized, power_quotient,
                       regularizer_value, resolvent_decay_probe, resolvent_quotient)
 from .grid import (GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm,

@@ -8,8 +8,10 @@ operator value is the Dunford integral
 realized by composite Gauss-Legendre quadrature in log radius along the two
 boundary rays.  Orientation is pinned by the scalar Cauchy test (the
 quadrature must reproduce f(z0) for z0 on the positive real axis), not by
-convention.  The same nodes drive the symbol-level calculus f(a) through
-the Leibniz resolvent and the independent dense-operator oracle.
+convention.  One LU Dunford engine serves the dense-operator value f(A) and
+the symbol-level value f(a) (the same sum on the quantized symbol, then
+extracted); the parametrix part of the integral, with b^N in place of the
+resolvent, is the independent symbol-side construction.
 """
 
 from __future__ import annotations
@@ -361,39 +363,26 @@ def _accumulate_resolvents(M, nodes, coeffs):
 def f_of_operator_oracle(A, f, contour):
     """Dense-operator Dunford integral: (i/2 pi) sum w f(lambda)(A-lambda)^{-1}.
 
-    Pure LU solves per node - deliberately independent of the symbol path.
+    Pure LU solves per node; :func:`f_of_symbol` runs the same engine on the
+    quantized symbol.
     """
     coeffs = contour.weights * f(contour.nodes)
     return _accumulate_resolvents(_as_matrix(A), contour.nodes, coeffs[None])[0]
 
 
-def f_of_symbol(calc, f, contour, method="dense", tol=1e-11):
-    """Symbol-level calculus f(a) through the Leibniz resolvent.
-
-    Accumulates (i/2 pi) sum_q w_q f(lambda_q) (a - lambda_q)^{-#} in the
-    exact operator algebra and extracts the symbol once.  ``method`` picks
-    the per-node resolvent path: "dense" (the default) runs the same LU
-    Dunford sum as :func:`f_of_operator_oracle` on the quantized symbol, so
-    its symbol agrees with the oracle up to the quantize/extract round trip;
-    any other value ("auto") runs the Leibniz resolvent (Neumann parametrix with dense
-    fallback, ``tol`` its residual target) at every node.
-    """
+def f_of_symbol(calc, f, contour):
+    """Symbol-level calculus f(a): the LU Dunford sum of
+    :func:`f_of_operator_oracle` on the quantized symbol, with the symbol
+    extracted once, so it agrees with the oracle up to the quantize/extract
+    round trip."""
     coeffs = contour.weights * f(contour.nodes)
-    if method == "dense":
-        acc = _accumulate_resolvents(calc.quantized_symbol.matrix, contour.nodes,
-                                     coeffs[None])[0]
-    else:
-        dim = calc.k * calc.grid.n_modes
-        keep = coeffs != 0.0
-        acc = np.zeros((dim, dim), dtype=complex)
-        for lam, cf in zip(contour.nodes[keep], coeffs[keep]):
-            acc = acc + cf * calc.leibniz_resolvent(lam, tol=tol).matrix
-        acc = 1j / (2.0 * np.pi) * acc
+    acc = _accumulate_resolvents(calc.quantized_symbol.matrix, contour.nodes,
+                                 coeffs[None])[0]
     total = extract_symbol(QuantOp(calc.grid, calc.k, acc))
     return GridSymbol(calc.grid, total.values, calc.class_params, check=False)
 
 
-def imaginary_power(calc, t, n_reg, contour=None, quad_tol=1e-8):
+def imaginary_power(calc, t, n_reg, quad_tol=1e-8):
     """Regularized imaginary power: f_n(a) with f_n(z) = z^{it} psi_n(z).
 
     Returns (GridSymbol, HFun used).  The principal branch of z^{it} is
@@ -402,9 +391,8 @@ def imaginary_power(calc, t, n_reg, contour=None, quad_tol=1e-8):
     if n_reg < 1:
         raise ValueError("regularization index n_reg must be >= 1")
     f_n = imaginary_power_regularized(t, n_reg)
-    if contour is None:
-        f_n.ensure_cf(calc.sector)
-        contour = build_contour(calc.sector, d=1.0, tol=quad_tol, c_f=f_n.c_f)
+    f_n.ensure_cf(calc.sector)
+    contour = build_contour(calc.sector, d=1.0, tol=quad_tol, c_f=f_n.c_f)
     return f_of_symbol(calc, f_n, contour), f_n
 
 
@@ -462,30 +450,33 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Deformed-contour diagnostic for the b^N part
+# The b^N part of the Dunford integral
 # ---------------------------------------------------------------------------
 
-def bn_f_straight(calc, f, R, r_outer):
-    """(i/2 pi) int over the boundary rays restricted to |lambda| >= R of
-    f(lambda) b^N(lambda), 24 Gauss-Legendre nodes per decade; reference
-    path for the deformation check."""
-    contour = _assemble_contour(calc.sector, R, r_outer, 24)
-    acc = None
-    fvals = f(contour.nodes)
-    for lam, w, fv in zip(contour.nodes, contour.weights, fvals):
-        term = (w * fv) * calc.assemble_bN(complex(lam)).values
-        acc = term if acc is None else acc + term
-    return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * acc, calc.class_params,
+def bn_part(calc, f, nodes, weights):
+    """(i/2 pi) phi(xi) sum_q w_q f(lambda_q) b^N(lambda_q), the parametrix
+    part of the Dunford integral.
+
+    Each node lambda_q (with its weight) is a scalar or one lambda per grid
+    node.  b^N is one ``eval_terms`` call per node; phi and i/2 pi are
+    applied once, to the sum.
+    """
+    acc = 0.0
+    for lam, w in zip(nodes, weights):
+        acc = acc + (w * f(lam))[..., None, None] * calc.eval_terms(calc.bN_terms, lam)
+    phi = calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape + (1, 1))
+    return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * phi * acc, calc.class_params,
                       check=False)
 
 
 def bn_f_deformed(calc, f, R):
-    """Same integral over the per-point deformed contour: in along the upper
-    ray to radius 2|a(x,xi)|, clockwise about the origin on that arc, out
-    along the lower ray (24 Gauss-Legendre nodes per ray piece, 48 on the
-    arc).  Agreement with the straight path is the numerical
-    face of the contour-deformation argument; the arc length scaling is what
-    bounds the b^N part by ||f||_inf."""
+    """The b^N part over the boundary rays beyond R, on the per-point
+    deformed contour: in along the lower ray to radius 2|a(x,xi)|,
+    counterclockwise about the origin on that arc, out along the upper ray
+    (24 Gauss-Legendre nodes per ray piece, 48 on the arc).  Agreement with the
+    straight rays |lambda| >= R is the numerical face of the
+    contour-deformation argument; the arc length scaling is what bounds the
+    b^N part by ||f||_inf."""
     theta = calc.sector.theta
     rho = 2.0 * calc.a_tab.spectral_norms()
     if np.min(rho) <= 0:
@@ -494,30 +485,20 @@ def bn_f_deformed(calc, f, R):
         raise ValueError(f"R={R!r} must exceed 2 sup|a| = {float(np.max(rho))!r}")
     t_ray, w_ray = leggauss(24)
     t_arc, w_arc = leggauss(48)
-    phi = calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape)
-    acc = None
-
-    def add(lam, w):
-        nonlocal acc
-        term = (w * f(lam))[..., None, None] * calc.eval_terms(calc.bN_terms, lam)
-        acc = term if acc is None else acc + term
-
-    # Traversal matches the main contour's orientation: in along the lower
-    # ray (R -> rho), counterclockwise about the origin on the arc, out along
-    # the upper ray (rho -> R).
+    nodes, weights = [], []
     s_lo, s_hi = np.log(rho), np.log(R) * np.ones_like(rho)
     half, mid = 0.5 * (s_hi - s_lo), 0.5 * (s_hi + s_lo)
     for tq, wq in zip(t_ray, w_ray):
         r = np.exp(mid + half * tq)
-        add(r * np.exp(-1j * theta), -np.exp(-1j * theta) * r * wq * half)
-        add(r * np.exp(1j * theta), np.exp(1j * theta) * r * wq * half)
+        for sign in (-1.0, 1.0):
+            phase = np.exp(sign * 1j * theta)
+            nodes.append(r * phase)
+            weights.append(sign * phase * r * wq * half)
     for tq, wq in zip(t_arc, w_arc):
-        ang = tq * theta  # phi from -theta to +theta
-        lam = rho * np.exp(1j * ang)
-        add(lam, 1j * lam * wq * theta)
-    vals = 1j / (2.0 * np.pi) * acc * phi[..., None, None]
-    return GridSymbol(calc.grid, np.ascontiguousarray(vals), calc.class_params,
-                      check=False)
+        lam = rho * np.exp(1j * tq * theta)  # angle from -theta to +theta
+        nodes.append(lam)
+        weights.append(1j * lam * wq * theta)
+    return bn_part(calc, f, nodes, weights)
 
 
 # ---------------------------------------------------------------------------

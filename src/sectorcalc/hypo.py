@@ -38,8 +38,7 @@ class HypoReport:
 
     ``c_table`` maps (alpha, beta) to the estimated constant of the
     derivative-times-resolvent bound; ``c0`` is the empirical constant of
-    the <lambda>-weighted resolvent bound outside the exclusion regions;
-    ``R`` is filled later by the parametrix module.
+    the <lambda>-weighted resolvent bound outside the exclusion regions.
     """
 
     passed: bool
@@ -49,7 +48,6 @@ class HypoReport:
     k: int = 1
     c_table: dict = field(default_factory=dict)
     c0: float | None = None
-    R: float | None = None
     violations: list = field(default_factory=list)
     n_violations: int = 0
     extras: dict = field(default_factory=dict)
@@ -65,8 +63,6 @@ class HypoReport:
             lines.append(f"{key} = {self.extras[key]!r}")
         if self.c0 is not None:
             lines.append(f"c0 (resolvent bound constant) = {self.c0!r}")
-        if self.R is not None:
-            lines.append(f"R (Neumann invertibility radius) = {self.R!r}")
         for (alpha, beta) in sorted(self.c_table):
             lines.append(f"c[alpha={alpha},beta={beta}] = {self.c_table[alpha, beta]!r}")
         lines.append("note: sups taken over the grid window only; membership is "
@@ -84,8 +80,6 @@ class HypoReport:
                 writer.writerow(["extra", key, repr(float(self.extras[key])), repr(0.0)])
             if self.c0 is not None:
                 writer.writerow(["param", "c0", repr(float(self.c0)), repr(0.0)])
-            if self.R is not None:
-                writer.writerow(["param", "R", repr(float(self.R)), repr(0.0)])
             for (alpha, beta) in sorted(self.c_table):
                 writer.writerow(["c_table", f"alpha={alpha};beta={beta}",
                                  repr(float(self.c_table[alpha, beta])), repr(0.0)])

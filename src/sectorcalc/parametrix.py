@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import inverse_refined, operator_norm
-from .errors import SectorcalcError, SingularOperatorError
+from .densela import dense_resolvent, operator_norm
+from .errors import SectorcalcError
 from .grid import (GridSymbol, _spectral_norms, class_weighted_sup, sample,
                    unit_symbol, window_sup)
 from .quantop import QuantOp, extract_symbol, leibniz_truncated, quantize
@@ -440,12 +440,7 @@ class ParametrixCalculator:
                         residual=residual(res_mat))
         if diag["method"] is None or diag["residual"] > tol:
             # r^N too large, or the tail bound was optimistic (non-normal r^N)
-            try:
-                res_mat, _ = inverse_refined(m_shift)
-            except SingularOperatorError as exc:
-                raise SingularOperatorError(
-                    f"neither Neumann nor dense inversion converged at lambda={lam!r}; "
-                    f"lambda lies in the spectrum: {exc}") from exc
+            res_mat = dense_resolvent(self.quantized_symbol, lam)
             diag["method"] = "dense" if diag["method"] is None else "neumann->dense"
             diag["residual"] = residual(res_mat)
         symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))

@@ -136,12 +136,6 @@ class TestFOfSymbol:
         diff = (ca - (2.0 * fa - 3.0 * ga)).sup_norm()
         assert diff <= 1e-10 * max(ca.sup_norm(), 1e-30)
 
-    def test_parametrix_path_matches_dense(self, calc16, contour_d1):
-        f = sc.power_quotient(1.0)
-        dense = sc.f_of_symbol(calc16, f, contour_d1, method="dense")
-        auto = sc.f_of_symbol(calc16, f, contour_d1, method="auto", tol=1e-12)
-        assert (dense - auto).sup_norm() <= 1e-9 * dense.sup_norm()
-
 
 class TestOperatorOracle:
     def test_diagonal_multiplier(self, sector_right, contour_d1):
@@ -341,6 +335,27 @@ class TestSeminormBound:
             assert ext[q] <= 1.1 * base[q]
 
 
+class TestBnPart:
+    def test_parametrix_part_approaches_oracle(self, sector_right, contour_d1):
+        # The paper's split f(a) = (i/2pi) int f b^N + remainder part: the
+        # b^N part alone moves toward f(A) as N grows, and for N = 1 it is
+        # the pointwise f(a(x, xi)) by the scalar Cauchy formula.
+        grid = sc.TorusGrid(n=1, points=32)
+        expr = sc.parse_symbol("(2+sin(x1))*(1+xi1^2)+5", n=1)
+        f = sc.power_quotient(1)
+        calcs = [sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
+                                         sector_right, N=N) for N in (1, 2, 3, 4)]
+        fA = sc.f_of_operator_oracle(calcs[0].quantized_symbol, f, contour_d1)
+        parts = [sc.bn_part(calc, f, contour_d1.nodes, contour_d1.weights)
+                 for calc in calcs]
+        pointwise = f(calcs[0].a_tab.values)
+        assert np.max(np.abs(parts[0].values - pointwise)) <= \
+            1e-7 * np.max(np.abs(pointwise))
+        errors = [np.linalg.norm(sc.quantize(part).matrix - fA, 2) / np.linalg.norm(fA, 2)
+                  for part in parts]
+        assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
+
+
 class TestDeformedContour:
     def test_deformed_equals_straight(self, sector_right):
         grid = sc.TorusGrid(n=1, points=32)
@@ -349,7 +364,9 @@ class TestDeformedContour:
                                        sector_right, N=3)
         f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        straight = sc.bn_f_straight(calc, f, R, 1e12)
+        rays = sc.build_contour(calc.sector, d=1.0, tol=1e-8, r_min=R, r_max=1e12,
+                                nodes_per_decade=24)
+        straight = sc.bn_part(calc, f, rays.nodes, rays.weights)
         deformed = sc.bn_f_deformed(calc, f, R)
         scale = straight.sup_norm()
         assert (straight - deformed).sup_norm() <= 1e-6 * scale

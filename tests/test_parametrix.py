@@ -368,6 +368,15 @@ class TestLeibnizResolvent:
         assert lr.diagnostics["residual"] <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def slow_decay_calc(sector_right):
+    # nearly vanishing coefficient and a small shift: r^N decays late
+    grid = sc.TorusGrid(n=1, points=16)
+    expr = sc.shift(sc.parse_symbol("(2+1.9*sin(x1))*(1+xi1^2)", n=1), 0.1)
+    return sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
+                                   sector_right, N=1)
+
+
 class TestFindR:
     def test_x_independent_returns_smallest(self, xind_calc):
         assert xind_calc.find_R() == 1.0
@@ -392,15 +401,15 @@ class TestFindR:
         X = sc.dense_resolvent(calc32.quantized_symbol, 0.0)
         assert np.isfinite(X).all()
 
-    def test_no_radius_raises(self, sector_right):
-        # sabotage: wrong class makes the remainder edge-heavy on a tiny
-        # window; a ceiling below the first candidate forces the error path
-        grid = sc.TorusGrid(n=1, points=16)
-        expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 1.0)
-        calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
-                                       sector_right, N=3)
+    def test_radius_where_remainder_halves(self, slow_decay_calc):
+        # ||quantize(r^N)|| on the boundary is 6.66, 5.21, 3.87, 2.62, 1.59,
+        # 0.87, 0.43 at |lambda| = 1, 2, ..., 64: the first radius with every
+        # larger one at or under 1/2 is 64
+        assert slow_decay_calc.find_R() == 64.0
+
+    def test_no_radius_raises(self, slow_decay_calc):
         with pytest.raises(sc.SectorcalcError):
-            calc.find_R(ceiling=0.5)
+            slow_decay_calc.find_R(ceiling=32.0)
 
 
 class TestShift:
