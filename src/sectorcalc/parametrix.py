@@ -451,16 +451,27 @@ class ParametrixCalculator:
 
     def find_R(self, ceiling=2.0 ** 20):
         """Smallest power-of-two R >= 1 with ||quantize(r^N)|| <= 1/2 on all
-        sampled boundary points with |lambda| >= R."""
+        sampled boundary points with |lambda| >= R.
+
+        Each point is first decided by the Frobenius norm, an upper bound:
+        ||M||_F <= 1/2 proves ||M||_2 <= 1/2.  Only where it exceeds 1/2 is
+        the norm estimated by power iteration (``operator_norm``, a lower
+        bound); a certified point passes that test too, so R is the same.
+        """
         radii = []
         r = 1.0
         while r <= ceiling:
             radii.append(r)
             r *= 2.0
-        norms = [operator_norm(self.remainder(lam)[1])
-                 for lam in self.sector.ray_points(radii)]
+
+        def passes(r_mat):
+            return (np.linalg.norm(r_mat) <= 0.5
+                    or operator_norm(r_mat) <= 0.5)
+
+        passed = [passes(self.remainder(lam)[1])
+                  for lam in self.sector.ray_points(radii)]
         for candidate in radii:
-            if all(nrm <= 0.5 for rad, nrm in zip(np.repeat(radii, 2), norms)
+            if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)
                    if rad >= candidate):
                 return candidate
         raise SectorcalcError(

@@ -7,6 +7,7 @@ import pytest
 
 from sectorcalc import cli
 from sectorcalc.cli import main
+from sectorcalc.config import parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
 
 BASE_CFG = """
@@ -177,6 +178,16 @@ lambda.max = 1e3
         data = [r for r in rows if r[0] != "slope"]
         assert len(data) == 6  # 3 radii, both rays
         assert all(float(r[8]) <= 1e-10 for r in data)  # residual column
+
+
+class TestConfigDefaults:
+    def test_missing_shift_leaves_symbol_unshifted(self):
+        # docs/config.md: a config without `shift` quantizes a itself
+        rc = resolve_config(parse_config_text("symbol.preset = variable_laplace\n"))
+        assert rc.expr is rc.base_expr
+        rc = resolve_config(parse_config_text(
+            "symbol.preset = variable_laplace\nshift = 5\n"))
+        assert rc.expr is not rc.base_expr
 
 
 class TestDeterminism:

@@ -6,7 +6,6 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.densela import inverse_refined
 from sectorcalc.funcalc import _probe_fun
-from sectorcalc.grid import class_weighted_sup
 
 
 @pytest.fixture(scope="module")
@@ -371,19 +370,23 @@ class TestDeformedContour:
         scale = straight.sup_norm()
         assert (straight - deformed).sup_norm() <= 1e-6 * scale
 
-    def test_bn_part_bounded_by_sup(self, sector_right):
+    def test_n1_deformed_part_is_scalar_cauchy_integral(self, sector_right):
+        # at N = 1, b^N = (a - lambda)^{-1}: the deformed b^N part must be
+        # phi (i/2pi) sum_q w_q f(lambda_q) / (a - lambda_q) on the straight
+        # rays beyond R, formed here from a(x, xi) alone
         grid = sc.TorusGrid(n=1, points=16)
         expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
         calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
-                                       sector_right, N=3)
+                                       sector_right, N=1)
+        f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        ratios = []
-        for f in (sc.power_quotient(1.0), sc.power_quotient(1.0).scaled(5.0)):
-            part = sc.bn_f_deformed(calc, f, R)
-            q00 = class_weighted_sup(part, 0.0, calc.default_interior_margin)
-            ratios.append(q00 / f.sup_norm(sector_right))
-        assert np.isfinite(ratios[0])
-        assert ratios[1] == pytest.approx(ratios[0], rel=1e-10)
+        rays = sc.build_contour(calc.sector, d=1.0, tol=1e-8, r_min=R, r_max=1e12,
+                                nodes_per_decade=24)
+        a = calc.a_tab.values[..., 0, 0]
+        scalar = sum(w * f(lam) / (a - lam) for lam, w in zip(rays.nodes, rays.weights))
+        scalar = calc.phi * 1j / (2.0 * np.pi) * scalar
+        part = sc.bn_f_deformed(calc, f, R).values[..., 0, 0]
+        assert np.max(np.abs(part - scalar)) <= 1e-6 * np.max(np.abs(scalar))
 
     def test_radius_must_clear_symbol(self, calc16):
         with pytest.raises(ValueError):

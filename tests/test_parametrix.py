@@ -5,6 +5,7 @@ import pytest
 
 import sectorcalc as sc
 from sectorcalc.grid import class_weighted_sup
+from sectorcalc import parametrix
 from sectorcalc.parametrix import apply_derivative, smooth_step
 from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
@@ -410,6 +411,33 @@ class TestFindR:
     def test_no_radius_raises(self, slow_decay_calc):
         with pytest.raises(sc.SectorcalcError):
             slow_decay_calc.find_R(ceiling=32.0)
+
+    @pytest.mark.parametrize("fixture, fallbacks, R", [
+        ("calc32", 0, 1.0), ("slow_decay_calc", 12, 64.0)])
+    def test_frobenius_certificate(self, request, monkeypatch, fixture,
+                                   fallbacks, R):
+        # power iteration runs only where ||r^N||_F > 1/2, and every
+        # decision equals the exact ||r^N||_2 <= 1/2 (|lambda| = 32 on
+        # slow_decay_calc has ||.||_F = 0.983 but ||.||_2 = 0.871)
+        calc = request.getfixturevalue(fixture)
+        calls = []
+
+        def counting_norm(A, *args, **kwargs):
+            nrm = sc.operator_norm(A, *args, **kwargs)
+            calls.append((A, nrm))
+            return nrm
+
+        monkeypatch.setattr(parametrix, "operator_norm", counting_norm)
+        assert calc.find_R() == R
+        assert len(calls) == fallbacks
+        radii = 2.0 ** np.arange(21)
+        points = calc.sector.ray_points(radii)
+        assert len(points) == 42
+        for lam in points:
+            r_mat = calc.remainder(lam)[1]
+            estimates = [nrm for A, nrm in calls if np.array_equal(A, r_mat)]
+            decided = not estimates or estimates[0] <= 0.5
+            assert decided == (np.linalg.norm(r_mat, 2) <= 0.5), lam
 
 
 class TestShift:
