@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.grid import class_weighted_sup
 from sectorcalc import parametrix
+from sectorcalc.grid import class_weighted_sup
 from sectorcalc.parametrix import apply_derivative, smooth_step
 from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
