@@ -5,8 +5,11 @@ x runs over the P-point uniform grid per axis, xi over the integer frequency
 window {-Xi..Xi}^n.  Class membership is therefore only certified on the
 window; reports record the window used.  Window sups of a tabulated symbol
 (plain, weighted by a power of <xi>, or on the interior window) all go
-through :func:`window_sup`; the pointwise matrix modulus is the spectral
-norm.
+through :func:`class_weighted_sup`; the pointwise matrix modulus is the
+spectral norm.  For a matrix symbol the sup is decided by the Frobenius
+bound ||M||_2 <= ||M||_F: exact spectral norms are taken only at the nodes
+whose bound can still reach the sup, and the result is the same float as the
+sup of the full norm table (:func:`window_sup`).
 """
 
 from __future__ import annotations
@@ -289,8 +292,47 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     seminorm of the class, the quantity the decay statements are about.
     ``interior_margin`` keeps only window modes at least that far from the
     window edge.
+
+    For k > 1 the Frobenius norms of all nodes are formed from views of the
+    values, with no copy of the (..., k, k) stack; on the window, times the
+    weight, they bound the weighted spectral norms from above.  The exact
+    norm at the node with the largest bound is a lower bound L of the sup,
+    and exact norms are then taken only at the nodes whose bound (with
+    1e-12 relative slack for rounding, which matters where
+    ||M||_F = ||M||_2) reaches L.  LAPACK treats each matrix of a stack on
+    its own, so the result is the same float as :func:`window_sup` of the
+    full norm table.  A non-finite Frobenius norm at any node falls back to
+    the full table, so NaN and inf propagate as they do there.
     """
-    return window_sup(gs.grid, gs.spectral_norms(), weight_exponent, interior_margin)
+    g = gs.grid
+    if gs.k == 1:
+        return window_sup(g, gs.spectral_norms(), weight_exponent, interior_margin)
+    frob2 = sum(np.einsum("...ij,...ij->...", part, part)
+                for part in (gs.values.real, gs.values.imag))
+    if not np.all(np.isfinite(frob2)):
+        return window_sup(g, gs.spectral_norms(), weight_exponent, interior_margin)
+    window = _window_slices(g, interior_margin)
+    vals = gs.values[window]
+    w = (g.bracket_xi() ** weight_exponent)[window[g.n:]]
+    bound = np.sqrt(frob2[window]) * w
+    w = np.broadcast_to(w, bound.shape)
+    top = np.unravel_index(np.argmax(bound), bound.shape)
+    lower = _spectral_norms(vals[top]) * w[top]
+    keep = bound * (1.0 + 1e-12) >= lower
+    return float(np.max(_spectral_norms(vals[keep]) * w[keep]))
+
+
+def _window_slices(g, interior_margin):
+    """Index tuple of the (interior) window as basic slices, so indexing
+    a table with it gives a view; the nodes are those of
+    ``g.interior_mask(interior_margin)``."""
+    if interior_margin <= 0:
+        return (slice(None),) * (2 * g.n)
+    keep = np.flatnonzero(np.abs(g.xi_axis) <= g.xi_max - interior_margin)
+    if keep.size == 0:
+        raise ValueError(f"interior margin {interior_margin} leaves no "
+                         f"window modes (half-width {g.xi_max})")
+    return (slice(None),) * g.n + (slice(keep[0], keep[-1] + 1),) * g.n
 
 
 def window_sup(g, norms, weight_exponent, interior_margin=0):

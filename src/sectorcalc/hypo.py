@@ -4,8 +4,9 @@ The pointwise spectrum of a(x, xi) must avoid the sector and a disc at the
 origin for |xi| >= C; the constants c_{alpha,beta} and c0 quantifying the
 derivative-times-resolvent bounds are estimated as sups over the grid and a
 log-uniform lambda sample cloud.  Pointwise eigenvalues come from one
-stacked LAPACK call (a slice for scalar symbols).  Failures are data
-(collected in the report), not exceptions.
+stacked LAPACK call (a slice for scalar symbols); pointwise resolvent norms
+are spectral norms of the stacked inverses on the |xi| >= C nodes.  Failures
+are data (collected in the report), not exceptions.
 """
 
 from __future__ import annotations
@@ -122,16 +123,16 @@ def check_spectrum(expr, sector, c, C, grid, class_params=None):
 
 
 def _pointwise_resolvent_norms(values, lam):
-    """||(a(x,xi) - lam)^{-1}|| per node (spectral norm), vectorized in lam."""
+    """||(a(x,xi) - lam)^{-1}|| per node (spectral norm), vectorized in lam.
+
+    For k > 1 the inverse is the stacked LU inverse, so an exactly singular
+    node raises ``numpy.linalg.LinAlgError`` for the whole stack.
+    """
     k = values.shape[-1]
     lam = np.asarray(lam, dtype=complex)
     if k == 1:
         return 1.0 / np.abs(values[..., 0, 0] - lam)
-    shifted = values.copy()
-    idx = np.arange(k)
-    shifted[..., idx, idx] -= lam[..., None]
-    smin = np.linalg.svd(shifted, compute_uv=False)[..., -1]
-    return 1.0 / smin
+    return _spectral_norms(np.linalg.inv(values - lam[..., None, None] * np.eye(k)))
 
 
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
@@ -150,6 +151,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     tab = sample(expr, grid, class_params)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
+    masked = tab.values[mask]
     sup_a = tab.sup_norm()
     lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
     radii = np.geomspace(lo, hi, samples_per_ray)
@@ -158,8 +160,12 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
 
     resnorms = []
     for lam in lambdas:
-        rn = _pointwise_resolvent_norms(tab.values, lam)
-        if not np.all(np.isfinite(rn[mask])):
+        try:
+            rn = _pointwise_resolvent_norms(masked, lam)
+            singular = not np.all(np.isfinite(rn))
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
             raise ValueError(f"(a - lambda) singular at a sample lambda={lam!r}; "
                              "inconsistent with the passed spectrum check")
         resnorms.append(rn)
@@ -170,22 +176,23 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
         for beta in multi_indices_below(grid.n, max_order + 1 - sum(alpha)):
             weight = bracket ** (class_params.rho * sum(alpha)
                                  - class_params.delta * sum(beta))
-            da_norm = sample(expr.diff(alpha, beta), grid).spectral_norms()
+            da_norm = sample(expr.diff(alpha, beta), grid).spectral_norms()[mask]
+            weight = np.broadcast_to(weight, mask.shape)[mask]
             best = 0.0
             for rn in resnorms:
-                cand = float(np.max((da_norm * rn * weight)[mask]))
+                cand = float(np.max(da_norm * rn * weight))
                 best = max(best, cand)
             c_table[(alpha, beta)] = best
 
     c0 = 0.0
     for lam, rn in zip(lambdas, resnorms):
-        c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn[mask])))
+        c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
     # Exterior-of-sector samples: outside every Omega_{x,xi} by construction.
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
             lam = factor * 2.0 * sup_a * np.exp(1j * angle)
-            rn = _pointwise_resolvent_norms(tab.values, lam)
-            c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn[mask])))
+            rn = _pointwise_resolvent_norms(masked, lam)
+            c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
 
     report.c_table = c_table
     report.c0 = c0

@@ -38,7 +38,7 @@ import numpy as np
 from .densela import dense_resolvent, operator_norm
 from .errors import SectorcalcError
 from .grid import (GridSymbol, _spectral_norms, class_weighted_sup, sample,
-                   unit_symbol, window_sup)
+                   unit_symbol)
 from .quantop import QuantOp, extract_symbol, leibniz_truncated, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -381,18 +381,22 @@ class ParametrixCalculator:
         return GridSymbol(self.grid, vals, self.class_params,
                           check=False).scale_modes(self.phi)
 
+    def remainder_matrix(self, lam, bN=None):
+        """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
+        extraction."""
+        if bN is None:
+            bN = self.assemble_bN(lam)
+        prod = self.shifted_matrix(lam) @ quantize(bN).matrix
+        return prod - np.eye(prod.shape[0], dtype=complex)
+
     def remainder(self, lam, bN=None):
         """r^N = (a-lambda)#b^N - 1.
 
         Returns (GridSymbol, remainder matrix); the matrix is exactly the
         quantization of the remainder symbol.
         """
-        if bN is None:
-            bN = self.assemble_bN(lam)
-        prod = self.shifted_matrix(lam) @ quantize(bN).matrix
-        r_mat = prod - np.eye(prod.shape[0], dtype=complex)
-        r_sym = extract_symbol(QuantOp(self.grid, self.k, r_mat))
-        return r_sym, r_mat
+        r_mat = self.remainder_matrix(lam, bN=bN)
+        return extract_symbol(QuantOp(self.grid, self.k, r_mat)), r_mat
 
     def remainder_split(self, lam, bN=None):
         """Diagnostic split of r^N: ((a-lam)#b^N - q_N, q_N - 1) with
@@ -468,7 +472,7 @@ class ParametrixCalculator:
             return (np.linalg.norm(r_mat) <= 0.5
                     or operator_norm(r_mat) <= 0.5)
 
-        passed = [passes(self.remainder(lam)[1])
+        passed = [passes(self.remainder_matrix(lam))
                   for lam in self.sector.ray_points(radii)]
         for candidate in radii:
             if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)
@@ -553,22 +557,20 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
             lr = None
             bN = calc.assemble_bN(lam)
             r_sym, _ = calc.remainder(lam, bN=bN)
-        r_norms = r_sym.spectral_norms()
         row = {
             "lambda": lam,
             "bracket": float(japanese_bracket(lam)),
             "sup_bN": class_weighted_sup(bN, 0.0, margin),
-            "sup_rN": window_sup(calc.grid, r_norms, 0.0, margin),
-            "class_sup_rN": window_sup(calc.grid, r_norms, rem_weight, margin),
+            "sup_rN": class_weighted_sup(r_sym, 0.0, margin),
+            "class_sup_rN": class_weighted_sup(r_sym, rem_weight, margin),
             "sup_sN": None,
             "class_sup_sN": None,
             "residual": np.nan,
             "method": "",
         }
         if lr is not None:
-            s_norms = lr.s_n.spectral_norms()
-            row["sup_sN"] = window_sup(calc.grid, s_norms, 0.0, margin)
-            row["class_sup_sN"] = window_sup(calc.grid, s_norms, rem_weight, margin)
+            row["sup_sN"] = class_weighted_sup(lr.s_n, 0.0, margin)
+            row["class_sup_sN"] = class_weighted_sup(lr.s_n, rem_weight, margin)
             row["residual"] = lr.diagnostics["residual"]
             row["method"] = lr.diagnostics["method"]
         rows.append(row)

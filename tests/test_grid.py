@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.grid import _spectral_norms
+from sectorcalc.grid import _spectral_norms, class_weighted_sup, window_sup
+
+# the benchmark's non-normal 3x3 scene, x-dependent and upper triangular
+MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
+           "[0, (2+cos(x1))*(1+xi1^2)+5, bracket(xi)], [0, 0, bracket(xi)^2+5]]")
 
 
 class TestTorusGrid:
@@ -133,6 +137,128 @@ class TestSpectralNorms:
         norms = _spectral_norms(np.zeros((4, 5, 3, 3), dtype=complex))
         assert norms.shape == (4, 5)
         assert np.all(norms == 0.0)
+
+
+def full_table_sup(gs, weight_exponent, margin):
+    """The window sup from the full table of pointwise spectral norms."""
+    return window_sup(gs.grid, _spectral_norms(gs.values), weight_exponent, margin)
+
+
+def stack_symbol(values):
+    g = sc.TorusGrid(n=1, points=values.shape[0])
+    return sc.GridSymbol(g, values, check=False)
+
+
+def random_stack(rng, k, points=32):
+    shape = (points, points - 1, k, k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(scope="module", params=["jordan2", "matrix3"])
+def parametrix_tables(request, sector_right):
+    """b^N, r^N and s^N of a matrix symbol at a lambda with |lambda| >= R."""
+    if request.param == "jordan2":
+        expr, params = sc.get_preset("jordan2", n=1)
+    else:
+        expr, params = sc.parse_symbol(MATRIX3, n=1, k=3), sc.SymbolClassParams(m=2)
+    calc = sc.ParametrixCalculator(expr, sc.TorusGrid(n=1, points=32), params,
+                                   sector_right, N=3)
+    lr = calc.leibniz_resolvent(complex(calc.sector.boundary_point(64.0)))
+    return calc, {"bN": lr.b_n, "rN": lr.r_n, "sN": lr.s_n}
+
+
+class TestCertifiedSup:
+    """class_weighted_sup of a matrix symbol, decided by the Frobenius bound,
+    is the same float as the sup of the full spectral-norm table."""
+
+    @pytest.mark.parametrize("name", ["bN", "rN", "sN"])
+    def test_parametrix_tables(self, parametrix_tables, name):
+        calc, tables = parametrix_tables
+        gs = tables[name]
+        rem_weight = calc.N * (calc.class_params.rho - calc.class_params.delta) \
+            - calc.class_params.m
+        for margin in (0, calc.default_interior_margin):
+            for weight in (0.0, rem_weight):
+                assert class_weighted_sup(gs, weight, margin) == \
+                    full_table_sup(gs, weight, margin)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_complex_stacks(self, k):
+        rng = np.random.default_rng(10 + k)
+        for _ in range(5):
+            gs = stack_symbol(random_stack(rng, k))
+            for margin in (0, 1, 5):
+                for weight in (0.0, -1.5, 2.0):
+                    assert class_weighted_sup(gs, weight, margin) == \
+                        full_table_sup(gs, weight, margin)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rank_one_stacks(self, k):
+        # ||M||_F == ||M||_2: bounds and exact norms tie up to rounding
+        rng = np.random.default_rng(20 + k)
+        u = random_stack(rng, k)[..., :1]
+        v = random_stack(rng, k)[..., :1, :]
+        for gs in (stack_symbol(u @ v), stack_symbol(np.broadcast_to(
+                (u @ v)[:1, :1], u.shape[:2] + (k, k)).copy())):
+            for margin in (0, 3):
+                for weight in (0.0, -2.0):
+                    assert class_weighted_sup(gs, weight, margin) == \
+                        full_table_sup(gs, weight, margin)
+
+    def test_zero_stack(self):
+        gs = stack_symbol(np.zeros((16, 15, 3, 3), dtype=complex))
+        for margin in (0, 2):
+            for weight in (0.0, 1.0):
+                assert class_weighted_sup(gs, weight, margin) == 0.0
+
+    @pytest.mark.parametrize("mode", [7, 0])
+    def test_nan_like_the_full_table(self, mode):
+        # inside the interior window and outside it; the NaN reaches
+        # eigvalsh either way (numpy 2.4 raises LinAlgError on it)
+        def outcome(fn, *args):
+            try:
+                return repr(fn(*args))
+            except np.linalg.LinAlgError as exc:
+                return f"LinAlgError: {exc}"
+
+        vals = random_stack(np.random.default_rng(3), 3, points=16)
+        vals[2, mode, 1, 1] = np.nan
+        gs = stack_symbol(vals)
+        for margin in (0, 2):
+            for weight in (0.0, -1.0):
+                assert outcome(class_weighted_sup, gs, weight, margin) == \
+                    outcome(full_table_sup, gs, weight, margin)
+
+    def test_2d_window(self, grid2d):
+        rng = np.random.default_rng(5)
+        shape = grid2d.x_shape + grid2d.xi_shape + (2, 2)
+        gs = sc.GridSymbol(grid2d, rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        for margin in (0, 1, 2):
+            for weight in (0.0, 1.0):
+                assert class_weighted_sup(gs, weight, margin) == \
+                    full_table_sup(gs, weight, margin)
+
+    def test_empty_interior_window_raises(self):
+        gs = stack_symbol(np.ones((8, 7, 2, 2), dtype=complex))
+        with pytest.raises(ValueError):
+            class_weighted_sup(gs, 0.0, 4)
+
+    def test_exact_norms_only_where_the_bound_reaches(self, parametrix_tables,
+                                                      monkeypatch):
+        # the certificate is the point: far fewer exact norms than nodes
+        calc, tables = parametrix_tables
+        counted = []
+
+        def counting(values):
+            counted.append(int(np.prod(values.shape[:-2])))
+            return _spectral_norms(values)
+
+        monkeypatch.setattr(sc.grid, "_spectral_norms", counting)
+        margin = calc.default_interior_margin
+        class_weighted_sup(tables["rN"], 0.0, margin)
+        nodes = calc.grid.points * (calc.grid.modes_per_axis - 2 * margin)
+        assert sum(counted) < nodes / 2
 
 
 class TestGridSeminorm:

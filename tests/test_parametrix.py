@@ -439,6 +439,24 @@ class TestFindR:
             decided = not estimates or estimates[0] <= 0.5
             assert decided == (np.linalg.norm(r_mat, 2) <= 0.5), lam
 
+    @pytest.mark.parametrize("fixture, R", [("calc32", 1.0), ("slow_decay_calc", 64.0)])
+    def test_no_symbol_extraction(self, request, monkeypatch, fixture, R):
+        # find_R reads only the remainder matrices: no extract_symbol call,
+        # and the same R as the matrices of the full remainder give
+        calc = request.getfixturevalue(fixture)
+        calls = []
+
+        def counting_extract(op):
+            calls.append(op)
+            return extract_symbol(op)
+
+        monkeypatch.setattr(parametrix, "extract_symbol", counting_extract)
+        assert calc.find_R() == R
+        assert calls == []
+        lam = complex(calc.sector.boundary_point(4.0))
+        assert np.array_equal(calc.remainder_matrix(lam), calc.remainder(lam)[1])
+        assert len(calls) == 1
+
 
 class TestShift:
     def test_expression(self, var_laplace):

@@ -193,6 +193,44 @@ class TestConstants:
             rnorm = _pointwise_resolvent_norms(tab.values, lam)
             assert np.all(rnorm <= (1.0 + 1e-10) / a_abs)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matrix_resolvent_norms_match_svd(self, k):
+        # ||(a - lam)^{-1}||_2 = 1/sigma_min(a - lam) on well-conditioned
+        # stacks: a - lam = U diag(s) V^H with s in [0.5, 2]
+        rng = np.random.default_rng(30 + k)
+
+        def unitary(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return np.linalg.qr(z)[0]
+
+        shape = (40, 7, k, k)
+        s = rng.uniform(0.5, 2.0, shape[:-1])
+        lam = 1.5 - 0.7j
+        values = unitary(shape) @ (s[..., None] * unitary(shape)) \
+            + lam * np.eye(k)
+        ref = 1.0 / np.linalg.svd(values - lam * np.eye(k), compute_uv=False)[..., -1]
+        got = _pointwise_resolvent_norms(values, lam)
+        assert got.shape == shape[:-2]
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("C, singular", [(0.0, True), (0.5, False)])
+    def test_singular_node_only_matters_under_the_mask(self, grid16,
+                                                       sector_right, C, singular):
+        # a(x, 0) = [[0, 1], [0, 1]] is singular at the sample lambda = 0;
+        # the cutoff C = 0.5 masks xi = 0 out, C = 0 keeps it
+        expr = sc.parse_symbol("[[xi1, 1], [0, 1]]", n=1, k=2)
+        params = sc.SymbolClassParams(m=1)
+        report = sc.HypoReport(passed=True, theta=sector_right.theta, c=0.5,
+                               C=C, k=2)
+        if singular:
+            with pytest.raises(ValueError, match="singular at a sample lambda=0j"):
+                sc.estimate_hypo_constants(expr, sector_right, grid16, params,
+                                           report, max_order=0)
+        else:
+            sc.estimate_hypo_constants(expr, sector_right, grid16, params,
+                                       report, max_order=0)
+            assert np.isfinite(report.c0)
+
     def test_requires_passing_check(self, grid16, sector_right):
         expr, params = sc.get_preset("-bracket_power 2", n=1)
         report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16)
