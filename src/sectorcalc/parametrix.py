@@ -381,21 +381,26 @@ class ParametrixCalculator:
         return GridSymbol(self.grid, vals, self.class_params,
                           check=False).scale_modes(self.phi)
 
-    def remainder_matrix(self, lam, bN=None):
+    def remainder_matrix(self, lam, bN=None, q_bN=None, m_shift=None):
         """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
-        extraction."""
-        if bN is None:
-            bN = self.assemble_bN(lam)
-        prod = self.shifted_matrix(lam) @ quantize(bN).matrix
+        extraction.  A caller that already holds quantize(b^N).matrix
+        (``q_bN``) or A - lambda (``m_shift``) passes it in."""
+        if q_bN is None:
+            if bN is None:
+                bN = self.assemble_bN(lam)
+            q_bN = quantize(bN).matrix
+        if m_shift is None:
+            m_shift = self.shifted_matrix(lam)
+        prod = m_shift @ q_bN
         return prod - np.eye(prod.shape[0], dtype=complex)
 
-    def remainder(self, lam, bN=None):
+    def remainder(self, lam, bN=None, q_bN=None, m_shift=None):
         """r^N = (a-lambda)#b^N - 1.
 
         Returns (GridSymbol, remainder matrix); the matrix is exactly the
         quantization of the remainder symbol.
         """
-        r_mat = self.remainder_matrix(lam, bN=bN)
+        r_mat = self.remainder_matrix(lam, bN=bN, q_bN=q_bN, m_shift=m_shift)
         return extract_symbol(QuantOp(self.grid, self.k, r_mat)), r_mat
 
     def remainder_split(self, lam, bN=None):
@@ -421,11 +426,12 @@ class ParametrixCalculator:
         """
         self.require_admissible(lam)
         bN = self.assemble_bN(lam)
-        r_sym, r_mat = self.remainder(lam, bN=bN)
+        q_bN = quantize(bN).matrix
+        m_shift = self.shifted_matrix(lam)
+        r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
         r_norm = operator_norm(r_mat)
         diag = {"lambda": complex(lam), "method": None, "r_norm": r_norm,
                 "neumann_terms": 0, "residual": None}
-        m_shift = self.shifted_matrix(lam)
         eye = np.eye(m_shift.shape[0], dtype=complex)
 
         def residual(res_mat):
@@ -439,7 +445,7 @@ class ParametrixCalculator:
             series = eye.copy()
             for _ in range(K):
                 series = eye - r_mat @ series
-            res_mat = quantize(bN).matrix @ series
+            res_mat = q_bN @ series
             diag.update(method="neumann", neumann_terms=K + 1,
                         residual=residual(res_mat))
         if diag["method"] is None or diag["residual"] > tol:

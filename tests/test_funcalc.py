@@ -1,11 +1,13 @@
 """H-function models, contour quadrature, functional calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sectorcalc as sc
 from sectorcalc.densela import inverse_refined
-from sectorcalc.funcalc import _probe_fun
+from sectorcalc.funcalc import _CHUNK, _accumulate_resolvents, _probe_fun
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +206,79 @@ class TestOperatorOracle:
             sc.f_of_operator_oracle(calc16.quantized_symbol, sc.power_quotient(1.0),
                                     contour_d1)
         assert len(calls) == 2
+
+
+def _literal_dunford(M, nodes, coeffs):
+    """(i/2 pi) sum_q coeffs[f, q] inv(M - lambda_q I), one node at a time."""
+    eye = np.eye(M.shape[0], dtype=complex)
+    out = np.zeros((coeffs.shape[0],) + M.shape, dtype=complex)
+    for q, lam in enumerate(nodes):
+        inv = np.linalg.inv(M - lam * eye)
+        for f in range(coeffs.shape[0]):
+            out[f] += coeffs[f, q] * inv
+    return 1j / (2.0 * np.pi) * out
+
+
+class TestDunfordEngine:
+    """The chunked engine against the literal node-by-node sum."""
+
+    @pytest.fixture(scope="class")
+    def family_coeffs(self, contour_d1):
+        family = [sc.power_quotient(1.0), sc.resolvent_quotient(-25.0),
+                  sc.imaginary_power_regularized(1.0, 100)]
+        return np.array([contour_d1.weights * f(contour_d1.nodes) for f in family])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("count", [1, 2 * _CHUNK + 3, 5 * _CHUNK])
+    def test_matches_literal_sum(self, calc16, contour_d1, family_coeffs, rows, count):
+        M = calc16.quantized_symbol.matrix
+        nodes, coeffs = contour_d1.nodes[:count], family_coeffs[:rows, :count]
+        got = _accumulate_resolvents(M, nodes, coeffs)
+        ref = _literal_dunford(M, nodes, coeffs)
+        assert got.shape == ref.shape == (rows,) + M.shape
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+    def test_zero_columns_skipped(self, calc16, contour_d1, family_coeffs,
+                                  monkeypatch):
+        M = calc16.quantized_symbol.matrix
+        count = 3 * _CHUNK + 1
+        nodes, coeffs = contour_d1.nodes[:count], family_coeffs[:, :count].copy()
+        zero = [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 5]
+        coeffs[:, zero] = 0.0
+        coeffs[1, 3] = 0.0  # zero in one row only: the node still counts
+        ref = _literal_dunford(M, nodes, coeffs)
+        real_inv = np.linalg.inv
+        inverted = []
+
+        def counting_inv(a):
+            inverted.append(a.shape[0])
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        got = _accumulate_resolvents(M, nodes, coeffs)
+        assert sum(inverted) == count - len(zero)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+    def test_working_set_bounded_by_chunk(self, sector_right):
+        # The engine holds about three chunk stacks of n x n matrices; the
+        # peak must not grow with the contour or hold extra full-stack copies.
+        grid = sc.TorusGrid(n=1, points=128)
+        expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
+        A = sc.quantize(sc.sample(expr, grid))
+        dim = A.matrix.shape[0]
+        contour = sc.build_contour(sector_right, d=1.0, tol=1e-4)
+        assert dim == 127 and len(contour) > 4 * _CHUNK
+        f = sc.power_quotient(1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sc.f_of_operator_oracle(A, f, contour)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * _CHUNK + 4) * dim * dim * 16
 
 
 class TestImaginaryPowers:
