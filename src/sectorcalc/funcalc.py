@@ -323,11 +323,12 @@ def _accumulate_resolvents(M, nodes, coeffs):
     (``_CHUNK``, n, n) buffer: M is copied in and lambda subtracted on the
     diagonal only.  Each chunk is added to the (F, n*n) sum by one complex
     matrix product of its coefficients with its inverses.
-    The engine holds about three chunk stacks of n x n matrices at once, so
-    ``_CHUNK`` sets its peak memory.  8 nodes keep that small without
-    slowing the inverse: at n = 127 a stacked inverse costs 0.90 ms per node
-    for 8 nodes against 1.11 ms for 24 (2 BLAS threads), and calc plus bip
-    on the reference scene take the same time, within noise, for 2 to 24.
+    The engine holds about two chunk stacks of n x n matrices at once (the
+    shifted buffer and one chunk's inverses), so ``_CHUNK`` sets its peak
+    memory.  8 nodes keep that small without slowing the inverse: at
+    n = 127 a stacked inverse costs 0.90 ms per node for 8 nodes against
+    1.11 ms for 24 (2 BLAS threads), and calc plus bip on the reference
+    scene take the same time, within noise, for 2 to 24.
     Every node is residual-checked on one fixed unit vector x,
     ||M y - lambda y - x|| with y = (M - lambda)^{-1} x, and one spot node
     per call against the full identity, so a near-singular shift cannot
@@ -371,6 +372,7 @@ def _accumulate_resolvents(M, nodes, coeffs):
                 f"resolvent residual {node_res[worst]:.2e} on a unit vector at "
                 f"lambda={lam[worst]!r}; contour touches the spectrum")
         acc += cf @ inv.reshape(len(lam), dim * dim)
+        del inv  # so the next chunk's inverse is not built beside this one
     return (1j / (2.0 * np.pi) * acc).reshape(len(coeffs), dim, dim)
 
 

@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import GridMismatchError, SectorcalcError
 
+# Relative slack on a certified upper bound of a spectral norm before it is
+# compared with an exact norm: it covers the rounding of both, which decides
+# the comparison where the bound is attained (||M||_F = ||M||_2 at rank one).
+BOUND_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -298,10 +303,9 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     weight, they bound the weighted spectral norms from above.  The exact
     norm at the node with the largest bound is a lower bound L of the sup,
     and exact norms are then taken only at the nodes whose bound (with
-    1e-12 relative slack for rounding, which matters where
-    ||M||_F = ||M||_2) reaches L.  LAPACK treats each matrix of a stack on
-    its own, so the result is the same float as :func:`window_sup` of the
-    full norm table.  A non-finite Frobenius norm at any node falls back to
+    ``BOUND_SLACK`` relative slack) reaches L.  LAPACK treats each matrix of
+    a stack on its own, so the result is the same float as
+    :func:`window_sup` of the full norm table.  A non-finite Frobenius norm at any node falls back to
     the full table, so NaN and inf propagate as they do there.
     """
     g = gs.grid
@@ -318,7 +322,7 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     w = np.broadcast_to(w, bound.shape)
     top = np.unravel_index(np.argmax(bound), bound.shape)
     lower = _spectral_norms(vals[top]) * w[top]
-    keep = bound * (1.0 + 1e-12) >= lower
+    keep = bound * (1.0 + BOUND_SLACK) >= lower
     return float(np.max(_spectral_norms(vals[keep]) * w[keep]))
 
 

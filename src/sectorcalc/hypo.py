@@ -5,8 +5,12 @@ origin for |xi| >= C; the constants c_{alpha,beta} and c0 quantifying the
 derivative-times-resolvent bounds are estimated as sups over the grid and a
 log-uniform lambda sample cloud.  Pointwise eigenvalues come from one
 stacked LAPACK call (a slice for scalar symbols); pointwise resolvent norms
-are spectral norms of the stacked inverses on the |xi| >= C nodes.  Failures
-are data (collected in the report), not exceptions.
+are spectral norms of the stacked inverses on the |xi| >= C nodes.  For a
+matrix symbol every constant is a max over (lambda, node) pairs, and an exact
+norm is taken only where the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2)
+of the inverse X can still reach the running max: the constants are the same
+floats as the maxima of the full norm table.  Failures are data (collected
+in the report), not exceptions.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _spectral_norms, sample
+from .grid import BOUND_SLACK, _spectral_norms, sample
 from .sector import OmegaRegion, Sector
 from .util import multi_indices_below
 
@@ -135,6 +139,60 @@ def _pointwise_resolvent_norms(values, lam):
     return _spectral_norms(np.linalg.inv(values - lam[..., None, None] * np.eye(k)))
 
 
+def _sample_maxima(best, values, lam, factors):
+    """Raise ``best[t]`` to the max over nodes of da * r * w for the t-th
+    (da, w) in ``factors``, and ``best[-1]`` to that of (1+|lam|^2)^(1/2) r,
+    where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
+
+    For k > 1 each node's inverse X bounds its norm from above by
+    h = (||X||_1 ||X||_inf)^(1/2).  The exact norm is taken first at each
+    output's top-bound node, then only at the nodes where some output's
+    bound (with ``BOUND_SLACK``) still reaches its running max.  Every
+    running max is an attained product, so the maxima are the same floats
+    as those of the full norm table.  A non-finite bound means a non-finite
+    inverse, and that sample takes the full table.  Returns whether every
+    norm is finite; a singular stack raises ``numpy.linalg.LinAlgError``.
+    """
+    k = values.shape[-1]
+    scale = np.sqrt(1.0 + abs(lam) ** 2)
+    if k == 1:
+        # 1/|a - lam| is exact already: a bound would only add work
+        rn = _pointwise_resolvent_norms(values, lam)
+    else:
+        lam = np.asarray(lam, dtype=complex)
+        inv = np.linalg.inv(values - lam[..., None, None] * np.eye(k))
+        h = _hoelder_bounds(inv)
+        if np.all(np.isfinite(h)):
+            bounds = [da * h * w for da, w in factors]
+            top = sorted({int(np.argmax(b)) for b in bounds + [h]})
+            _update_maxima(best, factors, scale, _spectral_norms(inv[top]), top)
+            keep = scale * h * (1.0 + BOUND_SLACK) >= best[-1]
+            for b, lower in zip(bounds, best):
+                keep |= b * (1.0 + BOUND_SLACK) >= lower
+            keep[top] = False
+            if np.any(keep):
+                _update_maxima(best, factors, scale, _spectral_norms(inv[keep]), keep)
+            return True
+        rn = _spectral_norms(inv)
+    _update_maxima(best, factors, scale, rn, slice(None))
+    return bool(np.all(np.isfinite(rn)))
+
+
+def _hoelder_bounds(inv):
+    """(||X||_1 ||X||_inf)^(1/2) per X of a (nodes, k, k) stack, an upper
+    bound of ||X||_2 (Golub & Van Loan, Matrix Computations, 2.3)."""
+    # |X| as (k, k, nodes), so both sums and maxima run over leading axes
+    mod = np.abs(np.ascontiguousarray(inv.transpose(1, 2, 0)))
+    return np.sqrt(mod.sum(axis=0).max(axis=0) * mod.sum(axis=1).max(axis=0))
+
+
+def _update_maxima(best, factors, scale, rn, nodes):
+    """The update of :func:`_sample_maxima` from the norms ``rn`` at ``nodes``."""
+    for t, (da, w) in enumerate(factors):
+        best[t] = max(best[t], float(np.max(da[nodes] * rn * w[nodes])))
+    best[-1] = max(best[-1], float(scale * np.max(rn)))
+
+
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
                             max_order=2, samples_per_ray=16):
     """Estimate c_{alpha,beta} and c0 and store them in the report.
@@ -145,6 +203,15 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     on the rays arg in {0, +-theta/2} exercising the extension of the bound
     beyond the sector.  Doubling ``samples_per_ray`` should move the constants by less
     than a percent on admissible symbols.
+
+    c_{alpha,beta} is the max over the in-sector samples and the |xi| >= C
+    nodes of |d^alpha_xi d^beta_x a| ||(a - lambda)^{-1}|| times
+    <xi>^(rho|alpha| - delta|beta|); c0 is the max over all samples of
+    (1+|lambda|^2)^(1/2) ||(a - lambda)^{-1}||.  For a matrix symbol the
+    samples are taken in one pass with a certificate (:func:`_sample_maxima`):
+    the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2) of each inverse
+    decides where an exact norm can still reach a running max, and the
+    constants are the same floats as the maxima of the full norm table.
     """
     if not report.passed:
         raise ValueError("estimate_hypo_constants requires a passing spectrum check")
@@ -158,44 +225,32 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     lambdas = [0.0 + 0.0j]
     lambdas.extend(complex(z) for z in sector.ray_points(radii))
 
-    resnorms = []
-    for lam in lambdas:
-        try:
-            rn = _pointwise_resolvent_norms(masked, lam)
-            singular = not np.all(np.isfinite(rn))
-        except np.linalg.LinAlgError:
-            singular = True
-        if singular:
-            raise ValueError(f"(a - lambda) singular at a sample lambda={lam!r}; "
-                             "inconsistent with the passed spectrum check")
-        resnorms.append(rn)
-
     bracket = grid.bracket_xi().reshape((1,) * grid.n + grid.xi_shape)
-    c_table = {}
+    keys, factors = [], []
     for alpha in multi_indices_below(grid.n, max_order + 1):
         for beta in multi_indices_below(grid.n, max_order + 1 - sum(alpha)):
             weight = bracket ** (class_params.rho * sum(alpha)
                                  - class_params.delta * sum(beta))
             da_norm = sample(expr.diff(alpha, beta), grid).spectral_norms()[mask]
-            weight = np.broadcast_to(weight, mask.shape)[mask]
-            best = 0.0
-            for rn in resnorms:
-                cand = float(np.max(da_norm * rn * weight))
-                best = max(best, cand)
-            c_table[(alpha, beta)] = best
+            keys.append((alpha, beta))
+            factors.append((da_norm, np.broadcast_to(weight, mask.shape)[mask]))
 
-    c0 = 0.0
-    for lam, rn in zip(lambdas, resnorms):
-        c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
+    best = [0.0] * (len(factors) + 1)
+    for lam in lambdas:
+        try:
+            finite = _sample_maxima(best, masked, lam, factors)
+        except np.linalg.LinAlgError:
+            finite = False
+        if not finite:
+            raise ValueError(f"(a - lambda) singular at a sample lambda={lam!r}; "
+                             "inconsistent with the passed spectrum check")
     # Exterior-of-sector samples: outside every Omega_{x,xi} by construction.
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
-            lam = factor * 2.0 * sup_a * np.exp(1j * angle)
-            rn = _pointwise_resolvent_norms(masked, lam)
-            c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
+            _sample_maxima(best, masked, factor * 2.0 * sup_a * np.exp(1j * angle), [])
 
-    report.c_table = c_table
-    report.c0 = c0
+    report.c_table = dict(zip(keys, best))
+    report.c0 = best[-1]
     report.extras["sup_symbol_norm"] = sup_a
     report.extras["lambda_samples_per_ray"] = float(samples_per_ray)
     return report

@@ -5,6 +5,10 @@ import pytest
 
 import sectorcalc as sc
 from sectorcalc.hypo import _pointwise_resolvent_norms
+from sectorcalc.util import multi_indices_below
+
+MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
+           "[0, (2+cos(x1))*(1+xi1^2)+5, bracket(xi)], [0, 0, bracket(xi)^2+5]]")
 
 
 class TestSector:
@@ -237,6 +241,128 @@ class TestConstants:
         with pytest.raises(ValueError):
             sc.estimate_hypo_constants(expr, sector_right, grid16,
                                        sc.SymbolClassParams(m=2), report)
+
+
+def full_table_constants(expr, sector, grid, class_params, report,
+                         max_order=2, samples_per_ray=16):
+    """c_table and c0 as maxima of the full resolvent-norm table: every
+    (lambda, node) pair gets an exact spectral norm."""
+    tab = sc.sample(expr, grid, class_params)
+    mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
+    mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
+    masked = tab.values[mask]
+    sup_a = tab.sup_norm()
+    lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
+    radii = np.geomspace(lo, hi, samples_per_ray)
+    lambdas = [0.0 + 0.0j]
+    lambdas.extend(complex(z) for z in sector.ray_points(radii))
+    resnorms = [_pointwise_resolvent_norms(masked, lam) for lam in lambdas]
+    assert all(np.all(np.isfinite(rn)) for rn in resnorms)
+
+    bracket = grid.bracket_xi().reshape((1,) * grid.n + grid.xi_shape)
+    c_table = {}
+    for alpha in multi_indices_below(grid.n, max_order + 1):
+        for beta in multi_indices_below(grid.n, max_order + 1 - sum(alpha)):
+            weight = bracket ** (class_params.rho * sum(alpha)
+                                 - class_params.delta * sum(beta))
+            da_norm = sc.sample(expr.diff(alpha, beta), grid).spectral_norms()[mask]
+            weight = np.broadcast_to(weight, mask.shape)[mask]
+            best = 0.0
+            for rn in resnorms:
+                best = max(best, float(np.max(da_norm * rn * weight)))
+            c_table[(alpha, beta)] = best
+
+    c0 = 0.0
+    for lam, rn in zip(lambdas, resnorms):
+        c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
+    for factor in (1.0, 2.0, 4.0, 8.0):
+        for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
+            lam = factor * 2.0 * sup_a * np.exp(1j * angle)
+            rn = _pointwise_resolvent_norms(masked, lam)
+            c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
+    return c_table, c0
+
+
+def random_symbol(rng, k):
+    """A k x k symbol with random complex coefficients.  Diagonal entries are
+    bracket(xi)^2 + 5 plus at most 0.5; off-diagonal ones are at most
+    bracket(xi) in modulus, so by Gershgorin every eigenvalue has real part
+    above 2 and the spectrum check passes on the right half-plane."""
+    def coef():
+        z = rng.uniform(-0.35, 0.35) + 1j * rng.uniform(-0.35, 0.35)
+        return f"({z.real!r}+({z.imag!r})*i)"
+
+    rows = []
+    for r in range(k):
+        rows.append("[" + ", ".join(
+            f"bracket(xi)^2+5+{coef()}*cos(x1)" if r == c else
+            f"{coef()}*sin(x1)*bracket(xi)+{coef()}*xi1" for c in range(k)) + "]")
+    return sc.parse_symbol("[" + ", ".join(rows) + "]", n=1, k=k)
+
+
+class TestCertifiedHypoMaxima:
+    """estimate_hypo_constants of a matrix symbol, decided by the Hoelder
+    bound of each inverse, gives the same floats as the full norm table."""
+
+    @staticmethod
+    def assert_full_table(expr, sector, grid, params, C=0.0, max_order=2):
+        report = sc.check_spectrum(expr, sector, 0.5, C, grid, params)
+        assert report.passed
+        sc.estimate_hypo_constants(expr, sector, grid, params, report,
+                                   max_order=max_order)
+        c_table, c0 = full_table_constants(expr, sector, grid, params, report,
+                                           max_order=max_order)
+        assert report.c_table == c_table
+        assert report.c0 == c0
+
+    def test_matrix3(self, sector_right):
+        self.assert_full_table(sc.parse_symbol(MATRIX3, n=1, k=3), sector_right,
+                               sc.TorusGrid(n=1, points=64),
+                               sc.SymbolClassParams(m=2))
+
+    def test_ci_matrix_config(self, grid16, sector_right):
+        expr = sc.parse_symbol("[[(2+sin(x1))*(1+xi1^2)+2, bracket(xi)], "
+                               "[0, (2+cos(x1))*(1+xi1^2)+2]]", n=1, k=2)
+        self.assert_full_table(expr, sector_right, grid16, sc.SymbolClassParams(m=2))
+
+    def test_jordan2_ties_across_x(self, grid32, sector_right):
+        # x-independent: every maximum is attained at all 32 x nodes
+        expr, params = sc.get_preset("jordan2", n=1)
+        self.assert_full_table(expr, sector_right, grid32, params)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_complex_symbols(self, grid32, sector_right, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(3):
+            self.assert_full_table(random_symbol(rng, k), sector_right, grid32,
+                                   sc.SymbolClassParams(m=2), C=2.5)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_diagonal_symbols(self, grid32, sector_right, k):
+        # the bound equals the exact norm of a diagonal inverse, so bounds and
+        # exact norms tie up to rounding
+        entries = ["(2+sin(x1))*(1+xi1^2)+5", "bracket(xi)^2+3+i*xi1",
+                   "(2+cos(x1))*bracket(xi)^2+4"]
+        rows = ", ".join("[" + ", ".join(entries[r] if r == c else "0"
+                                         for c in range(k)) + "]" for r in range(k))
+        self.assert_full_table(sc.parse_symbol(f"[{rows}]", n=1, k=k), sector_right,
+                               grid32, sc.SymbolClassParams(m=2), C=1.0)
+
+    def test_exact_norms_at_few_pairs(self, sector_right, monkeypatch):
+        # the certificate is the point: exact norms at <= 10% of the pairs
+        counted = []
+
+        def counting(values):
+            counted.append(int(np.prod(values.shape[:-2])))
+            return sc.grid._spectral_norms(values)
+
+        grid = sc.TorusGrid(n=1, points=64)
+        expr, params = sc.parse_symbol(MATRIX3, n=1, k=3), sc.SymbolClassParams(m=2)
+        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid, params)
+        monkeypatch.setattr(sc.hypo, "_spectral_norms", counting)
+        sc.estimate_hypo_constants(expr, sector_right, grid, params, report)
+        pairs = (1 + 2 * 16 + 12) * grid.points * grid.modes_per_axis
+        assert 0 < sum(counted) <= 0.1 * pairs
 
 
 class TestReportSerialization:
