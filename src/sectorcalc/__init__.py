@@ -6,26 +6,24 @@ operator oracle."""
 
 from .dsl import (MAX_DERIVATIVE_ORDER, SymbolClassParams, SymbolExpr,
                   parse_symbol, validate_symbol)
-from .densela import apply_fft, dense_resolvent, operator_norm, resolvent_norm_sweep
+from .densela import dense_resolvent, operator_norm, resolvent_norm_sweep
 from .errors import (ConfigError, ContourError, DerivativeOrderError,
                      GridMismatchError, NonPeriodicError, SectorcalcError,
                      SingularOperatorError, SymbolDomainError, SymbolSyntaxError,
                      UnknownIdentifierError)
-from .funcalc import (Contour, HFun, HinfFun, HinfProbeReport, bn_f_deformed,
-                      bn_part, build_contour, f_of_operator_oracle, f_of_symbol,
-                      hinf_bound_probe, imaginary_power,
+from .funcalc import (Contour, HFun, HinfProbeReport, bn_part, build_contour,
+                      f_of_operator_oracle, f_of_symbol, hinf_bound_probe,
                       imaginary_power_regularized, power_quotient,
-                      regularizer_value, resolvent_decay_probe, resolvent_quotient)
-from .grid import (GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm,
-                   sample, seminorm, unit_symbol)
+                      regularizer_value, resolvent_decay_probe)
+from .grid import GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm, sample
 from .hypo import (HypoReport, check_spectrum, eigenvalues_grid,
-                   estimate_hypo_constants, omega_region)
+                   estimate_hypo_constants)
 from .parametrix import (LeibnizResolvent, ParametrixCalculator,
-                         ParamSymbolFamily, bj_derivative_bound, bj_term_lists,
-                         excision_weights, parametrix_sweep, shift, smooth_step)
+                         ParamSymbolFamily, bj_term_lists, excision_weights,
+                         parametrix_sweep, shift, smooth_step)
 from .presets import get_preset, preset_names
-from .quantop import (QuantOp, compose_exact, extract_symbol, leibniz_inverse,
-                      leibniz_truncated, quantize)
-from .sector import OmegaRegion, Sector
+from .quantop import (QuantOp, compose_exact, extract_symbol, leibniz_truncated,
+                      quantize)
+from .sector import Sector
 
 __version__ = "0.1.0"

@@ -134,6 +134,12 @@ def resolve_config(values):
     if shift_c < 0:
         raise ConfigError("shift must be >= 0")
     expr = base_expr.shifted(shift_c) if shift_c > 0 else base_expr
+    bip_steps = cfg.get_int("bip.steps", 11)
+    if bip_steps < 2:
+        raise ConfigError("bip.steps must be >= 2 (the growth rate is a fit)")
+    bip_n_reg = cfg.get_int("bip.n_reg", 1000)
+    if bip_n_reg < 1:
+        raise ConfigError("bip.n_reg must be >= 1")
     raw_functions = cfg.get("functions", "")
     function_specs = [spec.strip() for spec in raw_functions.split(",") if spec.strip()]
     return RunConfig(
@@ -151,8 +157,8 @@ def resolve_config(values):
         calc_quad_tol=cfg.get_float("calc.quad_tol", 1e-5),
         function_specs=function_specs,
         bip_tmax=cfg.get_float("bip.tmax", 5.0),
-        bip_steps=cfg.get_int("bip.steps", 11),
-        bip_n_reg=cfg.get_int("bip.n_reg", 1000),
+        bip_steps=bip_steps,
+        bip_n_reg=bip_n_reg,
         bip_quad_tol=cfg.get_float("bip.quad_tol", 1e-6),
     )
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra backend: LU resolvents, operator norms, FFT apply.
+"""Dense linear-algebra backend: LU resolvents and operator norms.
 
 Everything here is deterministic: LU via LAPACK partial pivoting with one
 step of iterative refinement, spectral norms via power iteration from a
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError, SingularOperatorError
+from .errors import SingularOperatorError
 
 RESIDUAL_TOL = 1e-12
 
@@ -19,20 +19,15 @@ def _as_matrix(A):
     return A.matrix if hasattr(A, "matrix") else np.asarray(A, dtype=complex)
 
 
-def solve_refined(M, B):
-    """Solve M X = B with one step of iterative refinement."""
+def inverse_refined(M):
+    """Inverse by LU solve with one step of iterative refinement; returns
+    (X, residual) with residual = max|MX - I|."""
+    eye = np.eye(M.shape[0], dtype=complex)
     try:
-        X = np.linalg.solve(M, B)
-        X = X + np.linalg.solve(M, B - M @ X)
+        X = np.linalg.solve(M, eye)
+        X = X + np.linalg.solve(M, eye - M @ X)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError(f"LU solve failed: {exc}") from exc
-    return X
-
-
-def inverse_refined(M):
-    """Inverse with refinement; returns (X, residual) with residual = max|MX - I|."""
-    eye = np.eye(M.shape[0], dtype=complex)
-    X = solve_refined(M, eye)
     residual = float(np.max(np.abs(M @ X - eye)))
     if residual > RESIDUAL_TOL:
         raise SingularOperatorError(
@@ -91,49 +86,6 @@ def operator_norm(A, tol=1e-8, maxiter=5000, return_info=False):
     if return_info:
         return s, converged, iterations
     return s
-
-
-def apply_fft(a, u):
-    """Apply op(a) to grid samples via forward FFT and a per-x multiplier sum.
-
-    Independent of the dense matrix path: u_hat is gathered on the window
-    modes, (op(a) u)(x) = sum_xi e^{i x.xi} a(x, xi) u_hat(xi) is summed
-    directly, and the result is read back through the window basis (the
-    operator's output lives on window modes; the raw pointwise product would
-    alias its out-of-window content onto the sample grid).  Agrees with the
-    dense matrix-vector product to rounding.
-    """
-    g = a.grid
-    u = np.asarray(u, dtype=complex)
-    vector_valued = a.k > 1
-    expected = g.x_shape + (a.k,) if vector_valued else g.x_shape
-    if u.shape != expected:
-        raise GridMismatchError(f"expected samples of shape {expected}, got {u.shape}")
-    hat = np.fft.fftn(u, axes=tuple(range(g.n))) / g.points ** g.n
-    if not vector_valued:
-        hat = hat[..., None]
-    modes = g.mode_vectors() % g.points
-    idx = tuple(modes[:, ax] for ax in range(g.n))
-    coeffs = hat[idx].reshape(g.xi_shape + (a.k,))
-    phase = _phase_table(g)
-    if g.n == 1:
-        out = np.einsum("pmrc,pm,mc->pr", a.values, phase, coeffs)
-    else:
-        out = np.einsum("pqmnrc,pqmn,mnc->pqr", a.values, phase, coeffs)
-    out_hat = np.fft.fftn(out, axes=tuple(range(g.n))) / g.points ** g.n
-    window = np.zeros_like(out_hat)
-    window[idx] = out_hat[idx]
-    out = np.fft.ifftn(window, axes=tuple(range(g.n))) * g.points ** g.n
-    return out if vector_valued else out[..., 0]
-
-
-def _phase_table(grid):
-    """e^{i x.xi} over x-nodes times window modes."""
-    x, xi = grid.x_axis, grid.xi_axis
-    if grid.n == 1:
-        return np.exp(1j * x[:, None] * xi[None, :])
-    ph1 = np.exp(1j * x[:, None] * xi[None, :])
-    return np.einsum("pm,qn->pqmn", ph1, ph1)
 
 
 def resolvent_norm_sweep(A, sector, radii):

@@ -420,12 +420,6 @@ class SymbolExpr:
                 out[..., r, c] = val
         return out
 
-    def eval_scalar(self, xs, xis):
-        """Scalar-symbol convenience: evaluate and drop the matrix axes."""
-        if self.k != 1:
-            raise ValueError("eval_scalar requires a scalar symbol")
-        return self.eval(xs, xis)[..., 0, 0]
-
     # -- calculus -----------------------------------------------------------
 
     def diff(self, alpha=(), beta=()):

@@ -16,7 +16,6 @@ resolvent, is the independent symbol-side construction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,31 +130,9 @@ class HFun:
         return prev
 
 
-class HinfFun:
-    """Bounded holomorphic function with an approximating H-sequence.
-
-    ``regularized(n)`` multiplies by psi_n(z) = (nz/(1+nz)) (1/(1+z/n)),
-    an H-function of decay 1; the sampled sup norms satisfy
-    ||f_n|| <= 4 ||f|| across the family by construction.
-    """
-
-    REG_BOUND = 4.0
-
-    def __init__(self, fn, name="f"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, z):
-        return self.fn(np.asarray(z, dtype=complex))
-
-    def regularized(self, n):
-        def f_n(z):
-            return self.fn(np.asarray(z, dtype=complex)) * regularizer_value(z, n)
-        return HFun(f_n, d=1.0, name=f"{self.name}~reg{n}")
-
-
 def regularizer_value(z, n):
-    """psi_n(z), the H-regularizing factor."""
+    """psi_n(z) = (nz/(1+nz)) (1/(1+z/n)), the H-regularizing factor: an
+    H-function of decay 1, with ||f psi_n||_inf <= 4 ||f||_inf for bounded f."""
     z = np.asarray(z, dtype=complex)
     return (n * z / (1.0 + n * z)) * (1.0 / (1.0 + z / n))
 
@@ -175,15 +152,6 @@ def imaginary_power_regularized(t, n_reg):
         z = np.asarray(z, dtype=complex)
         return np.exp(1j * t * np.log(z)) * regularizer_value(z, n_reg)
     return HFun(fn, d=1.0, name=f"imag_power {t!r}~reg{n_reg}")
-
-
-def resolvent_quotient(mu):
-    """f_mu(z) = z / ((mu - z)(1 + z)); mu must lie inside the sector so the
-    pole stays off the sector complement."""
-    def fn(z):
-        z = np.asarray(z, dtype=complex)
-        return z / ((mu - z) * (1.0 + z))
-    return HFun(fn, d=1.0, name=f"resolvent_quotient {mu!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +366,6 @@ def f_of_symbol(calc, f, contour):
     return GridSymbol(calc.grid, total.values, calc.class_params, check=False)
 
 
-def imaginary_power(calc, t, n_reg, quad_tol=1e-8):
-    """Regularized imaginary power: f_n(a) with f_n(z) = z^{it} psi_n(z).
-
-    Returns (GridSymbol, HFun used).  The principal branch of z^{it} is
-    taken on the sector complement.
-    """
-    if n_reg < 1:
-        raise ValueError("regularization index n_reg must be >= 1")
-    f_n = imaginary_power_regularized(t, n_reg)
-    f_n.ensure_cf(calc.sector)
-    contour = build_contour(calc.sector, d=1.0, tol=quad_tol, c_f=f_n.c_f)
-    return f_of_symbol(calc, f_n, contour), f_n
-
-
 # ---------------------------------------------------------------------------
 # H-infinity bound probe
 # ---------------------------------------------------------------------------
@@ -422,14 +376,6 @@ class HinfProbeReport:
 
     rows: list
     M: float
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "sup_norm", "op_norm", "ratio"])
-            for name, sup, opn, ratio in self.rows:
-                writer.writerow([name, repr(sup), repr(opn), repr(ratio)])
-            writer.writerow(["M", "", "", repr(self.M)])
 
 
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
@@ -483,38 +429,6 @@ def bn_part(calc, f, nodes, weights):
     phi = calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape + (1, 1))
     return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * phi * acc, calc.class_params,
                       check=False)
-
-
-def bn_f_deformed(calc, f, R):
-    """The b^N part over the boundary rays beyond R, on the per-point
-    deformed contour: in along the lower ray to radius 2|a(x,xi)|,
-    counterclockwise about the origin on that arc, out along the upper ray
-    (24 Gauss-Legendre nodes per ray piece, 48 on the arc).  Agreement with the
-    straight rays |lambda| >= R is the numerical face of the
-    contour-deformation argument; the arc length scaling is what bounds the
-    b^N part by ||f||_inf."""
-    theta = calc.sector.theta
-    rho = 2.0 * calc.a_tab.spectral_norms()
-    if np.min(rho) <= 0:
-        raise ValueError("symbol vanishes somewhere; no deformed contour")
-    if R <= float(np.max(rho)):
-        raise ValueError(f"R={R!r} must exceed 2 sup|a| = {float(np.max(rho))!r}")
-    t_ray, w_ray = leggauss(24)
-    t_arc, w_arc = leggauss(48)
-    nodes, weights = [], []
-    s_lo, s_hi = np.log(rho), np.log(R) * np.ones_like(rho)
-    half, mid = 0.5 * (s_hi - s_lo), 0.5 * (s_hi + s_lo)
-    for tq, wq in zip(t_ray, w_ray):
-        r = np.exp(mid + half * tq)
-        for sign in (-1.0, 1.0):
-            phase = np.exp(sign * 1j * theta)
-            nodes.append(r * phase)
-            weights.append(sign * phase * r * wq * half)
-    for tq, wq in zip(t_arc, w_arc):
-        lam = rho * np.exp(1j * tq * theta)  # angle from -theta to +theta
-        nodes.append(lam)
-        weights.append(1j * lam * wq * theta)
-    return bn_part(calc, f, nodes, weights)
 
 
 # ---------------------------------------------------------------------------

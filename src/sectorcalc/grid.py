@@ -256,19 +256,6 @@ def sample(expr, grid, class_params=None):
     return GridSymbol(grid, np.ascontiguousarray(values), class_params)
 
 
-def seminorm(expr, alpha, beta, class_params, grid):
-    """Grid seminorm q_{alpha,beta}: sup |d^a_xi d^b_x a| <xi>^(-m+rho|a|-delta|b|).
-
-    Derivatives are exact (expression-tree differentiation); the sup runs
-    over the grid window, so the value is a certified lower bound for the
-    continuum seminorm.
-    """
-    class_params.validate(strict=False)
-    deriv = expr.diff(alpha, beta)
-    return class_weighted_sup(sample(deriv, grid), class_params.xi_weight_exponent(
-        _tup(alpha, grid.n), _tup(beta, grid.n)))
-
-
 def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):
     """Seminorm of a tabulated symbol (no expression available).
 
@@ -374,11 +361,3 @@ def _tup(idx, n):
             raise ValueError("multi-index required in dimension > 1")
         return (int(idx),)
     return tuple(int(v) for v in idx)
-
-
-def unit_symbol(grid, k=1):
-    """The constant symbol 1 (identity matrix for k > 1)."""
-    values = np.zeros(grid.x_shape + grid.xi_shape + (k, k), dtype=complex)
-    idx = np.arange(k)
-    values[..., idx, idx] = 1.0
-    return GridSymbol(grid, values, check=False)

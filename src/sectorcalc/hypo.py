@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import BOUND_SLACK, _spectral_norms, sample
-from .sector import OmegaRegion, Sector
 from .util import multi_indices_below
 
 _MAX_STORED_VIOLATIONS = 1000
@@ -126,19 +125,6 @@ def check_spectrum(expr, sector, c, C, grid, class_params=None):
     return report
 
 
-def _pointwise_resolvent_norms(values, lam):
-    """||(a(x,xi) - lam)^{-1}|| per node (spectral norm), vectorized in lam.
-
-    For k > 1 the inverse is the stacked LU inverse, so an exactly singular
-    node raises ``numpy.linalg.LinAlgError`` for the whole stack.
-    """
-    k = values.shape[-1]
-    lam = np.asarray(lam, dtype=complex)
-    if k == 1:
-        return 1.0 / np.abs(values[..., 0, 0] - lam)
-    return _spectral_norms(np.linalg.inv(values - lam[..., None, None] * np.eye(k)))
-
-
 def _sample_maxima(best, values, lam, factors):
     """Raise ``best[t]`` to the max over nodes of da * r * w for the t-th
     (da, w) in ``factors``, and ``best[-1]`` to that of (1+|lam|^2)^(1/2) r,
@@ -157,7 +143,7 @@ def _sample_maxima(best, values, lam, factors):
     scale = np.sqrt(1.0 + abs(lam) ** 2)
     if k == 1:
         # 1/|a - lam| is exact already: a bound would only add work
-        rn = _pointwise_resolvent_norms(values, lam)
+        rn = 1.0 / np.abs(values[..., 0, 0] - lam)
     else:
         lam = np.asarray(lam, dtype=complex)
         inv = np.linalg.inv(values - lam[..., None, None] * np.eye(k))
@@ -254,12 +240,3 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     report.extras["sup_symbol_norm"] = sup_a
     report.extras["lambda_samples_per_ray"] = float(samples_per_ray)
     return report
-
-
-def omega_region(expr, x, xi, sector):
-    """Exclusion region at one phase-space point: radius 2 |a(x, xi)|."""
-    x = (x,) if np.isscalar(x) else tuple(x)
-    xi = (xi,) if np.isscalar(xi) else tuple(xi)
-    val = expr.eval(tuple(np.asarray(v, dtype=float) for v in x),
-                    tuple(np.asarray(v, dtype=float) for v in xi))
-    return OmegaRegion(radius=2.0 * float(_spectral_norms(val)), sector=sector)

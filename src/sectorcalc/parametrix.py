@@ -8,8 +8,7 @@ which this module represents exactly as a term algebra: every b_j is a
 finite sum of ordered products of b_0 factors and tabulated derivatives of
 a.  Differentiating a term uses the resolvent derivative rule
 d b_0 = -b_0 (d a) b_0, so arbitrary mixed derivatives of b_j evaluate with
-no finite-difference noise - which is what makes the derivative-over-b_0
-boundedness diagnostics observable.
+no finite-difference noise.
 
 One recursion serves both sides: the left recursion, with the operands
 swapped (b^N#(a-lambda) - 1 in place of (a-lambda)#b^N - 1), builds the
@@ -37,9 +36,8 @@ import numpy as np
 
 from .densela import dense_resolvent, operator_norm
 from .errors import SectorcalcError
-from .grid import (GridSymbol, _spectral_norms, class_weighted_sup, sample,
-                   unit_symbol)
-from .quantop import QuantOp, extract_symbol, leibniz_truncated, quantize
+from .grid import GridSymbol, class_weighted_sup, sample
+from .quantop import QuantOp, extract_symbol, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
 
@@ -403,17 +401,6 @@ class ParametrixCalculator:
         r_mat = self.remainder_matrix(lam, bN=bN, q_bN=q_bN, m_shift=m_shift)
         return extract_symbol(QuantOp(self.grid, self.k, r_mat)), r_mat
 
-    def remainder_split(self, lam, bN=None):
-        """Diagnostic split of r^N: ((a-lam)#b^N - q_N, q_N - 1) with
-        q_N the N-term Leibniz expansion of the product."""
-        if bN is None:
-            bN = self.assemble_bN(lam)
-        r_sym, _ = self.remainder(lam, bN=bN)
-        q_n = leibniz_truncated(self.expr, bN, self.N, lam=lam)
-        one = unit_symbol(self.grid, self.k)
-        oscillatory = r_sym + one - q_n
-        return oscillatory, q_n - one
-
     # -- resolvent ---------------------------------------------------------------
 
     def leibniz_resolvent(self, lam, tol=1e-11):
@@ -595,26 +582,3 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
         slopes["sN"], _ = fit_loglog_slope([p[0] for p in s_pairs],
                                            [p[1] for p in s_pairs])
     return ParamSymbolFamily(N=calc.N, R=R, rows=rows, slopes=slopes)
-
-
-def bj_derivative_bound(calc, j, alpha, beta):
-    """Key-observation diagnostic: sup over nodes and five lambdas on the arc
-    of radius 2|a(x,xi)| (|arg| <= 0.95 theta) of
-    |d^alpha_xi D^beta_x b_j| <xi>^(rho|a|-delta|b|) / |b_0|."""
-    n = calc.grid.n
-    terms = apply_derivative(calc.term_lists[j], tuple(alpha), tuple(beta), n)
-    theta = calc.sector.theta
-    arc_angles = np.linspace(-0.95 * theta, 0.95 * theta, 5)
-    anorm = calc.a_tab.spectral_norms()
-    weight = calc.grid.bracket_xi() ** (
-        calc.class_params.rho * sum(alpha) - calc.class_params.delta * sum(beta))
-    weight = weight.reshape((1,) * n + calc.grid.xi_shape)
-    worst = 0.0
-    for phi in arc_angles:
-        lam = 2.0 * anorm * np.exp(1j * phi)
-        b0 = calc.b0_values(lam)
-        num = _spectral_norms(calc.eval_terms(terms, lam, b0=b0)) * weight
-        den = _spectral_norms(b0)
-        worst = max(worst, float(np.max(num / den)))
-    return worst
-

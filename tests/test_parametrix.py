@@ -11,6 +11,8 @@ from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
 
+from reference import unit_symbol
+
 
 def dense_reference(calc, lam):
     """Symbol of the LU resolvent (A - lambda)^{-1}, built outside the calculator."""
@@ -90,13 +92,6 @@ class TestRecursion:
         lhs = b_lam - b_mu
         rhs = (lam - mu) * b_lam * b_mu
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
-
-    def test_derivative_over_b0_bound(self, calc32):
-        # the derivative cascade stays a bounded multiple of b_0
-        for j in (0, 1, 2):
-            bound = sc.bj_derivative_bound(calc32, j, (1,), (1,))
-            assert np.isfinite(bound)
-        assert sc.bj_derivative_bound(calc32, 0, (0,), (0,)) == pytest.approx(1.0)
 
 
 def literal_terms(calc, terms, lam):
@@ -249,7 +244,10 @@ class TestAssembleAndRemainder:
         # a is a xi-polynomial of degree 2 and N=3: the expansion terminates,
         # so away from the window edge the oscillatory piece is pure leak,
         # orders of magnitude below the Leibniz part
-        osc, qminus1 = calc32.remainder_split(-10.0)
+        # r^N = ((a-lam)#b^N - q_N) + (q_N - 1), q_N the N-term Leibniz expansion
+        lam, one, bN = -10.0, unit_symbol(calc32.grid), calc32.assemble_bN(-10.0)
+        q_n = sc.leibniz_truncated(calc32.expr, bN, calc32.N, lam=lam)
+        osc, qminus1 = calc32.remainder(lam, bN=bN)[0] + one - q_n, q_n - one
         osc_sup = class_weighted_sup(osc, 0.0, interior_margin=10)
         q_sup = class_weighted_sup(qminus1, 0.0, interior_margin=10)
         assert q_sup > 1e-6
@@ -296,7 +294,7 @@ class TestLeibnizResolvent:
     def test_reference_residual(self, calc32):
         lam = -1.0
         lr = calc32.leibniz_resolvent(lam, tol=1e-11)
-        one = sc.unit_symbol(calc32.grid)
+        one = unit_symbol(calc32.grid)
         a_min_lam = calc32.a_tab.plus_scalar(-lam)
         residual = (sc.compose_exact(a_min_lam, lr.symbol) - one).sup_norm()
         assert residual <= 1e-10

@@ -1,10 +1,12 @@
-"""Quantization, exact composition and Leibniz inversion."""
+"""Quantization and exact composition."""
 
 import numpy as np
 import pytest
 
 import sectorcalc as sc
 from sectorcalc.quantop import QuantOp
+
+from reference import apply_dense, apply_fft, unit_symbol
 
 
 def sup_diff(a, b, margin=0):
@@ -13,7 +15,7 @@ def sup_diff(a, b, margin=0):
 
 class TestQuantize:
     def test_identity(self, grid16):
-        op = sc.quantize(sc.unit_symbol(grid16))
+        op = sc.quantize(unit_symbol(grid16))
         assert np.max(np.abs(op.matrix - np.eye(op.dim))) <= 1e-14
 
     def test_multiplier_is_diagonal(self, grid16):
@@ -55,7 +57,7 @@ class TestQuantize:
         assert np.max(np.abs(back.matrix - M)) <= 1e-12 * np.max(np.abs(M))
 
     def test_2d_identity_and_roundtrip(self, grid2d):
-        op = sc.quantize(sc.unit_symbol(grid2d))
+        op = sc.quantize(unit_symbol(grid2d))
         assert np.max(np.abs(op.matrix - np.eye(op.dim))) <= 1e-14
         gs = sc.sample(sc.parse_symbol("bracket(xi)^2", n=2), grid2d)
         back = sc.extract_symbol(sc.quantize(gs))
@@ -72,15 +74,15 @@ class TestQuantize:
         gs = sc.sample(var_laplace, grid16)
         op = sc.quantize(gs)
         u = rng.normal(size=grid16.x_shape) + 1j * rng.normal(size=grid16.x_shape)
-        via_matrix = op.apply(u)
-        via_fft = sc.apply_fft(gs, u)
+        via_matrix = apply_dense(op, u)
+        via_fft = apply_fft(gs, u)
         scale = np.max(np.abs(via_fft))
         assert np.max(np.abs(via_matrix - via_fft)) <= 1e-11 * scale
 
 
 class TestComposeExact:
     def test_ones(self, grid16):
-        one = sc.unit_symbol(grid16)
+        one = unit_symbol(grid16)
         assert sup_diff(sc.compose_exact(one, one), one) <= 1e-13
 
     def test_x_independent_is_pointwise_product(self, grid16):
@@ -117,7 +119,7 @@ class TestComposeExact:
 
     def test_grid_mismatch(self, grid16, grid32):
         with pytest.raises(sc.GridMismatchError):
-            sc.compose_exact(sc.unit_symbol(grid16), sc.unit_symbol(grid32))
+            sc.compose_exact(unit_symbol(grid16), unit_symbol(grid32))
 
 
 class TestLeibnizTruncated:
@@ -125,7 +127,7 @@ class TestLeibnizTruncated:
         a = sc.parse_symbol("bracket(xi)^2", n=1)
         b = sc.sample(sc.parse_symbol("bracket(xi)^(-2)", n=1), grid16)
         got = sc.leibniz_truncated(a, b, K=1)
-        assert sup_diff(got, sc.unit_symbol(grid16)) <= 1e-12
+        assert sup_diff(got, unit_symbol(grid16)) <= 1e-12
 
     def test_shift_pair_terminates(self, grid16):
         a = sc.parse_symbol("xi1", n=1)
@@ -145,40 +147,3 @@ class TestLeibnizTruncated:
         b = sc.sample(var_laplace, grid16)
         with pytest.raises(sc.DerivativeOrderError):
             sc.leibniz_truncated(var_laplace, b, K=sc.MAX_DERIVATIVE_ORDER + 2)
-
-
-class TestLeibnizInverse:
-    def test_identity(self, grid16):
-        one = sc.unit_symbol(grid16)
-        assert sup_diff(sc.leibniz_inverse(one), one) <= 1e-13
-
-    def test_x_independent_pointwise(self, grid16):
-        u = sc.sample(sc.parse_symbol("bracket(xi)^2+1", n=1), grid16)
-        v = sc.leibniz_inverse(u)
-        expected = sc.sample(sc.parse_symbol("(bracket(xi)^2+1)^(-1)", n=1), grid16)
-        assert sup_diff(v, expected) <= 1e-12
-
-    def test_against_neumann_series_oracle(self, grid16):
-        # geometric series in the operator algebra as the independent oracle
-        r = sc.sample(sc.parse_symbol("0.28*sin(x1)*bracket(xi)^(-1)", n=1), grid16)
-        qr = sc.quantize(r).matrix
-        assert sc.operator_norm(qr) < 0.35
-        u = sc.unit_symbol(grid16) + r
-        dense = sc.leibniz_inverse(u)
-        series = np.eye(grid16.n_modes, dtype=complex)
-        for _ in range(40):
-            series = np.eye(grid16.n_modes, dtype=complex) - qr @ series
-        oracle = sc.extract_symbol(QuantOp(grid16, 1, series))
-        assert sup_diff(dense, oracle) <= 1e-12
-
-    def test_residual_contract(self, grid16, var_laplace):
-        u = sc.sample(sc.shift(var_laplace, 5.0), grid16)
-        v = sc.leibniz_inverse(u, tol=1e-10)
-        one = sc.unit_symbol(grid16)
-        assert sup_diff(sc.compose_exact(u, v), one) <= 1e-10
-        assert sup_diff(sc.compose_exact(v, u), one) <= 1e-10
-
-    def test_singular_symbol_raises(self, grid16):
-        u = sc.sample(sc.parse_symbol("xi1", n=1), grid16)  # kills the 0 mode
-        with pytest.raises(sc.SingularOperatorError):
-            sc.leibniz_inverse(u)

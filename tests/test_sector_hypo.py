@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.hypo import _pointwise_resolvent_norms
 from sectorcalc.util import multi_indices_below
+
+from reference import pointwise_resolvent_norms
 
 MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
            "[0, (2+cos(x1))*(1+xi1^2)+5, bracket(xi)], [0, 0, bracket(xi)^2+5]]")
@@ -33,25 +34,6 @@ class TestSector:
         sec = sc.Sector(np.pi / 4)
         assert sec.contains(sec.boundary_point(17.3))
         assert sec.contains(sec.boundary_point(17.3, upper=False))
-
-
-class TestOmegaRegion:
-    def test_radius_at_origin(self, sector_right):
-        expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        omega = sc.omega_region(expr, 0.0, 0.0, sector_right)
-        assert omega.radius == pytest.approx(2.0)
-
-    def test_radius_at_xi_one(self, sector_right):
-        expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        omega = sc.omega_region(expr, 0.0, 1.0, sector_right)
-        assert omega.radius == pytest.approx(4.0)
-
-    def test_sector_excluded(self, sector_right):
-        expr = sc.parse_symbol("bracket(xi)^2", n=1)
-        omega = sc.omega_region(expr, 0.0, 0.0, sector_right)
-        assert not omega.contains(-1.0)       # inside the sector
-        assert omega.contains(1.0)
-        assert not omega.contains(3.0)        # beyond the radius
 
 
 class TestCheckSpectrum:
@@ -194,7 +176,7 @@ class TestConstants:
         a_abs = np.abs(tab.values[..., 0, 0])
         for lam_scale in (2.0, 3.0, 10.0):
             lam = lam_scale * float(np.max(a_abs))
-            rnorm = _pointwise_resolvent_norms(tab.values, lam)
+            rnorm = pointwise_resolvent_norms(tab.values, lam)
             assert np.all(rnorm <= (1.0 + 1e-10) / a_abs)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -213,7 +195,7 @@ class TestConstants:
         values = unitary(shape) @ (s[..., None] * unitary(shape)) \
             + lam * np.eye(k)
         ref = 1.0 / np.linalg.svd(values - lam * np.eye(k), compute_uv=False)[..., -1]
-        got = _pointwise_resolvent_norms(values, lam)
+        got = pointwise_resolvent_norms(values, lam)
         assert got.shape == shape[:-2]
         assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
@@ -256,7 +238,7 @@ def full_table_constants(expr, sector, grid, class_params, report,
     radii = np.geomspace(lo, hi, samples_per_ray)
     lambdas = [0.0 + 0.0j]
     lambdas.extend(complex(z) for z in sector.ray_points(radii))
-    resnorms = [_pointwise_resolvent_norms(masked, lam) for lam in lambdas]
+    resnorms = [pointwise_resolvent_norms(masked, lam) for lam in lambdas]
     assert all(np.all(np.isfinite(rn)) for rn in resnorms)
 
     bracket = grid.bracket_xi().reshape((1,) * grid.n + grid.xi_shape)
@@ -278,7 +260,7 @@ def full_table_constants(expr, sector, grid, class_params, report,
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
             lam = factor * 2.0 * sup_a * np.exp(1j * angle)
-            rn = _pointwise_resolvent_norms(masked, lam)
+            rn = pointwise_resolvent_norms(masked, lam)
             c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
     return c_table, c0
 
@@ -347,6 +329,25 @@ class TestCertifiedHypoMaxima:
                                          for c in range(k)) + "]" for r in range(k))
         self.assert_full_table(sc.parse_symbol(f"[{rows}]", n=1, k=k), sector_right,
                                grid32, sc.SymbolClassParams(m=2), C=1.0)
+
+    def test_bounds_rounded_below_the_norm(self, grid32, sector_right, monkeypatch):
+        # A computed bound may round below the exact norm it bounds; BOUND_SLACK
+        # covers that.  Here every bound sits below its exact norm by a relative
+        # 0.9 BOUND_SLACK (1 - cos x)/2, and the symbol's maximum over x is a
+        # near-tie: a(x, xi) differs across x by 1e-12 cos x, largest norm at
+        # x = pi, where the bound is lowest.  Every maximum must still be the
+        # full table's float.
+        def low_bounds(inv):
+            exact = sc.grid._spectral_norms(inv)
+            assert len(exact) == grid32.points * grid32.modes_per_axis  # C = 0, x-major
+            x = grid32.x_axis[np.arange(len(exact)) // grid32.modes_per_axis]
+            return exact * (1.0 - 0.9 * sc.grid.BOUND_SLACK * 0.5 * (1.0 - np.cos(x)))
+
+        monkeypatch.setattr(sc.hypo, "_hoelder_bounds", low_bounds)
+        expr = sc.parse_symbol("[[bracket(xi)^2+3+1e-12*cos(x1), 0], "
+                               "[0, bracket(xi)^2+5+i*xi1]]", n=1, k=2)
+        self.assert_full_table(expr, sector_right, grid32, sc.SymbolClassParams(m=2),
+                               max_order=1)
 
     def test_exact_norms_at_few_pairs(self, sector_right, monkeypatch):
         # the certificate is the point: exact norms at <= 10% of the pairs
