@@ -73,6 +73,9 @@ def cmd_parametrix(rc, args):
     R = calc.find_R()
     lo = rc.lambda_min if rc.lambda_min > 0 else R
     lo = max(lo, R)
+    if not rc.lambda_max > lo:
+        raise ConfigError(f"lambda.max = {rc.lambda_max!r} must exceed "
+                          f"max(lambda.min, R) = {lo!r}")
     radii = np.geomspace(lo, rc.lambda_max, rc.lambda_count)
     family = parametrix_sweep(calc, radii, R, tol=rc.parametrix_tol)
     family.to_csv(_out_path(args, "parametrix_sweep.csv"))

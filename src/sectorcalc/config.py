@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import SymbolClassParams, parse_symbol
+from .dsl import MAX_DERIVATIVE_ORDER, SymbolClassParams, parse_symbol
 from .errors import ConfigError, SectorcalcError
 from .presets import get_preset
 from .sector import Sector
@@ -62,11 +62,25 @@ class _Cfg:
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: not a number: {raw!r}") from exc
 
+    def get_positive(self, key, default):
+        val = self.get_float(key, default)
+        if not val > 0:
+            raise ConfigError(f"config key {key!r}: must be > 0, got {val!r}")
+        return val
+
     def get_int(self, key, default=None):
         val = self.get_float(key, default)
         if val != int(val):
             raise ConfigError(f"config key {key!r}: expected an integer, got {val!r}")
         return int(val)
+
+    def get_int_in(self, key, default, lo, hi=None, why=""):
+        """:meth:`get_int` with lo <= value (<= hi) enforced."""
+        val = self.get_int(key, default)
+        if val < lo or (hi is not None and val > hi):
+            allowed = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{key} must be {allowed}{why}")
+        return val
 
 
 @dataclass
@@ -99,7 +113,6 @@ def resolve_config(values):
     """Validate raw key/value pairs and build the run objects."""
     cfg = _Cfg(values)
     n = cfg.get_int("symbol.n", 1)
-    k = cfg.get_int("symbol.k", 1)
     preset = cfg.get("symbol.preset")
     expr_text = cfg.get("symbol.expr")
     if preset and expr_text:
@@ -108,7 +121,7 @@ def resolve_config(values):
         if preset:
             base_expr, params = get_preset(preset, n=n)
         elif expr_text:
-            base_expr = parse_symbol(expr_text, n=n, k=k)
+            base_expr = parse_symbol(expr_text, n=n)
             params = SymbolClassParams(m=cfg.get_float("class.m"))
         else:
             raise ConfigError("config must set symbol.preset or symbol.expr")
@@ -116,6 +129,9 @@ def resolve_config(values):
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.get("symbol.k") is not None and cfg.get_int("symbol.k") != base_expr.k:
+        raise ConfigError(f"symbol.k = {cfg.get('symbol.k')} does not match the "
+                          f"{base_expr.k}x{base_expr.k} symbol")
     params = SymbolClassParams(
         m=cfg.get_float("class.m", params.m),
         rho=cfg.get_float("class.rho", params.rho),
@@ -127,19 +143,10 @@ def resolve_config(values):
                          xi_max=cfg.get_int("grid.xi_max", -1))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    parametrix_N = cfg.get_int("parametrix.N", 3)
-    if parametrix_N < 1:
-        raise ConfigError("parametrix.N must be >= 1")
     shift_c = cfg.get_float("shift", 0.0)
     if shift_c < 0:
         raise ConfigError("shift must be >= 0")
     expr = base_expr.shifted(shift_c) if shift_c > 0 else base_expr
-    bip_steps = cfg.get_int("bip.steps", 11)
-    if bip_steps < 2:
-        raise ConfigError("bip.steps must be >= 2 (the growth rate is a fit)")
-    bip_n_reg = cfg.get_int("bip.n_reg", 1000)
-    if bip_n_reg < 1:
-        raise ConfigError("bip.n_reg must be >= 1")
     raw_functions = cfg.get("functions", "")
     function_specs = [spec.strip() for spec in raw_functions.split(",") if spec.strip()]
     return RunConfig(
@@ -147,19 +154,21 @@ def resolve_config(values):
         grid=grid,
         hypo_c=cfg.get_float("hypo.c", 0.5),
         hypo_C=cfg.get_float("hypo.C", 0.0),
-        hypo_max_order=cfg.get_int("hypo.max_order", 2),
-        parametrix_N=parametrix_N,
-        parametrix_tol=cfg.get_float("parametrix.tol", 1e-11),
+        hypo_max_order=cfg.get_int_in("hypo.max_order", 2, 0, MAX_DERIVATIVE_ORDER),
+        parametrix_N=cfg.get_int_in("parametrix.N", 3, 1),
+        parametrix_tol=cfg.get_positive("parametrix.tol", 1e-11),
         lambda_min=cfg.get_float("lambda.min", 0.0),
         lambda_max=cfg.get_float("lambda.max", 1e4),
-        lambda_count=cfg.get_int("lambda.count", 10),
-        contour_nodes_per_decade=cfg.get_int("contour.nodes_per_decade", 0),
-        calc_quad_tol=cfg.get_float("calc.quad_tol", 1e-5),
+        lambda_count=cfg.get_int_in("lambda.count", 10, 2,
+                                    why=" (the decay slopes are fits)"),
+        contour_nodes_per_decade=cfg.get_int_in("contour.nodes_per_decade", 0, 0),
+        calc_quad_tol=cfg.get_positive("calc.quad_tol", 1e-5),
         function_specs=function_specs,
-        bip_tmax=cfg.get_float("bip.tmax", 5.0),
-        bip_steps=bip_steps,
-        bip_n_reg=bip_n_reg,
-        bip_quad_tol=cfg.get_float("bip.quad_tol", 1e-6),
+        bip_tmax=cfg.get_positive("bip.tmax", 5.0),
+        bip_steps=cfg.get_int_in("bip.steps", 11, 2,
+                                 why=" (the growth rate is a fit)"),
+        bip_n_reg=cfg.get_int_in("bip.n_reg", 1000, 1),
+        bip_quad_tol=cfg.get_positive("bip.quad_tol", 1e-6),
     )
 
 

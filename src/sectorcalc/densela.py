@@ -2,7 +2,8 @@
 
 Everything here is deterministic: LU via LAPACK partial pivoting with one
 step of iterative refinement, spectral norms via power iteration from a
-fixed all-ones start vector.  Solves at distinct lambda are independent;
+fixed all-ones start vector, and the resolvent-norm sweep's norms exact from
+the smallest singular value.  Solves at distinct lambda are independent;
 matrices are immutable by convention.
 """
 
@@ -91,9 +92,16 @@ def operator_norm(A, tol=1e-8, maxiter=5000, return_info=False):
 def resolvent_norm_sweep(A, sector, radii):
     """(lambda, ||(A-lambda)^{-1}||) along both boundary rays of the sector.
 
-    Rows come in deterministic order: for each radius, the upper ray point
-    then the lower ray point.
+    Each norm is exact, 1/sigma_min(A - lambda) from one SVD.  Rows come in
+    deterministic order: for each radius, the upper ray point then the lower
+    ray point.  A lambda at which A - lambda is numerically singular
+    (sigma_min <= dim * eps * sigma_max) raises :class:`SingularOperatorError`.
     """
     M = _as_matrix(A)
-    return [(complex(lam), operator_norm(dense_resolvent(M, lam)))
-            for lam in sector.ray_points(np.asarray(radii, dtype=float))]
+    lams = sector.ray_points(np.asarray(radii, dtype=float))
+    sigma = np.linalg.svd(M - lams[:, None, None] * np.eye(M.shape[0]),
+                          compute_uv=False)
+    if np.any(sigma[:, -1] <= M.shape[0] * np.finfo(float).eps * sigma[:, 0]):
+        raise SingularOperatorError("resolvent sweep: A - lambda numerically singular "
+                                    "at a sample (lambda near the spectrum)")
+    return [(complex(lam), float(1.0 / s)) for lam, s in zip(lams, sigma[:, -1])]

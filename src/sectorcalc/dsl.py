@@ -572,6 +572,34 @@ class _Parser:
         self.i += 1
         return tok
 
+    # symbol := matrix | expr, then the end of the text
+    def symbol(self):
+        entries = self.matrix() if self.peek().kind == "[" else [[self.expr()]]
+        tok = self.peek()
+        if tok.kind != "end":
+            raise SymbolSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+        return entries
+
+    # matrix := '[' row (',' row)* ']', row := '[' expr (',' expr)* ']'
+    def matrix(self):
+        rows = self.bracketed(lambda: (self.peek().pos, self.bracketed(self.expr)))
+        for pos, row in rows:
+            if len(row) != len(rows):
+                raise SymbolSyntaxError(
+                    f"matrix symbol must be square: a row of {len(row)} entries "
+                    f"in {len(rows)} rows", pos)
+        return [row for _, row in rows]
+
+    def bracketed(self, item):
+        """'[' item (',' item)* ']' as a list of items."""
+        self.take("[")
+        items = [item()]
+        while self.peek().kind == ",":
+            self.take()
+            items.append(item())
+        self.take("]")
+        return items
+
     # expr := term (('+'|'-') term)*
     def expr(self):
         node = self.term()
@@ -679,81 +707,31 @@ def _parse_var(name, n, pos):
     return None
 
 
-def _parse_scalar(text, n):
-    parser = _Parser(_tokenize(text), n)
-    node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise SymbolSyntaxError(f"trailing input {tok.text!r}", tok.pos)
-    return node
-
-
-def parse_symbol(text, n=1, k=1, validate=True):
+def parse_symbol(text, n=1, k=None, validate=True):
     """Parse symbol text into a :class:`SymbolExpr`.
 
-    Matrix symbols (k > 1) are written as a bracketed k x k grid,
-    ``[[a11, a12], [a21, a22]]``, each entry a scalar expression.
+    Matrix symbols are written as a bracketed k x k grid,
+    ``[[a11, a12], [a21, a22]]``, each entry a scalar expression; the size k
+    comes from the text.  A given ``k`` must match it.
 
     Raises
     ------
     SymbolSyntaxError, UnknownIdentifierError, DimensionIndexError
-        On malformed text (with character offset).
+        On malformed text or a size other than ``k`` (with the character
+        offset into ``text``).
     NonPeriodicError, SymbolDomainError
         When validation sampling detects non-periodic x-dependence or a
         reachable singular point (log/fractional-power branch cut).
     """
-    text = text.strip()
-    if k > 1 or text.startswith("["):
-        entries = _parse_matrix(text, n, k)
-    else:
-        entries = [[_parse_scalar(text, n)]]
-        k = 1
-    expr = SymbolExpr(entries, n, k)
+    entries = _Parser(_tokenize(text), n).symbol()
+    size = len(entries)
+    if k is not None and k != size:
+        raise SymbolSyntaxError(
+            f"expected a {k}x{k} symbol, the text gives {size}x{size}", 0)
+    expr = SymbolExpr(entries, n, size)
     if validate:
         validate_symbol(expr)
     return expr
-
-
-def _parse_matrix(text, n, k):
-    if not text.startswith("[") or not text.endswith("]"):
-        raise SymbolSyntaxError("matrix symbol must be bracketed [[...],...]", 0)
-    body = text[1:-1]
-    rows, depth, start = [], 0, 0
-    for idx, ch in enumerate(body):
-        if ch == "[":
-            if depth == 0:
-                start = idx + 1
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append((start, body[start:idx]))
-    if not rows:
-        raise SymbolSyntaxError("empty matrix symbol", 0)
-    entries = []
-    for _, row_text in rows:
-        cells = _split_commas(row_text)
-        entries.append([_parse_scalar(cell, n) for cell in cells])
-    rk = len(entries)
-    if any(len(row) != rk for row in entries):
-        raise SymbolSyntaxError("matrix symbol rows must have equal length", 0)
-    if k > 1 and rk != k:
-        raise SymbolSyntaxError(f"expected a {k}x{k} matrix symbol, got {rk}x{rk}", 0)
-    return entries
-
-
-def _split_commas(text):
-    parts, depth, start = [], 0, 0
-    for idx, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:idx])
-            start = idx + 1
-    parts.append(text[start:])
-    return parts
 
 
 # ---------------------------------------------------------------------------

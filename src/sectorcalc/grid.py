@@ -6,10 +6,10 @@ window {-Xi..Xi}^n.  Class membership is therefore only certified on the
 window; reports record the window used.  Window sups of a tabulated symbol
 (plain, weighted by a power of <xi>, or on the interior window) all go
 through :func:`class_weighted_sup`; the pointwise matrix modulus is the
-spectral norm.  For a matrix symbol the sup is decided by the Frobenius
-bound ||M||_2 <= ||M||_F: exact spectral norms are taken only at the nodes
-whose bound can still reach the sup, and the result is the same float as the
-sup of the full norm table (:func:`window_sup`).
+spectral norm.  These sups (by the Frobenius bound ||M||_2 <= ||M||_F) and
+the constants of :mod:`sectorcalc.hypo` share one kernel,
+:func:`certified_maxima`: exact norms only where an upper bound can still
+reach a running max, each max the same float as that of the full norm table.
 """
 
 from __future__ import annotations
@@ -114,15 +114,6 @@ class TorusGrid:
     def bracket_xi(self):
         """<xi> = (1+|xi|^2)^(1/2) per window node, shape xi_shape."""
         return np.sqrt(1.0 + self.xi_norm() ** 2)
-
-    def interior_mask(self, margin):
-        """Window nodes with |xi_axis| <= Xi - margin on every axis."""
-        keep = np.abs(self.xi_axis) <= self.xi_max - margin
-        mesh = np.meshgrid(*([keep] * self.n), indexing="ij")
-        out = mesh[0]
-        for m in mesh[1:]:
-            out = out & m
-        return out
 
 
 def _spectral_norms(values):
@@ -286,37 +277,65 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     window edge.
 
     For k > 1 the Frobenius norms of all nodes are formed from views of the
-    values, with no copy of the (..., k, k) stack; on the window, times the
-    weight, they bound the weighted spectral norms from above.  The exact
-    norm at the node with the largest bound is a lower bound L of the sup,
-    and exact norms are then taken only at the nodes whose bound (with
-    ``BOUND_SLACK`` relative slack) reaches L.  LAPACK treats each matrix of
-    a stack on its own, so the result is the same float as
-    :func:`window_sup` of the full norm table.  A non-finite Frobenius norm at any node falls back to
-    the full table, so NaN and inf propagate as they do there.
+    values, with no copy of the (..., k, k) stack; they bound the spectral
+    norms from above, and :func:`certified_maxima` takes exact norms only
+    where the weighted bound can still reach the sup.  A non-finite
+    Frobenius norm at any node falls back to the full norm table, so NaN and
+    inf propagate as they do there.
     """
     g = gs.grid
-    if gs.k == 1:
-        return window_sup(g, gs.spectral_norms(), weight_exponent, interior_margin)
-    frob2 = sum(np.einsum("...ij,...ij->...", part, part)
-                for part in (gs.values.real, gs.values.imag))
-    if not np.all(np.isfinite(frob2)):
-        return window_sup(g, gs.spectral_norms(), weight_exponent, interior_margin)
     window = _window_slices(g, interior_margin)
-    vals = gs.values[window]
     w = (g.bracket_xi() ** weight_exponent)[window[g.n:]]
-    bound = np.sqrt(frob2[window]) * w
-    w = np.broadcast_to(w, bound.shape)
-    top = np.unravel_index(np.argmax(bound), bound.shape)
-    lower = _spectral_norms(vals[top]) * w[top]
-    keep = bound * (1.0 + BOUND_SLACK) >= lower
-    return float(np.max(_spectral_norms(vals[keep]) * w[keep]))
+    if gs.k > 1:
+        frob2 = sum(np.einsum("...ij,...ij->...", part, part)
+                    for part in (gs.values.real, gs.values.imag))
+        if np.all(np.isfinite(frob2)):
+            vals = gs.values[window]
+            best = [0.0]
+            certified_maxima(best, np.sqrt(frob2[window]),
+                             lambda nodes: _spectral_norms(vals[nodes]), [(1.0, w)])
+            return best[0]
+    return float(np.max(gs.spectral_norms()[window] * w))
+
+
+def certified_maxima(best, bound, exact, factors):
+    """Raise ``best[t]`` to the max over nodes of da * r * w, for the t-th
+    (da, w) in ``factors``, where r >= 0 is a per-node quantity.
+
+    ``bound`` is a finite upper bound of r per node, and ``exact(nodes)``
+    returns r at the nodes of a boolean mask of ``bound``'s shape, in the
+    mask's order, each the float the full table holds there (LAPACK treats
+    each matrix of a stack on its own).  da and w broadcast to that shape.  r is taken first at
+    each output's top-bound node, then only at the nodes where some output's
+    bound da * bound * w, with ``BOUND_SLACK`` relative slack, still reaches
+    its running max.  Every running max stays an attained product, so the
+    maxima are the same floats as those of the full table of r.
+    """
+    factors = [(np.broadcast_to(da, bound.shape), np.broadcast_to(w, bound.shape))
+               for da, w in factors]
+    bounds = [da * bound * w for da, w in factors]
+
+    def raise_at(nodes):
+        r = exact(nodes)
+        for t, (da, w) in enumerate(factors):
+            best[t] = max(best[t], float(np.max(da[nodes] * r * w[nodes])))
+
+    top = np.zeros(bound.shape, dtype=bool)
+    for b in bounds:
+        top.flat[np.argmax(b)] = True
+    raise_at(top)
+    keep = np.zeros(bound.shape, dtype=bool)
+    for b, lower in zip(bounds, best):
+        keep |= b * (1.0 + BOUND_SLACK) >= lower
+    keep &= ~top
+    if np.any(keep):
+        raise_at(keep)
 
 
 def _window_slices(g, interior_margin):
-    """Index tuple of the (interior) window as basic slices, so indexing
-    a table with it gives a view; the nodes are those of
-    ``g.interior_mask(interior_margin)``."""
+    """Index tuple of the (interior) window, the modes with
+    |xi_axis| <= Xi - interior_margin on every axis, as basic slices, so
+    indexing a table with it gives a view."""
     if interior_margin <= 0:
         return (slice(None),) * (2 * g.n)
     keep = np.flatnonzero(np.abs(g.xi_axis) <= g.xi_max - interior_margin)
@@ -324,20 +343,6 @@ def _window_slices(g, interior_margin):
         raise ValueError(f"interior margin {interior_margin} leaves no "
                          f"window modes (half-width {g.xi_max})")
     return (slice(None),) * g.n + (slice(keep[0], keep[-1] + 1),) * g.n
-
-
-def window_sup(g, norms, weight_exponent, interior_margin=0):
-    """:func:`class_weighted_sup` of precomputed pointwise norms on grid ``g``,
-    so several weights of one symbol share one spectral-norm table."""
-    w = g.bracket_xi() ** weight_exponent
-    norms = norms * w.reshape((1,) * g.n + g.xi_shape)
-    if interior_margin > 0:
-        mask = g.interior_mask(interior_margin)
-        if not np.any(mask):
-            raise ValueError(f"interior margin {interior_margin} leaves no "
-                             f"window modes (half-width {g.xi_max})")
-        norms = norms[(slice(None),) * g.n + (mask,)]
-    return float(np.max(norms))
 
 
 def spectral_Dx(vals, grid, axis, order):

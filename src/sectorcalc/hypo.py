@@ -6,11 +6,12 @@ derivative-times-resolvent bounds are estimated as sups over the grid and a
 log-uniform lambda sample cloud.  Pointwise eigenvalues come from one
 stacked LAPACK call (a slice for scalar symbols); pointwise resolvent norms
 are spectral norms of the stacked inverses on the |xi| >= C nodes.  For a
-matrix symbol every constant is a max over (lambda, node) pairs, and an exact
-norm is taken only where the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2)
-of the inverse X can still reach the running max: the constants are the same
-floats as the maxima of the full norm table.  Failures are data (collected
-in the report), not exceptions.
+matrix symbol every constant is a max over (lambda, node) pairs, decided by
+the package's one certified-maximum kernel, :func:`grid.certified_maxima`,
+with the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2) of the inverse X:
+the constants are the same floats as the maxima of the full norm table.
+Derivatives that vanish at every node take no exact norms.  Failures are
+data (collected in the report), not exceptions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BOUND_SLACK, _spectral_norms, sample
+from .grid import _spectral_norms, certified_maxima, sample
 from .util import multi_indices_below
 
 _MAX_STORED_VIOLATIONS = 1000
@@ -127,15 +128,13 @@ def check_spectrum(expr, sector, c, C, grid, class_params=None):
 
 def _sample_maxima(best, values, lam, factors):
     """Raise ``best[t]`` to the max over nodes of da * r * w for the t-th
-    (da, w) in ``factors``, and ``best[-1]`` to that of (1+|lam|^2)^(1/2) r,
-    where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
+    (da, w) in ``factors``, and ``best[-1]``, one entry past them, to that of
+    (1+|lam|^2)^(1/2) r, where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
 
     For k > 1 each node's inverse X bounds its norm from above by
-    h = (||X||_1 ||X||_inf)^(1/2).  The exact norm is taken first at each
-    output's top-bound node, then only at the nodes where some output's
-    bound (with ``BOUND_SLACK``) still reaches its running max.  Every
-    running max is an attained product, so the maxima are the same floats
-    as those of the full norm table.  A non-finite bound means a non-finite
+    h = (||X||_1 ||X||_inf)^(1/2), and :func:`certified_maxima` takes exact
+    norms only where some output's bound can still reach its running max,
+    with c0 as one more output.  A non-finite bound means a non-finite
     inverse, and that sample takes the full table.  Returns whether every
     norm is finite; a singular stack raises ``numpy.linalg.LinAlgError``.
     """
@@ -149,18 +148,13 @@ def _sample_maxima(best, values, lam, factors):
         inv = np.linalg.inv(values - lam[..., None, None] * np.eye(k))
         h = _hoelder_bounds(inv)
         if np.all(np.isfinite(h)):
-            bounds = [da * h * w for da, w in factors]
-            top = sorted({int(np.argmax(b)) for b in bounds + [h]})
-            _update_maxima(best, factors, scale, _spectral_norms(inv[top]), top)
-            keep = scale * h * (1.0 + BOUND_SLACK) >= best[-1]
-            for b, lower in zip(bounds, best):
-                keep |= b * (1.0 + BOUND_SLACK) >= lower
-            keep[top] = False
-            if np.any(keep):
-                _update_maxima(best, factors, scale, _spectral_norms(inv[keep]), keep)
+            certified_maxima(best, h, lambda nodes: _spectral_norms(inv[nodes]),
+                             factors + [(scale, 1.0)])
             return True
         rn = _spectral_norms(inv)
-    _update_maxima(best, factors, scale, rn, slice(None))
+    for t, (da, w) in enumerate(factors):
+        best[t] = max(best[t], float(np.max(da * rn * w)))
+    best[-1] = max(best[-1], float(scale * np.max(rn)))
     return bool(np.all(np.isfinite(rn)))
 
 
@@ -170,13 +164,6 @@ def _hoelder_bounds(inv):
     # |X| as (k, k, nodes), so both sums and maxima run over leading axes
     mod = np.abs(np.ascontiguousarray(inv.transpose(1, 2, 0)))
     return np.sqrt(mod.sum(axis=0).max(axis=0) * mod.sum(axis=1).max(axis=0))
-
-
-def _update_maxima(best, factors, scale, rn, nodes):
-    """The update of :func:`_sample_maxima` from the norms ``rn`` at ``nodes``."""
-    for t, (da, w) in enumerate(factors):
-        best[t] = max(best[t], float(np.max(da[nodes] * rn * w[nodes])))
-    best[-1] = max(best[-1], float(scale * np.max(rn)))
 
 
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
@@ -197,7 +184,9 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     samples are taken in one pass with a certificate (:func:`_sample_maxima`):
     the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2) of each inverse
     decides where an exact norm can still reach a running max, and the
-    constants are the same floats as the maxima of the full norm table.
+    constants are the same floats as the maxima of the full norm table.  A
+    derivative that vanishes at every node gives the constant 0.0 and takes
+    no part in the certificate.
     """
     if not report.passed:
         raise ValueError("estimate_hypo_constants requires a passing spectrum check")
@@ -212,12 +201,15 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     lambdas.extend(complex(z) for z in sector.ray_points(radii))
 
     bracket = grid.bracket_xi().reshape((1,) * grid.n + grid.xi_shape)
-    keys, factors = [], []
+    c_table, keys, factors = {}, [], []
     for alpha in multi_indices_below(grid.n, max_order + 1):
         for beta in multi_indices_below(grid.n, max_order + 1 - sum(alpha)):
+            da_norm = sample(expr.diff(alpha, beta), grid).spectral_norms()[mask]
+            c_table[alpha, beta] = 0.0
+            if not np.any(da_norm):
+                continue  # a vanishing derivative needs no resolvent norm
             weight = bracket ** (class_params.rho * sum(alpha)
                                  - class_params.delta * sum(beta))
-            da_norm = sample(expr.diff(alpha, beta), grid).spectral_norms()[mask]
             keys.append((alpha, beta))
             factors.append((da_norm, np.broadcast_to(weight, mask.shape)[mask]))
 
@@ -231,12 +223,14 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
             raise ValueError(f"(a - lambda) singular at a sample lambda={lam!r}; "
                              "inconsistent with the passed spectrum check")
     # Exterior-of-sector samples: outside every Omega_{x,xi} by construction.
+    c0 = best[-1:]
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
-            _sample_maxima(best, masked, factor * 2.0 * sup_a * np.exp(1j * angle), [])
+            _sample_maxima(c0, masked, factor * 2.0 * sup_a * np.exp(1j * angle), [])
 
-    report.c_table = dict(zip(keys, best))
-    report.c0 = best[-1]
+    c_table.update(zip(keys, best))
+    report.c_table = c_table
+    report.c0 = c0[0]
     report.extras["sup_symbol_norm"] = sup_a
     report.extras["lambda_samples_per_ray"] = float(samples_per_ray)
     return report

@@ -3,7 +3,7 @@
 None of these runs in a CLI stage or an acceptance criterion: each is a
 second route to a quantity the package computes another way (FFT
 application against the dense matrix, the deformed contour against the
-straight rays, the full resolvent-norm table against the certified maxima,
+straight rays, the full norm tables against the certified sups and maxima,
 exact-derivative seminorms), or a stated paper construct that only a test
 exercises.
 """
@@ -119,6 +119,23 @@ def seminorm(expr, alpha, beta, class_params, grid):
     deriv = expr.diff(alpha, beta)
     return class_weighted_sup(sc.sample(deriv, grid), class_params.xi_weight_exponent(
         _tup(alpha, grid.n), _tup(beta, grid.n)))
+
+
+def full_table_sup(gs, weight_exponent, interior_margin=0):
+    """class_weighted_sup from the full table of pointwise spectral norms,
+    with the interior window as a boolean mask of the modes with
+    |xi_axis| <= Xi - interior_margin on every axis."""
+    g = gs.grid
+    w = g.bracket_xi() ** weight_exponent
+    norms = _spectral_norms(gs.values) * w.reshape((1,) * g.n + g.xi_shape)
+    if interior_margin > 0:
+        keep = np.abs(g.xi_axis) <= g.xi_max - interior_margin
+        mask = np.logical_and.reduce(np.meshgrid(*([keep] * g.n), indexing="ij"))
+        if not np.any(mask):
+            raise ValueError(f"interior margin {interior_margin} leaves no "
+                             f"window modes (half-width {g.xi_max})")
+        norms = norms[(slice(None),) * g.n + (mask,)]
+    return float(np.max(norms))
 
 
 def pointwise_resolvent_norms(values, lam):

@@ -106,6 +106,59 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("calc", "contour.nodes_per_decade = -4", "nodes_per_decade must be >= 0"),
+        ("parametrix", "lambda.count = 0", "lambda.count must be >= 2"),
+        ("parametrix", "lambda.count = 1", "lambda.count must be >= 2"),
+        ("parametrix", "parametrix.tol = 0", "'parametrix.tol': must be > 0"),
+        ("parametrix", "parametrix.tol = -1", "'parametrix.tol': must be > 0"),
+        ("bip", "bip.tmax = 0", "'bip.tmax': must be > 0"),
+        ("bip", "bip.quad_tol = 0", "'bip.quad_tol': must be > 0"),
+        ("calc", "calc.quad_tol = 0", "'calc.quad_tol': must be > 0"),
+        ("check", "hypo.max_order = -1", "hypo.max_order must be in [0, 8]"),
+        ("check", "hypo.max_order = 9", "hypo.max_order must be in [0, 8]"),
+        ("parametrix", "lambda.max = 0.5", "must exceed max(lambda.min, R)"),
+    ], ids=["nodes_per_decade", "lambda_count_0", "lambda_count_1", "tol_0",
+            "tol_negative", "tmax_0", "bip_quad_tol_0", "calc_quad_tol_0",
+            "max_order_negative", "max_order_9", "lambda_max_below_R"])
+    def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, command,
+                                                   line, message):
+        key = line.split(" =")[0] + " "
+        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
+        rows = [row.replace("grid.points = 32", "grid.points = 16") for row in rows]
+        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert list(out.iterdir()) == []
+
+
+MATRIX2_EXPR = ("[[(2+sin(x1))*(1+xi1^2)+2, bracket(xi)], "
+                "[0, (2+cos(x1))*(1+xi1^2)+2]]")
+
+
+class TestMatrixSymbols:
+    def test_size_comes_from_the_text(self, tmp_path):
+        cfg = write_cfg(tmp_path, f"symbol.expr = {MATRIX2_EXPR}\nclass.m = 2\n"
+                                  "grid.points = 16\n")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "k = 2" in (tmp_path / "hypo_summary.txt").read_text()
+
+    @pytest.mark.parametrize("symbol", [
+        f"symbol.expr = {MATRIX2_EXPR}\nsymbol.k = 3",
+        "symbol.preset = jordan2\nsymbol.k = 1",
+        "symbol.expr = [[1, 0] junk [0, 1]]",
+    ], ids=["expr_k_mismatch", "preset_k_mismatch", "junk_between_rows"])
+    def test_bad_matrix_symbols_are_config_errors(self, tmp_path, capsys, symbol):
+        cfg = write_cfg(tmp_path, f"{symbol}\nclass.m = 2\ngrid.points = 16\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+
 class TestNumericalErrors:
     @pytest.mark.parametrize("exc, hinted", [
         (SingularOperatorError("pivot broke down"), True),

@@ -79,6 +79,20 @@ class TestDenseResolvent:
         assert -1.1 <= slope <= -0.9
         assert np.isfinite(weighted_sup)
 
+    def test_sweep_norms_are_exact(self, grid32, var_laplace_shifted, sector_right):
+        # the sweep's norms are exact, not a power-iteration lower bound
+        A = sc.quantize(sc.sample(var_laplace_shifted, grid32)).matrix
+        rows = sc.resolvent_norm_sweep(A, sector_right, np.geomspace(10.0, 1e4, 8))
+        assert len(rows) == 16
+        for lam, nrm in rows:
+            ref = np.linalg.norm(np.linalg.inv(A - lam * np.eye(len(A))), 2)
+            assert abs(nrm - ref) <= 1e-12 * ref
+
+    def test_sweep_flags_the_spectrum(self, sector_right):
+        lam = sector_right.ray_points(np.array([2.0]))[0]
+        with pytest.raises(sc.SingularOperatorError):
+            sc.resolvent_norm_sweep(np.diag([lam, 100.0]), sector_right, [2.0])
+
     def test_weighted_sup_stable_under_doubling(self, grid16, var_laplace_shifted,
                                                 sector_right):
         A = sc.quantize(sc.sample(var_laplace_shifted, grid16)).matrix

@@ -79,6 +79,29 @@ class TestParsing:
         with pytest.raises(SymbolSyntaxError):
             sc.parse_symbol("[[1, 0], [0, 1]]", n=1, k=3)
 
+    def test_matrix_size_comes_from_the_text(self):
+        expr = sc.parse_symbol("[[bracket(xi)^2+5, 100], [0, bracket(xi)^2+7]]", n=1)
+        assert expr.k == 2
+        val = expr.eval(np.array(0.0), np.array(1.0))
+        assert np.array_equal(val, [[7, 100], [0, 9]])
+
+    @pytest.mark.parametrize("text, offset", [
+        ("[[1, 0] junk [0, 1]]", 8),
+        ("[[1, 0] [0, 1]]", 8),
+        ("[[1, 0],, [0, 1]]", 8),
+        ("[[1,0],[0,1]]]", 13),
+        ("[[1, 0], [0]]", 9),
+    ], ids=["junk", "missing_comma", "double_comma", "extra_bracket", "ragged"])
+    def test_malformed_matrix_rejected(self, text, offset):
+        with pytest.raises(SymbolSyntaxError) as info:
+            sc.parse_symbol(text, n=1)
+        assert info.value.position == offset
+
+    def test_matrix_error_offset_is_into_the_whole_text(self):
+        with pytest.raises(DimensionIndexError) as info:
+            sc.parse_symbol("[[1, 0], [0, x9]]", n=1)
+        assert info.value.position == 13
+
 
 class TestDerivatives:
     def test_bracket_square_xi_derivative(self):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.grid import _spectral_norms, class_weighted_sup, window_sup
+from sectorcalc.grid import (BOUND_SLACK, _spectral_norms, _window_slices,
+                             certified_maxima, class_weighted_sup)
 
-from reference import seminorm
+from reference import full_table_sup, seminorm
 
 # the benchmark's non-normal 3x3 scene, x-dependent and upper triangular
 MATRIX3 = ("[[(2+sin(x1))*(1+xi1^2)+5, bracket(xi), 0], "
@@ -32,9 +33,9 @@ class TestTorusGrid:
         assert np.allclose(np.diff(g.x_axis), 2 * np.pi / 8)
         assert list(g.xi_axis) == [-2, -1, 0, 1, 2]
 
-    def test_interior_mask(self):
+    def test_interior_window(self):
         g = sc.TorusGrid(n=1, points=8, xi_max=3)
-        assert list(g.interior_mask(1)) == [False, True, True, True, True, True, False]
+        assert list(g.xi_axis[_window_slices(g, 1)[1]]) == [-2, -1, 0, 1, 2]
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -139,11 +140,6 @@ class TestSpectralNorms:
         norms = _spectral_norms(np.zeros((4, 5, 3, 3), dtype=complex))
         assert norms.shape == (4, 5)
         assert np.all(norms == 0.0)
-
-
-def full_table_sup(gs, weight_exponent, margin):
-    """The window sup from the full table of pointwise spectral norms."""
-    return window_sup(gs.grid, _spectral_norms(gs.values), weight_exponent, margin)
 
 
 def stack_symbol(values):
@@ -261,6 +257,78 @@ class TestCertifiedSup:
         class_weighted_sup(tables["rN"], 0.0, margin)
         nodes = calc.grid.points * (calc.grid.modes_per_axis - 2 * margin)
         assert sum(counted) < nodes / 2
+
+
+class TestCertifiedMaxima:
+    """certified_maxima gives the maxima of the full table of r, and takes no
+    node's exact value twice."""
+
+    @staticmethod
+    def full_table(best, r, factors):
+        return [max(b, float(np.max(da * r * w))) for b, (da, w) in zip(best, factors)]
+
+    @staticmethod
+    def certified(best, r, bound, factors):
+        best, taken = list(best), np.zeros(r.shape, dtype=int)
+
+        def exact(nodes):
+            taken[nodes] += 1
+            return r[nodes]
+
+        certified_maxima(best, bound, exact, factors)
+        assert taken.max() == 1
+        return best, int(taken.sum())
+
+    @pytest.mark.parametrize("shape", [(60,), (16, 15)])
+    def test_random_outputs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            r = rng.uniform(0.0, 1.0, shape)
+            bound = r * rng.uniform(1.0, 1.5, shape)
+            factors = [(rng.uniform(0.0, 2.0, shape), rng.uniform(0.5, 1.0, shape[-1:]))
+                       for _ in range(3)] + [(2.5, 1.0)]
+            best = [0.0] * len(factors)
+            got, _ = self.certified(best, r, bound, factors)
+            assert got == self.full_table(best, r, factors)
+
+    def test_running_maxima_carry_over(self):
+        # a max already above every product stays, after one exact value
+        rng = np.random.default_rng(1)
+        r = rng.uniform(0.0, 1.0, 40)
+        got, taken = self.certified([5.0], r, 1.1 * r, [(1.0, 1.0)])
+        assert got == [5.0] and taken == 1
+
+    def test_ties(self):
+        # every node attains the max, and the bound is the exact value
+        r = np.full((8, 7), 0.3)
+        factors = [(1.0, 1.0), (np.full((8, 7), 2.0), 3.0)]
+        got, _ = self.certified([0.0, 0.0], r, r.copy(), factors)
+        assert got == self.full_table([0.0, 0.0], r, factors)
+
+    def test_all_zero_output(self):
+        rng = np.random.default_rng(2)
+        r = rng.uniform(0.5, 1.0, 30)
+        factors = [(np.zeros(30), 1.0), (rng.uniform(0.0, 1.0, 30), 1.0)]
+        got, _ = self.certified([0.0, 0.0], r, 1.2 * r, factors)
+        assert got == self.full_table([0.0, 0.0], r, factors)
+        assert got[0] == 0.0
+
+    def test_bound_at_the_exact_value(self):
+        rng = np.random.default_rng(3)
+        r = rng.uniform(0.0, 1.0, (12, 11))
+        factors = [(rng.uniform(0.0, 1.0, (12, 11)), rng.uniform(0.5, 1.0, 11))]
+        got, taken = self.certified([0.0], r, r.copy(), factors)
+        assert got == self.full_table([0.0], r, factors)
+        assert taken < r.size
+
+    def test_bound_rounded_below_the_exact_value(self):
+        # near-tied values whose bounds sit up to 0.9 BOUND_SLACK below them:
+        # the top-bound node is not the top node, and the slack finds it
+        rng = np.random.default_rng(4)
+        r = 1.0 + 1e-13 * rng.uniform(0.0, 1.0, 50)
+        bound = r * (1.0 - 0.9 * BOUND_SLACK * rng.uniform(0.0, 1.0, 50))
+        got, _ = self.certified([0.0], r, bound, [(1.0, 1.0)])
+        assert got == [float(r.max())]
 
 
 class TestGridSeminorm:
