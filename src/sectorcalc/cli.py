@@ -63,6 +63,11 @@ def _make_calculator(rc):
 
 
 def cmd_parametrix(rc, args):
+    if rc.hypo_C > 0:
+        raise ConfigError(
+            f"parametrix needs hypo.C = 0, got {rc.hypo_C!r}: the excision zeroes "
+            "b^N for |xi| <= C, so ||quantize(r^N)|| stays near 1 at every |lambda| "
+            "and no invertibility radius R exists")
     base = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C,
                           rc.grid, rc.class_params)
     if not base.passed:
@@ -77,7 +82,7 @@ def cmd_parametrix(rc, args):
         raise ConfigError(f"lambda.max = {rc.lambda_max!r} must exceed "
                           f"max(lambda.min, R) = {lo!r}")
     radii = np.geomspace(lo, rc.lambda_max, rc.lambda_count)
-    family = parametrix_sweep(calc, radii, R, tol=rc.parametrix_tol)
+    family = parametrix_sweep(calc, radii, tol=rc.parametrix_tol)
     family.to_csv(_out_path(args, "parametrix_sweep.csv"))
     print(f"R = {R!r}")
     for name in sorted(family.slopes):

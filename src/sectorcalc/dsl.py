@@ -707,7 +707,7 @@ def _parse_var(name, n, pos):
     return None
 
 
-def parse_symbol(text, n=1, k=None, validate=True):
+def parse_symbol(text, n=1, k=None):
     """Parse symbol text into a :class:`SymbolExpr`.
 
     Matrix symbols are written as a bracketed k x k grid,
@@ -729,8 +729,7 @@ def parse_symbol(text, n=1, k=None, validate=True):
         raise SymbolSyntaxError(
             f"expected a {k}x{k} symbol, the text gives {size}x{size}", 0)
     expr = SymbolExpr(entries, n, size)
-    if validate:
-        validate_symbol(expr)
+    validate_symbol(expr)
     return expr
 
 

@@ -48,27 +48,24 @@ class HFun:
         Vectorized evaluator z -> complex.
     d : float
         Decay exponent: |f(z)| <= c_f (|z|^d + |z|^{-d})^{-1}.
-    c_f : float, optional
-        Bound constant; estimated from ray samples when omitted.
     name : str
         Label used in reports.
+
+    The bound constant ``c_f`` is estimated from ray samples by
+    :meth:`ensure_cf` or :meth:`validate`.
     """
 
-    def __init__(self, fn, d, c_f=None, name="f"):
+    def __init__(self, fn, d, name="f"):
         if d <= 0:
             raise ValueError("decay exponent d must be positive")
         self.fn = fn
         self.d = float(d)
-        self.c_f = c_f
+        self.c_f = None
         self.name = name
         self._sup_cache = {}
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
-
-    def scaled(self, c, name=None):
-        return HFun(lambda z: c * self.fn(z), self.d, None,
-                    name or f"{c}*{self.name}")
 
     def _decay_products(self, sector):
         """|f(z)| (|z|^d + |z|^-d) on the validation rays."""
@@ -79,7 +76,7 @@ class HFun:
         return np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
 
     def ensure_cf(self, sector):
-        """Estimate c_f from ray samples when not supplied."""
+        """Estimate c_f from ray samples when not set."""
         if self.c_f is None:
             self.c_f = float(np.max(self._decay_products(sector)) * 1.01)
         return self.c_f
@@ -89,8 +86,8 @@ class HFun:
 
         The rays are arg 0 and +-(theta - 1e-3), sampled at 20 radii per
         decade over 1e-4 .. 1e4.  Every sample of |f(z)| (|z|^d + |z|^-d)
-        must be finite, and a declared c_f must bound their maximum (relative
-        slack 1e-9); an undeclared c_f is set 1% above that maximum.
+        must be finite, and a c_f set beforehand must bound their maximum
+        (relative slack 1e-9); an unset c_f is set 1% above that maximum.
         """
         prod = self._decay_products(sector)
         if not np.all(np.isfinite(prod)):
@@ -228,8 +225,7 @@ def _probe_fun(z, d=1.0):
     return np.exp(d * np.log(z) - 2.0 * d * np.log1p(z))
 
 
-def build_contour(sector, d, tol, c_f=1.0, r_min=None, r_max=None,
-                  nodes_per_decade=None):
+def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
     """Contour with truncation radii from the decay tail bounds.
 
     The outer tail c_f r^{-d}/d and the inner tail c_f r^{d+1}/(d+1)
@@ -239,11 +235,8 @@ def build_contour(sector, d, tol, c_f=1.0, r_min=None, r_max=None,
     """
     if tol <= 0 or d <= 0:
         raise ContourError("tol and d must be positive")
-    if r_max is None:
-        r_max = (4.0 * c_f / (d * tol)) ** (1.0 / d)
-    if r_min is None:
-        r_min = ((d + 1.0) * tol / (4.0 * c_f)) ** (1.0 / (d + 1.0))
-        r_min = min(r_min, 1e-2)
+    r_max = (4.0 * c_f / (d * tol)) ** (1.0 / d)
+    r_min = min(((d + 1.0) * tol / (4.0 * c_f)) ** (1.0 / (d + 1.0)), 1e-2)
     if r_min > r_max:
         raise ContourError(f"r_min={r_min:g} > r_max={r_max:g}")
     if np.log10(r_max / r_min) > _MAX_DECADES:

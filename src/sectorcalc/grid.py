@@ -14,11 +14,11 @@ reach a running max, each max the same float as that of the full norm table.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsl import _as_multi
 from .errors import GridMismatchError, SectorcalcError
 
 # Relative slack on a certified upper bound of a spectral norm before it is
@@ -160,35 +160,11 @@ class GridSymbol:
 
     # -- algebra, pointwise ---------------------------------------------------
 
-    def _check_same(self, other):
+    def __sub__(self, other):
         if self.grid != other.grid or self.k != other.k:
             raise GridMismatchError("operands live on different grids")
-
-    def __add__(self, other):
-        if isinstance(other, GridSymbol):
-            self._check_same(other)
-            return GridSymbol(self.grid, self.values + other.values, self.class_params,
-                              check=False)
-        return self.plus_scalar(other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridSymbol):
-            self._check_same(other)
-            return GridSymbol(self.grid, self.values - other.values, self.class_params,
-                              check=False)
-        return self.plus_scalar(-other)
-
-    def __mul__(self, c):
-        return GridSymbol(self.grid, self.values * c, self.class_params, check=False)
-
-    __rmul__ = __mul__
-
-    def plus_scalar(self, c):
-        """a + c*identity (scalar added on the matrix diagonal)."""
-        out = self.values.copy()
-        idx = np.arange(self.k)
-        out[..., idx, idx] += c
-        return GridSymbol(self.grid, out, self.class_params, check=False)
+        return GridSymbol(self.grid, self.values - other.values, self.class_params,
+                          check=False)
 
     def scale_modes(self, weights):
         """Multiply by a per-frequency-node weight array (e.g. an excision)."""
@@ -208,30 +184,6 @@ class GridSymbol:
         there).
         """
         return class_weighted_sup(self, 0.0, interior_margin)
-
-    # -- export ---------------------------------------------------------------
-
-    def to_csv(self, path):
-        """Write the tabulation as CSV: x index tuple, xi tuple, re/im per entry."""
-        g = self.grid
-        header = [f"ix{ax + 1}" for ax in range(g.n)] + \
-                 [f"xi{ax + 1}" for ax in range(g.n)] + \
-                 [f"{part}{r + 1}{c + 1}" for r in range(self.k)
-                  for c in range(self.k) for part in ("re", "im")]
-        flat = self.values.reshape(g.points ** g.n, g.n_modes, self.k, self.k)
-        x_idx = np.stack(np.unravel_index(np.arange(g.points ** g.n), g.x_shape), axis=-1)
-        modes = self.grid.mode_vectors()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for x_flat in range(g.points ** g.n):
-                for mi in range(g.n_modes):
-                    row = [int(v) for v in x_idx[x_flat]] + [int(v) for v in modes[mi]]
-                    for r in range(self.k):
-                        for c in range(self.k):
-                            z = flat[x_flat, mi, r, c]
-                            row += [repr(float(z.real)), repr(float(z.imag))]
-                    writer.writerow(row)
 
 
 def sample(expr, grid, class_params=None):
@@ -255,8 +207,8 @@ def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):
     validation-grade estimate, adequate for ratio/stability diagnostics.
     """
     class_params.validate(strict=False)
-    alpha = _tup(alpha, gs.grid.n)
-    beta = _tup(beta, gs.grid.n)
+    alpha = _as_multi(alpha, gs.grid.n)
+    beta = _as_multi(beta, gs.grid.n)
     vals = gs.values
     for ax, order in enumerate(beta):
         vals = spectral_Dx(vals, gs.grid, ax, order)
@@ -359,10 +311,3 @@ def spectral_Dx(vals, grid, axis, order):
     spec = np.fft.fft(vals, axis=axis)
     return np.fft.ifft(spec * freqs.reshape(shape) ** order, axis=axis)
 
-
-def _tup(idx, n):
-    if isinstance(idx, (int, np.integer)):
-        if n != 1:
-            raise ValueError("multi-index required in dimension > 1")
-        return (int(idx),)
-    return tuple(int(v) for v in idx)

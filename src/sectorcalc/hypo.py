@@ -25,6 +25,8 @@ from .grid import _spectral_norms, certified_maxima, sample
 from .util import multi_indices_below
 
 _MAX_STORED_VIOLATIONS = 1000
+# Log-uniform lambda moduli per boundary ray in estimate_hypo_constants.
+SAMPLES_PER_RAY = 16
 
 
 def eigenvalues_grid(values):
@@ -167,15 +169,15 @@ def _hoelder_bounds(inv):
 
 
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
-                            max_order=2, samples_per_ray=16):
+                            max_order=2):
     """Estimate c_{alpha,beta} and c0 and store them in the report.
 
     lambda samples: both boundary rays, log-uniform moduli from the gap c up
     to 10 sup|a|, plus lambda = 0 (all automatically outside the exclusion
     regions), plus exterior samples |lambda| = 2 sup|a| times 1, 2, 4 and 8
     on the rays arg in {0, +-theta/2} exercising the extension of the bound
-    beyond the sector.  Doubling ``samples_per_ray`` should move the constants by less
-    than a percent on admissible symbols.
+    beyond the sector.  Doubling ``SAMPLES_PER_RAY`` should move the constants by
+    less than a percent on admissible symbols.
 
     c_{alpha,beta} is the max over the in-sector samples and the |xi| >= C
     nodes of |d^alpha_xi d^beta_x a| ||(a - lambda)^{-1}|| times
@@ -196,7 +198,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     masked = tab.values[mask]
     sup_a = tab.sup_norm()
     lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
-    radii = np.geomspace(lo, hi, samples_per_ray)
+    radii = np.geomspace(lo, hi, SAMPLES_PER_RAY)
     lambdas = [0.0 + 0.0j]
     lambdas.extend(complex(z) for z in sector.ray_points(radii))
 
@@ -232,5 +234,5 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     report.c_table = c_table
     report.c0 = c0[0]
     report.extras["sup_symbol_norm"] = sup_a
-    report.extras["lambda_samples_per_ray"] = float(samples_per_ray)
+    report.extras["lambda_samples_per_ray"] = float(SAMPLES_PER_RAY)
     return report

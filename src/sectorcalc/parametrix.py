@@ -6,14 +6,15 @@ The recursion produces b_0 = (a-lambda)^{-1} and
 
 which this module represents exactly as a term algebra: every b_j is a
 finite sum of ordered products of b_0 factors and tabulated derivatives of
-a.  Differentiating a term uses the resolvent derivative rule
-d b_0 = -b_0 (d a) b_0, so arbitrary mixed derivatives of b_j evaluate with
-no finite-difference noise.
+a.  The recursion differentiates b_k in x only; a term's x-derivative uses
+the resolvent derivative rule d_x b_0 = -b_0 (d_x a) b_0, so the b_j
+evaluate with no finite-difference noise.
 
 One recursion serves both sides: the left recursion, with the operands
-swapped (b^N#(a-lambda) - 1 in place of (a-lambda)#b^N - 1), builds the
-same term lists up to coefficient rounding, and the tests check that the
-left remainder decays too.
+swapped (b^N#(a-lambda) - 1 in place of (a-lambda)#b^N - 1) and
+xi-derivatives of b_k, is a test oracle; it builds the same term lists up
+to coefficient rounding, and the tests check that the left remainder
+decays too.
 
 On top of the recursion sit the excised sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
@@ -44,6 +45,8 @@ from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
 _B0 = ("b0",)
 # Neumann series length cap; the tail bound decides K below it.
 _MAX_NEUMANN = 400
+# Invertibility radii find_R tries: the powers of two 1 .. 2^20.
+_R_CANDIDATES = tuple(2.0 ** p for p in range(21))
 
 
 # ---------------------------------------------------------------------------
@@ -68,39 +71,23 @@ def _acc(acc, coeff, factors):
     acc[factors] = acc.get(factors, 0.0 + 0.0j) + coeff
 
 
-def _partial_terms(terms, kind, axis, n):
-    """Plain partial derivative (d_x or d_xi) of a term list, product rule."""
+def apply_dx(terms, beta, n):
+    """D_x^beta (D_x = -i d_x) of a term list, by the product rule with
+    d_x b_0 = -b_0 (d_x a) b_0."""
     zero = (0,) * n
-    acc = {}
-    for coeff, factors in terms:
-        for pos, f in enumerate(factors):
-            if f == _B0:
-                da = _da(_bump(zero, axis), zero) if kind == "xi" \
-                    else _da(zero, _bump(zero, axis))
-                nf = factors[:pos] + (_B0, da, _B0) + factors[pos + 1:]
-                _acc(acc, -coeff, nf)
-            else:
-                _, al, be = f
-                nf = factors[:pos] + \
-                    ((_da(_bump(al, axis), be) if kind == "xi" else _da(al, _bump(be, axis))),) \
-                    + factors[pos + 1:]
-                _acc(acc, coeff, nf)
-    return _collect(acc)
-
-
-def apply_derivative(terms, alpha, beta, n):
-    """d^alpha_xi then D_x^beta (D_x = -i d_x) applied to a term list."""
-    for ax, order in enumerate(alpha):
+    for axis, order in enumerate(beta):
         for _ in range(order):
-            terms = _partial_terms(terms, "xi", ax, n)
-    total_beta = 0
-    for ax, order in enumerate(beta):
-        total_beta += order
-        for _ in range(order):
-            terms = _partial_terms(terms, "x", ax, n)
-    if total_beta:
-        terms = [(c * (-1j) ** total_beta, f) for c, f in terms]
-    return terms
+            acc = {}
+            for coeff, factors in terms:
+                for pos, f in enumerate(factors):
+                    head, tail = factors[:pos], factors[pos + 1:]
+                    if f == _B0:
+                        _acc(acc, -coeff,
+                             head + (_B0, _da(zero, _bump(zero, axis)), _B0) + tail)
+                    else:
+                        _acc(acc, coeff, head + (_da(f[1], _bump(f[2], axis)),) + tail)
+            terms = _collect(acc)
+    return [(c * (-1j) ** sum(beta), f) for c, f in terms]
 
 
 def bj_term_lists(n, N):
@@ -112,7 +99,7 @@ def bj_term_lists(n, N):
         for total in range(1, j + 2):
             k = j + 1 - total
             for alpha in multi_indices_of_order(n, total):
-                dxb = apply_derivative(lists[k], zero, alpha, n)
+                dxb = apply_dx(lists[k], alpha, n)
                 scale = -1.0 / multi_factorial(alpha)
                 for coeff, factors in dxb:
                     _acc(acc, scale * coeff, (_B0, _da(alpha, zero)) + factors)
@@ -379,26 +366,24 @@ class ParametrixCalculator:
         return GridSymbol(self.grid, vals, self.class_params,
                           check=False).scale_modes(self.phi)
 
-    def remainder_matrix(self, lam, bN=None, q_bN=None, m_shift=None):
+    def remainder_matrix(self, lam, q_bN=None, m_shift=None):
         """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
         extraction.  A caller that already holds quantize(b^N).matrix
         (``q_bN``) or A - lambda (``m_shift``) passes it in."""
         if q_bN is None:
-            if bN is None:
-                bN = self.assemble_bN(lam)
-            q_bN = quantize(bN).matrix
+            q_bN = quantize(self.assemble_bN(lam)).matrix
         if m_shift is None:
             m_shift = self.shifted_matrix(lam)
         prod = m_shift @ q_bN
         return prod - np.eye(prod.shape[0], dtype=complex)
 
-    def remainder(self, lam, bN=None, q_bN=None, m_shift=None):
+    def remainder(self, lam, q_bN=None, m_shift=None):
         """r^N = (a-lambda)#b^N - 1.
 
         Returns (GridSymbol, remainder matrix); the matrix is exactly the
         quantization of the remainder symbol.
         """
-        r_mat = self.remainder_matrix(lam, bN=bN, q_bN=q_bN, m_shift=m_shift)
+        r_mat = self.remainder_matrix(lam, q_bN=q_bN, m_shift=m_shift)
         return extract_symbol(QuantOp(self.grid, self.k, r_mat)), r_mat
 
     # -- resolvent ---------------------------------------------------------------
@@ -446,20 +431,16 @@ class ParametrixCalculator:
 
     # -- invertibility radius ------------------------------------------------------
 
-    def find_R(self, ceiling=2.0 ** 20):
-        """Smallest power-of-two R >= 1 with ||quantize(r^N)|| <= 1/2 on all
-        sampled boundary points with |lambda| >= R.
+    def find_R(self):
+        """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
+        all sampled boundary points with |lambda| >= R.
 
         Each point is first decided by the Frobenius norm, an upper bound:
         ||M||_F <= 1/2 proves ||M||_2 <= 1/2.  Only where it exceeds 1/2 is
         the norm estimated by power iteration (``operator_norm``, a lower
         bound); a certified point passes that test too, so R is the same.
         """
-        radii = []
-        r = 1.0
-        while r <= ceiling:
-            radii.append(r)
-            r *= 2.0
+        radii = _R_CANDIDATES
 
         def passes(r_mat):
             return (np.linalg.norm(r_mat) <= 0.5
@@ -472,7 +453,7 @@ class ParametrixCalculator:
                    if rad >= candidate):
                 return candidate
         raise SectorcalcError(
-            f"no invertibility radius R <= {ceiling:g}: remainder does not decay "
+            f"no invertibility radius R <= {radii[-1]:g}: remainder does not decay "
             "on this grid (symbol outside the tractable class?)")
 
 
@@ -492,8 +473,6 @@ def shift(expr, c):
 class ParamSymbolFamily:
     """Per-lambda records of a parametrix sweep plus fitted decay slopes."""
 
-    N: int
-    R: float
     rows: list
     slopes: dict = field(default_factory=dict)
 
@@ -507,26 +486,27 @@ class ParamSymbolFamily:
                 lam = row["lambda"]
                 writer.writerow([
                     repr(lam.real), repr(lam.imag), repr(row["bracket"]),
-                    repr(row["sup_bN"]), repr(row["sup_rN"]),
-                    "" if row["sup_sN"] is None else repr(row["sup_sN"]),
-                    repr(row["class_sup_rN"]),
-                    "" if row["class_sup_sN"] is None else repr(row["class_sup_sN"]),
+                    repr(row["sup_bN"]), repr(row["sup_rN"]), repr(row["sup_sN"]),
+                    repr(row["class_sup_rN"]), repr(row["class_sup_sN"]),
                     repr(row["residual"]), row["method"]])
             for name in sorted(self.slopes):
                 writer.writerow(["slope", name, repr(self.slopes[name]),
                                  "", "", "", "", "", "", ""])
 
 
-def parametrix_sweep(calc, radii, R, tol=1e-11):
+def parametrix_sweep(calc, radii, tol=1e-11):
     """Sweep lambda over both boundary rays: sup norms of b^N, r^N, s^N.
 
-    Record per lambda both the plain sup and the class seminorm
-    (|.| <xi>^(N(rho-delta)-m), the q_{0,0} of the remainder class, which is
-    what decays like <lambda>^{-1} for r^N and <lambda>^{-2} for s^N).
-    Sups are taken over the interior window - the calculator's default
-    margin absorbs the mode-truncation leak confined to the window edge.
-    s^N is only recorded for |lambda| >= R where the Neumann inverse is
-    trusted; there the resolvent's own b^N and r^N fill the row.
+    Every row is the Leibniz resolvent at lambda, with its own b^N, r^N and
+    s^N = (a - lambda)^{-#} - b^N.  Record per lambda both the plain sup and
+    the class seminorm (|.| <xi>^(N(rho-delta)-m), the q_{0,0} of the
+    remainder class, which is what decays like <lambda>^{-1} for r^N and
+    <lambda>^{-2} for s^N).  Sups are taken over the interior window - the
+    calculator's default margin absorbs the mode-truncation leak confined to
+    the window edge.  The radii are meant to start at the invertibility
+    radius R of :meth:`ParametrixCalculator.find_R`; below it the resolvent
+    falls back to the dense inverse wherever ||quantize(r^N)|| >= 1/2, and
+    the row's method says so.
 
     Fitted log-log slopes against <lambda>: ``rN`` near -1, ``sN`` near -2,
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
@@ -537,36 +517,23 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
     margin = calc.default_interior_margin
     params = calc.class_params
     rem_weight = calc.N * (params.rho - params.delta) - params.m
-    radii = np.asarray(radii, dtype=float)
     rows = []
-    for rad, lam in zip(np.repeat(radii, 2), calc.sector.ray_points(radii)):
+    for lam in calc.sector.ray_points(np.asarray(radii, dtype=float)):
         lam = complex(lam)
         if not calc.sector.contains(lam):
             raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
-        if rad >= R:
-            lr = calc.leibniz_resolvent(lam, tol=tol)
-            bN, r_sym = lr.b_n, lr.r_n
-        else:
-            lr = None
-            bN = calc.assemble_bN(lam)
-            r_sym, _ = calc.remainder(lam, bN=bN)
-        row = {
+        lr = calc.leibniz_resolvent(lam, tol=tol)
+        rows.append({
             "lambda": lam,
             "bracket": float(japanese_bracket(lam)),
-            "sup_bN": class_weighted_sup(bN, 0.0, margin),
-            "sup_rN": class_weighted_sup(r_sym, 0.0, margin),
-            "class_sup_rN": class_weighted_sup(r_sym, rem_weight, margin),
-            "sup_sN": None,
-            "class_sup_sN": None,
-            "residual": np.nan,
-            "method": "",
-        }
-        if lr is not None:
-            row["sup_sN"] = class_weighted_sup(lr.s_n, 0.0, margin)
-            row["class_sup_sN"] = class_weighted_sup(lr.s_n, rem_weight, margin)
-            row["residual"] = lr.diagnostics["residual"]
-            row["method"] = lr.diagnostics["method"]
-        rows.append(row)
+            "sup_bN": class_weighted_sup(lr.b_n, 0.0, margin),
+            "sup_rN": class_weighted_sup(lr.r_n, 0.0, margin),
+            "class_sup_rN": class_weighted_sup(lr.r_n, rem_weight, margin),
+            "sup_sN": class_weighted_sup(lr.s_n, 0.0, margin),
+            "class_sup_sN": class_weighted_sup(lr.s_n, rem_weight, margin),
+            "residual": lr.diagnostics["residual"],
+            "method": lr.diagnostics["method"],
+        })
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows
@@ -577,8 +544,8 @@ def parametrix_sweep(calc, radii, R, tol=1e-11):
     slopes["bN_weighted"], _ = fit_loglog_slope(
         brackets, [row["bracket"] * row["sup_bN"] for row in fit_rows])
     s_pairs = [(row["bracket"], row["class_sup_sN"]) for row in fit_rows
-               if row["class_sup_sN"] is not None and row["class_sup_sN"] > 0]
+               if row["class_sup_sN"] > 0]
     if len(s_pairs) >= 2:
         slopes["sN"], _ = fit_loglog_slope([p[0] for p in s_pairs],
                                            [p[1] for p in s_pairs])
-    return ParamSymbolFamily(N=calc.N, R=R, rows=rows, slopes=slopes)
+    return ParamSymbolFamily(rows=rows, slopes=slopes)

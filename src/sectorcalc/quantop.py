@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsl import SymbolExpr
 from .errors import GridMismatchError
 from .grid import GridSymbol, sample, spectral_Dx
 from .util import multi_factorial, multi_indices_below
@@ -49,10 +48,6 @@ class QuantOp:
         self.grid = grid
         self.k = k
         self.matrix = matrix
-
-    @property
-    def dim(self):
-        return self.k * self.grid.n_modes
 
     def __matmul__(self, other):
         if not isinstance(other, QuantOp):
@@ -124,26 +119,16 @@ def compose_exact(a, b):
     return extract_symbol(quantize(a) @ quantize(b))
 
 
-def leibniz_truncated(a_expr, b, K, grid=None, lam=None):
+def leibniz_truncated(a_expr, b, K):
     """Truncated Leibniz expansion sum_{|alpha|<K} (1/alpha!) d^alpha_xi a . D^alpha_x b.
 
-    ``a_expr`` is a SymbolExpr (exact xi-derivatives); ``b`` is a GridSymbol
-    or SymbolExpr (sampled first).  D_x = -i d_x acts spectrally on the
-    tabulation.  ``lam`` subtracts lam from the alpha=0 factor, giving the
-    expansion of (a - lam)#b.
+    ``a_expr`` is a SymbolExpr (exact xi-derivatives); ``b`` is a
+    GridSymbol.  D_x = -i d_x acts spectrally on the tabulation.
     """
-    if isinstance(b, SymbolExpr):
-        if grid is None:
-            raise ValueError("grid required when b is an expression")
-        b = sample(b, grid)
     g = b.grid
     acc = np.zeros_like(b.values)
     for alpha in multi_indices_below(g.n, K):
         da = sample(a_expr.diff(alpha=alpha), g).values
-        if lam is not None and sum(alpha) == 0:
-            idx = np.arange(b.k)
-            da = da.copy()
-            da[..., idx, idx] -= lam
         dxb = b.values
         for ax, order in enumerate(alpha):
             dxb = spectral_Dx(dxb, g, ax, order)

@@ -13,7 +13,8 @@ from numpy.polynomial.legendre import leggauss
 
 import sectorcalc as sc
 from sectorcalc.errors import GridMismatchError
-from sectorcalc.grid import _spectral_norms, _tup, class_weighted_sup
+from sectorcalc.dsl import _as_multi
+from sectorcalc.grid import _spectral_norms, class_weighted_sup
 
 
 def unit_symbol(grid, k=1):
@@ -118,7 +119,7 @@ def seminorm(expr, alpha, beta, class_params, grid):
     class_params.validate(strict=False)
     deriv = expr.diff(alpha, beta)
     return class_weighted_sup(sc.sample(deriv, grid), class_params.xi_weight_exponent(
-        _tup(alpha, grid.n), _tup(beta, grid.n)))
+        _as_multi(alpha, grid.n), _as_multi(beta, grid.n)))
 
 
 def full_table_sup(gs, weight_exponent, interior_margin=0):
@@ -194,3 +195,33 @@ def bn_f_deformed(calc, f, R):
         nodes.append(lam)
         weights.append(1j * lam * wq * theta)
     return sc.bn_part(calc, f, nodes, weights)
+
+
+# ---------------------------------------------------------------------------
+# Term-algebra references
+# ---------------------------------------------------------------------------
+
+def apply_dxi(terms, alpha, n):
+    """d^alpha_xi of a parametrix term list, by the product rule with
+    d_xi b_0 = -b_0 (d_xi a) b_0: the xi-derivative the left recursion
+    needs, which the calculator's x-only recursion never takes."""
+    b0 = ("b0",)
+
+    def bump(idx, axis):
+        return tuple(o + (i == axis) for i, o in enumerate(idx))
+
+    zero = (0,) * n
+    for axis, order in enumerate(alpha):
+        for _ in range(order):
+            acc = {}
+            for coeff, factors in terms:
+                for pos, f in enumerate(factors):
+                    head, tail = factors[:pos], factors[pos + 1:]
+                    if f == b0:
+                        key = head + (b0, ("da", bump(zero, axis), zero), b0) + tail
+                        c = -coeff
+                    else:
+                        key, c = head + (("da", bump(f[1], axis), f[2]),) + tail, coeff
+                    acc[key] = acc.get(key, 0.0 + 0.0j) + c
+            terms = [(c, f) for f, c in sorted(acc.items()) if abs(c) > 1e-300]
+    return terms

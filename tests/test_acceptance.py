@@ -46,7 +46,7 @@ def radius_R(scene):
 @pytest.fixture(scope="session")
 def sweep(scene, radius_R):
     radii = np.geomspace(radius_R, 1e4, 10)   # 10 radii x 2 rays = 20 lambdas
-    return sc.parametrix_sweep(scene, radii, radius_R, tol=1e-11)
+    return sc.parametrix_sweep(scene, radii, tol=1e-11)
 
 
 @pytest.fixture(scope="session")

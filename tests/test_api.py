@@ -74,3 +74,84 @@ def unreferenced_exports():
 
 def test_every_export_has_a_caller():
     assert unreferenced_exports() == []
+
+
+# Defaulted parameters a caller may pass only through code the scan cannot
+# see: perfbench's norm wrapper hands them to the wrapped original.
+PASSED_THROUGH = {("operator_norm", "tol"), ("operator_norm", "maxiter"),
+                  ("operator_norm", "return_info")}
+
+
+def defaulted_parameters():
+    """(callee name, parameter, position among the call's positional
+    arguments) of every defaulted parameter of a ``src/`` function or method.
+
+    A method's position skips ``self``; ``__init__`` is called by the class
+    name.  A keyword-only parameter has position None.
+    """
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(item): node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name, skip = node.name, 0
+            if id(node) in owners:
+                skip = 1
+                if name == "__init__":
+                    name = owners[id(node)]
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            out += [(name, arg.arg, pos - skip)
+                    for pos, arg in enumerate(args) if pos >= first]
+            out += [(name, arg.arg, None) for arg, default
+                    in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+def calls_by_name(trees):
+    """Callee name -> (positional count, keyword names) of each call.  A
+    starred argument counts as every position, a ``**`` mapping as the
+    keyword None, which passes every parameter."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            out.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), keywords))
+    return out
+
+
+def uncalled_parameters():
+    """Defaulted ``src/`` parameters that no call passes, by keyword or by
+    position, in ``src/``, the acceptance criteria, ``perfbench/`` or
+    README's quickstart.  Calls are matched by the callee's name."""
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = [ast.parse(path.read_text()) for path in paths]
+    trees.append(ast.parse(readme_quickstart()))
+    calls = calls_by_name(trees)
+    missing = []
+    for name, param, pos in defaulted_parameters():
+        if (name, param) in PASSED_THROUGH:
+            continue
+        if not any(param in keywords or None in keywords
+                   or (pos is not None and n_pos > pos)
+                   for n_pos, keywords in calls.get(name, [])):
+            missing.append(f"{name}({param}=)")
+    return sorted(missing)
+
+
+def test_every_keyword_parameter_has_a_caller():
+    assert uncalled_parameters() == []

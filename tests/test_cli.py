@@ -77,6 +77,44 @@ class TestExitCodes:
             "symbol.preset = variable_laplace", "symbol.preset = -variable_laplace"))
         assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_parametrix_with_excision_fails_before_find_R(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the excised b^N vanishes near xi = 0, so ||quantize(r^N)|| stays
+        # near 1 and no radius exists: the config is rejected, not searched
+        def no_search(self):
+            raise AssertionError("find_R ran")
+        monkeypatch.setattr(cli.ParametrixCalculator, "find_R", no_search)
+        cfg = write_cfg(tmp_path, BASE_CFG + "hypo.C = 0.5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["parametrix", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: parametrix needs hypo.C = 0")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sine 1", "unknown function spec 'sine 1'"),
+        ("power_quotient", "bad function spec 'power_quotient'"),
+        ("imag_power one", "bad function spec 'imag_power one'"),
+    ], ids=["unknown", "missing_argument", "not_a_number"])
+    def test_bad_function_specs_are_config_errors(self, tmp_path, capsys, spec,
+                                                  message):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(
+            "functions = power_quotient 0.5, power_quotient 1", f"functions = {spec}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["calc", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, code", [("rotated_phase", 0),
+                                              ("rotated_phase 2", 2)])
+    def test_rotated_phase_preset(self, tmp_path, preset, code):
+        # exp(2i) (1 + xi^2) has argument 2 > pi/2: inside the sector
+        cfg = write_cfg(tmp_path, f"symbol.preset = {preset}\ngrid.points = 16\n")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == code
+
     def test_calc_requires_functions(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(
             "functions = power_quotient 0.5, power_quotient 1", "functions ="))
@@ -118,9 +156,24 @@ class TestExitCodes:
         ("check", "hypo.max_order = -1", "hypo.max_order must be in [0, 8]"),
         ("check", "hypo.max_order = 9", "hypo.max_order must be in [0, 8]"),
         ("parametrix", "lambda.max = 0.5", "must exceed max(lambda.min, R)"),
+        ("parametrix", "shift = nan", "'shift': must be finite"),
+        ("check", "hypo.c = nan", "'hypo.c': must be finite"),
+        ("check", "hypo.C = nan", "'hypo.C': must be finite"),
+        ("check", "hypo.C = 7.5", "hypo.C = 7.5 must lie in [0, 7.0]"),
+        ("check", "hypo.C = -1", "hypo.C = -1.0 must lie in [0, 7.0]"),
+        ("check", "hypo.c = -1", "'hypo.c': must be > 0"),
+        ("parametrix", "class.m = nan", "'class.m': must be finite"),
+        ("parametrix", "lambda.min = nan", "'lambda.min': must be finite"),
+        ("parametrix", "lambda.max = inf", "'lambda.max': must be finite"),
+        ("parametrix", "parametrix.N = 6", "parametrix.N must be in [1, 5]"),
+        ("parametrix", "parametrix.N = 9", "parametrix.N must be in [1, 5]"),
     ], ids=["nodes_per_decade", "lambda_count_0", "lambda_count_1", "tol_0",
             "tol_negative", "tmax_0", "bip_quad_tol_0", "calc_quad_tol_0",
-            "max_order_negative", "max_order_9", "lambda_max_below_R"])
+            "max_order_negative", "max_order_9", "lambda_max_below_R",
+            "shift_nan", "hypo_c_nan", "hypo_C_nan", "hypo_C_past_window",
+            "hypo_C_negative",
+            "hypo_c_negative", "class_m_nan", "lambda_min_nan", "lambda_max_inf",
+            "parametrix_N_6", "parametrix_N_9"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, command,
                                                    line, message):
         key = line.split(" =")[0] + " "
@@ -215,6 +268,25 @@ class TestCalcOutputs:
         for row in body:
             assert float(row[4]) <= M + 1e-15
             assert float(row[5]) <= 1e-6
+
+
+    def test_imag_power_row_matches_bip(self, tmp_path):
+        # calc's imag_power 1 and bip's t = 1 build the same function,
+        # contour and Dunford sum, so the norms are the same float
+        rows = [row for row in BASE_CFG.splitlines()
+                if not row.startswith(("functions ", "calc.quad_tol ", "bip."))]
+        cfg = write_cfg(tmp_path, "\n".join(rows + [
+            "functions = imag_power 1", "calc.quad_tol = 1e-6", "bip.quad_tol = 1e-6",
+            "bip.tmax = 1", "bip.steps = 3", "bip.n_reg = 100"]).replace(
+                "grid.points = 32", "grid.points = 16"))
+        assert main(["calc", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["bip", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fcalc_report.csv") as fh:
+            calc_rows = list(csv.reader(fh))
+        with open(tmp_path / "imaginary_powers.csv") as fh:
+            bip_norms = {row[0]: row[1] for row in csv.reader(fh)}
+        assert calc_rows[1][0] == "imag_power 1.0~reg100"
+        assert calc_rows[1][2] == bip_norms["1.0"]
 
 
 class TestBipOutputs:

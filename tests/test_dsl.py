@@ -112,6 +112,12 @@ class TestDerivatives:
         d = sc.parse_symbol("2+sin(x1)", n=1).diff(beta=(1,))
         assert ev(d, 0.0, 0.0) == pytest.approx(1.0)
 
+    def test_log_x_derivative_is_exact(self):
+        d = sc.parse_symbol("log(2+sin(x1))", n=1).diff(beta=(1,))
+        x = np.linspace(0.0, 2.0 * np.pi, 101)
+        got = d.eval(x, np.zeros_like(x))[..., 0, 0]
+        assert np.max(np.abs(got - np.cos(x) / (2.0 + np.sin(x)))) <= 1e-14
+
     def test_mixed_derivative(self):
         expr = sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1)
         d = expr.diff(alpha=(1,), beta=(1,))

@@ -7,7 +7,8 @@ import pytest
 
 import sectorcalc as sc
 from sectorcalc.densela import inverse_refined
-from sectorcalc.funcalc import _CHUNK, _accumulate_resolvents, _probe_fun
+from sectorcalc.funcalc import (_CHUNK, _accumulate_resolvents, _assemble_contour,
+                                _probe_fun)
 
 from reference import bn_f_deformed, resolvent_quotient
 
@@ -32,15 +33,19 @@ class TestHFun:
         assert np.isfinite(cf) and cf > 0
 
     def test_decay_violation_detected(self, sector_right):
-        bad = sc.HFun(lambda z: np.ones_like(z), d=1.0, c_f=1.0, name="flat")
+        bad = sc.HFun(lambda z: np.ones_like(z), d=1.0, name="flat")
+        bad.c_f = 1.0
         with pytest.raises(ValueError):
             bad.validate(sector_right)
 
     def test_declared_cf_below_sampled_max_rejected(self, sector_right):
         f = sc.power_quotient(1.0)
         sampled_max = f.validate(sector_right) / 1.01
-        sc.HFun(f.fn, d=1.0, c_f=sampled_max).validate(sector_right)
-        tight = sc.HFun(f.fn, d=1.0, c_f=0.99 * sampled_max, name="tight")
+        exact = sc.HFun(f.fn, d=1.0)
+        exact.c_f = sampled_max
+        exact.validate(sector_right)
+        tight = sc.HFun(f.fn, d=1.0, name="tight")
+        tight.c_f = 0.99 * sampled_max
         with pytest.raises(ValueError, match="decay bound violated"):
             tight.validate(sector_right)
 
@@ -95,7 +100,8 @@ class TestContour:
 
     def test_radius_order_enforced(self, sector_right):
         with pytest.raises(sc.ContourError):
-            sc.build_contour(sector_right, d=1.0, tol=1e-8, r_min=10.0, r_max=1.0)
+            # r_max = 4 c_f / tol = 4e-12 falls below the capped r_min = 1e-2
+            sc.build_contour(sector_right, d=1.0, tol=1.0, c_f=1e-12)
 
     def test_matched_decay_certificates(self, sector_right):
         for d in (0.5, 2.0):
@@ -139,7 +145,7 @@ class TestFOfSymbol:
         fa = sc.f_of_symbol(calc16, f, contour_d1)
         ga = sc.f_of_symbol(calc16, g, contour_d1)
         ca = sc.f_of_symbol(calc16, combo, contour_d1)
-        diff = (ca - (2.0 * fa - 3.0 * ga)).sup_norm()
+        diff = np.max(np.abs(ca.values - (2.0 * fa.values - 3.0 * ga.values)))
         assert diff <= 1e-10 * max(ca.sup_norm(), 1e-30)
 
 
@@ -338,7 +344,7 @@ class TestHinfProbe:
 
     def test_scaling_leaves_ratio(self, calc16, sector_right):
         f = sc.power_quotient(1.0)
-        doubled = f.scaled(2.0)
+        doubled = sc.HFun(lambda z: 2.0 * f(z), f.d, name="2.0*" + f.name)
         report = sc.hinf_bound_probe(calc16.quantized_symbol, [f, doubled],
                                      sector_right, quad_tol=1e-6)
         r1, r2 = report.rows[0][3], report.rows[1][3]
@@ -439,8 +445,7 @@ class TestDeformedContour:
                                        sector_right, N=3)
         f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        rays = sc.build_contour(calc.sector, d=1.0, tol=1e-8, r_min=R, r_max=1e12,
-                                nodes_per_decade=24)
+        rays = _assemble_contour(calc.sector, R, 1e12, 24)
         straight = sc.bn_part(calc, f, rays.nodes, rays.weights)
         deformed = bn_f_deformed(calc, f, R)
         scale = straight.sup_norm()
@@ -456,8 +461,7 @@ class TestDeformedContour:
                                        sector_right, N=1)
         f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        rays = sc.build_contour(calc.sector, d=1.0, tol=1e-8, r_min=R, r_max=1e12,
-                                nodes_per_decade=24)
+        rays = _assemble_contour(calc.sector, R, 1e12, 24)
         a = calc.a_tab.values[..., 0, 0]
         scalar = sum(w * f(lam) / (a - lam) for lam, w in zip(rays.nodes, rays.weights))
         scalar = calc.phi * 1j / (2.0 * np.pi) * scalar

@@ -1,11 +1,10 @@
 """Torus grids, tabulation and the seminorm system."""
 
-import csv
-
 import numpy as np
 import pytest
 
 import sectorcalc as sc
+from sectorcalc.dsl import Call, Var
 from sectorcalc.grid import (BOUND_SLACK, _spectral_norms, _window_slices,
                              certified_maxima, class_weighted_sup)
 
@@ -104,7 +103,7 @@ class TestSeminorm:
 
     def test_exponential_outside_every_class(self):
         # sup-seminorm sweep diverges as the window grows: not in any S^m
-        expr = sc.parse_symbol("exp(xi1)", n=1, validate=False)
+        expr = sc.SymbolExpr([[Call("exp", Var("xi", 0))]], n=1)
         params = sc.SymbolClassParams(m=4)
         qs = [seminorm(expr, (0,), (0,), params,
                        sc.TorusGrid(n=1, points=2 * (xi + 1), xi_max=xi))
@@ -354,28 +353,3 @@ class TestGridSeminorm:
         params = sc.SymbolClassParams(m=2)
         assert sc.grid_seminorm(gs, (0,), beta, params) == \
             pytest.approx(seminorm(var_laplace, (0,), beta, params, grid32), rel=1e-12)
-
-
-class TestCsvExport:
-    def test_roundtrip_values(self, tmp_path):
-        g = sc.TorusGrid(n=1, points=8, xi_max=2)
-        gs = sc.sample(sc.parse_symbol("exp(i*x1)*(1+xi1^2)", n=1), g)
-        path = tmp_path / "symbol.csv"
-        gs.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["ix1", "xi1", "re11", "im11"]
-        assert len(rows) == 1 + 8 * 5
-        # row for x-index 1, xi = -2: e^{i x_1} * 5
-        row = rows[1 + 1 * 5 + 0]
-        x1 = 2 * np.pi / 8
-        assert float(row[2]) == pytest.approx(5 * np.cos(x1))
-        assert float(row[3]) == pytest.approx(5 * np.sin(x1))
-
-    def test_2d_header(self, tmp_path, grid2d):
-        gs = sc.sample(sc.parse_symbol("xi1+xi2", n=2), grid2d)
-        path = tmp_path / "symbol2d.csv"
-        gs.to_csv(path)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        assert header == ["ix1", "ix2", "xi1", "xi2", "re11", "im11"]

@@ -6,12 +6,12 @@ import pytest
 import sectorcalc as sc
 from sectorcalc import parametrix
 from sectorcalc.grid import class_weighted_sup
-from sectorcalc.parametrix import apply_derivative, smooth_step
+from sectorcalc.parametrix import smooth_step
 from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
 
-from reference import unit_symbol
+from reference import apply_dxi, unit_symbol
 
 
 def dense_reference(calc, lam):
@@ -120,7 +120,7 @@ def left_term_lists(n, N):
         for total in range(1, j + 2):
             for alpha in multi_indices_of_order(n, total):
                 scale = -((-1j) ** total) / multi_factorial(alpha)
-                dxib = apply_derivative(lists[j + 1 - total], alpha, zero, n)
+                dxib = apply_dxi(lists[j + 1 - total], alpha, n)
                 for coeff, factors in dxib:
                     key = factors + (("da", zero, tuple(alpha)), ("b0",))
                     acc[key] = acc.get(key, 0.0) + scale * coeff
@@ -246,8 +246,13 @@ class TestAssembleAndRemainder:
         # orders of magnitude below the Leibniz part
         # r^N = ((a-lam)#b^N - q_N) + (q_N - 1), q_N the N-term Leibniz expansion
         lam, one, bN = -10.0, unit_symbol(calc32.grid), calc32.assemble_bN(-10.0)
-        q_n = sc.leibniz_truncated(calc32.expr, bN, calc32.N, lam=lam)
-        osc, qminus1 = calc32.remainder(lam, bN=bN)[0] + one - q_n, q_n - one
+        # q_N of a - lam is q_N of a minus lam b^N: lam has no xi-derivative
+        a_q_n = sc.leibniz_truncated(calc32.expr, bN, calc32.N)
+        q_n = sc.GridSymbol(calc32.grid, a_q_n.values - lam * bN.values, check=False)
+        r_n = calc32.remainder(lam)[0]
+        osc = sc.GridSymbol(calc32.grid, r_n.values + one.values - q_n.values,
+                            check=False)
+        qminus1 = q_n - one
         osc_sup = class_weighted_sup(osc, 0.0, interior_margin=10)
         q_sup = class_weighted_sup(qminus1, 0.0, interior_margin=10)
         assert q_sup > 1e-6
@@ -255,7 +260,7 @@ class TestAssembleAndRemainder:
 
     def test_remainder_decay(self, calc32):
         radii = np.geomspace(8.0, 2e3, 8)
-        fam = sc.parametrix_sweep(calc32, radii, R=1.0)
+        fam = sc.parametrix_sweep(calc32, radii)
         assert fam.slopes["rN"] <= -0.8
         assert abs(fam.slopes["bN_weighted"]) <= 0.1
         # residual of the Leibniz resolvent along the sweep
@@ -295,7 +300,7 @@ class TestLeibnizResolvent:
         lam = -1.0
         lr = calc32.leibniz_resolvent(lam, tol=1e-11)
         one = unit_symbol(calc32.grid)
-        a_min_lam = calc32.a_tab.plus_scalar(-lam)
+        a_min_lam = sc.GridSymbol(calc32.grid, calc32.a_tab.values - lam)  # k = 1
         residual = (sc.compose_exact(a_min_lam, lr.symbol) - one).sup_norm()
         assert residual <= 1e-10
 
@@ -352,8 +357,8 @@ class TestLeibnizResolvent:
         errs = []
         for h in (1e-2, 1e-3):
             res_h = calc32.leibniz_resolvent(lam0 + h * 1j, tol=1e-13).symbol
-            quotient = (res_h - res0) * (1.0 / (h * 1j))
-            errs.append((quotient - deriv).sup_norm())
+            quotient = (res_h - res0).values * (1.0 / (h * 1j))
+            errs.append(np.max(np.abs(quotient - deriv.values)))
         ratio = errs[0] / errs[1]
         assert 5.0 <= ratio <= 20.0
 
@@ -406,9 +411,11 @@ class TestFindR:
         # larger one at or under 1/2 is 64
         assert slow_decay_calc.find_R() == 64.0
 
-    def test_no_radius_raises(self, slow_decay_calc):
-        with pytest.raises(sc.SectorcalcError):
-            slow_decay_calc.find_R(ceiling=32.0)
+    def test_no_radius_raises(self, slow_decay_calc, monkeypatch):
+        monkeypatch.setattr(parametrix, "_R_CANDIDATES",
+                            (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
+        with pytest.raises(sc.SectorcalcError, match="R <= 32"):
+            slow_decay_calc.find_R()
 
     @pytest.mark.parametrize("fixture, fallbacks, R", [
         ("calc32", 0, 1.0), ("slow_decay_calc", 12, 64.0)])

@@ -16,7 +16,7 @@ def sup_diff(a, b, margin=0):
 class TestQuantize:
     def test_identity(self, grid16):
         op = sc.quantize(unit_symbol(grid16))
-        assert np.max(np.abs(op.matrix - np.eye(op.dim))) <= 1e-14
+        assert np.max(np.abs(op.matrix - np.eye(op.matrix.shape[0]))) <= 1e-14
 
     def test_multiplier_is_diagonal(self, grid16):
         op = sc.quantize(sc.sample(sc.parse_symbol("xi1", n=1), grid16))
@@ -58,7 +58,7 @@ class TestQuantize:
 
     def test_2d_identity_and_roundtrip(self, grid2d):
         op = sc.quantize(unit_symbol(grid2d))
-        assert np.max(np.abs(op.matrix - np.eye(op.dim))) <= 1e-14
+        assert np.max(np.abs(op.matrix - np.eye(op.matrix.shape[0]))) <= 1e-14
         gs = sc.sample(sc.parse_symbol("bracket(xi)^2", n=2), grid2d)
         back = sc.extract_symbol(sc.quantize(gs))
         assert sup_diff(back, gs) <= 1e-12

@@ -131,28 +131,31 @@ class TestConstants:
         c10 = bracket_report.c_table[((1,), (0,))]
         assert 1.9 <= c10 <= 2.0 + 1e-9
 
-    def test_c0_finite_and_stable(self, sector_right):
+    def test_c0_finite_and_stable(self, sector_right, monkeypatch):
         grid = sc.TorusGrid(n=1, points=32)
         expr = sc.parse_symbol("bracket(xi)^2+1", n=1)
         params = sc.SymbolClassParams(m=2)
         vals = []
         for spr in (16, 32):
             report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid, params)
+            monkeypatch.setattr(sc.hypo, "SAMPLES_PER_RAY", spr)
             sc.estimate_hypo_constants(expr, sector_right, grid, params, report,
-                                       max_order=0, samples_per_ray=spr)
+                                       max_order=0)
+            assert report.extras["lambda_samples_per_ray"] == spr
             vals.append(report.c0)
         assert np.isfinite(vals[0])
         assert abs(vals[1] - vals[0]) <= 0.01 * vals[0]
 
     def test_c_table_stable_under_sample_doubling(self, grid32, var_laplace,
-                                                  sector_right):
+                                                  sector_right, monkeypatch):
         params = sc.SymbolClassParams(m=2)
         tables = []
         for spr in (16, 32):
             report = sc.check_spectrum(var_laplace, sector_right, 0.5, 0.0,
                                        grid32, params)
+            monkeypatch.setattr(sc.hypo, "SAMPLES_PER_RAY", spr)
             sc.estimate_hypo_constants(var_laplace, sector_right, grid32, params,
-                                       report, max_order=1, samples_per_ray=spr)
+                                       report, max_order=1)
             tables.append(report.c_table)
         for key in tables[0]:
             assert abs(tables[1][key] - tables[0][key]) <= 0.01 * tables[0][key]
