@@ -18,7 +18,9 @@ import numpy as np
 from .config import build_function_family, load_config, resolve_config
 from .densela import operator_norm
 from .errors import ConfigError, ContourError, SectorcalcError, SingularOperatorError
-from .funcalc import build_contour, f_of_operator_oracle, f_of_symbol
+from .funcalc import (build_contour, f_of_operator_oracle, f_of_symbol,
+                      imaginary_power_regularized)
+from .grid import sample
 from .hypo import check_spectrum, estimate_hypo_constants
 from .parametrix import ParametrixCalculator, parametrix_sweep
 from .quantop import quantize
@@ -57,11 +59,6 @@ def cmd_check(rc, args):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _make_calculator(rc):
-    return ParametrixCalculator(rc.expr, rc.grid, rc.class_params, rc.sector,
-                                rc.parametrix_N, C=rc.hypo_C)
-
-
 def cmd_parametrix(rc, args):
     if rc.hypo_C > 0:
         raise ConfigError(
@@ -74,10 +71,10 @@ def cmd_parametrix(rc, args):
         print(f"hypoellipticity check failed upstream "
               f"({base.n_violations} violations); not sweeping")
         return EXIT_CHECK_FAILED
-    calc = _make_calculator(rc)
+    calc = ParametrixCalculator(rc.expr, rc.grid, rc.class_params, rc.sector,
+                                rc.parametrix_N, C=rc.hypo_C)
     R = calc.find_R()
-    lo = rc.lambda_min if rc.lambda_min > 0 else R
-    lo = max(lo, R)
+    lo = max(rc.lambda_min, R)
     if not rc.lambda_max > lo:
         raise ConfigError(f"lambda.max = {rc.lambda_max!r} must exceed "
                           f"max(lambda.min, R) = {lo!r}")
@@ -94,8 +91,7 @@ def cmd_calc(rc, args):
     if not rc.function_specs:
         raise ConfigError("calc requires a nonempty 'functions' list")
     family = build_function_family(rc.function_specs, n_reg=rc.bip_n_reg)
-    calc = _make_calculator(rc)
-    A = calc.quantized_symbol
+    A = quantize(sample(rc.expr, rc.grid))
     rows = []
     for f in family:
         _say(args, f"calc: {f.name}")
@@ -103,7 +99,7 @@ def cmd_calc(rc, args):
         per_decade = rc.contour_nodes_per_decade or None
         contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f,
                                 nodes_per_decade=per_decade)
-        fa = f_of_symbol(calc, f, contour)
+        fa = f_of_symbol(A, f, contour)
         oracle = f_of_operator_oracle(A, f, contour)
         sup = f.sup_norm(rc.sector)
         op_norm_oracle = operator_norm(oracle)
@@ -125,9 +121,7 @@ def cmd_calc(rc, args):
 
 
 def cmd_bip(rc, args):
-    calc = _make_calculator(rc)
-    A = calc.quantized_symbol
-    from .funcalc import imaginary_power_regularized
+    A = quantize(sample(rc.expr, rc.grid))
     ts = np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps)
     rows = []
     for t in ts:

@@ -147,14 +147,18 @@ def resolve_config(values):
     try:
         params.validate(strict=True, require_nonnegative_order=True)
         sector = Sector(theta=cfg.get_float("sector.theta", np.pi / 2))
+        xi_max = cfg.get("grid.xi_max")
         grid = TorusGrid(n=n, points=cfg.get_int("grid.points", 128),
-                         xi_max=cfg.get_int("grid.xi_max", -1))
+                         xi_max=None if xi_max is None else cfg.get_int("grid.xi_max"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     shift_c = cfg.get_float("shift", 0.0)
     if shift_c < 0:
         raise ConfigError("shift must be >= 0")
     expr = base_expr.shifted(shift_c) if shift_c > 0 else base_expr
+    lambda_min = cfg.get_float("lambda.min", 0.0)
+    if lambda_min < 0:
+        raise ConfigError(f"lambda.min must be >= 0, got {lambda_min!r}")
     hypo_C = cfg.get_float("hypo.C", 0.0)
     xi_top = float(grid.xi_norm().max())
     if not 0.0 <= hypo_C <= xi_top:
@@ -171,7 +175,7 @@ def resolve_config(values):
         parametrix_N=cfg.get_int_in("parametrix.N", 3, 1, MAX_PARAMETRIX_N,
                                     why=" (the term lists grow steeply in N)"),
         parametrix_tol=cfg.get_positive("parametrix.tol", 1e-11),
-        lambda_min=cfg.get_float("lambda.min", 0.0),
+        lambda_min=lambda_min,
         lambda_max=cfg.get_float("lambda.max", 1e4),
         lambda_count=cfg.get_int_in("lambda.count", 10, 2,
                                     why=" (the decay slopes are fits)"),

@@ -50,12 +50,6 @@ class Node:
         """Exact partial derivative w.r.t. x_axis (kind='x') or xi_axis."""
         raise NotImplementedError
 
-    def to_str(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.to_str()}>"
-
 
 class Num(Node):
     __slots__ = ("value",)
@@ -68,22 +62,6 @@ class Num(Node):
 
     def diff(self, kind, axis):
         return _ZERO
-
-    def to_str(self):
-        v = self.value
-        if v.imag == 0.0:
-            return _fmt_real(v.real)
-        if v.real == 0.0:
-            if v.imag == 1.0:
-                return "i"
-            return f"({_fmt_real(v.imag)}*i)"
-        return f"({_fmt_real(v.real)}+{_fmt_real(v.imag)}*i)"
-
-
-def _fmt_real(r):
-    if r < 0:
-        return f"({r!r})"
-    return repr(r)
 
 
 _ZERO = Num(0.0)
@@ -107,10 +85,6 @@ class Var(Node):
             return _ONE
         return _ZERO
 
-    def to_str(self):
-        prefix = "x" if self.kind == "x" else "xi"
-        return f"{prefix}{self.axis + 1}"
-
 
 class Bracket(Node):
     """Japanese bracket of the full frequency vector, (1 + |xi|^2)^(1/2)."""
@@ -128,9 +102,6 @@ class Bracket(Node):
             return _ZERO
         return div(Var("xi", axis), Bracket())
 
-    def to_str(self):
-        return "bracket(xi)"
-
 
 class Add(Node):
     __slots__ = ("a", "b")
@@ -143,25 +114,6 @@ class Add(Node):
 
     def diff(self, kind, axis):
         return add(self.a.diff(kind, axis), self.b.diff(kind, axis))
-
-    def to_str(self):
-        return f"({self.a.to_str()}+{self.b.to_str()})"
-
-
-class Sub(Node):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def eval(self, xs, xis):
-        return self.a.eval(xs, xis) - self.b.eval(xs, xis)
-
-    def diff(self, kind, axis):
-        return sub(self.a.diff(kind, axis), self.b.diff(kind, axis))
-
-    def to_str(self):
-        return f"({self.a.to_str()}-{self.b.to_str()})"
 
 
 class Mul(Node):
@@ -177,9 +129,6 @@ class Mul(Node):
         return add(mul(self.a.diff(kind, axis), self.b),
                    mul(self.a, self.b.diff(kind, axis)))
 
-    def to_str(self):
-        return f"({self.a.to_str()}*{self.b.to_str()})"
-
 
 class Div(Node):
     __slots__ = ("a", "b")
@@ -191,12 +140,9 @@ class Div(Node):
         return self.a.eval(xs, xis) / self.b.eval(xs, xis)
 
     def diff(self, kind, axis):
-        num = sub(mul(self.a.diff(kind, axis), self.b),
-                  mul(self.a, self.b.diff(kind, axis)))
+        num = add(mul(self.a.diff(kind, axis), self.b),
+                  neg(mul(self.a, self.b.diff(kind, axis))))
         return div(num, mul(self.b, self.b))
-
-    def to_str(self):
-        return f"({self.a.to_str()}/{self.b.to_str()})"
 
 
 class Neg(Node):
@@ -210,9 +156,6 @@ class Neg(Node):
 
     def diff(self, kind, axis):
         return neg(self.a.diff(kind, axis))
-
-    def to_str(self):
-        return f"(-{self.a.to_str()})"
 
 
 class Pow(Node):
@@ -233,13 +176,6 @@ class Pow(Node):
     def diff(self, kind, axis):
         da = self.a.diff(kind, axis)
         return mul(mul(Num(self.c), power(self.a, self.c - 1.0)), da)
-
-    def to_str(self):
-        c = self.c
-        cs = repr(int(c)) if c == int(c) else repr(c)
-        if c < 0:
-            cs = f"({cs})"
-        return f"({self.a.to_str()}^{cs})"
 
 
 class Call(Node):
@@ -267,9 +203,6 @@ class Call(Node):
             return div(da, self.a)
         raise AssertionError(self.fn)
 
-    def to_str(self):
-        return f"{self.fn}({self.a.to_str()})"
-
 
 # Smart constructors with constant folding; they keep high-order derivative
 # trees from exploding without any general CAS rewriting.
@@ -289,16 +222,6 @@ def add(a, b):
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value + b.value)
     return Add(a, b)
-
-
-def sub(a, b):
-    if _is_zero(b):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if _is_zero(a):
-        return neg(b)
-    return Sub(a, b)
 
 
 def mul(a, b):
@@ -465,18 +388,6 @@ class SymbolExpr:
         return SymbolExpr([[mul(Num(c), e) for e in row] for row in self.entries],
                           self.n, self.k)
 
-    # -- printing -----------------------------------------------------------
-
-    def to_text(self):
-        if self.k == 1:
-            return self.entries[0][0].to_str()
-        rows = ", ".join(
-            "[" + ", ".join(e.to_str() for e in row) + "]" for row in self.entries)
-        return f"[{rows}]"
-
-    def __repr__(self):
-        return f"SymbolExpr(n={self.n}, k={self.k}, {self.to_text()!r})"
-
 
 def _as_tuple(v, n):
     if isinstance(v, (list, tuple)):
@@ -606,7 +517,7 @@ class _Parser:
         while self.peek().kind in "+-":
             op = self.take().kind
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = add(node, rhs if op == "+" else neg(rhs))
         return node
 
     # term := unary (('*'|'/') unary)*

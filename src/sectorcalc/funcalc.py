@@ -347,16 +347,14 @@ def f_of_operator_oracle(A, f, contour):
     return _accumulate_resolvents(_as_matrix(A), contour.nodes, coeffs[None])[0]
 
 
-def f_of_symbol(calc, f, contour):
-    """Symbol-level calculus f(a): the LU Dunford sum of
-    :func:`f_of_operator_oracle` on the quantized symbol, with the symbol
-    extracted once, so it agrees with the oracle up to the quantize/extract
-    round trip."""
+def f_of_symbol(A, f, contour):
+    """Symbol-level calculus f(a) of the quantized symbol A = quantize(a), a
+    :class:`QuantOp`: the LU Dunford sum of :func:`f_of_operator_oracle`,
+    with the symbol extracted once on A's grid, so it agrees with the oracle
+    up to the quantize/extract round trip."""
     coeffs = contour.weights * f(contour.nodes)
-    acc = _accumulate_resolvents(calc.quantized_symbol.matrix, contour.nodes,
-                                 coeffs[None])[0]
-    total = extract_symbol(QuantOp(calc.grid, calc.k, acc))
-    return GridSymbol(calc.grid, total.values, calc.class_params, check=False)
+    acc = _accumulate_resolvents(A.matrix, contour.nodes, coeffs[None])[0]
+    return extract_symbol(QuantOp(A.grid, A.k, acc))
 
 
 # ---------------------------------------------------------------------------

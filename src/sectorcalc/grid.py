@@ -14,7 +14,7 @@ reach a running max, each max the same float as that of the full norm table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +38,13 @@ class TorusGrid:
     points : int
         Points per axis P (power of two); x_i = 2*pi*i/P.
     xi_max : int, optional
-        Window half-width Xi; defaults to P/2 - 1, the largest window with
-        no aliasing (P >= 2*Xi + 2).
+        Window half-width Xi >= 0; defaults to P/2 - 1, the largest window
+        with no aliasing (P >= 2*Xi + 2).
     """
 
     n: int
     points: int
-    xi_max: int = field(default=-1)
+    xi_max: int = None
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -52,8 +52,10 @@ class TorusGrid:
         P = self.points
         if P < 4 or (P & (P - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 4, got {P}")
-        if self.xi_max < 0:
+        if self.xi_max is None:
             object.__setattr__(self, "xi_max", P // 2 - 1)
+        elif self.xi_max < 0:
+            raise ValueError(f"window half-width xi_max must be >= 0, got {self.xi_max}")
         if self.points < 2 * self.xi_max + 2:
             raise ValueError(
                 f"points={self.points} < 2*xi_max+2={2 * self.xi_max + 2}: window would alias")

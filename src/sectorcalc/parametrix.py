@@ -190,12 +190,11 @@ class LeibnizResolvent:
 
     ``b_n`` is the excised parametrix b^N and ``r_n`` its remainder r^N,
     built at every lambda; ``diagnostics["method"]`` says which of
-    "neumann", "dense" or "neumann->dense" produced ``matrix``.
+    "neumann", "dense" or "neumann->dense" produced ``symbol``.
     """
 
     symbol: GridSymbol
     s_n: GridSymbol
-    matrix: np.ndarray
     diagnostics: dict
     b_n: GridSymbol
     r_n: GridSymbol
@@ -427,7 +426,7 @@ class ParametrixCalculator:
             diag["residual"] = residual(res_mat)
         symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
         return LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
-                                matrix=res_mat, diagnostics=diag, b_n=bN, r_n=r_sym)
+                                diagnostics=diag, b_n=bN, r_n=r_sym)
 
     # -- invertibility radius ------------------------------------------------------
 
@@ -437,14 +436,14 @@ class ParametrixCalculator:
 
         Each point is first decided by the Frobenius norm, an upper bound:
         ||M||_F <= 1/2 proves ||M||_2 <= 1/2.  Only where it exceeds 1/2 is
-        the norm estimated by power iteration (``operator_norm``, a lower
-        bound); a certified point passes that test too, so R is the same.
+        the exact spectral norm taken (one SVD), so every passed point is
+        certified.
         """
         radii = _R_CANDIDATES
 
         def passes(r_mat):
             return (np.linalg.norm(r_mat) <= 0.5
-                    or operator_norm(r_mat) <= 0.5)
+                    or np.linalg.norm(r_mat, 2) <= 0.5)
 
         passed = [passes(self.remainder_matrix(lam))
                   for lam in self.sector.ray_points(radii)]

@@ -130,7 +130,7 @@ def test_criterion_06_operator_symbol_equivalence(scene):
         contour = sc.build_contour(scene.sector, d=f.d, tol=1e-8, c_f=f.c_f)
         fine = sc.build_contour(scene.sector, d=f.d, tol=1e-9, c_f=f.c_f,
                                 nodes_per_decade=4 * contour.nodes_per_decade)
-        fa = sc.f_of_symbol(scene, f, contour)
+        fa = sc.f_of_symbol(scene.quantized_symbol, f, contour)
         oracle = sc.f_of_operator_oracle(scene.quantized_symbol, f, fine)
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) \
             / sc.operator_norm(oracle)
@@ -160,7 +160,7 @@ def test_criterion_07_uniform_bound_stability(scene, family12, family24):
             if key not in contours:
                 contours[key] = sc.build_contour(scene.sector, d=f.d,
                                                  tol=1e-5, c_f=cf_group)
-            fa = sc.f_of_symbol(scene, f, contours[key])
+            fa = sc.f_of_symbol(scene.quantized_symbol, f, contours[key])
             sup = f.sup_norm(scene.sector)
             for q in seminorms:
                 val = sc.grid_seminorm(fa, q[0], q[1], params0,
@@ -233,7 +233,7 @@ def test_criterion_10_degenerate_x_independent_suite():
     r_sup = r_sym.sup_norm(interior_margin=3)
     f = sc.power_quotient(1.0)
     contour = sc.build_contour(sector, d=1.0, tol=1e-8)
-    fa = sc.f_of_symbol(calc, f, contour)
+    fa = sc.f_of_symbol(calc.quantized_symbol, f, contour)
     pointwise = np.max(np.abs(fa.values[..., 0, 0] - f(calc.a_tab.values[..., 0, 0])))
     ok = higher == 0.0 and r_sup <= 1e-12 and pointwise <= 1e-8
     report(10, "x-independent degenerate suite", ok,

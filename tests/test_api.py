@@ -1,4 +1,5 @@
-"""The public API: every name the package exports has a caller."""
+"""The public API: every exported name, every defaulted parameter and every
+``src/`` function, method and class has a caller."""
 
 import ast
 import pathlib
@@ -34,42 +35,76 @@ def readme_quickstart():
     return block.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def unreferenced_exports():
-    """Exported names with no use outside their own definition.
+def definitions():
+    """(qualified name, name, identifiers its body uses) of every module-level
+    function and class in ``src/`` and every method of such a class.
 
-    Uses count in ``src/`` (except the export list itself), in the
-    acceptance criteria, in README's library quickstart and in
-    ``perfbench/``.  A use inside the definition of another exported name
-    that has no caller does not count either, so a dead chain fails whole.
+    A class's body is its own statements (bases, decorators, fields), not
+    its methods, which are definitions of their own; a function's body
+    includes its nested functions.
     """
-    names = exported_names()
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((f"{path.stem}.{node.name}", node.name, referenced(node)))
+            elif isinstance(node, ast.ClassDef):
+                own = set()
+                for item in node.bases + node.decorator_list + node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out.append((f"{path.stem}.{node.name}.{item.name}", item.name,
+                                    referenced(item)))
+                    else:
+                        own |= referenced(item)
+                out.append((f"{path.stem}.{node.name}", node.name, own))
+    return out
+
+
+def outside_references():
+    """Identifiers used outside every ``src/`` definition: module-level code
+    in ``src/`` (except the export list), the acceptance criteria,
+    README's library quickstart and ``perfbench/``."""
     outside = set()
     for path in [ROOT / "tests" / "test_acceptance.py",
                  *sorted((ROOT / "perfbench").glob("*.py"))]:
         outside |= referenced(ast.parse(path.read_text()))
     outside |= referenced(ast.parse(readme_quickstart()))
-    # src: top-level definitions by name; everything else is module-level use
-    defs = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(referenced(node))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                     ast.Import, ast.ImportFrom)):
                 outside |= referenced(node)
+    return outside
+
+
+def dead_names(candidates):
+    """The candidate names with no use outside their own definition.
+
+    A use counts outside every definition (:func:`outside_references`) or
+    in the body of a definition of another name, unless that name is dead
+    itself, so a dead chain fails whole.  Uses are matched by name.
+    """
+    defs = definitions()
+    outside = outside_references()
     dead = set()
     while True:
         live = set(outside)
-        for name, bodies in defs.items():
-            if name in dead:
-                continue
-            for body in bodies:
+        for _, name, body in defs:
+            if name not in dead:
                 live |= body - {name}
-        newly = {name for name in names - dead if name not in live}
+        newly = {name for name in candidates - dead if name not in live}
         if not newly:
-            return sorted(dead)
+            return dead
         dead |= newly
+
+
+def unreferenced_exports():
+    """Exported names with no use outside their own definition."""
+    return sorted(dead_names(exported_names()))
 
 
 def test_every_export_has_a_caller():
@@ -155,3 +190,23 @@ def uncalled_parameters():
 
 def test_every_keyword_parameter_has_a_caller():
     assert uncalled_parameters() == []
+
+
+# Dunder methods are called by the language; a printer is not, so
+# ``__repr__`` and ``__str__`` need a caller like any other name.
+UNCALLED_DUNDERS = {"__repr__", "__str__"}
+
+
+def uncalled_definitions():
+    """Qualified names of the ``src/`` functions, methods and classes whose
+    name has no use outside its own definition (see :func:`dead_names`)."""
+    defs = definitions()
+    names = {name for _, name, _ in defs
+             if not (name.startswith("__") and name.endswith("__"))
+             or name in UNCALLED_DUNDERS}
+    dead = dead_names(names)
+    return sorted(qual for qual, name, _ in defs if name in dead)
+
+
+def test_every_definition_has_a_caller():
+    assert uncalled_definitions() == []

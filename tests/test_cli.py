@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from sectorcalc import cli
+from sectorcalc import cli, parametrix
 from sectorcalc.cli import main
 from sectorcalc.config import parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
@@ -167,13 +167,17 @@ class TestExitCodes:
         ("parametrix", "lambda.max = inf", "'lambda.max': must be finite"),
         ("parametrix", "parametrix.N = 6", "parametrix.N must be in [1, 5]"),
         ("parametrix", "parametrix.N = 9", "parametrix.N must be in [1, 5]"),
+        ("check", "grid.xi_max = -3", "xi_max must be >= 0, got -3"),
+        ("parametrix", "grid.xi_max = -1", "xi_max must be >= 0, got -1"),
+        ("parametrix", "lambda.min = -5", "lambda.min must be >= 0, got -5.0"),
     ], ids=["nodes_per_decade", "lambda_count_0", "lambda_count_1", "tol_0",
             "tol_negative", "tmax_0", "bip_quad_tol_0", "calc_quad_tol_0",
             "max_order_negative", "max_order_9", "lambda_max_below_R",
             "shift_nan", "hypo_c_nan", "hypo_C_nan", "hypo_C_past_window",
             "hypo_C_negative",
             "hypo_c_negative", "class_m_nan", "lambda_min_nan", "lambda_max_inf",
-            "parametrix_N_6", "parametrix_N_9"])
+            "parametrix_N_6", "parametrix_N_9", "xi_max_negative", "xi_max_minus_1",
+            "lambda_min_negative"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, command,
                                                    line, message):
         key = line.split(" =")[0] + " "
@@ -287,6 +291,25 @@ class TestCalcOutputs:
             bip_norms = {row[0]: row[1] for row in csv.reader(fh)}
         assert calc_rows[1][0] == "imag_power 1.0~reg100"
         assert calc_rows[1][2] == bip_norms["1.0"]
+
+
+    def test_calc_and_bip_build_no_parametrix(self, tmp_path, monkeypatch):
+        # both run on quantize(a) alone: with the parametrix calculator
+        # refused they write the same reports
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("grid.points = 32",
+                                                   "grid.points = 16"))
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        for cmd in ("calc", "bip"):
+            assert main([cmd, "--config", cfg, "--out", str(ref)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ParametrixCalculator built")
+        monkeypatch.setattr(cli, "ParametrixCalculator", refuse)
+        monkeypatch.setattr(parametrix, "ParametrixCalculator", refuse)
+        for cmd in ("calc", "bip"):
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+        for name in ("fcalc_report.csv", "imaginary_powers.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestBipOutputs:

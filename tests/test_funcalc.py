@@ -124,7 +124,7 @@ class TestFOfSymbol:
         calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
                                        sector_right, N=2)
         f = sc.power_quotient(1.0)
-        fa = sc.f_of_symbol(calc, f, contour_d1)
+        fa = sc.f_of_symbol(calc.quantized_symbol, f, contour_d1)
         expected = f(calc.a_tab.values[..., 0, 0])
         assert np.max(np.abs(fa.values[..., 0, 0] - expected)) <= 1e-8
 
@@ -133,7 +133,7 @@ class TestFOfSymbol:
         expr = sc.parse_symbol("bracket(xi)^2+1", n=1)
         calc = sc.ParametrixCalculator(expr, grid, sc.SymbolClassParams(m=2),
                                        sector_right, N=2)
-        fa = sc.f_of_symbol(calc, sc.power_quotient(1.0), contour_d1)
+        fa = sc.f_of_symbol(calc.quantized_symbol, sc.power_quotient(1.0), contour_d1)
         mid = grid.xi_max
         assert fa.values[0, mid, 0, 0] == pytest.approx(2.0 / 9.0, abs=1e-8)
 
@@ -142,9 +142,9 @@ class TestFOfSymbol:
         g = sc.HFun(lambda z: z / (1.0 + z) ** 2 * (1.0 / (1.0 + z)), d=1.0,
                     name="cubed")
         combo = sc.HFun(lambda z: 2.0 * f(z) - 3.0 * g(z), d=1.0, name="combo")
-        fa = sc.f_of_symbol(calc16, f, contour_d1)
-        ga = sc.f_of_symbol(calc16, g, contour_d1)
-        ca = sc.f_of_symbol(calc16, combo, contour_d1)
+        fa = sc.f_of_symbol(calc16.quantized_symbol, f, contour_d1)
+        ga = sc.f_of_symbol(calc16.quantized_symbol, g, contour_d1)
+        ca = sc.f_of_symbol(calc16.quantized_symbol, combo, contour_d1)
         diff = np.max(np.abs(ca.values - (2.0 * fa.values - 3.0 * ga.values)))
         assert diff <= 1e-10 * max(ca.sup_norm(), 1e-30)
 
@@ -192,7 +192,7 @@ class TestOperatorOracle:
         contour = sc.build_contour(sector_right, d=1.0, tol=1e-8, c_f=f.c_f)
         fine = sc.build_contour(sector_right, d=1.0, tol=1e-9, c_f=f.c_f,
                                 nodes_per_decade=4 * contour.nodes_per_decade)
-        fa = sc.f_of_symbol(calc16, f, contour)
+        fa = sc.f_of_symbol(calc16.quantized_symbol, f, contour)
         oracle = sc.f_of_operator_oracle(calc16.quantized_symbol, f, fine)
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) / sc.operator_norm(oracle)
         assert rel <= 1e-6
@@ -299,7 +299,7 @@ def regularized_imaginary_power(calc, t, n_reg, quad_tol=1e-8):
     f_n = sc.imaginary_power_regularized(t, n_reg)
     f_n.ensure_cf(calc.sector)
     contour = sc.build_contour(calc.sector, d=1.0, tol=quad_tol, c_f=f_n.c_f)
-    return sc.f_of_symbol(calc, f_n, contour)
+    return sc.f_of_symbol(calc.quantized_symbol, f_n, contour)
 
 
 class TestImaginaryPowers:
@@ -400,7 +400,7 @@ class TestSeminormBound:
             for f in family:
                 f.ensure_cf(sector_right)
                 contour = sc.build_contour(sector_right, d=f.d, tol=1e-6, c_f=f.c_f)
-                fa = sc.f_of_symbol(calc16, f, contour)
+                fa = sc.f_of_symbol(calc16.quantized_symbol, f, contour)
                 sup = f.sup_norm(sector_right)
                 for q in seminorms:
                     val = sc.grid_seminorm(fa, q[0], q[1], params0,

@@ -26,6 +26,13 @@ class TestTorusGrid:
         g = sc.TorusGrid(n=1, points=16, xi_max=7)
         assert g.modes_per_axis == 15
 
+    @pytest.mark.parametrize("xi_max", [-1, -3])
+    def test_negative_window_rejected(self, xi_max):
+        # no negative half-width stands for the default P/2 - 1
+        with pytest.raises(ValueError, match="xi_max must be >= 0"):
+            sc.TorusGrid(n=1, points=16, xi_max=xi_max)
+        assert sc.TorusGrid(n=1, points=16).xi_max == 7
+
     def test_axes(self):
         g = sc.TorusGrid(n=1, points=8, xi_max=2)
         assert g.x_axis[0] == 0.0

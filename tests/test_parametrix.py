@@ -421,28 +421,46 @@ class TestFindR:
         ("calc32", 0, 1.0), ("slow_decay_calc", 12, 64.0)])
     def test_frobenius_certificate(self, request, monkeypatch, fixture,
                                    fallbacks, R):
-        # power iteration runs only where ||r^N||_F > 1/2, and every
-        # decision equals the exact ||r^N||_2 <= 1/2 (|lambda| = 32 on
-        # slow_decay_calc has ||.||_F = 0.983 but ||.||_2 = 0.871)
+        # the exact norm is taken only where ||r^N||_F > 1/2 (|lambda| = 32
+        # on slow_decay_calc has ||.||_F = 0.983 but ||.||_2 = 0.871), and
+        # R is the radius that the exact norms of all points give
         calc = request.getfixturevalue(fixture)
-        calls = []
+        norm = np.linalg.norm
+        exact = []
 
-        def counting_norm(A, *args, **kwargs):
-            nrm = sc.operator_norm(A, *args, **kwargs)
-            calls.append((A, nrm))
-            return nrm
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                exact.append(x)
+            return norm(x, ord, *args, **kwargs)
 
-        monkeypatch.setattr(parametrix, "operator_norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
         assert calc.find_R() == R
-        assert len(calls) == fallbacks
+        monkeypatch.undo()
+        assert len(exact) == fallbacks
         radii = 2.0 ** np.arange(21)
         points = calc.sector.ray_points(radii)
         assert len(points) == 42
+        passed = []
         for lam in points:
             r_mat = calc.remainder(lam)[1]
-            estimates = [nrm for A, nrm in calls if np.array_equal(A, r_mat)]
-            decided = not estimates or estimates[0] <= 0.5
-            assert decided == (np.linalg.norm(r_mat, 2) <= 0.5), lam
+            taken = any(np.array_equal(r_mat, m) for m in exact)
+            assert taken == (norm(r_mat) > 0.5), lam
+            passed.append(norm(r_mat, 2) <= 0.5)
+        above = [all(ok for rad, ok in zip(np.repeat(radii, 2), passed) if rad >= r)
+                 for r in radii]
+        assert radii[above.index(True)] == R
+
+    def test_lower_bound_cannot_certify(self, xind_calc, monkeypatch):
+        # ||M||_2 = 0.6 and ||M||_F = 0.72, while power iteration from the
+        # all-ones vector, orthogonal to M's top singular vector
+        # (1, -1)/sqrt(2), reads 0.4: only the exact norm rejects M
+        q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        r_mat = q @ np.diag([0.6, 0.4]) @ q.T
+        assert sc.operator_norm(r_mat) == pytest.approx(0.4)
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "remainder_matrix",
+                            lambda self, lam: r_mat)
+        with pytest.raises(sc.SectorcalcError, match="no invertibility radius"):
+            xind_calc.find_R()
 
     @pytest.mark.parametrize("fixture, R", [("calc32", 1.0), ("slow_decay_calc", 64.0)])
     def test_no_symbol_extraction(self, request, monkeypatch, fixture, R):
@@ -466,7 +484,9 @@ class TestFindR:
 class TestShift:
     def test_expression(self, var_laplace):
         shifted = sc.shift(var_laplace, 1.0)
-        assert "+1" in shifted.to_text().replace(" ", "").replace("1.0", "1")
+        x = np.linspace(0, 6, 9)[:, None]
+        xi = np.linspace(-4, 4, 9)[None, :]
+        assert np.array_equal(shifted.eval(x, xi), var_laplace.eval(x, xi) + 1.0)
 
     def test_spectrum_translates(self, grid16, var_laplace):
         eigs = sc.eigenvalues_grid(sc.sample(var_laplace, grid16).values)
