@@ -19,8 +19,8 @@ from .grid import GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm, samp
 from .hypo import (HypoReport, check_spectrum, eigenvalues_grid,
                    estimate_hypo_constants)
 from .parametrix import (LeibnizResolvent, ParametrixCalculator,
-                         ParamSymbolFamily, bj_term_lists, excision_weights,
-                         parametrix_sweep, shift, smooth_step)
+                         ParamSymbolFamily, bj_term_lists, parametrix_sweep,
+                         shift)
 from .presets import get_preset, preset_names
 from .quantop import (QuantOp, compose_exact, extract_symbol, leibniz_truncated,
                       quantize)

@@ -62,9 +62,9 @@ def cmd_check(rc, args):
 def cmd_parametrix(rc, args):
     if rc.hypo_C > 0:
         raise ConfigError(
-            f"parametrix needs hypo.C = 0, got {rc.hypo_C!r}: the excision zeroes "
-            "b^N for |xi| <= C, so ||quantize(r^N)|| stays near 1 at every |lambda| "
-            "and no invertibility radius R exists")
+            f"parametrix needs hypo.C = 0, got {rc.hypo_C!r}: the parametrix needs "
+            "the spectral condition on the whole window, and low-frequency "
+            "excision is not modelled")
     base = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C,
                           rc.grid, rc.class_params)
     if not base.passed:
@@ -72,7 +72,7 @@ def cmd_parametrix(rc, args):
               f"({base.n_violations} violations); not sweeping")
         return EXIT_CHECK_FAILED
     calc = ParametrixCalculator(rc.expr, rc.grid, rc.class_params, rc.sector,
-                                rc.parametrix_N, C=rc.hypo_C)
+                                rc.parametrix_N)
     R = calc.find_R()
     lo = max(rc.lambda_min, R)
     if not rc.lambda_max > lo:
@@ -96,9 +96,7 @@ def cmd_calc(rc, args):
     for f in family:
         _say(args, f"calc: {f.name}")
         f.validate(rc.sector)
-        per_decade = rc.contour_nodes_per_decade or None
-        contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f,
-                                nodes_per_decade=per_decade)
+        contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f)
         fa = f_of_symbol(A, f, contour)
         oracle = f_of_operator_oracle(A, f, contour)
         sup = f.sup_norm(rc.sector)

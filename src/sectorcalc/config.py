@@ -7,7 +7,7 @@ is documented in ``docs/config.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,18 +108,20 @@ class RunConfig:
     lambda_min: float
     lambda_max: float
     lambda_count: int
-    contour_nodes_per_decade: int
     calc_quad_tol: float
-    function_specs: list = field(default_factory=list)
-    bip_tmax: float = 5.0
-    bip_steps: int = 11
-    bip_n_reg: int = 1000
-    bip_quad_tol: float = 1e-6
+    function_specs: list
+    bip_tmax: float
+    bip_steps: int
+    bip_n_reg: int
+    bip_quad_tol: float
 
 
 def resolve_config(values):
     """Validate raw key/value pairs and build the run objects."""
     cfg = _Cfg(values)
+    if cfg.get("contour.nodes_per_decade") is not None:
+        raise ConfigError("contour.nodes_per_decade was removed: contours are "
+                          "always certified by the scalar Cauchy test")
     n = cfg.get_int("symbol.n", 1)
     preset = cfg.get("symbol.preset")
     expr_text = cfg.get("symbol.expr")
@@ -179,7 +181,6 @@ def resolve_config(values):
         lambda_max=cfg.get_float("lambda.max", 1e4),
         lambda_count=cfg.get_int_in("lambda.count", 10, 2,
                                     why=" (the decay slopes are fits)"),
-        contour_nodes_per_decade=cfg.get_int_in("contour.nodes_per_decade", 0, 0),
         calc_quad_tol=cfg.get_positive("calc.quad_tol", 1e-5),
         function_specs=function_specs,
         bip_tmax=cfg.get_positive("bip.tmax", 5.0),

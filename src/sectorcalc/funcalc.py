@@ -161,9 +161,7 @@ class Contour:
 
     ``nodes`` and complex ``weights`` absorb orientation and d(lambda); the
     Dunford value of f at operator A is
-    (i/2 pi) sum_q w_q f(lambda_q) (A - lambda_q)^{-1}.  ``inner_tail`` and
-    ``outer_tail`` record the bounds on the omitted pieces below r_min and
-    beyond r_max for the decay data the contour was built for.
+    (i/2 pi) sum_q w_q f(lambda_q) (A - lambda_q)^{-1}.
     """
 
     theta: float
@@ -172,8 +170,6 @@ class Contour:
     nodes_per_decade: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    inner_tail: float = 0.0
-    outer_tail: float = 0.0
 
     def __len__(self):
         return len(self.nodes)
@@ -204,7 +200,7 @@ def _log_gl_ray(theta_ray, r_min, r_max, per_decade):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _assemble_contour(sector, r_min, r_max, per_decade, tails=(0.0, 0.0)):
+def _assemble_contour(sector, r_min, r_max, per_decade):
     up_n, up_w = _log_gl_ray(sector.theta, r_min, r_max, per_decade)
     lo_n, lo_w = _log_gl_ray(-sector.theta, r_min, r_max, per_decade)
     # Orientation: down the upper ray, out along the lower ray, so the scalar
@@ -212,8 +208,7 @@ def _assemble_contour(sector, r_min, r_max, per_decade, tails=(0.0, 0.0)):
     nodes = np.concatenate([up_n, lo_n])
     weights = np.concatenate([-up_w, lo_w])
     return Contour(theta=sector.theta, r_min=r_min, r_max=r_max,
-                   nodes_per_decade=per_decade, nodes=nodes, weights=weights,
-                   inner_tail=tails[0], outer_tail=tails[1])
+                   nodes_per_decade=per_decade, nodes=nodes, weights=weights)
 
 
 _PROBE_Z0 = (0.5, 1.0, 4.0, 20.0)
@@ -243,12 +238,10 @@ def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
         raise ContourError(
             f"contour spans {np.log10(r_max / r_min):.0f} decades (> {_MAX_DECADES}); "
             "decay exponent too small for the requested tolerance")
-    tails = (c_f * r_min ** (d + 1.0) / (d + 1.0),
-             c_f * r_max ** (-d) / d)
     probes = [z0 for z0 in _PROBE_Z0 if 10.0 * r_min <= z0 <= 0.1 * r_max] or [1.0]
 
     if nodes_per_decade is not None:
-        return _assemble_contour(sector, r_min, r_max, nodes_per_decade, tails)
+        return _assemble_contour(sector, r_min, r_max, nodes_per_decade)
 
     def probe(z):
         return _probe_fun(z, d)
@@ -256,7 +249,7 @@ def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
     per_decade = 8
     prev = None
     while per_decade <= _MAX_NODES_PER_DECADE:
-        contour = _assemble_contour(sector, r_min, r_max, per_decade, tails)
+        contour = _assemble_contour(sector, r_min, r_max, per_decade)
         vals = np.array([contour.dunford_scalar(probe, z0) for z0 in probes])
         err = float(np.max(np.abs(vals - _probe_fun(np.array(probes), d))))
         if prev is not None:
@@ -407,18 +400,17 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def bn_part(calc, f, nodes, weights):
-    """(i/2 pi) phi(xi) sum_q w_q f(lambda_q) b^N(lambda_q), the parametrix
-    part of the Dunford integral.
+    """(i/2 pi) sum_q w_q f(lambda_q) b^N(lambda_q), the parametrix part of
+    the Dunford integral.
 
     Each node lambda_q (with its weight) is a scalar or one lambda per grid
-    node.  b^N is one ``eval_terms`` call per node; phi and i/2 pi are
-    applied once, to the sum.
+    node.  b^N is one ``eval_terms`` call per node; i/2 pi is applied once,
+    to the sum.
     """
     acc = 0.0
     for lam, w in zip(nodes, weights):
         acc = acc + (w * f(lam))[..., None, None] * calc.eval_terms(calc.bN_terms, lam)
-    phi = calc.phi.reshape((1,) * calc.grid.n + calc.grid.xi_shape + (1, 1))
-    return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * phi * acc, calc.class_params,
+    return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * acc, calc.class_params,
                       check=False)
 
 

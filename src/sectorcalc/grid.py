@@ -168,11 +168,6 @@ class GridSymbol:
         return GridSymbol(self.grid, self.values - other.values, self.class_params,
                           check=False)
 
-    def scale_modes(self, weights):
-        """Multiply by a per-frequency-node weight array (e.g. an excision)."""
-        w = np.asarray(weights).reshape((1,) * self.grid.n + self.grid.xi_shape + (1, 1))
-        return GridSymbol(self.grid, self.values * w, self.class_params, check=False)
-
     # -- norms ----------------------------------------------------------------
 
     def spectral_norms(self):

@@ -16,7 +16,7 @@ xi-derivatives of b_k, is a test oracle; it builds the same term lists up
 to coefficient rounding, and the tests check that the left remainder
 decays too.
 
-On top of the recursion sit the excised sum b^N, the remainder
+On top of the recursion sit the sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
 b^N is evaluated from one term list, the b_0 .. b_{N-1} lists concatenated.
@@ -38,6 +38,7 @@ import numpy as np
 from .densela import dense_resolvent, operator_norm
 from .errors import SectorcalcError
 from .grid import GridSymbol, class_weighted_sup, sample
+from .hypo import _hoelder_bounds
 from .quantop import QuantOp, extract_symbol, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -150,37 +151,6 @@ def _tree_sum(children, b0):
 
 
 # ---------------------------------------------------------------------------
-# Excision
-# ---------------------------------------------------------------------------
-
-def smooth_step(t):
-    """C^inf bridge: 0 for t <= 1, 1 for t >= 2, strictly monotone between."""
-    t = np.asarray(t, dtype=float)
-    def g(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / s[pos])
-        return out
-    lo, hi = g(t - 1.0), g(2.0 - t)
-    denom = lo + hi
-    safe = denom > 0
-    out = np.where(t >= 2.0, 1.0, 0.0)
-    out[safe] = (lo[safe] / denom[safe])
-    return out
-
-
-def excision_weights(grid, C):
-    """Smooth zero-excision on the frequency window.
-
-    Vanishes for |xi| <= C, is 1 for |xi| >= 2C.  C <= 0 disables excision
-    (the spectral condition then holds on all frequencies, phi == 1).
-    """
-    if C <= 0:
-        return np.ones(grid.xi_shape)
-    return smooth_step(grid.xi_norm() / C)
-
-
-# ---------------------------------------------------------------------------
 # Calculator: all lambda-dependent objects for one symbol on one grid
 # ---------------------------------------------------------------------------
 
@@ -188,7 +158,7 @@ def excision_weights(grid, C):
 class LeibnizResolvent:
     """Result of inverting a - lambda with respect to the Leibniz product.
 
-    ``b_n`` is the excised parametrix b^N and ``r_n`` its remainder r^N,
+    ``b_n`` is the parametrix b^N and ``r_n`` its remainder r^N,
     built at every lambda; ``diagnostics["method"]`` says which of
     "neumann", "dense" or "neumann->dense" produced ``symbol``.
     """
@@ -205,13 +175,12 @@ class ParametrixCalculator:
 
     Derivative tabulations of a, the term lists of the recursion (and their
     concatenation ``bN_terms``, the one term list of b^N), the compiled
-    term lists (scalar polynomial tables or matrix product trees), the
-    quantized symbol and the excision weights are computed once; everything
-    per-lambda (b_j, b^N, r^N, the resolvent) is then cheap and independent
-    across lambda.
+    term lists (scalar polynomial tables or matrix product trees) and the
+    quantized symbol are computed once; everything per-lambda (b_j, b^N,
+    r^N, the resolvent) is then cheap and independent across lambda.
     """
 
-    def __init__(self, expr, grid, class_params, sector, N, C=0.0):
+    def __init__(self, expr, grid, class_params, sector, N):
         if N < 1:
             raise ValueError("parametrix order N must be >= 1")
         class_params.validate(strict=True, require_nonnegative_order=True)
@@ -220,7 +189,6 @@ class ParametrixCalculator:
         self.class_params = class_params
         self.sector = sector
         self.N = N
-        self.C = float(C)
         self.a_tab = sample(expr, grid, class_params)
         self.k = self.a_tab.k
         self.sup_a = self.a_tab.sup_norm()
@@ -229,9 +197,8 @@ class ParametrixCalculator:
         else:
             self.min_a = float(np.min(
                 np.linalg.svd(self.a_tab.values, compute_uv=False)[..., -1]))
-        self.phi = excision_weights(grid, self.C)
         self.term_lists = bj_term_lists(grid.n, N)
-        self.bN_terms = sum(self.term_lists, [])  # b^N before excision
+        self.bN_terms = sum(self.term_lists, [])
         # Sweep sups exclude the edge band where mode-truncation leak of the
         # exact composition sits (lambda-flat, confined to O(1) modes);
         # clamped so tiny windows keep at least the central mode.
@@ -359,11 +326,10 @@ class ParametrixCalculator:
                 for terms in self.term_lists]
 
     def assemble_bN(self, lam):
-        """b^N(lambda) = phi(xi) sum_{j<N} b_j(lambda), one term list."""
+        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list."""
         self.require_admissible(lam)
         vals = self.eval_terms(self.bN_terms, complex(lam))
-        return GridSymbol(self.grid, vals, self.class_params,
-                          check=False).scale_modes(self.phi)
+        return GridSymbol(self.grid, vals, self.class_params, check=False)
 
     def remainder_matrix(self, lam, q_bN=None, m_shift=None):
         """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
@@ -434,15 +400,17 @@ class ParametrixCalculator:
         """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
         all sampled boundary points with |lambda| >= R.
 
-        Each point is first decided by the Frobenius norm, an upper bound:
-        ||M||_F <= 1/2 proves ||M||_2 <= 1/2.  Only where it exceeds 1/2 is
-        the exact spectral norm taken (one SVD), so every passed point is
+        Each point is first decided by two upper bounds of ||M||_2, the
+        Frobenius norm and the Hoelder bound (||M||_1 ||M||_inf)^(1/2): either
+        at most 1/2 proves ||M||_2 <= 1/2.  Only where both exceed 1/2 is the
+        exact spectral norm taken (one SVD), so every passed point is
         certified.
         """
         radii = _R_CANDIDATES
 
         def passes(r_mat):
             return (np.linalg.norm(r_mat) <= 0.5
+                    or _hoelder_bounds(r_mat[None])[0] <= 0.5
                     or np.linalg.norm(r_mat, 2) <= 0.5)
 
         passed = [passes(self.remainder_matrix(lam))

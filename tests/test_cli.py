@@ -79,8 +79,9 @@ class TestExitCodes:
 
     def test_parametrix_with_excision_fails_before_find_R(self, tmp_path, capsys,
                                                           monkeypatch):
-        # the excised b^N vanishes near xi = 0, so ||quantize(r^N)|| stays
-        # near 1 and no radius exists: the config is rejected, not searched
+        # the parametrix needs the spectral condition on the whole window and
+        # models no low-frequency excision: hypo.C > 0 is rejected before
+        # any radius is searched
         def no_search(self):
             raise AssertionError("find_R ran")
         monkeypatch.setattr(cli.ParametrixCalculator, "find_R", no_search)
@@ -145,7 +146,8 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command, line, message", [
-        ("calc", "contour.nodes_per_decade = -4", "nodes_per_decade must be >= 0"),
+        ("calc", "contour.nodes_per_decade = 16",
+         "contour.nodes_per_decade was removed"),
         ("parametrix", "lambda.count = 0", "lambda.count must be >= 2"),
         ("parametrix", "lambda.count = 1", "lambda.count must be >= 2"),
         ("parametrix", "parametrix.tol = 0", "'parametrix.tol': must be > 0"),

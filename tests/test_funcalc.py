@@ -453,7 +453,7 @@ class TestDeformedContour:
 
     def test_n1_deformed_part_is_scalar_cauchy_integral(self, sector_right):
         # at N = 1, b^N = (a - lambda)^{-1}: the deformed b^N part must be
-        # phi (i/2pi) sum_q w_q f(lambda_q) / (a - lambda_q) on the straight
+        # (i/2pi) sum_q w_q f(lambda_q) / (a - lambda_q) on the straight
         # rays beyond R, formed here from a(x, xi) alone
         grid = sc.TorusGrid(n=1, points=16)
         expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
@@ -464,7 +464,7 @@ class TestDeformedContour:
         rays = _assemble_contour(calc.sector, R, 1e12, 24)
         a = calc.a_tab.values[..., 0, 0]
         scalar = sum(w * f(lam) / (a - lam) for lam, w in zip(rays.nodes, rays.weights))
-        scalar = calc.phi * 1j / (2.0 * np.pi) * scalar
+        scalar = 1j / (2.0 * np.pi) * scalar
         part = bn_f_deformed(calc, f, R).values[..., 0, 0]
         assert np.max(np.abs(part - scalar)) <= 1e-6 * np.max(np.abs(scalar))
 
