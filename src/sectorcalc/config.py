@@ -22,6 +22,16 @@ from .grid import TorusGrid
 # N = 5 (9,270 terms); the n = 2 term lists hold 213,478 terms at N = 6.
 MAX_PARAMETRIX_N = 5
 
+# The schema of docs/config.md.  Any other key is a configuration error, so
+# that a misspelled key never silently runs the default.
+CONFIG_KEYS = frozenset({
+    "symbol.preset", "symbol.expr", "symbol.n", "symbol.k",
+    "class.m", "class.rho", "class.delta", "sector.theta",
+    "grid.points", "grid.xi_max", "hypo.c", "hypo.C", "hypo.max_order", "shift",
+    "parametrix.N", "parametrix.tol", "lambda.min", "lambda.max", "lambda.count",
+    "calc.quad_tol", "functions", "bip.tmax", "bip.steps", "bip.n_reg",
+    "bip.quad_tol"})
+
 
 def parse_config_text(text):
     values = {}
@@ -122,6 +132,10 @@ def resolve_config(values):
     if cfg.get("contour.nodes_per_decade") is not None:
         raise ConfigError("contour.nodes_per_decade was removed: contours are "
                           "always certified by the scalar Cauchy test")
+    unknown = sorted(set(values) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}: "
+                          "docs/config.md lists the keys")
     n = cfg.get_int("symbol.n", 1)
     preset = cfg.get("symbol.preset")
     expr_text = cfg.get("symbol.expr")

@@ -1,10 +1,14 @@
 """Dense linear-algebra backend: LU resolvents and operator norms.
 
 Everything here is deterministic: LU via LAPACK partial pivoting with one
-step of iterative refinement, spectral norms via power iteration from a
-fixed all-ones start vector, and the resolvent-norm sweep's norms exact from
-the smallest singular value.  Solves at distinct lambda are independent;
-matrices are immutable by convention.
+step of iterative refinement, and the resolvent-norm sweep's norms exact
+from the smallest singular value.  Norms come in two kinds.  Power
+iteration from a fixed all-ones start vector (:func:`operator_norm`)
+approaches ||M||_2 from below; it serves reported norms only.  A decision
+that compares a norm with a threshold (Neumann eligibility and length, the
+invertibility radius) takes :func:`norm_bound`, an upper bound that is the
+exact norm wherever the comparison could go the other way.  Solves at
+distinct lambda are independent; matrices are immutable by convention.
 """
 
 from __future__ import annotations
@@ -87,6 +91,26 @@ def operator_norm(A, tol=1e-8, maxiter=5000, return_info=False):
     if return_info:
         return s, converged, iterations
     return s
+
+
+def _hoelder_bounds(inv):
+    """(||X||_1 ||X||_inf)^(1/2) per X of a (nodes, k, k) stack, an upper
+    bound of ||X||_2 (Golub & Van Loan, Matrix Computations, 2.3)."""
+    # |X| as (k, k, nodes), so both sums and maxima run over leading axes
+    mod = np.abs(np.ascontiguousarray(inv.transpose(1, 2, 0)))
+    return np.sqrt(mod.sum(axis=0).max(axis=0) * mod.sum(axis=1).max(axis=0))
+
+
+def norm_bound(M, t):
+    """Certified upper bound of ||M||_2 for a comparison with ``t``.
+
+    The smaller of ||M||_F and the Hoelder bound (||M||_1 ||M||_inf)^(1/2)
+    when it is below ``t``; otherwise the exact norm from one SVD.  The
+    result is never below ||M||_2 and equals it wherever it is at least
+    ``t``, so comparing it with ``t`` decides ||M||_2 against ``t``.
+    """
+    bound = min(float(np.linalg.norm(M)), float(_hoelder_bounds(M[None])[0]))
+    return bound if bound < t else float(np.linalg.norm(M, 2))
 
 
 def resolvent_norm_sweep(A, sector, radii):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .densela import _hoelder_bounds
 from .grid import _spectral_norms, certified_maxima, sample
 from .util import multi_indices_below
 
@@ -158,14 +159,6 @@ def _sample_maxima(best, values, lam, factors):
         best[t] = max(best[t], float(np.max(da * rn * w)))
     best[-1] = max(best[-1], float(scale * np.max(rn)))
     return bool(np.all(np.isfinite(rn)))
-
-
-def _hoelder_bounds(inv):
-    """(||X||_1 ||X||_inf)^(1/2) per X of a (nodes, k, k) stack, an upper
-    bound of ||X||_2 (Golub & Van Loan, Matrix Computations, 2.3)."""
-    # |X| as (k, k, nodes), so both sums and maxima run over leading axes
-    mod = np.abs(np.ascontiguousarray(inv.transpose(1, 2, 0)))
-    return np.sqrt(mod.sum(axis=0).max(axis=0) * mod.sum(axis=1).max(axis=0))
 
 
 def estimate_hypo_constants(expr, sector, grid, class_params, report,

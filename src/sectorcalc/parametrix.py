@@ -26,6 +26,11 @@ evaluates as a polynomial in b_0.  For a matrix symbol it becomes one
 shared-prefix product tree of its factor words, so a product that begins
 several terms is formed once; the tree is evaluated on component-major
 (k, k, grid) arrays with each k x k product written out entrywise.
+
+The boundary rays are sampled in conjugate pairs.  When the symbol
+satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
+b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda), and the lower-ray b^N
+is the mirror of the upper-ray one: no b_0 inverses and no products.
 """
 
 from __future__ import annotations
@@ -35,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densela import dense_resolvent, operator_norm
+from .densela import dense_resolvent, norm_bound
 from .errors import SectorcalcError
 from .grid import GridSymbol, class_weighted_sup, sample
-from .hypo import _hoelder_bounds
 from .quantop import QuantOp, extract_symbol, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -207,6 +211,9 @@ class ParametrixCalculator:
         self._deriv_cache = {}
         self._compiled = {}
         self._q_a = None
+        self._conj_symmetric = None
+        # (lambda, b^N values) of the last b^N evaluated, for its conjugate
+        self._bN_memo = None
 
     # -- caches ---------------------------------------------------------------
 
@@ -325,10 +332,44 @@ class ParametrixCalculator:
                            self.class_params, check=False)
                 for terms in self.term_lists]
 
+    def _conj_mirror(self, values):
+        """conj v(x, -xi) of a node-shaped (..., k, k) table."""
+        n = self.grid.n
+        return np.flip(values, axis=tuple(range(n, 2 * n))).conj()
+
+    @property
+    def conj_symmetric(self):
+        """Whether b^N(conj lambda) is the mirror conj b^N(x, -xi, lambda).
+
+        Decided once, bitwise on the tables b^N is evaluated from: the
+        sampled a equals its mirror, and every cached derivative table T of
+        xi-order alpha satisfies T(x, -xi) = (-1)^|alpha| conj T(x, xi).
+        Read after b^N has been evaluated once, so that the cache holds
+        every table of its term list.
+        """
+        if self._conj_symmetric is None:
+            a = self.a_tab.values
+            self._conj_symmetric = np.array_equal(self._conj_mirror(a), a) and all(
+                np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
+                               (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
+                for alpha, beta in self._deriv_cache)
+        return self._conj_symmetric
+
     def assemble_bN(self, lam):
-        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list."""
+        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list.
+
+        A one-slot memo holds the last lambda evaluated.  At its conjugate,
+        on a :attr:`conj_symmetric` symbol, b^N is the memo's mirror and the
+        slot is cleared; otherwise the term list is evaluated.
+        """
         self.require_admissible(lam)
-        vals = self.eval_terms(self.bN_terms, complex(lam))
+        lam = complex(lam)
+        memo, self._bN_memo = self._bN_memo, None
+        if memo is not None and memo[0] == lam.conjugate() and self.conj_symmetric:
+            vals = self._conj_mirror(memo[1])
+        else:
+            vals = self.eval_terms(self.bN_terms, lam)
+            self._bN_memo = (lam, vals)
         return GridSymbol(self.grid, vals, self.class_params, check=False)
 
     def remainder_matrix(self, lam, q_bN=None, m_shift=None):
@@ -356,17 +397,22 @@ class ParametrixCalculator:
     def leibniz_resolvent(self, lam, tol=1e-11):
         """(a - lambda)^{-#} with Neumann inversion of 1 + r^N when possible.
 
-        The Neumann series is truncated once the geometric tail bound
-        ||r||^(K+1)/(1 - ||r||) drops below ``tol``; the dense Leibniz
-        inverse takes over when ||quantize(r^N)|| >= 1/2 or the Neumann
-        residual symbol stays above ``tol``.
+        ||r|| is the certified upper bound of ||quantize(r^N)||_2 of
+        :func:`densela.norm_bound` (exact at and above 1/2), so the Neumann
+        series runs iff ||quantize(r^N)||_2 < 1/2, and truncating it once
+        the geometric tail bound ||r||^(K+1)/(1 - ||r||) drops below ``tol``
+        is certified too.  The dense Leibniz inverse takes over when
+        ||quantize(r^N)||_2 >= 1/2 or the Neumann residual symbol stays
+        above ``tol``.  b^N comes from :meth:`assemble_bN`, so at a
+        conjugate pair of lambda on a symmetric symbol the second b^N is the
+        mirror of the first.
         """
         self.require_admissible(lam)
         bN = self.assemble_bN(lam)
         q_bN = quantize(bN).matrix
         m_shift = self.shifted_matrix(lam)
         r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
-        r_norm = operator_norm(r_mat)
+        r_norm = norm_bound(r_mat, 0.5)
         diag = {"lambda": complex(lam), "method": None, "r_norm": r_norm,
                 "neumann_terms": 0, "residual": None}
         eye = np.eye(m_shift.shape[0], dtype=complex)
@@ -400,20 +446,15 @@ class ParametrixCalculator:
         """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
         all sampled boundary points with |lambda| >= R.
 
-        Each point is first decided by two upper bounds of ||M||_2, the
-        Frobenius norm and the Hoelder bound (||M||_1 ||M||_inf)^(1/2): either
-        at most 1/2 proves ||M||_2 <= 1/2.  Only where both exceed 1/2 is the
-        exact spectral norm taken (one SVD), so every passed point is
-        certified.
+        Each point is decided by :func:`densela.norm_bound`: the Frobenius
+        norm or the Hoelder bound (||M||_1 ||M||_inf)^(1/2) where either is
+        below 1/2, the exact spectral norm (one SVD) elsewhere, so every
+        passed point is certified.  The points come in conjugate pairs, and
+        on a symmetric symbol the lower point's b^N is the mirror of the
+        upper one's (:meth:`assemble_bN`).
         """
         radii = _R_CANDIDATES
-
-        def passes(r_mat):
-            return (np.linalg.norm(r_mat) <= 0.5
-                    or _hoelder_bounds(r_mat[None])[0] <= 0.5
-                    or np.linalg.norm(r_mat, 2) <= 0.5)
-
-        passed = [passes(self.remainder_matrix(lam))
+        passed = [norm_bound(self.remainder_matrix(lam), 0.5) <= 0.5
                   for lam in self.sector.ray_points(radii)]
         for candidate in radii:
             if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)

@@ -1,13 +1,14 @@
 """Command-line front end: exit codes, CSV schemas, determinism."""
 
 import csv
+import pathlib
 
 import numpy as np
 import pytest
 
 from sectorcalc import cli, parametrix
 from sectorcalc.cli import main
-from sectorcalc.config import parse_config_text, resolve_config
+from sectorcalc.config import CONFIG_KEYS, parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
 
 BASE_CFG = """
@@ -172,6 +173,10 @@ class TestExitCodes:
         ("check", "grid.xi_max = -3", "xi_max must be >= 0, got -3"),
         ("parametrix", "grid.xi_max = -1", "xi_max must be >= 0, got -1"),
         ("parametrix", "lambda.min = -5", "lambda.min must be >= 0, got -5.0"),
+        ("parametrix", "parametrix.n = 9",
+         "unknown config key 'parametrix.n': docs/config.md lists the keys"),
+        ("check", "lambda.cuont = 1",
+         "unknown config key 'lambda.cuont': docs/config.md lists the keys"),
     ], ids=["nodes_per_decade", "lambda_count_0", "lambda_count_1", "tol_0",
             "tol_negative", "tmax_0", "bip_quad_tol_0", "calc_quad_tol_0",
             "max_order_negative", "max_order_9", "lambda_max_below_R",
@@ -179,7 +184,7 @@ class TestExitCodes:
             "hypo_C_negative",
             "hypo_c_negative", "class_m_nan", "lambda_min_nan", "lambda_max_inf",
             "parametrix_N_6", "parametrix_N_9", "xi_max_negative", "xi_max_minus_1",
-            "lambda_min_negative"])
+            "lambda_min_negative", "misspelled_N", "misspelled_count"])
     def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, command,
                                                    line, message):
         key = line.split(" =")[0] + " "
@@ -358,6 +363,29 @@ class TestConfigDefaults:
         rc = resolve_config(parse_config_text(
             "symbol.preset = variable_laplace\nshift = 5\n"))
         assert rc.expr is not rc.base_expr
+
+
+class TestConfigSchema:
+    """The schema is docs/config.md's, and resolve_config reads all of it."""
+
+    def test_schema_is_the_documented_one(self):
+        doc = (pathlib.Path(__file__).resolve().parents[1] / "docs" / "config.md")
+        block = doc.read_text().split("```\n", 2)[1]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+                if "=" in line.split("#", 1)[0]}
+        assert keys == CONFIG_KEYS
+
+    def test_every_key_is_read(self):
+        # a key in the schema that resolve_config never reads would be
+        # accepted and then ignored
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        read = set()
+        resolve_config(Recording(parse_config_text("symbol.preset = variable_laplace\n")))
+        assert CONFIG_KEYS <= read
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
+from sectorcalc import densela
 from sectorcalc.util import fit_loglog_slope, japanese_bracket
 
 from reference import apply_dense, apply_fft, unit_symbol
@@ -136,6 +137,38 @@ class TestOperatorNorm:
 
     def test_zero_matrix(self):
         assert sc.operator_norm(np.zeros((5, 5), dtype=complex)) == 0.0
+
+
+class TestNormBound:
+    """densela.norm_bound against the exact norm it stands in for."""
+
+    def test_upper_bound_exact_at_the_threshold(self):
+        # never below ||M||_2, the exact norm wherever it is at least t, so
+        # the comparison with t is the exact norm's
+        rng = np.random.default_rng(5)
+        for scale in (0.02, 0.1, 0.3, 1.0, 3.0):
+            M = scale * (rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))) / 24
+            exact = np.linalg.norm(M, 2)
+            for t in (0.05, 0.5, 2.0):
+                bound = densela.norm_bound(M, t)
+                assert bound >= exact
+                assert (bound < t) == (exact < t)
+                if bound >= t:
+                    assert bound == exact
+
+    def test_power_iteration_lower_bound_not_taken(self):
+        # ||M||_2 = 0.6, but power iteration from the all-ones vector, which
+        # is orthogonal to the top singular vector, reads 0.4
+        q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        M = q @ np.diag([0.6, 0.4]) @ q.T
+        assert sc.operator_norm(M) == pytest.approx(0.4)
+        assert densela.norm_bound(M, 0.5) == np.linalg.norm(M, 2)
+
+    def test_small_matrix_takes_the_cheaper_bound(self):
+        # a single dominant entry: the Hoelder bound is its modulus
+        M = np.diag([0.25, 0.01, 0.01]).astype(complex)
+        assert densela.norm_bound(M, 0.5) == 0.25
+        assert densela.norm_bound(np.zeros((3, 3)), 0.5) == 0.0
 
 
 class TestApplyFft:

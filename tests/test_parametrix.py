@@ -6,7 +6,7 @@ import pytest
 import sectorcalc as sc
 from sectorcalc import parametrix
 from sectorcalc.grid import class_weighted_sup
-from sectorcalc.hypo import _hoelder_bounds
+from sectorcalc.densela import _hoelder_bounds
 from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
@@ -199,6 +199,105 @@ class TestCompiledTerms:
         assert rel_sup_diff(calc.eval_terms(calc.bN_terms, lam), ref) <= 1e-13
 
 
+# The benchmark's symbols and the CI configs' parametrix symbols, at P = 16:
+# (preset name or symbol text, dimension, shift).  Each is a real operator's
+# symbol, a(x, -xi) = conj a(x, xi).
+MIRRORED = {
+    "ref1d": ("variable_laplace", 1, 5.0),
+    "scene2d": ("variable_laplace", 2, 5.0),
+    "matrix3": (MATRIX3, 1, 0.0),
+    "matrix_cfg": ("[[(2+sin(x1))*(1+xi1^2)+2, bracket(xi)], "
+                   "[0, (2+cos(x1))*(1+xi1^2)+2]]", 1, 0.0),
+    "jordan2": ("jordan2", 1, 0.0),
+    "minus_cfg": ("(2-sin(x1))*(1+xi1^2) - bracket(xi)/(3-cos(x1)) + 5", 1, 5.0),
+}
+# a(x, -xi) != conj a(x, xi): b^N at conj lambda is no mirror
+ASYMMETRIC = {"imag_shift": "(2+sin(x1))*(1+xi1^2)+5+2*i",
+              "odd_in_xi": "(2+sin(x1))*(1+xi1^2)+5+xi1"}
+MIRROR_RADII = (1.0, 8.0, 100.0, 1e4)
+
+
+def calc_of(sector, text, n=1, shift=0.0):
+    """N = 3 calculator at P = 16 of a preset name or a symbol text (m = 2)."""
+    if "(" in text:
+        expr, params = sc.parse_symbol(text, n=n), sc.SymbolClassParams(m=2)
+    else:
+        expr, params = sc.get_preset(text, n=n)
+    if shift:
+        expr = sc.shift(expr, shift)
+    return sc.ParametrixCalculator(expr, sc.TorusGrid(n=n, points=16), params,
+                                   sector, N=3)
+
+
+def eval_spy(calc, monkeypatch):
+    """The lambdas at which ``calc`` evaluates a term list, in call order."""
+    lams = []
+    orig = calc.eval_terms
+
+    def spy(terms, lam, b0=None):
+        lams.append(lam)
+        return orig(terms, lam, b0=b0)
+
+    monkeypatch.setattr(calc, "eval_terms", spy)
+    return lams
+
+
+class TestConjugateMirror:
+    """The lower-ray b^N as the mirror of the upper-ray one, against the term
+    list evaluated at conj lambda."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_mirror_equals_direct_evaluation(self, sector_right, monkeypatch, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        lams = eval_spy(calc, monkeypatch)
+        expected = []
+        for rad in MIRROR_RADII:
+            lam = complex(calc.sector.boundary_point(rad))
+            calc.assemble_bN(lam)
+            mirrored = calc.assemble_bN(lam.conjugate()).values
+            direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
+            assert np.array_equal(mirrored, direct), rad
+            expected += [lam, lam.conjugate()]
+        assert calc.conj_symmetric
+        assert lams == expected  # the mirrored b^N evaluated nothing
+
+    @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+    def test_asymmetric_symbol_evaluates_every_lambda(self, sector_right,
+                                                      monkeypatch, name):
+        calc = calc_of(sector_right, ASYMMETRIC[name])
+        lams = eval_spy(calc, monkeypatch)
+        points = [complex(lam) for lam in calc.sector.ray_points(MIRROR_RADII)]
+        for lam in points:
+            calc.assemble_bN(lam)
+        assert not calc.conj_symmetric
+        assert lams == points
+
+    @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+    def test_forced_gate_gives_a_wrong_mirror(self, sector_right, name):
+        # the comparison above can fail: on these symbols the mirror is not
+        # b^N at conj lambda
+        calc = calc_of(sector_right, ASYMMETRIC[name])
+        calc._conj_symmetric = True
+        lam = complex(calc.sector.boundary_point(8.0))
+        calc.assemble_bN(lam)
+        mirrored = calc.assemble_bN(lam.conjugate()).values
+        direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
+        assert rel_sup_diff(mirrored, direct) > 1e-3
+
+    @pytest.mark.parametrize("name, share", [("ref1d", 2), ("odd_in_xi", 1)])
+    def test_find_R_and_sweep_evaluate_once_per_pair(self, sector_right, monkeypatch,
+                                                     name, share):
+        # a symmetric symbol evaluates b^N at half of the boundary points
+        args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
+        calc = calc_of(sector_right, *args)
+        lams = eval_spy(calc, monkeypatch)
+        R = calc.find_R()
+        assert len(lams) == 42 // share
+        del lams[:]
+        sc.parametrix_sweep(calc, np.geomspace(R, 1e4, 5))
+        assert len(lams) == 10 // share
+
+
 class TestAssembleAndRemainder:
     def test_order_one_x_independent_is_b0(self, sector_right):
         grid = sc.TorusGrid(n=1, points=16)
@@ -335,6 +434,33 @@ class TestLeibnizResolvent:
             errs.append(np.max(np.abs(quotient - deriv.values)))
         ratio = errs[0] / errs[1]
         assert 5.0 <= ratio <= 20.0
+
+    def test_neumann_tail_is_certified(self, sector_right, monkeypatch):
+        # on the non-normal 3x3 symbol every Neumann row's ||r^N|| is an upper
+        # bound of the exact norm of the remainder matrix it inverts, and the
+        # tail bound of the series it ran is below tol
+        calc = calc_of(sector_right, MATRIX3)
+        radii = np.geomspace(calc.find_R(), 1e4, 10)
+        r_mats = []
+        orig = calc.remainder
+
+        def spy(lam, q_bN=None, m_shift=None):
+            out = orig(lam, q_bN=q_bN, m_shift=m_shift)
+            r_mats.append(out[1])
+            return out
+
+        monkeypatch.setattr(calc, "remainder", spy)
+        tol = 1e-11
+        neumann = 0
+        for lam in calc.sector.ray_points(radii):
+            diag = calc.leibniz_resolvent(complex(lam), tol=tol).diagnostics
+            if diag["method"] != "neumann":
+                continue
+            neumann += 1
+            rho, K = diag["r_norm"], diag["neumann_terms"] - 1
+            assert rho >= np.linalg.norm(r_mats[-1], 2), lam
+            assert rho ** (K + 1) / (1.0 - rho) <= tol, lam
+        assert neumann == 20
 
     def test_2d_resolvent_residual(self, sector_right):
         grid = sc.TorusGrid(n=2, points=8)

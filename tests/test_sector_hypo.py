@@ -347,6 +347,7 @@ class TestCertifiedHypoMaxima:
             x = grid32.x_axis[np.arange(len(exact)) // grid32.modes_per_axis]
             return exact * (1.0 - 0.9 * sc.grid.BOUND_SLACK * 0.5 * (1.0 - np.cos(x)))
 
+        # densela's bound, patched where hypo's certificate calls it
         monkeypatch.setattr(sc.hypo, "_hoelder_bounds", low_bounds)
         expr = sc.parse_symbol("[[bracket(xi)^2+3+1e-12*cos(x1), 0], "
                                "[0, bracket(xi)^2+5+i*xi1]]", n=1, k=2)
