@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import build_function_family, load_config, resolve_config
+from .config import load_config, resolve_config
 from .densela import operator_norm
 from .errors import ConfigError, ContourError, SectorcalcError, SingularOperatorError
 from .funcalc import (build_contour, f_of_operator_oracle, f_of_symbol,
@@ -42,8 +42,7 @@ def _out_path(args, name):
 
 
 def _run_base_check(rc):
-    report = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C,
-                            rc.grid, rc.class_params)
+    report = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C, rc.grid)
     if report.passed:
         estimate_hypo_constants(rc.base_expr, rc.sector, rc.grid, rc.class_params,
                                 report, max_order=rc.hypo_max_order)
@@ -65,8 +64,7 @@ def cmd_parametrix(rc, args):
             f"parametrix needs hypo.C = 0, got {rc.hypo_C!r}: the parametrix needs "
             "the spectral condition on the whole window, and low-frequency "
             "excision is not modelled")
-    base = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C,
-                          rc.grid, rc.class_params)
+    base = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C, rc.grid)
     if not base.passed:
         print(f"hypoellipticity check failed upstream "
               f"({base.n_violations} violations); not sweeping")
@@ -87,15 +85,24 @@ def cmd_parametrix(rc, args):
     return EXIT_OK
 
 
+def _validate_all(family, sector):
+    """:meth:`HFun.validate` on each member; a failed decay check (non-finite
+    samples, say from overflow) is a config error."""
+    try:
+        for f in family:
+            f.validate(sector)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_calc(rc, args):
-    if not rc.function_specs:
+    if not rc.functions:
         raise ConfigError("calc requires a nonempty 'functions' list")
-    family = build_function_family(rc.function_specs, n_reg=rc.bip_n_reg)
+    _validate_all(rc.functions, rc.sector)
     A = quantize(sample(rc.expr, rc.grid))
     rows = []
-    for f in family:
+    for f in rc.functions:
         _say(args, f"calc: {f.name}")
-        f.validate(rc.sector)
         contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f)
         fa = f_of_symbol(A, f, contour)
         oracle = f_of_operator_oracle(A, f, contour)
@@ -119,13 +126,13 @@ def cmd_calc(rc, args):
 
 
 def cmd_bip(rc, args):
-    A = quantize(sample(rc.expr, rc.grid))
     ts = np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps)
+    family = [imaginary_power_regularized(float(t), rc.bip_n_reg) for t in ts]
+    _validate_all(family, rc.sector)
+    A = quantize(sample(rc.expr, rc.grid))
     rows = []
-    for t in ts:
+    for t, f in zip(ts, family):
         _say(args, f"bip: t={t!r}")
-        f = imaginary_power_regularized(float(t), rc.bip_n_reg)
-        f.ensure_cf(rc.sector)
         contour = build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol, c_f=f.c_f)
         rows.append((float(t), operator_norm(f_of_operator_oracle(A, f, contour))))
     rate = float(np.polyfit(np.abs([r[0] for r in rows]),

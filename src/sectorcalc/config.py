@@ -13,6 +13,7 @@ import numpy as np
 
 from .dsl import MAX_DERIVATIVE_ORDER, SymbolClassParams, parse_symbol
 from .errors import ConfigError, SectorcalcError
+from .funcalc import imaginary_power_regularized, power_quotient
 from .presets import get_preset
 from .sector import Sector
 from .grid import TorusGrid
@@ -119,7 +120,7 @@ class RunConfig:
     lambda_max: float
     lambda_count: int
     calc_quad_tol: float
-    function_specs: list
+    functions: list
     bip_tmax: float
     bip_steps: int
     bip_n_reg: int
@@ -180,8 +181,8 @@ def resolve_config(values):
     if not 0.0 <= hypo_C <= xi_top:
         raise ConfigError(f"hypo.C = {hypo_C!r} must lie in [0, {xi_top!r}]: above "
                           "the largest |xi| on the window it leaves no node")
-    raw_functions = cfg.get("functions", "")
-    function_specs = [spec.strip() for spec in raw_functions.split(",") if spec.strip()]
+    bip_n_reg = cfg.get_int_in("bip.n_reg", 1000, 1)
+    specs = [spec.strip() for spec in cfg.get("functions", "").split(",") if spec.strip()]
     return RunConfig(
         expr=expr, base_expr=base_expr, class_params=params, sector=sector,
         grid=grid,
@@ -196,30 +197,34 @@ def resolve_config(values):
         lambda_count=cfg.get_int_in("lambda.count", 10, 2,
                                     why=" (the decay slopes are fits)"),
         calc_quad_tol=cfg.get_positive("calc.quad_tol", 1e-5),
-        function_specs=function_specs,
+        functions=build_function_family(specs, bip_n_reg),
         bip_tmax=cfg.get_positive("bip.tmax", 5.0),
         bip_steps=cfg.get_int_in("bip.steps", 11, 2,
                                  why=" (the growth rate is a fit)"),
-        bip_n_reg=cfg.get_int_in("bip.n_reg", 1000, 1),
+        bip_n_reg=bip_n_reg,
         bip_quad_tol=cfg.get_positive("bip.quad_tol", 1e-6),
     )
 
 
-def build_function_family(specs, n_reg=1000):
-    """Resolve ``functions = name arg, ...`` specs into HFun objects."""
-    from .funcalc import imaginary_power_regularized, power_quotient
+def build_function_family(specs, n_reg):
+    """Resolve ``functions = name arg, ...`` specs into HFun objects.
+
+    Each spec is a known name and exactly one finite number."""
+    makers = {"power_quotient": power_quotient,
+              "imag_power": lambda t: imaginary_power_regularized(t, n_reg)}
     family = []
     for spec in specs:
-        parts = spec.split()
-        name = parts[0]
+        name, *args = spec.split()
+        if name not in makers:
+            raise ConfigError(f"unknown function spec {spec!r} "
+                              "(use power_quotient S or imag_power T)")
         try:
-            if name == "power_quotient":
-                family.append(power_quotient(float(parts[1])))
-            elif name == "imag_power":
-                family.append(imaginary_power_regularized(float(parts[1]), n_reg))
-            else:
-                raise ConfigError(f"unknown function spec {spec!r} "
-                                  "(use power_quotient S or imag_power T)")
-        except (IndexError, ValueError) as exc:
+            if len(args) != 1:
+                raise ValueError(f"expected one number, got {len(args)}")
+            arg = float(args[0])
+            if not np.isfinite(arg):
+                raise ValueError("the number must be finite")
+            family.append(makers[name](arg))
+        except ValueError as exc:
             raise ConfigError(f"bad function spec {spec!r}: {exc}") from exc
     return family

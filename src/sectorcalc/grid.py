@@ -141,12 +141,13 @@ class GridSymbol:
     """A symbol tabulated on a :class:`TorusGrid`.
 
     ``values`` has shape ``x_shape + xi_shape + (k, k)`` (k=1 for scalars)
-    and is immutable by convention after construction.
+    and is immutable by convention after construction.  A table carries no
+    class parameters: the weighted sups take the weight as an argument.
     """
 
-    __slots__ = ("grid", "k", "values", "class_params")
+    __slots__ = ("grid", "k", "values")
 
-    def __init__(self, grid, values, class_params=None, check=True):
+    def __init__(self, grid, values, check=True):
         values = np.asarray(values, dtype=complex)
         if values.shape[-1] != values.shape[-2]:
             raise ValueError("trailing axes must be square (k, k)")
@@ -158,15 +159,13 @@ class GridSymbol:
         self.grid = grid
         self.k = values.shape[-1]
         self.values = values
-        self.class_params = class_params
 
     # -- algebra, pointwise ---------------------------------------------------
 
     def __sub__(self, other):
         if self.grid != other.grid or self.k != other.k:
             raise GridMismatchError("operands live on different grids")
-        return GridSymbol(self.grid, self.values - other.values, self.class_params,
-                          check=False)
+        return GridSymbol(self.grid, self.values - other.values, check=False)
 
     # -- norms ----------------------------------------------------------------
 
@@ -183,7 +182,7 @@ class GridSymbol:
         return class_weighted_sup(self, 0.0, interior_margin)
 
 
-def sample(expr, grid, class_params=None):
+def sample(expr, grid):
     """Tabulate a :class:`SymbolExpr` on the grid.
 
     ``values[i, j] = expr(x_i, xi_j)``; evaluation failures (non-finite
@@ -193,7 +192,7 @@ def sample(expr, grid, class_params=None):
         raise GridMismatchError(f"symbol dimension {expr.n} != grid dimension {grid.n}")
     values = expr.eval(grid.x_mesh(), grid.xi_mesh())
     values = np.broadcast_to(values, grid.x_shape + grid.xi_shape + (expr.k, expr.k))
-    return GridSymbol(grid, np.ascontiguousarray(values), class_params)
+    return GridSymbol(grid, np.ascontiguousarray(values))
 
 
 def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):

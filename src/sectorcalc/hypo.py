@@ -96,15 +96,14 @@ class HypoReport:
                                  repr(float(eig.real)), repr(float(eig.imag))])
 
 
-def check_spectrum(expr, sector, c, C, grid, class_params=None):
+def check_spectrum(expr, sector, c, C, grid):
     """Verify that eigenvalues of a(x, xi) avoid the sector and the c-disc.
 
     Every grid node with |xi| >= C is checked; failing nodes are listed in
-    the report (failures are data, not errors).
+    the report (failures are data, not errors).  The check reads the
+    eigenvalues only, so it takes no class parameters.
     """
-    if class_params is not None:
-        class_params.validate(strict=True, require_nonnegative_order=True)
-    tab = sample(expr, grid, class_params)
+    tab = sample(expr, grid)
     eigs = eigenvalues_grid(tab.values)
     mask = grid.xi_norm() >= C
     bad = (sector.contains(eigs) | (np.abs(eigs) <= c)) \
@@ -185,7 +184,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     """
     if not report.passed:
         raise ValueError("estimate_hypo_constants requires a passing spectrum check")
-    tab = sample(expr, grid, class_params)
+    tab = sample(expr, grid)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
     masked = tab.values[mask]

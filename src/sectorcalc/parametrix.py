@@ -30,7 +30,9 @@ several terms is formed once; the tree is evaluated on component-major
 The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
 b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda), and the lower-ray b^N
-is the mirror of the upper-ray one: no b_0 inverses and no products.
+is the mirror of the upper-ray one: no b_0 inverses and no products.  The
+calculator decides this symmetry once, at construction, on the tables its
+compiled b^N term list reads.
 """
 
 from __future__ import annotations
@@ -182,6 +184,10 @@ class ParametrixCalculator:
     term lists (scalar polynomial tables or matrix product trees) and the
     quantized symbol are computed once; everything per-lambda (b_j, b^N,
     r^N, the resolvent) is then cheap and independent across lambda.
+
+    ``conj_symmetric`` says whether b^N(conj lambda) = conj b^N(x, -xi, lambda):
+    whether a and every derivative table T of xi-order alpha that b^N reads
+    satisfy T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise.
     """
 
     def __init__(self, expr, grid, class_params, sector, N):
@@ -193,7 +199,7 @@ class ParametrixCalculator:
         self.class_params = class_params
         self.sector = sector
         self.N = N
-        self.a_tab = sample(expr, grid, class_params)
+        self.a_tab = sample(expr, grid)
         self.k = self.a_tab.k
         self.sup_a = self.a_tab.sup_norm()
         if self.k == 1:
@@ -211,9 +217,15 @@ class ParametrixCalculator:
         self._deriv_cache = {}
         self._compiled = {}
         self._q_a = None
-        self._conj_symmetric = None
         # (lambda, b^N values) of the last b^N evaluated, for its conjugate
         self._bN_memo = None
+        # compiling b^N tabulates every derivative of a that it reads
+        (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
+        a = self.a_tab.values
+        self.conj_symmetric = np.array_equal(self._conj_mirror(a), a) and all(
+            np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
+                           (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
+            for alpha, beta in self._deriv_cache)
 
     # -- caches ---------------------------------------------------------------
 
@@ -241,12 +253,10 @@ class ParametrixCalculator:
 
     # -- lambda admissibility ---------------------------------------------------
 
-    def lambda_admissible(self, lam):
-        """lambda outside every exclusion region Omega_{x,xi}."""
-        return bool(self.sector.contains(lam)) or abs(lam) >= 2.0 * self.sup_a
-
     def require_admissible(self, lam):
-        if not self.lambda_admissible(lam):
+        """Raise unless lambda lies outside every exclusion region
+        Omega_{x,xi}: in the sector, or |lambda| >= 2 sup|a|."""
+        if not (self.sector.contains(lam) or abs(lam) >= 2.0 * self.sup_a):
             raise SectorcalcError(
                 f"lambda={lam!r} lies inside an exclusion region Omega_(x,xi) "
                 f"(|lambda| < 2 sup|a| = {2 * self.sup_a!r} and outside the sector)")
@@ -304,7 +314,7 @@ class ParametrixCalculator:
             self._compiled[key] = freeze(root[1])
         return self._compiled[key]
 
-    def eval_terms(self, terms, lam, b0=None):
+    def eval_terms(self, terms, lam):
         """Evaluate a term list at lambda; returns node-shaped (..., k, k).
 
         ``lam`` may be a scalar or broadcast over node axes (one lambda per
@@ -312,8 +322,7 @@ class ParametrixCalculator:
         Horner; matrices evaluate the compiled product tree on component-major
         arrays, with b_0 viewed as (k, k, ...).
         """
-        if b0 is None:
-            b0 = self.b0_values(lam)
+        b0 = self.b0_values(lam)
         if self.k == 1:
             s = b0[..., 0, 0]
             tables = self._scalar_polynomial(terms)
@@ -327,9 +336,7 @@ class ParametrixCalculator:
     def bj(self, lam):
         """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible)."""
         self.require_admissible(lam)
-        b0 = self.b0_values(complex(lam))
-        return [GridSymbol(self.grid, self.eval_terms(terms, complex(lam), b0=b0),
-                           self.class_params, check=False)
+        return [GridSymbol(self.grid, self.eval_terms(terms, complex(lam)), check=False)
                 for terms in self.term_lists]
 
     def _conj_mirror(self, values):
@@ -337,29 +344,11 @@ class ParametrixCalculator:
         n = self.grid.n
         return np.flip(values, axis=tuple(range(n, 2 * n))).conj()
 
-    @property
-    def conj_symmetric(self):
-        """Whether b^N(conj lambda) is the mirror conj b^N(x, -xi, lambda).
-
-        Decided once, bitwise on the tables b^N is evaluated from: the
-        sampled a equals its mirror, and every cached derivative table T of
-        xi-order alpha satisfies T(x, -xi) = (-1)^|alpha| conj T(x, xi).
-        Read after b^N has been evaluated once, so that the cache holds
-        every table of its term list.
-        """
-        if self._conj_symmetric is None:
-            a = self.a_tab.values
-            self._conj_symmetric = np.array_equal(self._conj_mirror(a), a) and all(
-                np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
-                               (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
-                for alpha, beta in self._deriv_cache)
-        return self._conj_symmetric
-
     def assemble_bN(self, lam):
         """b^N(lambda) = sum_{j<N} b_j(lambda), one term list.
 
         A one-slot memo holds the last lambda evaluated.  At its conjugate,
-        on a :attr:`conj_symmetric` symbol, b^N is the memo's mirror and the
+        on a ``conj_symmetric`` symbol, b^N is the memo's mirror and the
         slot is cleared; otherwise the term list is evaluated.
         """
         self.require_admissible(lam)
@@ -370,7 +359,7 @@ class ParametrixCalculator:
         else:
             vals = self.eval_terms(self.bN_terms, lam)
             self._bN_memo = (lam, vals)
-        return GridSymbol(self.grid, vals, self.class_params, check=False)
+        return GridSymbol(self.grid, vals, check=False)
 
     def remainder_matrix(self, lam, q_bN=None, m_shift=None):
         """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
@@ -403,11 +392,10 @@ class ParametrixCalculator:
         the geometric tail bound ||r||^(K+1)/(1 - ||r||) drops below ``tol``
         is certified too.  The dense Leibniz inverse takes over when
         ||quantize(r^N)||_2 >= 1/2 or the Neumann residual symbol stays
-        above ``tol``.  b^N comes from :meth:`assemble_bN`, so at a
-        conjugate pair of lambda on a symmetric symbol the second b^N is the
-        mirror of the first.
+        above ``tol``.  b^N comes from :meth:`assemble_bN`, which checks
+        that lambda is admissible, so at a conjugate pair of lambda on a
+        symmetric symbol the second b^N is the mirror of the first.
         """
-        self.require_admissible(lam)
         bN = self.assemble_bN(lam)
         q_bN = quantize(bN).matrix
         m_shift = self.shifted_matrix(lam)

@@ -133,4 +133,4 @@ def leibniz_truncated(a_expr, b, K):
         for ax, order in enumerate(alpha):
             dxb = spectral_Dx(dxb, g, ax, order)
         acc = acc + np.einsum("...rs,...st->...rt", da, dxb) / multi_factorial(alpha)
-    return GridSymbol(g, acc, b.class_params, check=False)
+    return GridSymbol(g, acc, check=False)

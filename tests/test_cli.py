@@ -6,9 +6,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from sectorcalc import cli, parametrix
+from sectorcalc import build_contour, cli, imaginary_power_regularized, parametrix
 from sectorcalc.cli import main
-from sectorcalc.config import CONFIG_KEYS, parse_config_text, resolve_config
+from sectorcalc.config import CONFIG_KEYS, load_config, parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
 
 BASE_CFG = """
@@ -94,20 +94,46 @@ class TestExitCodes:
         assert err.startswith("config error: parametrix needs hypo.C = 0")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("spec, message", [
-        ("sine 1", "unknown function spec 'sine 1'"),
-        ("power_quotient", "bad function spec 'power_quotient'"),
-        ("imag_power one", "bad function spec 'imag_power one'"),
-    ], ids=["unknown", "missing_argument", "not_a_number"])
-    def test_bad_function_specs_are_config_errors(self, tmp_path, capsys, spec,
-                                                  message):
+    @pytest.mark.parametrize("command, spec, message", [
+        ("calc", "sine 1", "unknown function spec 'sine 1'"),
+        ("calc", "power_quotient", "bad function spec 'power_quotient'"),
+        ("calc", "imag_power one", "bad function spec 'imag_power one'"),
+        ("calc", "power_quotient nan", "'power_quotient nan': the number must be finite"),
+        ("calc", "power_quotient inf", "'power_quotient inf': the number must be finite"),
+        ("calc", "imag_power nan", "'imag_power nan': the number must be finite"),
+        ("calc", "imag_power inf", "'imag_power inf': the number must be finite"),
+        ("calc", "power_quotient 1 2", "'power_quotient 1 2': expected one number"),
+        ("check", "power_quotient abc", "bad function spec 'power_quotient abc'"),
+    ], ids=["unknown", "missing_argument", "not_a_number", "power_quotient_nan",
+            "power_quotient_inf", "imag_power_nan", "imag_power_inf", "two_numbers",
+            "check_not_a_number"])
+    def test_bad_function_specs_are_config_errors(self, tmp_path, capsys, command,
+                                                  spec, message):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(
             "functions = power_quotient 0.5, power_quotient 1", f"functions = {spec}"))
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["calc", "--config", cfg, "--out", str(out)]) == 1
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("calc", "functions = imag_power 500",
+         "imag_power 500.0~reg100: non-finite values on validation rays"),
+        ("bip", "bip.tmax = 500",
+         "imag_power -500.0~reg100: non-finite values on validation rays"),
+    ], ids=["calc", "bip"])
+    def test_overflowing_decay_samples_are_config_errors(self, tmp_path, capsys,
+                                                         command, line, message):
+        # |z^(it)| = exp(-t arg z) overflows on the validation rays at |t| = 500
+        key = line.split(" =")[0] + " "
+        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("preset, code", [("rotated_phase", 0),
@@ -397,3 +423,94 @@ class TestDeterminism:
         for name in ("hypo_report.csv", "hypo_summary.txt", "parametrix_sweep.csv",
                      "fcalc_report.csv", "imaginary_powers.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# The benchmark self-test's scene: the reference scene at P = 16, with the
+# seed-0 values of the benchmark's ref1d workload and three bip steps.
+SMALL_REF1D_CFG = """
+symbol.preset = variable_laplace
+symbol.n = 1
+grid.points = 16
+shift = 5.0
+sector.theta = 1.5707963267948966
+parametrix.N = 3
+calc.quad_tol = 1e-05
+functions = power_quotient 0.25, power_quotient 0.5, power_quotient 1.0, power_quotient 2.0
+bip.tmax = 5.0
+bip.steps = 3
+bip.n_reg = 1000
+bip.quad_tol = 1e-06
+"""
+
+
+class TestLuCounts:
+    """The LU solves each subcommand makes, exactly: an operator-dimension
+    matrix through ``np.linalg.inv`` or ``np.linalg.solve`` is one solve, and
+    a stack of them counts by its batch size."""
+
+    @staticmethod
+    def scene(tmp_path, extra=""):
+        cfg = write_cfg(tmp_path, SMALL_REF1D_CFG + extra)
+        return cfg, resolve_config(load_config(cfg))
+
+    @staticmethod
+    def lu_solves(command, cfg, out, dim, monkeypatch):
+        counted = []
+
+        def counting(fn):
+            def wrapper(a, *rest, **kwargs):
+                shape = np.shape(a)
+                if shape[-2:] == (dim, dim):
+                    counted.append(int(np.prod(shape[:-2])))
+                return fn(a, *rest, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
+        monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return sum(counted)
+
+    def test_check_makes_none(self, tmp_path, monkeypatch):
+        cfg, rc = self.scene(tmp_path)
+        assert self.lu_solves("check", cfg, tmp_path, rc.grid.n_modes, monkeypatch) == 0
+
+    def test_calc_inverts_each_node_twice(self, tmp_path, monkeypatch):
+        # the symbol path and the oracle each invert every contour node
+        cfg, rc = self.scene(tmp_path)
+        nodes = 0
+        for f in rc.functions:
+            f.validate(rc.sector)
+            nodes += len(build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol,
+                                       c_f=f.c_f))
+        assert self.lu_solves("calc", cfg, tmp_path, rc.grid.n_modes,
+                              monkeypatch) == 2 * nodes
+
+    def test_bip_inverts_each_node_once(self, tmp_path, monkeypatch):
+        cfg, rc = self.scene(tmp_path)
+        nodes = 0
+        for t in np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps):
+            f = imaginary_power_regularized(float(t), rc.bip_n_reg)
+            f.validate(rc.sector)
+            nodes += len(build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol,
+                                       c_f=f.c_f))
+        assert self.lu_solves("bip", cfg, tmp_path, rc.grid.n_modes,
+                              monkeypatch) == nodes
+
+    @pytest.mark.parametrize("extra, rescued", [
+        ("", False), ("parametrix.tol = 1e-16", True),
+    ], ids=["neumann", "rescued"])
+    def test_parametrix_solves_twice_per_dense_row(self, tmp_path, monkeypatch,
+                                                   extra, rescued):
+        # a dense sweep resolvent is one LU solve refined by a second; every
+        # row of this scene is Neumann at the default tolerance, and a
+        # tolerance below rounding sends every row on to the dense inverse
+        cfg, rc = self.scene(tmp_path, extra)
+        solves = self.lu_solves("parametrix", cfg, tmp_path, rc.grid.n_modes,
+                                monkeypatch)
+        with open(tmp_path / "parametrix_sweep.csv", newline="") as fh:
+            methods = [row[9] for row in csv.reader(fh)
+                       if row[0] not in ("lambda_re", "slope")]
+        assert len(methods) == 2 * rc.lambda_count
+        dense = sum(m in ("dense", "neumann->dense") for m in methods)
+        assert dense == (len(methods) if rescued else 0)
+        assert solves == 2 * dense

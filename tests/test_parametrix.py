@@ -234,9 +234,9 @@ def eval_spy(calc, monkeypatch):
     lams = []
     orig = calc.eval_terms
 
-    def spy(terms, lam, b0=None):
+    def spy(terms, lam):
         lams.append(lam)
-        return orig(terms, lam, b0=b0)
+        return orig(terms, lam)
 
     monkeypatch.setattr(calc, "eval_terms", spy)
     return lams
@@ -277,7 +277,7 @@ class TestConjugateMirror:
         # the comparison above can fail: on these symbols the mirror is not
         # b^N at conj lambda
         calc = calc_of(sector_right, ASYMMETRIC[name])
-        calc._conj_symmetric = True
+        calc.conj_symmetric = True
         lam = complex(calc.sector.boundary_point(8.0))
         calc.assemble_bN(lam)
         mirrored = calc.assemble_bN(lam.conjugate()).values

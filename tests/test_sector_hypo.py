@@ -62,8 +62,8 @@ class TestCheckSpectrum:
         assert sc.check_spectrum(expr, sector_right, 0.5, 2.0, grid16).passed
 
     def test_jordan2_passes(self, grid16, sector_right):
-        expr, params = sc.get_preset("jordan2", n=1)
-        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16, params)
+        expr, _ = sc.get_preset("jordan2", n=1)
+        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16)
         assert report.passed and report.k == 2
 
     def test_shift_consistency(self, grid32, var_laplace, sector_right):
@@ -116,7 +116,7 @@ def bracket_report(sector_right):
     grid = sc.TorusGrid(n=1, points=32)
     expr = sc.parse_symbol("bracket(xi)^2", n=1)
     params = sc.SymbolClassParams(m=2)
-    report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid, params)
+    report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid)
     sc.estimate_hypo_constants(expr, sector_right, grid, params, report,
                                max_order=1)
     return report
@@ -137,7 +137,7 @@ class TestConstants:
         params = sc.SymbolClassParams(m=2)
         vals = []
         for spr in (16, 32):
-            report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid, params)
+            report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid)
             monkeypatch.setattr(sc.hypo, "SAMPLES_PER_RAY", spr)
             sc.estimate_hypo_constants(expr, sector_right, grid, params, report,
                                        max_order=0)
@@ -151,8 +151,7 @@ class TestConstants:
         params = sc.SymbolClassParams(m=2)
         tables = []
         for spr in (16, 32):
-            report = sc.check_spectrum(var_laplace, sector_right, 0.5, 0.0,
-                                       grid32, params)
+            report = sc.check_spectrum(var_laplace, sector_right, 0.5, 0.0, grid32)
             monkeypatch.setattr(sc.hypo, "SAMPLES_PER_RAY", spr)
             sc.estimate_hypo_constants(var_laplace, sector_right, grid32, params,
                                        report, max_order=1)
@@ -165,8 +164,7 @@ class TestConstants:
         tables = []
         for pts in (16, 32):
             grid = sc.TorusGrid(n=1, points=pts, xi_max=7)
-            report = sc.check_spectrum(var_laplace, sector_right, 0.5, 0.0,
-                                       grid, params)
+            report = sc.check_spectrum(var_laplace, sector_right, 0.5, 0.0, grid)
             sc.estimate_hypo_constants(var_laplace, sector_right, grid, params,
                                        report, max_order=1)
             tables.append(report.c_table)
@@ -232,7 +230,7 @@ def full_table_constants(expr, sector, grid, class_params, report,
                          max_order=2, samples_per_ray=16):
     """c_table and c0 as maxima of the full resolvent-norm table: every
     (lambda, node) pair gets an exact spectral norm."""
-    tab = sc.sample(expr, grid, class_params)
+    tab = sc.sample(expr, grid)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
     masked = tab.values[mask]
@@ -291,7 +289,7 @@ class TestCertifiedHypoMaxima:
 
     @staticmethod
     def assert_full_table(expr, sector, grid, params, C=0.0, max_order=2):
-        report = sc.check_spectrum(expr, sector, 0.5, C, grid, params)
+        report = sc.check_spectrum(expr, sector, 0.5, C, grid)
         assert report.passed
         sc.estimate_hypo_constants(expr, sector, grid, params, report,
                                    max_order=max_order)
@@ -372,7 +370,7 @@ class TestCertifiedHypoMaxima:
             return sc.grid._spectral_norms(values)
 
         grid = sc.TorusGrid(n=1, points=64)
-        report = sc.check_spectrum(expr, sector, 0.5, 0.0, grid, params)
+        report = sc.check_spectrum(expr, sector, 0.5, 0.0, grid)
         monkeypatch.setattr(sc.hypo, "_spectral_norms", counting)
         sc.estimate_hypo_constants(expr, sector, grid, params, report)
         pairs = (1 + 2 * 16 + 12) * grid.points * grid.modes_per_axis
@@ -395,7 +393,7 @@ class TestReportSerialization:
     def test_csv_and_summary(self, tmp_path, grid16, sector_right):
         expr = sc.parse_symbol("bracket(xi)^2", n=1)
         params = sc.SymbolClassParams(m=2)
-        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16, params)
+        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16)
         sc.estimate_hypo_constants(expr, sector_right, grid16, params, report,
                                    max_order=1)
         path = tmp_path / "hypo.csv"
