@@ -41,16 +41,11 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
-def _run_base_check(rc):
+def cmd_check(rc, args):
     report = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C, rc.grid)
     if report.passed:
         estimate_hypo_constants(rc.base_expr, rc.sector, rc.grid, rc.class_params,
                                 report, max_order=rc.hypo_max_order)
-    return report
-
-
-def cmd_check(rc, args):
-    report = _run_base_check(rc)
     report.to_csv(_out_path(args, "hypo_report.csv"))
     with open(_out_path(args, "hypo_summary.txt"), "w") as fh:
         fh.write(report.summary_text() + "\n")

@@ -17,11 +17,19 @@ from .funcalc import imaginary_power_regularized, power_quotient
 from .presets import get_preset
 from .sector import Sector
 from .grid import TorusGrid
+from .util import japanese_bracket
 
 # Largest parametrix order N a config may ask for.  At P = 16 and one BLAS
 # thread a parametrix run takes 0.3 s at n = 1, N = 5 and 7.4 s at n = 2,
 # N = 5 (9,270 terms); the n = 2 term lists hold 213,478 terms at N = 6.
 MAX_PARAMETRIX_N = 5
+
+# Smallest parametrix.tol a config may ask for.  Sweep residuals sit at
+# rounding level, about 1e-16 to 4e-16: at N = 3 and tol 1e-15, 10 of the 20
+# sweep rows of the reference scene fail their Neumann residual check and are
+# redone dense (two LU solves each); at 1e-16 every row is, and the dense
+# rows may still miss the tolerance.
+MIN_PARAMETRIX_TOL = 1e-14
 
 # The schema of docs/config.md.  Any other key is a configuration error, so
 # that a misspelled key never silently runs the default.
@@ -130,9 +138,6 @@ class RunConfig:
 def resolve_config(values):
     """Validate raw key/value pairs and build the run objects."""
     cfg = _Cfg(values)
-    if cfg.get("contour.nodes_per_decade") is not None:
-        raise ConfigError("contour.nodes_per_decade was removed: contours are "
-                          "always certified by the scalar Cauchy test")
     unknown = sorted(set(values) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}: "
@@ -162,7 +167,7 @@ def resolve_config(values):
         rho=cfg.get_float("class.rho", params.rho),
         delta=cfg.get_float("class.delta", params.delta))
     try:
-        params.validate(strict=True, require_nonnegative_order=True)
+        params.validate()
         sector = Sector(theta=cfg.get_float("sector.theta", np.pi / 2))
         xi_max = cfg.get("grid.xi_max")
         grid = TorusGrid(n=n, points=cfg.get_int("grid.points", 128),
@@ -183,7 +188,7 @@ def resolve_config(values):
                           "the largest |xi| on the window it leaves no node")
     bip_n_reg = cfg.get_int_in("bip.n_reg", 1000, 1)
     specs = [spec.strip() for spec in cfg.get("functions", "").split(",") if spec.strip()]
-    return RunConfig(
+    rc = RunConfig(
         expr=expr, base_expr=base_expr, class_params=params, sector=sector,
         grid=grid,
         hypo_c=cfg.get_positive("hypo.c", 0.5),
@@ -204,6 +209,15 @@ def resolve_config(values):
         bip_n_reg=bip_n_reg,
         bip_quad_tol=cfg.get_positive("bip.quad_tol", 1e-6),
     )
+    if rc.parametrix_tol < MIN_PARAMETRIX_TOL:
+        raise ConfigError(f"parametrix.tol = {rc.parametrix_tol!r} must be >= "
+                          f"{MIN_PARAMETRIX_TOL!r}: below it the sweep's residuals "
+                          "miss the tolerance at rounding level")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(japanese_bracket(rc.lambda_max)):
+            raise ConfigError(f"lambda.max = {rc.lambda_max!r} is too large: "
+                              "<lambda> = (1 + lambda^2)^(1/2) overflows")
+    return rc
 
 
 def build_function_family(specs, n_reg):

@@ -1,9 +1,9 @@
 """Dense linear-algebra backend: LU resolvents and operator norms.
 
-Everything here is deterministic: LU via LAPACK partial pivoting with one
-step of iterative refinement, and the resolvent-norm sweep's norms exact
-from the smallest singular value.  Norms come in two kinds.  Power
-iteration from a fixed all-ones start vector (:func:`operator_norm`)
+Everything here is deterministic: the dense resolvent is one LAPACK
+partial-pivot LU solve refined by a second, and the resolvent-norm sweep's
+norms are exact from the smallest singular value.  Norms come in two kinds.
+Power iteration from a fixed all-ones start vector (:func:`operator_norm`)
 approaches ||M||_2 from below; it serves reported norms only.  A decision
 that compares a norm with a threshold (Neumann eligibility and length, the
 invertibility radius) takes :func:`norm_bound`, an upper bound that is the
@@ -24,36 +24,27 @@ def _as_matrix(A):
     return A.matrix if hasattr(A, "matrix") else np.asarray(A, dtype=complex)
 
 
-def inverse_refined(M):
-    """Inverse by LU solve with one step of iterative refinement; returns
-    (X, residual) with residual = max|MX - I|."""
-    eye = np.eye(M.shape[0], dtype=complex)
-    try:
-        X = np.linalg.solve(M, eye)
-        X = X + np.linalg.solve(M, eye - M @ X)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError(f"LU solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(M @ X - eye)))
-    if residual > RESIDUAL_TOL:
-        raise SingularOperatorError(
-            f"inverse residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
-            "matrix is numerically singular")
-    return X, residual
-
-
 def dense_resolvent(A, lam):
     """(A - lam)^{-1} by partial-pivot LU with one refinement step.
 
-    Raises :class:`SingularOperatorError` when the residual stays above
-    ``RESIDUAL_TOL`` - the lambda is then flagged as (near-)spectrum.
+    Raises :class:`SingularOperatorError` when the LU solve fails or the
+    residual max|(A - lam) X - I| exceeds ``RESIDUAL_TOL`` or is NaN - the
+    lambda is then flagged as (near-)spectrum.
     """
     M = _as_matrix(A)
-    shifted = M - lam * np.eye(M.shape[0], dtype=complex)
+    eye = np.eye(M.shape[0], dtype=complex)
+    shifted = M - lam * eye
     try:
-        X, _ = inverse_refined(shifted)
-    except SingularOperatorError as exc:
+        X = np.linalg.solve(shifted, eye)
+        X = X + np.linalg.solve(shifted, eye - shifted @ X)
+    except np.linalg.LinAlgError:
+        residual = np.inf
+    else:
+        residual = float(np.max(np.abs(shifted @ X - eye)))
+    if not residual <= RESIDUAL_TOL:
         raise SingularOperatorError(
-            f"resolvent at lambda={lam!r}: {exc} (lambda near the spectrum)") from exc
+            f"resolvent at lambda={lam!r}: inverse residual {residual:.3e} exceeds "
+            f"{RESIDUAL_TOL:.1e} (lambda near the spectrum)")
     return X
 
 

@@ -272,27 +272,23 @@ def power(a, c):
 class SymbolClassParams:
     """Order/regularity triple (m, rho, delta) of a symbol class.
 
-    ``strict=True`` enforces 0 <= delta < rho <= 1 as required by the
-    hypoellipticity pipeline; the looser delta <= rho, delta < 1 range is
-    accepted for seminorm-only use.
+    :meth:`validate` enforces the classes the paper's calculus runs on:
+    0 <= delta < rho <= 1 and order m >= 0.
     """
 
     m: float
     rho: float = 1.0
     delta: float = 0.0
 
-    def validate(self, strict=True, require_nonnegative_order=False):
+    def validate(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if strict and not self.delta < self.rho:
+        if not self.delta < self.rho:
             raise ValueError(
                 f"pipeline use requires delta < rho, got delta={self.delta}, rho={self.rho}")
-        if not strict and not self.delta <= self.rho:
-            raise ValueError(
-                f"delta <= rho required, got delta={self.delta}, rho={self.rho}")
-        if require_nonnegative_order and self.m < 0:
+        if self.m < 0:
             raise ValueError(f"pipeline use requires order m >= 0, got m={self.m}")
         return self
 

@@ -25,7 +25,7 @@ from .densela import _as_matrix, operator_norm
 from .errors import ContourError, SingularOperatorError
 from .grid import GridSymbol
 from .quantop import QuantOp, extract_symbol
-from .util import fit_loglog_slope
+from .util import fit_loglog_slope, japanese_bracket
 
 _MAX_DECADES = 220
 _MAX_NODES_PER_DECADE = 1024
@@ -52,7 +52,7 @@ class HFun:
         Label used in reports.
 
     The bound constant ``c_f`` is estimated from ray samples by
-    :meth:`ensure_cf` or :meth:`validate`.
+    :meth:`validate`, which :meth:`ensure_cf` calls when it is unset.
     """
 
     def __init__(self, fn, d, name="f"):
@@ -76,10 +76,10 @@ class HFun:
             return np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
 
     def ensure_cf(self, sector):
-        """Estimate c_f from ray samples when not set."""
-        if self.c_f is None:
-            self.c_f = float(np.max(self._decay_products(sector)) * 1.01)
-        return self.c_f
+        """c_f, set by :meth:`validate` when unset: a non-finite sample on the
+        validation rays raises ``ValueError``.  A c_f set beforehand is
+        returned unchecked."""
+        return self.validate(sector) if self.c_f is None else self.c_f
 
     def validate(self, sector):
         """Check the decay bound on the validation rays; returns c_f.
@@ -351,10 +351,12 @@ def f_of_symbol(A, f, contour):
 
 @dataclass
 class HinfProbeReport:
-    """Per-function ratios ||f(A)|| / ||f||_inf and their maximum M."""
+    """Per-function ratios ||f(A)|| / ||f||_inf, their maximum M, and the
+    integrated f(A) matrices ``ops``, aligned with ``rows``."""
 
     rows: list
     M: float
+    ops: list
 
 
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
@@ -387,7 +389,7 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
         sup = f.sup_norm(sector)
         rows.append((f.name, sup, opn, opn / sup))
     M = max(r[3] for r in rows)
-    return HinfProbeReport(rows=rows, M=M)
+    return HinfProbeReport(rows=rows, M=M, ops=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ def resolvent_decay_probe(rows):
 
     ``rows`` are (lambda, norm) pairs from the dense sweep; returns
     (slope, sup of <lambda> norm)."""
-    brackets = [float(np.sqrt(1.0 + abs(lam) ** 2)) for lam, _ in rows]
+    brackets = [float(japanese_bracket(lam)) for lam, _ in rows]
     norms = [n for _, n in rows]
     slope, _ = fit_loglog_slope(brackets, norms)
     weighted = max(b * n for b, n in zip(brackets, norms))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dsl import _as_multi
 from .errors import GridMismatchError, SectorcalcError
+from .util import japanese_bracket
 
 # Relative slack on a certified upper bound of a spectral norm before it is
 # compared with an exact norm: it covers the rounding of both, which decides
@@ -115,7 +116,7 @@ class TorusGrid:
 
     def bracket_xi(self):
         """<xi> = (1+|xi|^2)^(1/2) per window node, shape xi_shape."""
-        return np.sqrt(1.0 + self.xi_norm() ** 2)
+        return japanese_bracket(self.xi_norm())
 
 
 def _spectral_norms(values):
@@ -202,7 +203,7 @@ def grid_seminorm(gs, alpha, beta, class_params, interior_margin=0):
     xi-derivatives use lattice central differences, so this is a
     validation-grade estimate, adequate for ratio/stability diagnostics.
     """
-    class_params.validate(strict=False)
+    class_params.validate()
     alpha = _as_multi(alpha, gs.grid.n)
     beta = _as_multi(beta, gs.grid.n)
     vals = gs.values

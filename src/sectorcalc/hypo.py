@@ -23,7 +23,7 @@ import numpy as np
 
 from .densela import _hoelder_bounds
 from .grid import _spectral_norms, certified_maxima, sample
-from .util import multi_indices_below
+from .util import japanese_bracket, multi_indices_below
 
 _MAX_STORED_VIOLATIONS = 1000
 # Log-uniform lambda moduli per boundary ray in estimate_hypo_constants.
@@ -131,7 +131,7 @@ def check_spectrum(expr, sector, c, C, grid):
 def _sample_maxima(best, values, lam, factors):
     """Raise ``best[t]`` to the max over nodes of da * r * w for the t-th
     (da, w) in ``factors``, and ``best[-1]``, one entry past them, to that of
-    (1+|lam|^2)^(1/2) r, where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
+    <lam> r, where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
 
     For k > 1 each node's inverse X bounds its norm from above by
     h = (||X||_1 ||X||_inf)^(1/2), and :func:`certified_maxima` takes exact
@@ -141,7 +141,7 @@ def _sample_maxima(best, values, lam, factors):
     norm is finite; a singular stack raises ``numpy.linalg.LinAlgError``.
     """
     k = values.shape[-1]
-    scale = np.sqrt(1.0 + abs(lam) ** 2)
+    scale = japanese_bracket(lam)
     if k == 1:
         # 1/|a - lam| is exact already: a bound would only add work
         rn = 1.0 / np.abs(values[..., 0, 0] - lam)

@@ -193,13 +193,14 @@ class ParametrixCalculator:
     def __init__(self, expr, grid, class_params, sector, N):
         if N < 1:
             raise ValueError("parametrix order N must be >= 1")
-        class_params.validate(strict=True, require_nonnegative_order=True)
+        class_params.validate()
         self.expr = expr
         self.grid = grid
         self.class_params = class_params
         self.sector = sector
         self.N = N
         self.a_tab = sample(expr, grid)
+        self.quantized_symbol = quantize(self.a_tab)
         self.k = self.a_tab.k
         self.sup_a = self.a_tab.sup_norm()
         if self.k == 1:
@@ -216,7 +217,6 @@ class ParametrixCalculator:
                                            max(0, grid.xi_max - 1))
         self._deriv_cache = {}
         self._compiled = {}
-        self._q_a = None
         # (lambda, b^N values) of the last b^N evaluated, for its conjugate
         self._bN_memo = None
         # compiling b^N tabulates every derivative of a that it reads
@@ -240,12 +240,6 @@ class ParametrixCalculator:
     def derivative_tab(self, alpha, beta):
         """The same table as a node-shaped (..., k, k) view."""
         return np.moveaxis(self._derivative_cm(alpha, beta), (0, 1), (-2, -1))
-
-    @property
-    def quantized_symbol(self):
-        if self._q_a is None:
-            self._q_a = quantize(self.a_tab)
-        return self._q_a
 
     def shifted_matrix(self, lam):
         m = self.quantized_symbol.matrix

@@ -116,7 +116,7 @@ def seminorm(expr, alpha, beta, class_params, grid):
     over the grid window, so the value is a certified lower bound for the
     continuum seminorm.
     """
-    class_params.validate(strict=False)
+    class_params.validate()
     deriv = expr.diff(alpha, beta)
     return class_weighted_sup(sc.sample(deriv, grid), class_params.xi_weight_exponent(
         _as_multi(alpha, grid.n), _as_multi(beta, grid.n)))

@@ -150,26 +150,19 @@ def test_criterion_07_uniform_bound_stability(scene, family12, family24):
     seminorms = (((0,), (0,)), ((1,), (0,)), ((0,), (1,)))
     margin = scene.default_interior_margin
 
-    def mq_ratios(family):
-        contours = {}
+    def mq_ratios(probe):
+        # the symbols of the f(A) the probe integrated, sup norms from its rows
         out = {q: 0.0 for q in seminorms}
-        for f in family:
-            f.ensure_cf(scene.sector)
-            cf_group = max(g.c_f for g in family if g.d == f.d)
-            key = (f.d, cf_group)
-            if key not in contours:
-                contours[key] = sc.build_contour(scene.sector, d=f.d,
-                                                 tol=1e-5, c_f=cf_group)
-            fa = sc.f_of_symbol(scene.quantized_symbol, f, contours[key])
-            sup = f.sup_norm(scene.sector)
+        for (_, sup, _, _), op in zip(probe.rows, probe.ops):
+            fa = sc.extract_symbol(sc.QuantOp(scene.grid, scene.k, op))
             for q in seminorms:
                 val = sc.grid_seminorm(fa, q[0], q[1], params0,
                                        interior_margin=margin)
                 out[q] = max(out[q], val / sup)
         return out
 
-    mq12 = mq_ratios(family12)
-    mq24 = mq_ratios(family24)
+    mq12 = mq_ratios(probe12)
+    mq24 = mq_ratios(probe24)
     mq_drifts = {q: abs(mq24[q] - mq12[q]) / mq12[q] for q in seminorms}
     ok = m_drift < 0.10 and all(d < 0.10 for d in mq_drifts.values())
     report(7, "uniformity of the calculus bound", ok,

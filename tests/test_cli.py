@@ -136,6 +136,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("line, message", [
+        ("lambda.max = 1e300", "lambda.max = 1e+300 is too large: "
+         "<lambda> = (1 + lambda^2)^(1/2) overflows"),
+        ("parametrix.tol = 1e-16", "parametrix.tol = 1e-16 must be >= 1e-14: below "
+         "it the sweep's residuals miss the tolerance at rounding level"),
+    ], ids=["lambda_max_overflow", "tol_below_rounding"])
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_ranges_past_rounding_are_config_errors(self, tmp_path, capsys,
+                                                         line, message):
+        # <lambda> = inf at 1e300 broke the sweep's slope fit; at tol 1e-16
+        # every sweep row failed its Neumann residual and was redone dense
+        key = line.split(" =")[0] + " "
+        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["parametrix", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("preset, code", [("rotated_phase", 0),
                                               ("rotated_phase 2", 2)])
     def test_rotated_phase_preset(self, tmp_path, preset, code):
@@ -174,7 +194,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, line, message", [
         ("calc", "contour.nodes_per_decade = 16",
-         "contour.nodes_per_decade was removed"),
+         "unknown config key 'contour.nodes_per_decade'"),
         ("parametrix", "lambda.count = 0", "lambda.count must be >= 2"),
         ("parametrix", "lambda.count = 1", "lambda.count must be >= 2"),
         ("parametrix", "parametrix.tol = 0", "'parametrix.tol': must be > 0"),
@@ -496,15 +516,16 @@ class TestLuCounts:
         assert self.lu_solves("bip", cfg, tmp_path, rc.grid.n_modes,
                               monkeypatch) == nodes
 
-    @pytest.mark.parametrize("extra, rescued", [
-        ("", False), ("parametrix.tol = 1e-16", True),
-    ], ids=["neumann", "rescued"])
+    @pytest.mark.parametrize("rescued", [False, True], ids=["neumann", "rescued"])
     def test_parametrix_solves_twice_per_dense_row(self, tmp_path, monkeypatch,
-                                                   extra, rescued):
+                                                   rescued):
         # a dense sweep resolvent is one LU solve refined by a second; every
-        # row of this scene is Neumann at the default tolerance, and a
-        # tolerance below rounding sends every row on to the dense inverse
-        cfg, rc = self.scene(tmp_path, extra)
+        # row of this scene is Neumann at the default tolerance, and a Neumann
+        # series cut to its first term, b^N alone, misses that tolerance at
+        # every row and sends it on to the dense inverse
+        if rescued:
+            monkeypatch.setattr(parametrix, "_MAX_NEUMANN", 0)
+        cfg, rc = self.scene(tmp_path)
         solves = self.lu_solves("parametrix", cfg, tmp_path, rc.grid.n_modes,
                                 monkeypatch)
         with open(tmp_path / "parametrix_sweep.csv", newline="") as fh:

@@ -188,18 +188,17 @@ class TestSubtraction:
 class TestClassParams:
     def test_strict_requires_delta_below_rho(self):
         with pytest.raises(ValueError):
-            sc.SymbolClassParams(m=1, rho=0.5, delta=0.5).validate(strict=True)
-        sc.SymbolClassParams(m=1, rho=0.5, delta=0.5).validate(strict=False)
+            sc.SymbolClassParams(m=1, rho=0.5, delta=0.5).validate()
 
     def test_rho_delta_ranges(self):
         with pytest.raises(ValueError):
             sc.SymbolClassParams(m=1, rho=1.5).validate()
         with pytest.raises(ValueError):
-            sc.SymbolClassParams(m=1, delta=1.0).validate(strict=False)
+            sc.SymbolClassParams(m=1, delta=1.0).validate()
 
     def test_pipeline_needs_nonnegative_order(self):
         with pytest.raises(ValueError):
-            sc.SymbolClassParams(m=-1).validate(require_nonnegative_order=True)
+            sc.SymbolClassParams(m=-1).validate()
 
 
 class TestPresets:

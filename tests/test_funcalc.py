@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc.densela import inverse_refined
+from sectorcalc.densela import dense_resolvent
 from sectorcalc.funcalc import (_CHUNK, _accumulate_resolvents, _assemble_contour,
                                 _probe_fun)
 
@@ -55,6 +55,19 @@ class TestHFun:
         f = sc.HFun(fn, d=1.0, name="nan_tail")
         with pytest.raises(ValueError, match="non-finite"):
             f.validate(sector_right)
+
+    def test_ensure_cf_is_validate(self, sector_right):
+        # an unset c_f is 1% above the sampled max, the same float for both
+        for f in (sc.power_quotient(0.5), sc.imaginary_power_regularized(2.0, 100)):
+            expected = float(np.max(f._decay_products(sector_right)) * 1.01)
+            assert f.ensure_cf(sector_right) == expected
+
+    def test_ensure_cf_rejects_overflowing_samples(self, sector_right):
+        # |z^(500 i)| = exp(-500 arg z) overflows on the lower validation ray
+        f = sc.imaginary_power_regularized(500.0, 1000)
+        with pytest.raises(ValueError, match="imag_power 500.0.*non-finite"):
+            f.ensure_cf(sector_right)
+        assert f.c_f is None
 
     def test_sup_norm_of_probe(self, sector_right):
         # |z/(1+z)^2| on the boundary ray: t/(1+t^2), maximal 1/2 at z = i
@@ -180,9 +193,8 @@ class TestOperatorOracle:
         f.ensure_cf(sector_right)
         contour = sc.build_contour(sector_right, d=1.0, tol=1e-9, c_f=f.c_f)
         via_quad = sc.f_of_operator_oracle(A, f, contour)
-        eye = np.eye(A.shape[0], dtype=complex)
-        inv_mu, _ = inverse_refined(mu * eye - A)
-        inv_one, _ = inverse_refined(eye + A)
+        inv_mu = -dense_resolvent(A, mu)
+        inv_one = dense_resolvent(A, -1.0)
         direct = A @ inv_mu @ inv_one
         assert sc.operator_norm(via_quad - direct) <= 1e-7
 
@@ -383,6 +395,21 @@ class TestHinfProbe:
         assert sum(inverted) == len(contour)
         for row, ref in zip(report.rows, expected):
             assert row[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_matrices_match_f_of_symbol(self, calc16, sector_right):
+        # the slow path: f_of_symbol of each member on its group's contour
+        family = [sc.power_quotient(s) for s in (0.5, 1.0, 2.0)] + \
+            [sc.imaginary_power_regularized(t, 100) for t in (-1.0, 1.0)]
+        A = calc16.quantized_symbol
+        report = sc.hinf_bound_probe(A, family, sector_right, quad_tol=1e-5)
+        assert len(report.ops) == len(report.rows) == len(family)
+        for f, row, op in zip(family, report.rows, report.ops):
+            assert row[0] == f.name
+            c_f = max(g.c_f for g in family if g.d == f.d)
+            contour = sc.build_contour(sector_right, d=f.d, tol=1e-5, c_f=c_f)
+            slow = sc.f_of_symbol(A, f, contour).values
+            fast = sc.extract_symbol(sc.QuantOp(A.grid, A.k, op)).values
+            assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_empty_family_rejected(self, calc16, sector_right):
         with pytest.raises(ValueError):
