@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -74,6 +75,22 @@ def cmd_parametrix(rc, args):
     radii = np.geomspace(lo, rc.lambda_max, rc.lambda_count)
     family = parametrix_sweep(calc, radii, tol=rc.parametrix_tol)
     family.to_csv(_out_path(args, "parametrix_sweep.csv"))
+    rows = family.rows
+    methods = Counter(row["method"] for row in rows)
+    _say(args, f"parametrix: R = {R!r}")
+    _say(args, "parametrix: rows per method: "
+         + ", ".join(f"{m} {methods[m]}" for m in sorted(methods)))
+    _say(args, f"parametrix: mirrored rows: {sum(row['mirrored'] for row in rows)} "
+         f"of {len(rows)}")
+    # a computed Neumann row of K + 1 terms forms K products r^N S; a
+    # mirrored row forms none
+    _say(args, "parametrix: Neumann products formed: "
+         + str(sum(max(row["neumann_terms"] - 1, 0) for row in rows
+                   if not row["mirrored"])))
+    if family.fit_notes:
+        print("warning: slope fits dropped rows: " + "; ".join(
+            f"slope[{name}] {note}" for name, note in sorted(family.fit_notes.items())),
+              file=sys.stderr)
     print(f"R = {R!r}")
     for name in sorted(family.slopes):
         print(f"slope[{name}] = {family.slopes[name]!r}")

@@ -31,8 +31,14 @@ The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
 b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda), and the lower-ray b^N
 is the mirror of the upper-ray one: no b_0 inverses and no products.  The
-calculator decides this symmetry once, at construction, on the tables its
-compiled b^N term list reads.
+same symmetry holds for the operator: with P the mode permutation
+xi -> -xi, conj(A) = P A P, so (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P.
+A lower-ray Neumann resolvent is therefore the mirror of its upper-ray
+partner: no quantization, no remainder and no Neumann products.  Its
+residual is still measured against A itself, and a mirror that misses the
+tolerance is replaced by the dense inverse.  The calculator decides the
+symmetry once, at construction: bitwise on the tables its compiled b^N
+term list reads, and within 64 eps max|A| on the quantized symbol.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ _B0 = ("b0",)
 _MAX_NEUMANN = 400
 # Invertibility radii find_R tries: the powers of two 1 .. 2^20.
 _R_CANDIDATES = tuple(2.0 ** p for p in range(21))
+# Relative bound on max|A - P conj(A) P| for a symmetric quantized symbol.
+_MIRROR_TOL = 64 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +174,9 @@ class LeibnizResolvent:
 
     ``b_n`` is the parametrix b^N and ``r_n`` its remainder r^N,
     built at every lambda; ``diagnostics["method"]`` says which of
-    "neumann", "dense" or "neumann->dense" produced ``symbol``.
+    "neumann", "dense" or "neumann->dense" produced ``symbol``, and
+    ``diagnostics["mirrored"]`` whether the Neumann part is the mirror of
+    the conjugate lambda's.
     """
 
     symbol: GridSymbol
@@ -185,9 +195,11 @@ class ParametrixCalculator:
     quantized symbol are computed once; everything per-lambda (b_j, b^N,
     r^N, the resolvent) is then cheap and independent across lambda.
 
-    ``conj_symmetric`` says whether b^N(conj lambda) = conj b^N(x, -xi, lambda):
-    whether a and every derivative table T of xi-order alpha that b^N reads
-    satisfy T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise.
+    ``conj_symmetric`` says whether b^N(conj lambda) = conj b^N(x, -xi, lambda)
+    and (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P: whether a and
+    every derivative table T of xi-order alpha that b^N reads satisfy
+    T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise, and the quantized
+    symbol A satisfies max|A - P conj(A) P| <= 64 eps max|A|.
     """
 
     def __init__(self, expr, grid, class_params, sector, N):
@@ -219,10 +231,16 @@ class ParametrixCalculator:
         self._compiled = {}
         # (lambda, b^N values) of the last b^N evaluated, for its conjugate
         self._bN_memo = None
+        # ((lambda, tol), resolvent matrix, LeibnizResolvent) of the last
+        # computed Neumann resolvent, for its conjugate
+        self._resolvent_memo = None
         # compiling b^N tabulates every derivative of a that it reads
         (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
         a = self.a_tab.values
-        self.conj_symmetric = np.array_equal(self._conj_mirror(a), a) and all(
+        A = self.quantized_symbol.matrix
+        self.conj_symmetric = bool(
+            np.max(np.abs(A - self._mode_mirror(A))) <= _MIRROR_TOL * np.max(np.abs(A))
+        ) and np.array_equal(self._conj_mirror(a), a) and all(
             np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
                            (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
             for alpha, beta in self._deriv_cache)
@@ -338,6 +356,16 @@ class ParametrixCalculator:
         n = self.grid.n
         return np.flip(values, axis=tuple(range(n, 2 * n))).conj()
 
+    def _mode_mirror(self, matrix):
+        """P conj(M) P, the quantization of the ``_conj_mirror`` of M's symbol.
+
+        P maps mode xi to -xi.  The modes are lexicographic over a symmetric
+        window, so P reverses the flat mode order; each k x k block is
+        conjugated in place, not transposed.
+        """
+        m, k = self.grid.n_modes, self.k
+        return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
+
     def assemble_bN(self, lam):
         """b^N(lambda) = sum_{j<N} b_j(lambda), one term list.
 
@@ -387,40 +415,67 @@ class ParametrixCalculator:
         is certified too.  The dense Leibniz inverse takes over when
         ||quantize(r^N)||_2 >= 1/2 or the Neumann residual symbol stays
         above ``tol``.  b^N comes from :meth:`assemble_bN`, which checks
-        that lambda is admissible, so at a conjugate pair of lambda on a
-        symmetric symbol the second b^N is the mirror of the first.
+        that lambda is admissible.
+
+        A one-slot memo holds the last Neumann resolvent computed.  At its
+        conjugate lambda (same ``tol``), on a ``conj_symmetric`` symbol, the
+        resolvent matrix is the memo's :meth:`_mode_mirror`, r^N and the
+        symbol are ``_conj_mirror``s of the memo's tables, b^N is
+        :meth:`assemble_bN`'s mirror, and ``r_norm`` and ``neumann_terms``
+        are copied; the slot is cleared.  The mirrored row still measures
+        its own residual against A - lambda and falls back to the dense
+        inverse above ``tol``.  A dense or rescued row memoes nothing, so its
+        conjugate is computed in full.
         """
         bN = self.assemble_bN(lam)
-        q_bN = quantize(bN).matrix
+        lam = complex(lam)
         m_shift = self.shifted_matrix(lam)
-        r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
-        r_norm = norm_bound(r_mat, 0.5)
-        diag = {"lambda": complex(lam), "method": None, "r_norm": r_norm,
-                "neumann_terms": 0, "residual": None}
         eye = np.eye(m_shift.shape[0], dtype=complex)
 
         def residual(res_mat):
             return extract_symbol(
                 QuantOp(self.grid, self.k, m_shift @ res_mat - eye)).sup_norm()
 
-        if r_norm < 0.5:
-            K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
-                if r_norm > 0 else 0
-            K = max(0, min(K, _MAX_NEUMANN))
-            series = eye.copy()
-            for _ in range(K):
-                series = eye - r_mat @ series
-            res_mat = q_bN @ series
-            diag.update(method="neumann", neumann_terms=K + 1,
-                        residual=residual(res_mat))
+        def mirror(table):
+            return GridSymbol(self.grid, self._conj_mirror(table.values), check=False)
+
+        memo, self._resolvent_memo = self._resolvent_memo, None
+        if memo is not None and memo[0] == (lam.conjugate(), tol) and self.conj_symmetric:
+            _, upper_mat, upper = memo
+            res_mat = self._mode_mirror(upper_mat)
+            r_sym = mirror(upper.r_n)
+            diag = {**upper.diagnostics, "lambda": lam, "mirrored": True,
+                    "residual": residual(res_mat)}
+        else:
+            q_bN = quantize(bN).matrix
+            r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
+            r_norm = norm_bound(r_mat, 0.5)
+            diag = {"lambda": lam, "method": None, "r_norm": r_norm,
+                    "neumann_terms": 0, "residual": None, "mirrored": False}
+            if r_norm < 0.5:
+                K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
+                    if r_norm > 0 else 0
+                K = max(0, min(K, _MAX_NEUMANN))
+                series = eye.copy()
+                for _ in range(K):
+                    series = eye - r_mat @ series
+                res_mat = q_bN @ series
+                diag.update(method="neumann", neumann_terms=K + 1,
+                            residual=residual(res_mat))
         if diag["method"] is None or diag["residual"] > tol:
             # r^N too large, or the tail bound was optimistic (non-normal r^N)
             res_mat = dense_resolvent(self.quantized_symbol, lam)
             diag["method"] = "dense" if diag["method"] is None else "neumann->dense"
             diag["residual"] = residual(res_mat)
-        symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
-        return LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
-                                diagnostics=diag, b_n=bN, r_n=r_sym)
+        if diag["mirrored"] and diag["method"] == "neumann":
+            symbol = mirror(upper.symbol)
+        else:
+            symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
+        result = LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
+                                  diagnostics=diag, b_n=bN, r_n=r_sym)
+        if diag["method"] == "neumann" and not diag["mirrored"]:
+            self._resolvent_memo = ((lam, tol), res_mat, result)
+        return result
 
     # -- invertibility radius ------------------------------------------------------
 
@@ -461,10 +516,15 @@ def shift(expr, c):
 
 @dataclass
 class ParamSymbolFamily:
-    """Per-lambda records of a parametrix sweep plus fitted decay slopes."""
+    """Per-lambda records of a parametrix sweep plus fitted decay slopes.
+
+    ``fit_notes`` names each slope whose fit dropped rows (a sup that is zero
+    or not finite, e.g. after underflow) or that was omitted for it.
+    """
 
     rows: list
     slopes: dict = field(default_factory=dict)
+    fit_notes: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -498,11 +558,20 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     falls back to the dense inverse wherever ||quantize(r^N)|| >= 1/2, and
     the row's method says so.
 
+    The rows come in (lambda, conj lambda) pairs, upper ray first, so on a
+    ``conj_symmetric`` symbol each lower Neumann row is the mirror of its
+    upper partner (:meth:`ParametrixCalculator.leibniz_resolvent`), with its
+    own residual measured against A.
+
     Fitted log-log slopes against <lambda>: ``rN`` near -1, ``sN`` near -2,
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
     asymptotic; below the spectral-gap scale the remainder is flat, so the
     fits exclude rows with <lambda> under twice the smallest pointwise
-    symbol modulus (dropped if fewer than three radii would survive).
+    symbol modulus (dropped if fewer than three radii would survive).  Each
+    fit then drops the rows whose sample is zero or not finite; a slope is
+    written only if its remaining rows span three distinct radii (every
+    radius, on a sweep of two), and ``fit_notes`` names every slope that
+    dropped rows or was omitted.
     """
     margin = calc.default_interior_margin
     params = calc.class_params
@@ -523,19 +592,26 @@ def parametrix_sweep(calc, radii, tol=1e-11):
             "class_sup_sN": class_weighted_sup(lr.s_n, rem_weight, margin),
             "residual": lr.diagnostics["residual"],
             "method": lr.diagnostics["method"],
+            "mirrored": lr.diagnostics["mirrored"],
+            "neumann_terms": lr.diagnostics["neumann_terms"],
         })
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows
-    brackets = [row["bracket"] for row in fit_rows]
-    slopes = {}
-    slopes["rN"], _ = fit_loglog_slope(brackets,
-                                       [row["class_sup_rN"] for row in fit_rows])
-    slopes["bN_weighted"], _ = fit_loglog_slope(
-        brackets, [row["bracket"] * row["sup_bN"] for row in fit_rows])
-    s_pairs = [(row["bracket"], row["class_sup_sN"]) for row in fit_rows
-               if row["class_sup_sN"] > 0]
-    if len(s_pairs) >= 2:
-        slopes["sN"], _ = fit_loglog_slope([p[0] for p in s_pairs],
-                                           [p[1] for p in s_pairs])
-    return ParamSymbolFamily(rows=rows, slopes=slopes)
+    need = min(3, len({row["bracket"] for row in fit_rows}))
+    family = ParamSymbolFamily(rows=rows)
+    for name, sample_of in (("rN", lambda row: row["class_sup_rN"]),
+                            ("bN_weighted", lambda row: row["bracket"] * row["sup_bN"]),
+                            ("sN", lambda row: row["class_sup_sN"])):
+        pairs = [(row["bracket"], sample_of(row)) for row in fit_rows]
+        kept = [(b, v) for b, v in pairs if np.isfinite(v) and v > 0]
+        radii_left = len({b for b, _ in kept})
+        if radii_left >= need:
+            family.slopes[name], _ = fit_loglog_slope([b for b, _ in kept],
+                                                      [v for _, v in kept])
+        if len(kept) < len(pairs):
+            family.fit_notes[name] = (
+                f"{len(pairs) - len(kept)} of {len(pairs)} fit rows zero or not finite, "
+                + (f"fitted through {len(kept)}" if name in family.slopes else
+                   f"omitted ({radii_left} distinct radii left, {need} needed)"))
+    return family

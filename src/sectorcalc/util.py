@@ -34,14 +34,18 @@ def multi_factorial(alpha):
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope and intercept of log|y| against log|x|."""
+    """Least-squares slope and intercept of log y against log x.
+
+    Every sample must be positive and finite: a caller that may hold others
+    filters them itself, and says so.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    keep = (xs > 0) & (ys > 0)
-    lx, ly = np.log(xs[keep]), np.log(ys[keep])
-    if lx.size < 2:
-        raise ValueError("need at least two positive samples for a slope fit")
-    slope, intercept = np.polyfit(lx, ly, 1)
+    if not (np.all(np.isfinite(xs) & (xs > 0)) and np.all(np.isfinite(ys) & (ys > 0))):
+        raise ValueError("slope fit samples must be positive and finite")
+    if xs.size < 2:
+        raise ValueError("need at least two samples for a slope fit")
+    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope), float(intercept)
 
 

@@ -310,6 +310,55 @@ lambda.max = 1e3
         assert data and all(float(r[4]) <= 1e-12 for r in data)
 
 
+    def test_underflowing_slope_samples_are_dropped_loudly(self, tmp_path, capsys):
+        # the CI check.cfg scene swept to 1e150: s^N is 0.0 at every row with
+        # <lambda> >= 1e50, and the rows left span two distinct radii, too
+        # few for the sN fit, so sN is omitted and a warning names it
+        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
+                        "grid.points = 16\nshift = 5\nlambda.max = 1e150\n")
+        assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines()
+                    if line.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert "slope[sN]" in warnings[0] and "omitted" in warnings[0]
+        assert "slope[rN]" not in warnings[0]
+        with open(tmp_path / "parametrix_sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        data = [r for r in rows if r[0] != "slope"]
+        assert sum(float(r[7]) == 0.0 for r in data) == 14
+        assert {r[1] for r in rows if r[0] == "slope"} == {"rN", "bN_weighted"}
+        assert "slope[sN]" not in captured.out
+
+    def test_verbose_explains_the_sweep(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_REF1D_CFG)
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["parametrix", "--config", cfg, "--out", str(quiet)]) == 0
+        plain = capsys.readouterr()
+        assert main(["parametrix", "--config", cfg, "--out", str(loud), "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert plain.err == "" and verbose.out == plain.out
+        assert (quiet / "parametrix_sweep.csv").read_bytes() == \
+            (loud / "parametrix_sweep.csv").read_bytes()
+        # the K of each computed row, from a sweep with no mirror at all
+        rc = resolve_config(load_config(cfg))
+        calc = parametrix.ParametrixCalculator(rc.expr, rc.grid, rc.class_params,
+                                               rc.sector, rc.parametrix_N)
+        R = calc.find_R()
+        calc.conj_symmetric = False
+        full = parametrix.parametrix_sweep(
+            calc, np.geomspace(max(rc.lambda_min, R), rc.lambda_max, rc.lambda_count),
+            tol=rc.parametrix_tol)
+        products = sum(row["neumann_terms"] - 1 for row in full.rows[0::2])
+        assert verbose.err.splitlines() == [
+            f"parametrix: R = {R!r}",
+            "parametrix: rows per method: neumann 20",
+            "parametrix: mirrored rows: 10 of 20",
+            f"parametrix: Neumann products formed: {products}",
+        ]
+        assert plain.out.splitlines()[0] == f"R = {R!r}"
+
+
 class TestCalcOutputs:
     def test_report_schema_and_ratios(self, cfg_file, tmp_path):
         assert main(["calc", "--config", cfg_file, "--out", str(tmp_path)]) == 0

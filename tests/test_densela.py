@@ -217,3 +217,14 @@ def test_fit_loglog_slope_recovers_power_law():
     slope, intercept = fit_loglog_slope(xs, 3.0 * xs ** -1.5)
     assert slope == pytest.approx(-1.5, abs=1e-12)
     assert np.exp(intercept) == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_fit_loglog_slope_rejects_nonpositive_or_nonfinite(bad, axis):
+    # a sample the fit cannot take is the caller's to drop, not the fit's
+    xs = np.geomspace(1, 1e4, 5)
+    ys = 3.0 * xs ** -1.5
+    (xs if axis == "x" else ys)[2] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit_loglog_slope(xs, ys)

@@ -298,6 +298,147 @@ class TestConjugateMirror:
         assert len(lams) == 10 // share
 
 
+SUP_COLUMNS = ("sup_bN", "sup_rN", "sup_sN", "class_sup_rN", "class_sup_sN")
+
+
+def resolvent_spy(calc, monkeypatch):
+    """Per ``leibniz_resolvent`` call: (mirrored, quantize calls, remainder
+    calls).  The Neumann loop multiplies by the remainder matrix, which only
+    ``remainder`` makes, so a call without it formed no Neumann product."""
+    calls, counts = [], {"quantize": 0, "remainder": 0}
+    quantize_orig, remainder_orig = parametrix.quantize, calc.remainder
+    resolvent_orig = calc.leibniz_resolvent
+
+    def quantize_spy(a):
+        counts["quantize"] += 1
+        return quantize_orig(a)
+
+    def remainder_spy(*args, **kwargs):
+        counts["remainder"] += 1
+        return remainder_orig(*args, **kwargs)
+
+    def spy(lam, tol=1e-11):
+        counts.update(quantize=0, remainder=0)
+        out = resolvent_orig(lam, tol=tol)
+        calls.append((out.diagnostics["mirrored"], counts["quantize"],
+                      counts["remainder"]))
+        return out
+
+    monkeypatch.setattr(parametrix, "quantize", quantize_spy)
+    monkeypatch.setattr(calc, "remainder", remainder_spy)
+    monkeypatch.setattr(calc, "leibniz_resolvent", spy)
+    return calls
+
+
+def mirror_sweeps(sector, args, gate=None):
+    """The sweep as shipped and the full two-ray sweep (no mirror at all) of
+    the same symbol, over 5 radii from R to 1e3; ``gate`` forces the shipped
+    calculator's symmetry gate.
+
+    The range stops at 1e3 because at P = 16 the smallest class sups at 1e4
+    are about 1e-10 of their column's largest value.  The two paths round
+    such a sup differently, neither closer to the exact one, and that moves
+    a log-log slope by up to about 1e-9 relative (3.4e-9 on ``minus_cfg``'s
+    rN); up to 1e3 the slopes agree to 8e-12.
+    """
+    shipped, full = calc_of(sector, *args), calc_of(sector, *args)
+    if gate is not None:
+        shipped.conj_symmetric = gate
+    full.conj_symmetric = False
+    radii = np.geomspace(full.find_R(), 1e3, 5)
+    return (shipped, sc.parametrix_sweep(shipped, radii),
+            sc.parametrix_sweep(full, radii))
+
+
+class TestMirroredResolvent:
+    """The lower-ray Neumann resolvent as the mirror of the upper-ray one,
+    against the full two-ray sweep it replaces."""
+
+    def test_mode_mirror_is_the_quantized_symbol_mirror(self, sector_right):
+        # P conj(M) P against quantize of conj a(x, -xi), on a 3x3 table with
+        # no symmetry, so a transposed block or an unreversed mode would show
+        calc = calc_of(sector_right, MATRIX3)
+        rng = np.random.default_rng(7)
+        shape = calc.a_tab.values.shape
+        table = sc.GridSymbol(calc.grid, rng.normal(size=shape)
+                              + 1j * rng.normal(size=shape), check=False)
+        mirrored = sc.GridSymbol(calc.grid, calc._conj_mirror(table.values),
+                                 check=False)
+        assert rel_sup_diff(calc._mode_mirror(quantize(table).matrix),
+                            quantize(mirrored).matrix) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_mirrored_sweep_matches_two_ray_sweep(self, sector_right, name):
+        calc, shipped, full = mirror_sweeps(sector_right, MIRRORED[name])
+        assert calc.conj_symmetric
+        assert [row["method"] for row in shipped.rows] == \
+            [row["method"] for row in full.rows]
+        assert [row["mirrored"] for row in shipped.rows] == \
+            [i % 2 == 1 and full.rows[i - 1]["method"] == "neumann"
+             for i in range(len(full.rows))]
+        for col in SUP_COLUMNS:
+            scale = max(row[col] for row in full.rows)
+            for i, (got, want) in enumerate(zip(shipped.rows, full.rows)):
+                if i % 2 == 0:  # upper rows are computed the same way
+                    assert got[col] == want[col], (col, i)
+                else:
+                    assert abs(got[col] - want[col]) <= 1e-12 * scale, (col, i)
+        assert shipped.slopes.keys() == full.slopes.keys()
+        for key, slope in full.slopes.items():
+            assert shipped.slopes[key] == pytest.approx(slope, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_mirrored_rows_quantize_nothing(self, sector_right, monkeypatch, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        calls = resolvent_spy(calc, monkeypatch)
+        family = sc.parametrix_sweep(calc, np.geomspace(calc.find_R(), 1e4, 5))
+        for i, (row, (mirrored, n_quantize, n_remainder)) in enumerate(
+                zip(family.rows, calls)):
+            upper_neumann = family.rows[i - i % 2]["method"] == "neumann"
+            assert mirrored == (i % 2 == 1 and upper_neumann), i
+            assert row["mirrored"] == mirrored
+            if mirrored:
+                assert (n_quantize, n_remainder) == (0, 0), i
+            else:
+                assert (n_quantize, n_remainder) == (1, 1), i
+        assert sum(mirrored for mirrored, _, _ in calls) > 0
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED) + sorted(ASYMMETRIC))
+    def test_operator_gate_separates_the_symbols(self, sector_right, name):
+        # max|A - P conj(A) P| / max|A| is at most 0.16 eps on the real
+        # operators and above 1e14 eps on the others
+        calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
+        A = calc.quantized_symbol.matrix
+        asymmetry = np.max(np.abs(A - calc._mode_mirror(A))) / np.max(np.abs(A))
+        assert (asymmetry <= 0.2 * np.finfo(float).eps) == (name in MIRRORED)
+        assert calc.conj_symmetric == (name in MIRRORED)
+
+    def test_operator_gate_is_read(self, sector_right, monkeypatch):
+        # ref1d's A is symmetric to 0.08 eps, not bitwise: a zero bound
+        # closes the gate although every table passes the bitwise check
+        monkeypatch.setattr(parametrix, "_MIRROR_TOL", 0.0)
+        assert not calc_of(sector_right, *MIRRORED["ref1d"]).conj_symmetric
+
+    @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+    def test_asymmetric_symbol_mirrors_no_row(self, sector_right, name):
+        calc = calc_of(sector_right, ASYMMETRIC[name])
+        family = sc.parametrix_sweep(calc, np.geomspace(calc.find_R(), 1e3, 5))
+        assert [row["method"] for row in family.rows] == ["neumann"] * 10
+        assert not any(row["mirrored"] for row in family.rows)
+
+    def test_forced_gate_fails_the_mirrored_residual(self, sector_right):
+        # the residual check can fail: with the gate forced on a symbol odd
+        # in xi, each lower row's mirror misses tol against A and the row
+        # falls back to the dense inverse
+        _, shipped, full = mirror_sweeps(sector_right, (ASYMMETRIC["odd_in_xi"],),
+                                         gate=True)
+        assert [row["method"] for row in full.rows] == ["neumann"] * 10
+        assert [row["method"] for row in shipped.rows[0::2]] == ["neumann"] * 5
+        assert [row["method"] for row in shipped.rows[1::2]] == ["neumann->dense"] * 5
+        assert all(row["mirrored"] and row["residual"] <= 1e-11
+                   for row in shipped.rows[1::2])
+
+
 class TestAssembleAndRemainder:
     def test_order_one_x_independent_is_b0(self, sector_right):
         grid = sc.TorusGrid(n=1, points=16)
