@@ -23,7 +23,7 @@ from .funcalc import (build_contour, f_of_operator_oracle, f_of_symbol,
                       imaginary_power_regularized)
 from .grid import sample
 from .hypo import check_spectrum, estimate_hypo_constants
-from .parametrix import ParametrixCalculator, parametrix_sweep
+from .parametrix import ParametrixCalculator, neumann_products, parametrix_sweep
 from .quantop import quantize
 
 EXIT_OK = 0
@@ -78,15 +78,18 @@ def cmd_parametrix(rc, args):
     rows = family.rows
     methods = Counter(row["method"] for row in rows)
     _say(args, f"parametrix: R = {R!r}")
+    points = calc.find_R_points
+    _say(args, f"parametrix: find_R points: {points['computed']} computed, "
+         f"{points['mirror_bound']} passed by the mirror bound, "
+         f"{points['skipped']} skipped behind a failing radius")
     _say(args, "parametrix: rows per method: "
          + ", ".join(f"{m} {methods[m]}" for m in sorted(methods)))
     _say(args, f"parametrix: mirrored rows: {sum(row['mirrored'] for row in rows)} "
          f"of {len(rows)}")
-    # a computed Neumann row of K + 1 terms forms K products r^N S; a
-    # mirrored row forms none
+    # a mirrored row forms no Neumann product, and a dense row has no terms
     _say(args, "parametrix: Neumann products formed: "
-         + str(sum(max(row["neumann_terms"] - 1, 0) for row in rows
-                   if not row["mirrored"])))
+         + str(sum(neumann_products(row["neumann_terms"] - 1) for row in rows
+                   if row["neumann_terms"] and not row["mirrored"])))
     if family.fit_notes:
         print("warning: slope fits dropped rows: " + "; ".join(
             f"slope[{name}] {note}" for name, note in sorted(family.fit_notes.items())),

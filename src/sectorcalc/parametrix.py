@@ -39,6 +39,11 @@ residual is still measured against A itself, and a mirror that misses the
 tolerance is replaced by the dense inverse.  The calculator decides the
 symmetry once, at construction: bitwise on the tables its compiled b^N
 term list reads, and within 64 eps max|A| on the quantized symbol.
+
+``find_R`` walks the radii down and stops at the first failing point; on a
+symmetric symbol a lower point passes by its upper partner's bound plus a
+certified bound of the mirror's error where that decides it.  The Neumann
+series is summed by binary splitting, in O(log K) products.
 """
 
 from __future__ import annotations
@@ -60,8 +65,57 @@ _B0 = ("b0",)
 _MAX_NEUMANN = 400
 # Invertibility radii find_R tries: the powers of two 1 .. 2^20.
 _R_CANDIDATES = tuple(2.0 ** p for p in range(21))
+_EPS = np.finfo(float).eps
 # Relative bound on max|A - P conj(A) P| for a symmetric quantized symbol.
-_MIRROR_TOL = 64 * np.finfo(float).eps
+_MIRROR_TOL = 64 * _EPS
+
+
+def _remainder_rounding(dim, shift_norm, q_norm):
+    """(dim + 8) eps ||S||_F ||Q||_F + eps sqrt(dim) / 2 >= the Frobenius
+    rounding error of fl(fl(S Q) - 1), S = fl(A - lambda), given the norms.
+
+    (dim + 8) eps covers the product's sqrt(2) gamma_(dim+2) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5-3.6), the shift's
+    and the subtraction's u = eps / 2; eps sqrt(dim) / 2 is u |1|.
+    """
+    return float((dim + 8) * _EPS * shift_norm * q_norm + 0.5 * _EPS * np.sqrt(dim))
+
+
+def neumann_sum(r_mat, K):
+    """sum_{j<=K} (-r)^j by binary splitting of the length L = K + 1.
+
+    With Y = -r, S_m = sum_{j<m} Y^j and P = Y^m, each bit of L after the
+    leading one doubles, S_2m = S_m + P S_m, or for a 1 doubles and
+    increments, S_2m+1 = S_m + P (S_m + P); then P becomes P^2, or
+    Y^(2m+1) = 1 - S - r S (one product, not two).  At most
+    2 floor(log2 L) products (:func:`neumann_products`) against Horner's K.
+    """
+    dim = r_mat.shape[0]
+    S, P = np.eye(dim, dtype=complex), -r_mat
+    bits = bin(K + 1)[3:]
+    for i, bit in enumerate(bits):
+        if bit == "1":
+            S += P @ (S + P)
+        else:
+            S += P @ S if i else P  # S_1 = 1
+        if i == len(bits) - 1:
+            break
+        if bit == "0":
+            P = P @ P
+        else:
+            P = r_mat @ S  # Y^(2m+1) = 1 - S - r S
+            P += S
+            np.negative(P, out=P)
+            P.flat[::dim + 1] += 1
+    return S
+
+
+def neumann_products(K):
+    """The products :func:`neumann_sum` forms for K + 1 terms."""
+    bits = bin(K + 1)[3:]
+    if not bits:
+        return 0
+    return 2 * len(bits) - 1 - (bits[0] == "0")
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +292,11 @@ class ParametrixCalculator:
         (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
         a = self.a_tab.values
         A = self.quantized_symbol.matrix
+        asymmetry = A - self._mode_mirror(A)
+        self.mirror_asymmetry = float(np.linalg.norm(asymmetry))
+        self.find_R_points = None  # set by find_R
         self.conj_symmetric = bool(
-            np.max(np.abs(A - self._mode_mirror(A))) <= _MIRROR_TOL * np.max(np.abs(A))
+            np.max(np.abs(asymmetry)) <= _MIRROR_TOL * np.max(np.abs(A))
         ) and np.array_equal(self._conj_mirror(a), a) and all(
             np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
                            (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
@@ -415,17 +472,19 @@ class ParametrixCalculator:
         is certified too.  The dense Leibniz inverse takes over when
         ||quantize(r^N)||_2 >= 1/2 or the Neumann residual symbol stays
         above ``tol``.  b^N comes from :meth:`assemble_bN`, which checks
-        that lambda is admissible.
+        that lambda is admissible.  :func:`neumann_sum` sums the K + 1
+        terms (``neumann_terms``).  ``r_rounding`` is the remainder matrix's
+        :func:`_remainder_rounding`.
 
         A one-slot memo holds the last Neumann resolvent computed.  At its
         conjugate lambda (same ``tol``), on a ``conj_symmetric`` symbol, the
         resolvent matrix is the memo's :meth:`_mode_mirror`, r^N and the
         symbol are ``_conj_mirror``s of the memo's tables, b^N is
-        :meth:`assemble_bN`'s mirror, and ``r_norm`` and ``neumann_terms``
-        are copied; the slot is cleared.  The mirrored row still measures
-        its own residual against A - lambda and falls back to the dense
-        inverse above ``tol``.  A dense or rescued row memoes nothing, so its
-        conjugate is computed in full.
+        :meth:`assemble_bN`'s mirror, and ``r_norm``, ``neumann_terms`` and
+        ``r_rounding`` are copied; the slot is cleared.  The mirrored row
+        still measures its own residual against A - lambda and falls back to
+        the dense inverse above ``tol``.  A dense or rescued row memoes
+        nothing, so its conjugate is computed in full.
         """
         bN = self.assemble_bN(lam)
         lam = complex(lam)
@@ -451,15 +510,14 @@ class ParametrixCalculator:
             r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
             r_norm = norm_bound(r_mat, 0.5)
             diag = {"lambda": lam, "method": None, "r_norm": r_norm,
-                    "neumann_terms": 0, "residual": None, "mirrored": False}
+                    "neumann_terms": 0, "residual": None, "mirrored": False,
+                    "r_rounding": _remainder_rounding(
+                        len(eye), np.linalg.norm(m_shift), np.linalg.norm(q_bN))}
             if r_norm < 0.5:
                 K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
                     if r_norm > 0 else 0
                 K = max(0, min(K, _MAX_NEUMANN))
-                series = eye.copy()
-                for _ in range(K):
-                    series = eye - r_mat @ series
-                res_mat = q_bN @ series
+                res_mat = q_bN @ neumann_sum(r_mat, K)
                 diag.update(method="neumann", neumann_terms=K + 1,
                             residual=residual(res_mat))
         if diag["method"] is None or diag["residual"] > tol:
@@ -479,6 +537,21 @@ class ParametrixCalculator:
 
     # -- invertibility radius ------------------------------------------------------
 
+    def mirror_error_bound(self, q_bN, m_shift):
+        """Bound of ||r_lo - P conj(r_up) P||_2 at the upper point with
+        quantize(b^N) = Q = ``q_bN`` and A - lambda = ``m_shift``, where r_lo
+        is formed from A - conj lambda and Q_lo = P conj(Q) P, so quantize
+        adds no term.  With alpha = ||A - P conj(A) P||_F, it is
+        alpha ||Q||_F (A's asymmetry) plus the :func:`_remainder_rounding` of
+        both products, r_lo's taken with ||A - conj lambda||_F <=
+        ||A - lambda||_F + alpha.
+        """
+        q_norm, s_norm = np.linalg.norm(q_bN), np.linalg.norm(m_shift)
+        dim = len(q_bN)
+        return (self.mirror_asymmetry * q_norm
+                + _remainder_rounding(dim, s_norm, q_norm)
+                + _remainder_rounding(dim, s_norm + self.mirror_asymmetry, q_norm))
+
     def find_R(self):
         """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
         all sampled boundary points with |lambda| >= R.
@@ -486,20 +559,44 @@ class ParametrixCalculator:
         Each point is decided by :func:`densela.norm_bound`: the Frobenius
         norm or the Hoelder bound (||M||_1 ||M||_inf)^(1/2) where either is
         below 1/2, the exact spectral norm (one SVD) elsewhere, so every
-        passed point is certified.  The points come in conjugate pairs, and
-        on a symmetric symbol the lower point's b^N is the mirror of the
-        upper one's (:meth:`assemble_bN`).
+        passed point is certified.  The radii are walked down, upper point
+        first, to the first failing point, which excludes its radius and
+        every smaller one.  On a ``conj_symmetric`` symbol a lower point
+        passes without a product when its upper partner's bound plus
+        :meth:`mirror_error_bound` is at most 1/2, and is otherwise computed
+        with quantize(b^N) = P conj(Q_up) P; other symbols compute it.
+        ``find_R_points`` counts the points computed, passed by the mirror
+        bound and skipped.
         """
         radii = _R_CANDIDATES
-        passed = [norm_bound(self.remainder_matrix(lam), 0.5) <= 0.5
-                  for lam in self.sector.ray_points(radii)]
-        for candidate in radii:
-            if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)
-                   if rad >= candidate):
-                return candidate
-        raise SectorcalcError(
-            f"no invertibility radius R <= {radii[-1]:g}: remainder does not decay "
-            "on this grid (symbol outside the tractable class?)")
+        pairs = self.sector.ray_points(radii).reshape(-1, 2)
+        computed = mirrored = 0
+        R = None
+        for rad, (up, lo) in reversed(list(zip(radii, pairs))):
+            q_bN = quantize(self.assemble_bN(up)).matrix
+            m_shift = self.shifted_matrix(up)
+            r_up = self.remainder_matrix(up, q_bN=q_bN, m_shift=m_shift)
+            bound = norm_bound(r_up, 0.5)
+            computed += 1
+            if bound > 0.5:
+                break
+            if self.conj_symmetric and \
+                    bound + self.mirror_error_bound(q_bN, m_shift) <= 0.5:
+                mirrored += 1
+            else:
+                computed += 1
+                q_lo = self._mode_mirror(q_bN) if self.conj_symmetric else None
+                if norm_bound(self.remainder_matrix(lo, q_bN=q_lo), 0.5) > 0.5:
+                    break
+            R = rad
+        self._bN_memo = None  # no b^N table outlives the search
+        self.find_R_points = {"computed": computed, "mirror_bound": mirrored,
+                              "skipped": 2 * len(radii) - computed - mirrored}
+        if R is None:
+            raise SectorcalcError(
+                f"no invertibility radius R <= {radii[-1]:g}: remainder does not decay "
+                "on this grid (symbol outside the tractable class?)")
+        return R
 
 
 def shift(expr, c):
@@ -518,8 +615,8 @@ def shift(expr, c):
 class ParamSymbolFamily:
     """Per-lambda records of a parametrix sweep plus fitted decay slopes.
 
-    ``fit_notes`` names each slope whose fit dropped rows (a sup that is zero
-    or not finite, e.g. after underflow) or that was omitted for it.
+    ``fit_notes`` names each slope whose fit dropped rows (a sup that is at
+    rounding, zero or not finite) or that was omitted for it.
     """
 
     rows: list
@@ -567,11 +664,13 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
     asymptotic; below the spectral-gap scale the remainder is flat, so the
     fits exclude rows with <lambda> under twice the smallest pointwise
-    symbol modulus (dropped if fewer than three radii would survive).  Each
-    fit then drops the rows whose sample is zero or not finite; a slope is
-    written only if its remaining rows span three distinct radii (every
-    radius, on a sweep of two), and ``fit_notes`` names every slope that
-    dropped rows or was omitted.
+    symbol modulus (dropped if fewer than three radii would survive).  A row
+    whose r^N sup is at or below its ``r_rounding`` is rounding noise and
+    leaves the rN and sN fits.  Each fit also drops the rows whose sample
+    is zero or not finite; a slope is written only if its remaining rows
+    span three distinct radii (every radius, on a sweep of two), and
+    ``fit_notes`` names every slope that dropped rows, with their
+    <lambda>, or that was omitted.
     """
     margin = calc.default_interior_margin
     params = calc.class_params
@@ -594,24 +693,35 @@ def parametrix_sweep(calc, radii, tol=1e-11):
             "method": lr.diagnostics["method"],
             "mirrored": lr.diagnostics["mirrored"],
             "neumann_terms": lr.diagnostics["neumann_terms"],
+            "r_rounding": lr.diagnostics["r_rounding"],
         })
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows
     need = min(3, len({row["bracket"] for row in fit_rows}))
     family = ParamSymbolFamily(rows=rows)
-    for name, sample_of in (("rN", lambda row: row["class_sup_rN"]),
-                            ("bN_weighted", lambda row: row["bracket"] * row["sup_bN"]),
-                            ("sN", lambda row: row["class_sup_sN"])):
-        pairs = [(row["bracket"], sample_of(row)) for row in fit_rows]
-        kept = [(b, v) for b, v in pairs if np.isfinite(v) and v > 0]
+    for name, sample_of, floored in (
+            ("rN", lambda row: row["class_sup_rN"], True),
+            ("bN_weighted", lambda row: row["bracket"] * row["sup_bN"], False),
+            ("sN", lambda row: row["class_sup_sN"], True)):
+        kept, dropped = [], set()
+        for row in fit_rows:
+            v = sample_of(row)
+            at_rounding = floored and row["sup_rN"] <= row["r_rounding"]
+            if np.isfinite(v) and v > 0 and not at_rounding:
+                kept.append((row["bracket"], v))
+            else:
+                dropped.add(row["bracket"])
         radii_left = len({b for b, _ in kept})
         if radii_left >= need:
             family.slopes[name], _ = fit_loglog_slope([b for b, _ in kept],
                                                       [v for _, v in kept])
-        if len(kept) < len(pairs):
+        if dropped:
+            where = ", ".join(f"{b:.3g}" for b in sorted(dropped))
             family.fit_notes[name] = (
-                f"{len(pairs) - len(kept)} of {len(pairs)} fit rows zero or not finite, "
+                f"{len(fit_rows) - len(kept)} of {len(fit_rows)} fit rows "
+                f"{'at rounding' if floored else 'zero'} or not finite "
+                f"(<lambda> = {where}), "
                 + (f"fitted through {len(kept)}" if name in family.slopes else
                    f"omitted ({radii_left} distinct radii left, {need} needed)"))
     return family

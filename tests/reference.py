@@ -4,14 +4,17 @@ None of these runs in a CLI stage or an acceptance criterion: each is a
 second route to a quantity the package computes another way (FFT
 application against the dense matrix, the deformed contour against the
 straight rays, the full norm tables against the certified sups and maxima,
-exact-derivative seminorms), or a stated paper construct that only a test
-exercises.
+exact-derivative seminorms, every find_R point against the early-stopping
+walk, Horner's Neumann sum against binary splitting, products counted as
+they are formed), or a stated paper construct that only a test exercises.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 import sectorcalc as sc
+from sectorcalc import parametrix
+from sectorcalc.densela import norm_bound
 from sectorcalc.errors import GridMismatchError
 from sectorcalc.dsl import _as_multi
 from sectorcalc.grid import _spectral_norms, class_weighted_sup
@@ -225,3 +228,55 @@ def apply_dxi(terms, alpha, n):
                     acc[key] = acc.get(key, 0.0 + 0.0j) + c
             terms = [(c, f) for f, c in sorted(acc.items()) if abs(c) > 1e-300]
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Parametrix-stage references
+# ---------------------------------------------------------------------------
+
+def find_R_all_points(calc):
+    """The invertibility radius from all 42 boundary points: every point's
+    remainder matrix is formed and decided by ``norm_bound``, with no early
+    stop and no mirror bound."""
+    radii = parametrix._R_CANDIDATES
+    passed = [norm_bound(calc.remainder_matrix(lam), 0.5) <= 0.5
+              for lam in calc.sector.ray_points(radii)]
+    for candidate in radii:
+        if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)
+               if rad >= candidate):
+            return candidate
+    raise sc.SectorcalcError(f"no invertibility radius R <= {radii[-1]:g}")
+
+
+def neumann_horner(r_mat, K):
+    """sum_{j<=K} (-r)^j by Horner's rule S <- 1 - r S, K products."""
+    eye = np.eye(r_mat.shape[0], dtype=complex)
+    series = eye.copy()
+    for _ in range(K):
+        series = eye - r_mat @ series
+    return series
+
+
+def products_formed(fn, matrix, *args):
+    """(fn(matrix, *args), the matrix products fn formed).
+
+    ``matrix`` is passed as an ndarray subclass that counts every np.matmul
+    (``@``) it, or any array computed from it, takes part in; the result is
+    returned as a plain ndarray."""
+    count = [0]
+
+    def plain(arrays):
+        return tuple(x.view(np.ndarray) if isinstance(x, Counting) else x
+                     for x in arrays)
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            count[0] += ufunc is np.matmul
+            if out is not None:
+                getattr(ufunc, method)(*plain(inputs), out=plain(out), **kwargs)
+                return out[0] if len(out) == 1 else out
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            return result.view(Counting) if isinstance(result, np.ndarray) else result
+
+    out = fn(matrix.view(Counting), *args)
+    return out.view(np.ndarray), count[0]

@@ -10,6 +10,9 @@ from sectorcalc import build_contour, cli, imaginary_power_regularized, parametr
 from sectorcalc.cli import main
 from sectorcalc.config import CONFIG_KEYS, load_config, parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
+from sectorcalc.util import fit_loglog_slope
+
+from reference import products_formed
 
 BASE_CFG = """
 symbol.preset = variable_laplace
@@ -312,8 +315,9 @@ lambda.max = 1e3
 
     def test_underflowing_slope_samples_are_dropped_loudly(self, tmp_path, capsys):
         # the CI check.cfg scene swept to 1e150: s^N is 0.0 at every row with
-        # <lambda> >= 1e50, and the rows left span two distinct radii, too
-        # few for the sN fit, so sN is omitted and a warning names it
+        # <lambda> >= 1e50, and past R every row's r^N is at rounding, so the
+        # rN and sN fits keep no row, both are omitted and a warning names
+        # both with the <lambda> of every row they dropped
         cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
                         "grid.points = 16\nshift = 5\nlambda.max = 1e150\n")
         assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -321,42 +325,70 @@ lambda.max = 1e3
         warnings = [line for line in captured.err.splitlines()
                     if line.startswith("warning: ")]
         assert len(warnings) == 1
-        assert "slope[sN]" in warnings[0] and "omitted" in warnings[0]
-        assert "slope[rN]" not in warnings[0]
+        dropped = "18 of 18 fit rows at rounding or not finite (<lambda> = 4.64e+16, "
+        assert f"slope[rN] {dropped}" in warnings[0]
+        assert f"slope[sN] {dropped}" in warnings[0]
+        assert warnings[0].count("omitted") == 2
         with open(tmp_path / "parametrix_sweep.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         data = [r for r in rows if r[0] != "slope"]
         assert sum(float(r[7]) == 0.0 for r in data) == 14
-        assert {r[1] for r in rows if r[0] == "slope"} == {"rN", "bN_weighted"}
-        assert "slope[sN]" not in captured.out
+        assert {r[1] for r in rows if r[0] == "slope"} == {"bN_weighted"}
+        assert "slope[sN]" not in captured.out and "slope[rN]" not in captured.out
 
-    def test_verbose_explains_the_sweep(self, tmp_path, capsys):
+    def test_slope_window_stops_at_rounding(self, tmp_path, capsys):
+        # swept to 1e9, the scene's r^N sup reads 9.5e-13 at <lambda> = 1e5,
+        # 12 times its rounding bound, and 1e-15 to 3e-16 from 1e6 on, under
+        # it: the rN and sN fits stop at 1e5 and name the rows they dropped
+        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
+                        "grid.points = 16\nshift = 5\nlambda.max = 1e9\n")
+        assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        note = ("8 of 16 fit rows at rounding or not finite "
+                "(<lambda> = 1e+06, 1e+07, 1e+08, 1e+09), fitted through 8")
+        assert captured.err.splitlines() == [
+            f"warning: slope fits dropped rows: slope[rN] {note}; slope[sN] {note}"]
+        with open(tmp_path / "parametrix_sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        data = [r for r in rows if r[0] != "slope"]
+        slopes = {r[1]: float(r[2]) for r in rows if r[0] == "slope"}
+        # the window: <lambda> from 2 min|a| = 12 up to 1e5
+        kept = [r for r in data if 12 <= float(r[2]) <= 2e5]
+        assert len(kept) == 8
+        for name, col in (("rN", 6), ("sN", 7)):
+            assert slopes[name] == fit_loglog_slope([float(r[2]) for r in kept],
+                                                    [float(r[col]) for r in kept])[0]
+        assert slopes["rN"] == pytest.approx(-3.0, abs=0.05)
+
+    def test_verbose_explains_the_sweep(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, SMALL_REF1D_CFG)
         quiet, loud = tmp_path / "quiet", tmp_path / "loud"
         assert main(["parametrix", "--config", cfg, "--out", str(quiet)]) == 0
         plain = capsys.readouterr()
+        # the products the Neumann sums form, counted as they are formed
+        counted, neumann_sum = [], parametrix.neumann_sum
+
+        def counting_sum(r_mat, K):
+            out, products = products_formed(neumann_sum, r_mat, K)
+            counted.append(products)
+            return out
+
+        monkeypatch.setattr(parametrix, "neumann_sum", counting_sum)
         assert main(["parametrix", "--config", cfg, "--out", str(loud), "--verbose"]) == 0
         verbose = capsys.readouterr()
         assert plain.err == "" and verbose.out == plain.out
         assert (quiet / "parametrix_sweep.csv").read_bytes() == \
             (loud / "parametrix_sweep.csv").read_bytes()
-        # the K of each computed row, from a sweep with no mirror at all
-        rc = resolve_config(load_config(cfg))
-        calc = parametrix.ParametrixCalculator(rc.expr, rc.grid, rc.class_params,
-                                               rc.sector, rc.parametrix_N)
-        R = calc.find_R()
-        calc.conj_symmetric = False
-        full = parametrix.parametrix_sweep(
-            calc, np.geomspace(max(rc.lambda_min, R), rc.lambda_max, rc.lambda_count),
-            tol=rc.parametrix_tol)
-        products = sum(row["neumann_terms"] - 1 for row in full.rows[0::2])
+        assert len(counted) == 10  # one sum per upper row; the lower rows mirror
         assert verbose.err.splitlines() == [
-            f"parametrix: R = {R!r}",
+            "parametrix: R = 1.0",
+            "parametrix: find_R points: 21 computed, 21 passed by the mirror bound, "
+            "0 skipped behind a failing radius",
             "parametrix: rows per method: neumann 20",
             "parametrix: mirrored rows: 10 of 20",
-            f"parametrix: Neumann products formed: {products}",
+            f"parametrix: Neumann products formed: {sum(counted)}",
         ]
-        assert plain.out.splitlines()[0] == f"R = {R!r}"
+        assert plain.out.splitlines()[0] == "R = 1.0"
 
 
 class TestCalcOutputs:

@@ -11,7 +11,8 @@ from sectorcalc.quantop import QuantOp, extract_symbol, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
 
-from reference import apply_dxi, unit_symbol
+from reference import (apply_dxi, find_R_all_points, neumann_horner,
+                       products_formed, unit_symbol)
 
 
 def dense_reference(calc, lam):
@@ -668,37 +669,44 @@ class TestFindR:
             slow_decay_calc.find_R()
 
     @pytest.mark.parametrize("fixture, fallbacks, R", [
-        ("calc32", 0, 1.0), ("slow_decay_calc", 12, 64.0),
+        ("calc32", 0, 1.0), ("slow_decay_calc", 1, 64.0),
         ("scene2d_calc", 0, 1.0)])
     def test_frobenius_certificate(self, request, monkeypatch, fixture,
                                    fallbacks, R):
-        # the exact norm is taken only where both upper bounds, ||r^N||_F
-        # and the Hoelder bound, exceed 1/2 (|lambda| = 32 on slow_decay_calc
-        # has ||.||_F = 0.983 and Hoelder 1.197 but ||.||_2 = 0.871), and R
-        # is the radius that the exact norms of all points give
+        # at every point find_R computes, the exact norm is taken only where
+        # both upper bounds, ||r^N||_F and the Hoelder bound, exceed 1/2; on
+        # slow_decay_calc that is the upper point at |lambda| = 32 alone,
+        # where the walk stops (||.||_2 = 0.871).  R is the radius that the
+        # exact norms of all 42 points give
         calc = request.getfixturevalue(fixture)
         norm = np.linalg.norm
-        exact = []
+        exact, computed = [], []
 
         def counting_norm(x, ord=None, *args, **kwargs):
             if ord == 2:
                 exact.append(x)
             return norm(x, ord, *args, **kwargs)
 
+        orig = calc.remainder_matrix
+
+        def spy(lam, q_bN=None, m_shift=None):
+            computed.append(orig(lam, q_bN=q_bN, m_shift=m_shift))
+            return computed[-1]
+
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(calc, "remainder_matrix", spy)
         assert calc.find_R() == R
         monkeypatch.undo()
         assert len(exact) == fallbacks
+        assert len(computed) == calc.find_R_points["computed"]
+        for r_mat in computed:
+            taken = any(np.array_equal(r_mat, m) for m in exact)
+            bound = min(norm(r_mat), _hoelder_bounds(r_mat[None])[0])
+            assert taken == (bound > 0.5)
         radii = 2.0 ** np.arange(21)
         points = calc.sector.ray_points(radii)
         assert len(points) == 42
-        passed = []
-        for lam in points:
-            r_mat = calc.remainder(lam)[1]
-            taken = any(np.array_equal(r_mat, m) for m in exact)
-            bound = min(norm(r_mat), _hoelder_bounds(r_mat[None])[0])
-            assert taken == (bound > 0.5), lam
-            passed.append(norm(r_mat, 2) <= 0.5)
+        passed = [norm(calc.remainder(lam)[1], 2) <= 0.5 for lam in points]
         above = [all(ok for rad, ok in zip(np.repeat(radii, 2), passed) if rad >= r)
                  for r in radii]
         assert radii[above.index(True)] == R
@@ -711,7 +719,7 @@ class TestFindR:
         r_mat = q @ np.diag([0.6, 0.4]) @ q.T
         assert sc.operator_norm(r_mat) == pytest.approx(0.4)
         monkeypatch.setattr(parametrix.ParametrixCalculator, "remainder_matrix",
-                            lambda self, lam: r_mat)
+                            lambda self, lam, q_bN=None, m_shift=None: r_mat)
         with pytest.raises(sc.SectorcalcError, match="no invertibility radius"):
             xind_calc.find_R()
 
@@ -732,6 +740,129 @@ class TestFindR:
         lam = complex(calc.sector.boundary_point(4.0))
         assert np.array_equal(calc.remainder_matrix(lam), calc.remainder(lam)[1])
         assert len(calls) == 1
+
+
+# find_R against the search over all 42 points: the TestFindR fixtures,
+# the benchmark's and the CI configs' symbols at P = 16, and an asymmetric one
+FIND_R_CASES = (["xind_calc", "calc32", "slow_decay_calc", "scene2d_calc"]
+                + sorted(MIRRORED) + sorted(ASYMMETRIC))
+# a(x, -xi) != conj a(x, xi), N = 1: at |lambda| = 64 the upper point
+# passes and the lower one fails, so R = 128
+TILTED = "(2+1.9*sin(x1))*(1+xi1^2)*(1-0.3*i)+0.1"
+
+
+def find_R_case(request, sector, name):
+    if name in MIRRORED:
+        return calc_of(sector, *MIRRORED[name])
+    if name in ASYMMETRIC:
+        return calc_of(sector, ASYMMETRIC[name])
+    return request.getfixturevalue(name)
+
+
+def tilted_calc(sector):
+    return sc.ParametrixCalculator(sc.parse_symbol(TILTED, n=1),
+                                   sc.TorusGrid(n=1, points=16),
+                                   sc.SymbolClassParams(m=2), sector, N=1)
+
+
+class TestFindRWalk:
+    """The early-stopping walk and the mirror bound against the search over
+    every point."""
+
+    @pytest.mark.parametrize("name", FIND_R_CASES)
+    def test_same_R_as_every_point(self, request, sector_right, name):
+        calc = find_R_case(request, sector_right, name)
+        assert calc.find_R() == find_R_all_points(calc)
+
+    @pytest.mark.parametrize("name", FIND_R_CASES)
+    def test_mirror_bound_covers_the_mirror_error(self, request, sector_right, name):
+        # ||r_lo - P conj(r_up) P||_2 <= mirror_error_bound at every radius,
+        # r_lo formed from the mirrored quantize(b^N) as find_R forms it
+        calc = find_R_case(request, sector_right, name)
+        for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
+            q_bN = quantize(calc.assemble_bN(up)).matrix
+            m_shift = calc.shifted_matrix(up)
+            r_up = calc.remainder_matrix(up, q_bN=q_bN, m_shift=m_shift)
+            r_lo = calc.remainder_matrix(lo, q_bN=calc._mode_mirror(q_bN))
+            error = np.linalg.norm(r_lo - calc._mode_mirror(r_up), 2)
+            assert error <= calc.mirror_error_bound(q_bN, m_shift), (name, up)
+
+    def test_mirror_bound_passes_every_lower_point_of_the_benchmark(
+            self, sector_right, monkeypatch):
+        calc = calc_of(sector_right, *MIRRORED["ref1d"])
+        lams = eval_spy(calc, monkeypatch)
+        assert calc.find_R() == 1.0
+        assert calc.find_R_points == {"computed": 21, "mirror_bound": 21, "skipped": 0}
+        upper = calc.sector.ray_points(parametrix._R_CANDIDATES)[0::2]
+        assert lams == list(upper[::-1])
+        assert calc._bN_memo is None
+
+    def test_walk_stops_at_the_first_failing_point(self, slow_decay_calc,
+                                                   monkeypatch):
+        # radii 2^20 .. 64 pass, the upper point at 32 fails: the lower point
+        # at 32 and both points at 16 .. 1 are never formed
+        lams = eval_spy(slow_decay_calc, monkeypatch)
+        assert slow_decay_calc.find_R() == 64.0
+        assert slow_decay_calc.find_R_points == {
+            "computed": 16, "mirror_bound": 15, "skipped": 11}
+        assert [abs(lam) for lam in lams] == pytest.approx(2.0 ** np.arange(20, 4, -1))
+        assert slow_decay_calc._bN_memo is None
+
+    def test_asymmetric_symbol_computes_every_lower_point(self, sector_right):
+        calc = tilted_calc(sector_right)
+        assert not calc.conj_symmetric
+        assert calc.find_R() == 128.0
+        # 2^20 .. 64: both points; the lower point at 64 fails
+        assert calc.find_R_points == {"computed": 30, "mirror_bound": 0, "skipped": 12}
+
+    def test_too_small_a_bound_changes_R(self, sector_right, monkeypatch):
+        # mutation: the gate forced and the mirror bound set to 0 pass the
+        # failing lower point at 64 behind its upper partner, so R moves
+        # against the search over every point
+        calc = tilted_calc(sector_right)
+        assert find_R_all_points(calc) == 128.0
+        calc.conj_symmetric = True
+        monkeypatch.setattr(calc, "mirror_error_bound", lambda q_bN, m_shift: 0.0)
+        assert calc.find_R() == 64.0
+
+
+class TestNeumannSum:
+    """Binary splitting of the Neumann sum against Horner's rule."""
+
+    @staticmethod
+    def check(r_mat, Ks=range(65)):
+        for K in Ks:
+            split, products = products_formed(parametrix.neumann_sum, r_mat, K)
+            horner = neumann_horner(r_mat, K)
+            assert rel_sup_diff(split, horner) <= 1e-13, K
+            assert products == parametrix.neumann_products(K), K
+            assert products <= 2 * int(np.log2(K + 1)), K
+
+    @pytest.mark.parametrize("norm", [0.1, 0.45, 0.9])
+    @pytest.mark.parametrize("normal", [True, False], ids=["dense", "triangular"])
+    def test_random_contractions(self, norm, normal):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        if not normal:
+            m = np.triu(m)
+        self.check(m * (norm / np.linalg.norm(m, 2)))
+
+    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "matrix3"])
+    def test_benchmark_remainders(self, sector_right, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        # scene2d's dimension is 225: a sample of K up to 64, with both bit
+        # values at each position of K + 1, keeps its Horner sums to a second
+        Ks = (range(65) if name != "scene2d" else
+              (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 14, 15, 16, 21, 31, 32, 42, 64))
+        for rad in (1.0, 100.0):
+            r_mat = calc.remainder(complex(calc.sector.boundary_point(rad)))[1]
+            self.check(r_mat, Ks)
+
+    def test_horner_count_of_the_reference(self):
+        # the counter sees Horner's K products
+        r_mat = np.eye(3) * 0.1
+        assert [products_formed(neumann_horner, r_mat, K)[1] for K in range(5)] == \
+            [0, 1, 2, 3, 4]
 
 
 class TestShift:
