@@ -87,8 +87,9 @@ def operator_norm(A, tol=1e-8, maxiter=5000, return_info=False):
 def _hoelder_bounds(inv):
     """(||X||_1 ||X||_inf)^(1/2) per X of a (nodes, k, k) stack, an upper
     bound of ||X||_2 (Golub & Van Loan, Matrix Computations, 2.3)."""
-    # |X| as (k, k, nodes), so both sums and maxima run over leading axes
-    mod = np.abs(np.ascontiguousarray(inv.transpose(1, 2, 0)))
+    # |X| as (k, k, nodes), so both sums and maxima run over leading axes;
+    # a view of a component-major stack
+    mod = np.abs(inv.transpose(1, 2, 0))
     return np.sqrt(mod.sum(axis=0).max(axis=0) * mod.sum(axis=1).max(axis=0))
 
 

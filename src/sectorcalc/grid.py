@@ -138,6 +138,53 @@ def _spectral_norms(values):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
+def pointwise_inverse(a, lam):
+    """(a - lam)^{-1} of every k x k block of a component-major (k, k, ...)
+    stack; lam is a scalar or broadcasts over the trailing node axes.
+
+    Gaussian elimination with partial pivoting on [a - lam | 1], vectorized
+    over the nodes, as LAPACK's getrf + getrs runs it on each block (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 9 and 14): the pivot
+    is the first row of largest |Re| + |Im|, multipliers and the back
+    substitution take the pivot's reciprocal, and the back substitution runs
+    column by column.  Rows are exchanged, in both halves, by ``np.where``
+    and only where some node needs it.  An exactly zero pivot raises
+    ``numpy.linalg.LinAlgError``, as a stacked LAPACK inverse does; a NaN
+    block gives NaN.  Returns a component-major view of shape (k, k, ...).
+    """
+    k = a.shape[0]
+    work = np.zeros((k, 2 * k) + np.broadcast_shapes(a.shape[2:], np.shape(lam)),
+                    dtype=complex)
+    work[:, :k] = a
+    for i in range(k):
+        work[i, i] -= lam
+        work[i, k + i] = 1.0
+    recips = []
+    for c in range(k):
+        if c + 1 < k:
+            mag = np.abs(work[c:, c].real) + np.abs(work[c:, c].imag)
+            best, pivot = mag[0], np.zeros(mag.shape[1:], dtype=np.intp)
+            for r in range(1, k - c):
+                pivot[mag[r] > best] = r  # strict: the first largest row wins
+                best = np.maximum(best, mag[r])
+            for r in range(1, k - c):
+                swap = pivot == r
+                if np.any(swap):
+                    top, other = work[c, c:], work[c + r, c:]
+                    work[c, c:], work[c + r, c:] = (np.where(swap, other, top),
+                                                    np.where(swap, top, other))
+        if not np.all(work[c, c]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        recips.append(1.0 / work[c, c])
+        mult = work[c + 1:, c] * recips[c]
+        work[c + 1:, c + 1:] -= mult[:, None] * work[c, None, c + 1:]
+    inv = work[:, k:]
+    for r in range(k - 1, -1, -1):
+        inv[r] *= recips[r]
+        inv[:r] -= work[:r, r, None] * inv[r]
+    return inv
+
+
 class GridSymbol:
     """A symbol tabulated on a :class:`TorusGrid`.
 

@@ -5,11 +5,13 @@ origin for |xi| >= C; the constants c_{alpha,beta} and c0 quantifying the
 derivative-times-resolvent bounds are estimated as sups over the grid and a
 log-uniform lambda sample cloud.  Pointwise eigenvalues come from one
 stacked LAPACK call (a slice for scalar symbols); pointwise resolvent norms
-are spectral norms of the stacked inverses on the |xi| >= C nodes.  For a
-matrix symbol every constant is a max over (lambda, node) pairs, decided by
-the package's one certified-maximum kernel, :func:`grid.certified_maxima`,
-with the Hoelder bound ||X||_2 <= (||X||_1 ||X||_inf)^(1/2) of the inverse X:
-the constants are the same floats as the maxima of the full norm table.
+are spectral norms of the inverses on the |xi| >= C nodes, all formed at
+once by :func:`grid.pointwise_inverse` on the component-major stack of those
+nodes.  For a matrix symbol every constant is a max over (lambda, node)
+pairs, decided by the package's one certified-maximum kernel,
+:func:`grid.certified_maxima`, with the Hoelder bound
+||X||_2 <= (||X||_1 ||X||_inf)^(1/2) of the inverse X: the constants are
+the same floats as the maxima of the full norm table.
 Derivatives that vanish at every node take no exact norms.  Failures are
 data (collected in the report), not exceptions.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densela import _hoelder_bounds
-from .grid import _spectral_norms, certified_maxima, sample
+from .grid import _spectral_norms, certified_maxima, pointwise_inverse, sample
 from .util import japanese_bracket, multi_indices_below
 
 _MAX_STORED_VIOLATIONS = 1000
@@ -131,23 +133,24 @@ def check_spectrum(expr, sector, c, C, grid):
 def _sample_maxima(best, values, lam, factors):
     """Raise ``best[t]`` to the max over nodes of da * r * w for the t-th
     (da, w) in ``factors``, and ``best[-1]``, one entry past them, to that of
-    <lam> r, where r = ||(a(x, xi) - lam)^{-1}||_2 per node.
+    <lam> r, where r = ||(a(x, xi) - lam)^{-1}||_2 per node and ``values``
+    is the component-major (k, k, nodes) stack of a.
 
-    For k > 1 each node's inverse X bounds its norm from above by
-    h = (||X||_1 ||X||_inf)^(1/2), and :func:`certified_maxima` takes exact
-    norms only where some output's bound can still reach its running max,
-    with c0 as one more output.  A non-finite bound means a non-finite
-    inverse, and that sample takes the full table.  Returns whether every
-    norm is finite; a singular stack raises ``numpy.linalg.LinAlgError``.
+    For k > 1 each node's inverse X, from :func:`grid.pointwise_inverse`,
+    bounds its norm from above by h = (||X||_1 ||X||_inf)^(1/2), and
+    :func:`certified_maxima` takes exact norms only where some output's bound
+    can still reach its running max, with c0 as one more output.  A
+    non-finite bound means a non-finite inverse, and that sample takes the
+    full table.  Returns whether every norm is finite; a singular block
+    raises ``numpy.linalg.LinAlgError``.
     """
-    k = values.shape[-1]
+    k = values.shape[0]
     scale = japanese_bracket(lam)
     if k == 1:
         # 1/|a - lam| is exact already: a bound would only add work
-        rn = 1.0 / np.abs(values[..., 0, 0] - lam)
+        rn = 1.0 / np.abs(values[0, 0] - lam)
     else:
-        lam = np.asarray(lam, dtype=complex)
-        inv = np.linalg.inv(values - lam[..., None, None] * np.eye(k))
+        inv = np.moveaxis(pointwise_inverse(values, lam), (0, 1), (-2, -1))
         h = _hoelder_bounds(inv)
         if np.all(np.isfinite(h)):
             certified_maxima(best, h, lambda nodes: _spectral_norms(inv[nodes]),
@@ -187,7 +190,7 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     tab = sample(expr, grid)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
-    masked = tab.values[mask]
+    masked = np.ascontiguousarray(tab.values[mask].transpose(1, 2, 0))
     sup_a = tab.sup_norm()
     lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
     radii = np.geomspace(lo, hi, SAMPLES_PER_RAY)

@@ -25,7 +25,9 @@ once.  For a scalar symbol it becomes one table per power of b_0 and
 evaluates as a polynomial in b_0.  For a matrix symbol it becomes one
 shared-prefix product tree of its factor words, so a product that begins
 several terms is formed once; the tree is evaluated on component-major
-(k, k, grid) arrays with each k x k product written out entrywise.
+(k, k, grid) arrays with each k x k product written out entrywise, less the
+multiply-adds of table entries that vanish at every node.  b_0 is
+:func:`grid.pointwise_inverse` of the component-major table.
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
@@ -42,7 +44,8 @@ term list reads, and within 64 eps max|A| on the quantized symbol.
 
 ``find_R`` walks the radii down and stops at the first failing point; on a
 symmetric symbol a lower point passes by its upper partner's bound plus a
-certified bound of the mirror's error where that decides it.  The Neumann
+certified bound of the mirror's error where that decides it; the sweep's
+first row, at R, takes find_R's b^N and remainder there.  The Neumann
 series is summed by binary splitting, in O(log K) products.
 """
 
@@ -55,7 +58,7 @@ import numpy as np
 
 from .densela import dense_resolvent, norm_bound
 from .errors import SectorcalcError
-from .grid import GridSymbol, class_weighted_sup, sample
+from .grid import GridSymbol, class_weighted_sup, pointwise_inverse, sample
 from .quantop import QuantOp, extract_symbol, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -185,18 +188,28 @@ def _component_major(values):
     return np.moveaxis(values, (-2, -1), (0, 1))
 
 
-def _cm_matmul(a, b):
-    """Pointwise k x k product of component-major stacks, written out as k^3
-    vector multiply-adds (far cheaper than a stacked @ of tiny matrices)."""
+def _cm_matmul(a, b, rows):
+    """Pointwise k x k product of component-major stacks, written out as
+    vector multiply-adds (far cheaper than a stacked @ of tiny matrices).
+
+    ``rows[i]`` lists the m with a[i, m] not identically zero; the other
+    multiply-adds are skipped (all k^3 when ``rows`` is None).  A skipped term
+    is a signed zero, so every entry is the full loop's up to the sign of a
+    zero.
+    """
     k = a.shape[0]
     out = np.empty(a.shape[:2] + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
                    dtype=complex)
     tmp = np.empty(out.shape[2:], dtype=complex)
     for i in range(k):
+        ms = range(k) if rows is None else rows[i]
+        if not ms:
+            out[i] = 0.0
+            continue
         for j in range(k):
             cell = out[i, j]
-            np.multiply(a[i, 0], b[0, j], out=cell)
-            for m in range(1, k):
+            np.multiply(a[i, ms[0]], b[ms[0], j], out=cell)
+            for m in ms[1:]:
                 np.multiply(a[i, m], b[m, j], out=tmp)
                 cell += tmp
     return out
@@ -206,9 +219,9 @@ def _tree_sum(children, b0):
     """sum_child F_child T(child) over a product-tree level, T as in
     ``ParametrixCalculator._product_tree``; b0 is component-major."""
     acc = None
-    for table, coeff, grand in children:
+    for table, rows, coeff, grand in children:
         factor = b0 if table is None else table
-        term = _cm_matmul(factor, _tree_sum(grand, b0)) if grand else None
+        term = _cm_matmul(factor, _tree_sum(grand, b0), rows) if grand else None
         if coeff != 0:
             term = coeff * factor if term is None else term + coeff * factor
         if acc is None:
@@ -288,6 +301,9 @@ class ParametrixCalculator:
         # ((lambda, tol), resolvent matrix, LeibnizResolvent) of the last
         # computed Neumann resolvent, for its conjugate
         self._resolvent_memo = None
+        # (lambda, b^N values, quantize(b^N), remainder matrix, norm_bound)
+        # of find_R's upper point at R, for the sweep's first row
+        self._R_point = None
         # compiling b^N tabulates every derivative of a that it reads
         (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
         a = self.a_tab.values
@@ -333,13 +349,14 @@ class ParametrixCalculator:
     # -- evaluation -------------------------------------------------------------
 
     def b0_values(self, lam):
-        """Pointwise (a - lambda)^{-1}; lam may broadcast over node axes."""
+        """Pointwise (a - lambda)^{-1}, node-shaped (..., k, k); lam may
+        broadcast over node axes.  For k > 1 it is a view of
+        :func:`grid.pointwise_inverse` of the component-major table."""
         lam = np.asarray(lam, dtype=complex)
         if self.k == 1:
             return 1.0 / (self.a_tab.values - lam[..., None, None])
-        shifted = self.a_tab.values - \
-            lam[..., None, None] * np.eye(self.k, dtype=complex)
-        return np.linalg.inv(shifted)
+        inv = pointwise_inverse(_component_major(self.a_tab.values), lam)
+        return np.moveaxis(inv, (0, 1), (-2, -1))
 
     def _scalar_polynomial(self, terms):
         """k=1: lambda-independent tables S_0..S_p, one per power of b_0,
@@ -361,9 +378,11 @@ class ParametrixCalculator:
     def _product_tree(self, terms):
         """k>1: the term list as a prefix tree of its factor words.
 
-        A node is a list of children (table, c, grandchildren): ``table`` is
-        the component-major factor on the edge (None for b_0) and ``c`` the
-        summed coefficient of the words ending at the child.  With
+        A node is a list of children (table, rows, c, grandchildren):
+        ``table`` is the component-major factor on the edge (None for b_0),
+        ``rows`` its zero pattern for :func:`_cm_matmul` (``rows[i]`` the
+        columns m with table[i, m] nonzero at some node; None for b_0) and
+        ``c`` the summed coefficient of the words ending at the child.  With
         T(node) = c_node 1 + sum_child F_child T(child), the term list is
         T(root), and a factor prefix shared by several words is multiplied
         once.
@@ -378,8 +397,15 @@ class ParametrixCalculator:
                 node[0] += coeff
 
             def freeze(children):
-                return [(None if f == _B0 else self._derivative_cm(f[1], f[2]),
-                         c, freeze(grand)) for f, (c, grand) in children.items()]
+                out = []
+                for f, (c, grand) in children.items():
+                    table = rows = None
+                    if f != _B0:
+                        table = self._derivative_cm(f[1], f[2])
+                        rows = [[m for m in range(self.k) if np.any(table[i, m])]
+                                for i in range(self.k)]
+                    out.append((table, rows, c, freeze(grand)))
+                return out
             self._compiled[key] = freeze(root[1])
         return self._compiled[key]
 
@@ -476,6 +502,10 @@ class ParametrixCalculator:
         terms (``neumann_terms``).  ``r_rounding`` is the remainder matrix's
         :func:`_remainder_rounding`.
 
+        At the upper point lambda = R e^{i theta} of :meth:`find_R`, the first
+        call takes find_R's b^N table, quantize(b^N), remainder matrix and
+        ``r_norm`` (the same floats) in place of computing them again.
+
         A one-slot memo holds the last Neumann resolvent computed.  At its
         conjugate lambda (same ``tol``), on a ``conj_symmetric`` symbol, the
         resolvent matrix is the memo's :meth:`_mode_mirror`, r^N and the
@@ -486,7 +516,13 @@ class ParametrixCalculator:
         the dense inverse above ``tol``.  A dense or rescued row memoes
         nothing, so its conjugate is computed in full.
         """
-        bN = self.assemble_bN(lam)
+        point, self._R_point = self._R_point, None
+        if point is not None and point[0] == lam:
+            _, vals, q_bN, r_mat, r_norm = point
+            self._bN_memo = (point[0], vals)
+            bN = GridSymbol(self.grid, vals, check=False)
+        else:
+            point, bN = None, self.assemble_bN(lam)
         lam = complex(lam)
         m_shift = self.shifted_matrix(lam)
         eye = np.eye(m_shift.shape[0], dtype=complex)
@@ -506,9 +542,12 @@ class ParametrixCalculator:
             diag = {**upper.diagnostics, "lambda": lam, "mirrored": True,
                     "residual": residual(res_mat)}
         else:
-            q_bN = quantize(bN).matrix
-            r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
-            r_norm = norm_bound(r_mat, 0.5)
+            if point is None:
+                q_bN = quantize(bN).matrix
+                r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
+                r_norm = norm_bound(r_mat, 0.5)
+            else:
+                r_sym = extract_symbol(QuantOp(self.grid, self.k, r_mat))
             diag = {"lambda": lam, "method": None, "r_norm": r_norm,
                     "neumann_terms": 0, "residual": None, "mirrored": False,
                     "r_rounding": _remainder_rounding(
@@ -566,14 +605,16 @@ class ParametrixCalculator:
         :meth:`mirror_error_bound` is at most 1/2, and is otherwise computed
         with quantize(b^N) = P conj(Q_up) P; other symbols compute it.
         ``find_R_points`` counts the points computed, passed by the mirror
-        bound and skipped.
+        bound and skipped.  The upper point at R is kept for
+        :meth:`leibniz_resolvent`.
         """
         radii = _R_CANDIDATES
         pairs = self.sector.ray_points(radii).reshape(-1, 2)
         computed = mirrored = 0
         R = None
         for rad, (up, lo) in reversed(list(zip(radii, pairs))):
-            q_bN = quantize(self.assemble_bN(up)).matrix
+            bN = self.assemble_bN(up)
+            q_bN = quantize(bN).matrix
             m_shift = self.shifted_matrix(up)
             r_up = self.remainder_matrix(up, q_bN=q_bN, m_shift=m_shift)
             bound = norm_bound(r_up, 0.5)
@@ -589,7 +630,8 @@ class ParametrixCalculator:
                 if norm_bound(self.remainder_matrix(lo, q_bN=q_lo), 0.5) > 0.5:
                     break
             R = rad
-        self._bN_memo = None  # no b^N table outlives the search
+            self._R_point = (complex(up), bN.values, q_bN, r_up, bound)
+        self._bN_memo = None  # no other b^N table outlives the search
         self.find_R_points = {"computed": computed, "mirror_bound": mirrored,
                               "skipped": 2 * len(radii) - computed - mirrored}
         if R is None:

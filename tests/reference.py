@@ -17,7 +17,7 @@ from sectorcalc import parametrix
 from sectorcalc.densela import norm_bound
 from sectorcalc.errors import GridMismatchError
 from sectorcalc.dsl import _as_multi
-from sectorcalc.grid import _spectral_norms, class_weighted_sup
+from sectorcalc.grid import _spectral_norms, class_weighted_sup, pointwise_inverse
 
 
 def unit_symbol(grid, k=1):
@@ -142,17 +142,23 @@ def full_table_sup(gs, weight_exponent, interior_margin=0):
     return float(np.max(norms))
 
 
-def pointwise_resolvent_norms(values, lam):
+def pointwise_resolvent_norms(values, lam, inverse=None):
     """||(a(x,xi) - lam)^{-1}|| per node (spectral norm), vectorized in lam.
 
-    For k > 1 the inverse is the stacked LU inverse, so an exactly singular
-    node raises ``numpy.linalg.LinAlgError`` for the whole stack.
+    For k > 1 the inverse is the package's :func:`grid.pointwise_inverse`,
+    the one hypo takes, so that a full norm table holds the same floats as
+    the certified maxima; ``inverse="lapack"`` takes the stacked LAPACK
+    inverse instead.  Either way an exactly singular node raises
+    ``numpy.linalg.LinAlgError`` for the whole stack.
     """
     k = values.shape[-1]
     lam = np.asarray(lam, dtype=complex)
     if k == 1:
         return 1.0 / np.abs(values[..., 0, 0] - lam)
-    return _spectral_norms(np.linalg.inv(values - lam[..., None, None] * np.eye(k)))
+    if inverse == "lapack":
+        return _spectral_norms(np.linalg.inv(values - lam[..., None, None] * np.eye(k)))
+    inv = pointwise_inverse(np.moveaxis(values, (-2, -1), (0, 1)), lam)
+    return _spectral_norms(np.moveaxis(inv, (0, 1), (-2, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,8 @@ class TestConjugateMirror:
     @pytest.mark.parametrize("name, share", [("ref1d", 2), ("odd_in_xi", 1)])
     def test_find_R_and_sweep_evaluate_once_per_pair(self, sector_right, monkeypatch,
                                                      name, share):
-        # a symmetric symbol evaluates b^N at half of the boundary points
+        # a symmetric symbol evaluates b^N at half of the boundary points; the
+        # sweep's first row, R e^{i theta}, takes find_R's evaluation
         args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
         calc = calc_of(sector_right, *args)
         lams = eval_spy(calc, monkeypatch)
@@ -296,7 +297,97 @@ class TestConjugateMirror:
         assert len(lams) == 42 // share
         del lams[:]
         sc.parametrix_sweep(calc, np.geomspace(R, 1e4, 5))
-        assert len(lams) == 10 // share
+        assert len(lams) == 10 // share - 1
+        assert complex(calc.sector.boundary_point(R)) not in lams
+
+
+def tree_tables(children):
+    """(table, rows) of every product-tree edge whose factor is a table."""
+    out = []
+    for table, rows, _, grand in children:
+        if table is not None:
+            out.append((table, rows))
+        out += tree_tables(grand)
+    return out
+
+
+class TestZeroPattern:
+    """The product tree skips the multiply-adds of identically zero table
+    entries; b^N stays the full k^3 loop's."""
+
+    @pytest.mark.parametrize("name", ["matrix3", "matrix_cfg", "jordan2"])
+    def test_pattern_is_the_nonzero_entries(self, sector_right, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        tables = tree_tables(calc._product_tree(calc.bN_terms))
+        skipped = 0
+        for table, rows in tables:
+            assert rows == [[m for m in range(calc.k) if np.any(table[i, m] != 0)]
+                            for i in range(calc.k)]
+            skipped += calc.k ** 2 - sum(map(len, rows))
+        assert skipped > 0
+
+    @pytest.mark.parametrize("name", ["matrix3", "matrix_cfg", "jordan2"])
+    def test_bN_equals_the_full_loop(self, sector_right, monkeypatch, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        lams = [complex(calc.sector.boundary_point(r)) for r in MIRROR_RADII]
+        fast = [calc.eval_terms(calc.bN_terms, lam) for lam in lams]
+        full_loop = parametrix._cm_matmul
+        monkeypatch.setattr(parametrix, "_cm_matmul",
+                            lambda a, b, rows: full_loop(a, b, None))
+        for lam, got in zip(lams, fast):
+            ref = calc.eval_terms(calc.bN_terms, lam)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), lam
+
+    def test_cm_matmul_rows(self):
+        # skipped entries are zero, one row entirely; the rest bitwise equal
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((3, 3, 4, 5)) + 1j * rng.standard_normal((3, 3, 4, 5))
+        b = rng.standard_normal((3, 3, 4, 5)) + 1j * rng.standard_normal((3, 3, 4, 5))
+        a[0, 1] = a[1, 0] = a[1, 2] = a[2] = 0.0
+        rows = [[0, 2], [1], []]
+        got, ref = parametrix._cm_matmul(a, b, rows), parametrix._cm_matmul(a, b, None)
+        assert np.array_equal(got[:2].view(np.uint64), ref[:2].view(np.uint64))
+        assert np.array_equal(got[2], ref[2]) and not np.any(got[2])
+
+
+class TestFindRPoint:
+    """The sweep's first row, R e^{i theta}, takes find_R's b^N, quantize(b^N),
+    remainder matrix and norm bound."""
+
+    @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
+    def test_one_evaluation_and_quantize_at_R(self, sector_right, monkeypatch, name):
+        args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
+        calc = calc_of(sector_right, *args)
+        evals, quantized = [], []
+        eval_orig, quantize_orig = calc.eval_terms, parametrix.quantize
+
+        def eval_spy(terms, lam):
+            evals.append((lam, eval_orig(terms, lam)))
+            return evals[-1][1]
+
+        def quantize_spy(a):
+            quantized.append(a.values)
+            return quantize_orig(a)
+
+        monkeypatch.setattr(calc, "eval_terms", eval_spy)
+        monkeypatch.setattr(parametrix, "quantize", quantize_spy)
+        R = calc.find_R()
+        radii = np.geomspace(R, 1e4, 5)
+        rows = sc.parametrix_sweep(calc, radii).rows
+        at_R = [vals for lam, vals in evals if lam == complex(calc.sector.boundary_point(R))]
+        assert len(at_R) == 1
+        assert sum(np.array_equal(vals, at_R[0]) for vals in quantized) == 1
+        # the same row as a sweep with no find_R before it
+        fresh = sc.parametrix_sweep(calc_of(sector_right, *args), radii).rows
+        assert rows == fresh
+
+    def test_point_is_the_accepted_radius(self, sector_right, slow_decay_calc):
+        # the walk stops at a failing point below R; the kept point is R's
+        calc = slow_decay_calc
+        R = calc.find_R()
+        assert calc.find_R_points["computed"] > 1
+        assert calc._R_point[0] == complex(calc.sector.boundary_point(R))
+        assert calc._R_point[4] <= 0.5
 
 
 SUP_COLUMNS = ("sup_bN", "sup_rN", "sup_sN", "class_sup_rN", "class_sup_sN")
@@ -398,7 +489,7 @@ class TestMirroredResolvent:
             upper_neumann = family.rows[i - i % 2]["method"] == "neumann"
             assert mirrored == (i % 2 == 1 and upper_neumann), i
             assert row["mirrored"] == mirrored
-            if mirrored:
+            if mirrored or i == 0:  # row 0 takes find_R's point at R
                 assert (n_quantize, n_remainder) == (0, 0), i
             else:
                 assert (n_quantize, n_remainder) == (1, 1), i
@@ -581,17 +672,18 @@ class TestLeibnizResolvent:
         # on the non-normal 3x3 symbol every Neumann row's ||r^N|| is an upper
         # bound of the exact norm of the remainder matrix it inverts, and the
         # tail bound of the series it ran is below tol
+        # (a mirrored row inverts its upper partner's matrix; the first row
+        # find_R's, made at the same lambda)
         calc = calc_of(sector_right, MATRIX3)
-        radii = np.geomspace(calc.find_R(), 1e4, 10)
-        r_mats = []
-        orig = calc.remainder
+        r_mats = {}
+        orig = calc.remainder_matrix
 
         def spy(lam, q_bN=None, m_shift=None):
-            out = orig(lam, q_bN=q_bN, m_shift=m_shift)
-            r_mats.append(out[1])
-            return out
+            r_mats[complex(lam)] = orig(lam, q_bN=q_bN, m_shift=m_shift)
+            return r_mats[complex(lam)]
 
-        monkeypatch.setattr(calc, "remainder", spy)
+        monkeypatch.setattr(calc, "remainder_matrix", spy)
+        radii = np.geomspace(calc.find_R(), 1e4, 10)
         tol = 1e-11
         neumann = 0
         for lam in calc.sector.ray_points(radii):
@@ -600,7 +692,8 @@ class TestLeibnizResolvent:
                 continue
             neumann += 1
             rho, K = diag["r_norm"], diag["neumann_terms"] - 1
-            assert rho >= np.linalg.norm(r_mats[-1], 2), lam
+            r_mat = r_mats[lam.conjugate() if diag["mirrored"] else lam]
+            assert rho >= np.linalg.norm(r_mat, 2), lam
             assert rho ** (K + 1) / (1.0 - rho) <= tol, lam
         assert neumann == 20
 

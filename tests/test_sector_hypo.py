@@ -227,9 +227,10 @@ class TestConstants:
 
 
 def full_table_constants(expr, sector, grid, class_params, report,
-                         max_order=2, samples_per_ray=16):
+                         max_order=2, samples_per_ray=16, inverse=None):
     """c_table and c0 as maxima of the full resolvent-norm table: every
-    (lambda, node) pair gets an exact spectral norm."""
+    (lambda, node) pair gets an exact spectral norm, of the inverse
+    :func:`pointwise_resolvent_norms` takes with ``inverse``."""
     tab = sc.sample(expr, grid)
     mask = (grid.xi_norm() >= report.C).reshape((1,) * grid.n + grid.xi_shape)
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
@@ -239,7 +240,7 @@ def full_table_constants(expr, sector, grid, class_params, report,
     radii = np.geomspace(lo, hi, samples_per_ray)
     lambdas = [0.0 + 0.0j]
     lambdas.extend(complex(z) for z in sector.ray_points(radii))
-    resnorms = [pointwise_resolvent_norms(masked, lam) for lam in lambdas]
+    resnorms = [pointwise_resolvent_norms(masked, lam, inverse) for lam in lambdas]
     assert all(np.all(np.isfinite(rn)) for rn in resnorms)
 
     bracket = grid.bracket_xi().reshape((1,) * grid.n + grid.xi_shape)
@@ -261,7 +262,7 @@ def full_table_constants(expr, sector, grid, class_params, report,
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
             lam = factor * 2.0 * sup_a * np.exp(1j * angle)
-            rn = pointwise_resolvent_norms(masked, lam)
+            rn = pointwise_resolvent_norms(masked, lam, inverse)
             c0 = max(c0, float(np.sqrt(1.0 + abs(lam) ** 2) * np.max(rn)))
     return c_table, c0
 
@@ -298,6 +299,43 @@ class TestCertifiedHypoMaxima:
         assert report.c_table == c_table
         assert report.c0 == c0
         return report
+
+    @pytest.mark.parametrize("k", [2, 3, 4, "matrix3"])
+    def test_lapack_table_within_rounding(self, grid32, sector_right, k):
+        # the constants against a full table of LAPACK inverses, which differ
+        # from the package's by rounding only
+        if k == "matrix3":
+            expr, C = sc.parse_symbol(MATRIX3, n=1, k=3), 0.0
+            grid = sc.TorusGrid(n=1, points=64)
+        else:
+            expr, grid, C = random_symbol(np.random.default_rng(40 + k), k), grid32, 2.5
+        params = sc.SymbolClassParams(m=2)
+        report = sc.check_spectrum(expr, sector_right, 0.5, C, grid)
+        sc.estimate_hypo_constants(expr, sector_right, grid, params, report)
+        c_table, c0 = full_table_constants(expr, sector_right, grid, params, report,
+                                           inverse="lapack")
+        assert report.c_table.keys() == c_table.keys()
+        for key, ref in c_table.items():
+            assert abs(report.c_table[key] - ref) <= 1e-13 * ref, key
+        assert abs(report.c0 - c0) <= 1e-13 * c0
+
+    def test_nan_inverse_is_refused(self, grid16, sector_right, monkeypatch):
+        # a NaN block inverts to NaN, which the constants refuse as they
+        # refuse a singular block
+        kernel = sc.hypo.pointwise_inverse
+
+        def poisoned(a, lam):
+            a = a.copy()
+            a[0, 0, 3] = np.nan
+            return kernel(a, lam)
+
+        monkeypatch.setattr(sc.hypo, "pointwise_inverse", poisoned)
+        expr = sc.parse_symbol("[[bracket(xi)^2+3, xi1], [0, bracket(xi)^2+5]]", n=1, k=2)
+        report = sc.check_spectrum(expr, sector_right, 0.5, 0.0, grid16)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="singular at a sample lambda=0j"):
+            sc.estimate_hypo_constants(expr, sector_right, grid16,
+                                       sc.SymbolClassParams(m=2), report, max_order=0)
 
     def test_matrix3(self, sector_right):
         self.assert_full_table(sc.parse_symbol(MATRIX3, n=1, k=3), sector_right,
