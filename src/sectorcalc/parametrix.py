@@ -31,21 +31,19 @@ multiply-adds of table entries that vanish at every node.  b_0 is
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
-b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda), and the lower-ray b^N
-is the mirror of the upper-ray one: no b_0 inverses and no products.  The
-same symmetry holds for the operator: with P the mode permutation
-xi -> -xi, conj(A) = P A P, so (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P.
-A lower-ray Neumann resolvent is therefore the mirror of its upper-ray
-partner: no quantization, no remainder and no Neumann products.  Its
-residual is still measured against A itself, and a mirror that misses the
-tolerance is replaced by the dense inverse.  The calculator decides the
-symmetry once, at construction: bitwise on the tables its compiled b^N
-term list reads, and within 64 eps max|A| on the quantized symbol.
+b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda); with P the mode
+permutation xi -> -xi, conj(A) = P A P and
+(A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P.  The sweep hands each
+upper-ray resolvent to its lower-ray partner, which mirrors its b^N and, if
+it is a Neumann resolvent, its remainder and resolvent too: no b_0
+inverses, no quantization and no products.  The mirrored residual is still
+measured against A.  The calculator decides the symmetry once, at
+construction: bitwise on the tables its compiled b^N term list reads, and
+within 64 eps max|A| on the quantized symbol.
 
 ``find_R`` walks the radii down and stops at the first failing point; on a
 symmetric symbol a lower point passes by its upper partner's bound plus a
-certified bound of the mirror's error where that decides it; the sweep's
-first row, at R, takes find_R's b^N and remainder there.  The Neumann
+certified bound of the mirror's error where that decides it.  The Neumann
 series is summed by binary splitting, in O(log K) products.
 """
 
@@ -239,6 +237,7 @@ def _tree_sum(children, b0):
 class LeibnizResolvent:
     """Result of inverting a - lambda with respect to the Leibniz product.
 
+    ``matrix`` is the quantized resolvent and ``symbol`` its symbol;
     ``b_n`` is the parametrix b^N and ``r_n`` its remainder r^N,
     built at every lambda; ``diagnostics["method"]`` says which of
     "neumann", "dense" or "neumann->dense" produced ``symbol``, and
@@ -251,6 +250,7 @@ class LeibnizResolvent:
     diagnostics: dict
     b_n: GridSymbol
     r_n: GridSymbol
+    matrix: np.ndarray
 
 
 class ParametrixCalculator:
@@ -296,14 +296,9 @@ class ParametrixCalculator:
                                            max(0, grid.xi_max - 1))
         self._deriv_cache = {}
         self._compiled = {}
-        # (lambda, b^N values) of the last b^N evaluated, for its conjugate
-        self._bN_memo = None
-        # ((lambda, tol), resolvent matrix, LeibnizResolvent) of the last
-        # computed Neumann resolvent, for its conjugate
-        self._resolvent_memo = None
         # (lambda, b^N values, quantize(b^N), remainder matrix, norm_bound)
-        # of find_R's upper point at R, for the sweep's first row
-        self._R_point = None
+        # of find_R's upper point at R
+        self.R_point = None
         # compiling b^N tabulates every derivative of a that it reads
         (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
         a = self.a_tab.values
@@ -450,21 +445,11 @@ class ParametrixCalculator:
         return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
 
     def assemble_bN(self, lam):
-        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list.
-
-        A one-slot memo holds the last lambda evaluated.  At its conjugate,
-        on a ``conj_symmetric`` symbol, b^N is the memo's mirror and the
-        slot is cleared; otherwise the term list is evaluated.
-        """
+        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list evaluated at
+        lambda (checked admissible)."""
         self.require_admissible(lam)
-        lam = complex(lam)
-        memo, self._bN_memo = self._bN_memo, None
-        if memo is not None and memo[0] == lam.conjugate() and self.conj_symmetric:
-            vals = self._conj_mirror(memo[1])
-        else:
-            vals = self.eval_terms(self.bN_terms, lam)
-            self._bN_memo = (lam, vals)
-        return GridSymbol(self.grid, vals, check=False)
+        return GridSymbol(self.grid, self.eval_terms(self.bN_terms, complex(lam)),
+                          check=False)
 
     def remainder_matrix(self, lam, q_bN=None, m_shift=None):
         """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
@@ -475,7 +460,8 @@ class ParametrixCalculator:
         if m_shift is None:
             m_shift = self.shifted_matrix(lam)
         prod = m_shift @ q_bN
-        return prod - np.eye(prod.shape[0], dtype=complex)
+        prod.flat[::len(prod) + 1] -= 1
+        return prod
 
     def remainder(self, lam, q_bN=None, m_shift=None):
         """r^N = (a-lambda)#b^N - 1.
@@ -488,7 +474,7 @@ class ParametrixCalculator:
 
     # -- resolvent ---------------------------------------------------------------
 
-    def leibniz_resolvent(self, lam, tol=1e-11):
+    def leibniz_resolvent(self, lam, tol=1e-11, upper=None):
         """(a - lambda)^{-#} with Neumann inversion of 1 + r^N when possible.
 
         ||r|| is the certified upper bound of ||quantize(r^N)||_2 of
@@ -500,47 +486,50 @@ class ParametrixCalculator:
         above ``tol``.  b^N comes from :meth:`assemble_bN`, which checks
         that lambda is admissible.  :func:`neumann_sum` sums the K + 1
         terms (``neumann_terms``).  ``r_rounding`` is the remainder matrix's
-        :func:`_remainder_rounding`.
+        :func:`_remainder_rounding`.  At the lambda of :meth:`find_R`'s
+        ``R_point``, b^N, quantize(b^N), the remainder matrix and ``r_norm``
+        are taken from it (the same floats).
 
-        At the upper point lambda = R e^{i theta} of :meth:`find_R`, the first
-        call takes find_R's b^N table, quantize(b^N), remainder matrix and
-        ``r_norm`` (the same floats) in place of computing them again.
-
-        A one-slot memo holds the last Neumann resolvent computed.  At its
-        conjugate lambda (same ``tol``), on a ``conj_symmetric`` symbol, the
-        resolvent matrix is the memo's :meth:`_mode_mirror`, r^N and the
-        symbol are ``_conj_mirror``s of the memo's tables, b^N is
-        :meth:`assemble_bN`'s mirror, and ``r_norm``, ``neumann_terms`` and
-        ``r_rounding`` are copied; the slot is cleared.  The mirrored row
+        ``upper`` is this calculator's result at conj lambda with the same
+        ``tol`` (a ValueError if its lambda is another).  On a
+        ``conj_symmetric`` symbol b^N is its ``_conj_mirror``; if its method
+        is "neumann", the resolvent matrix is its :meth:`_mode_mirror`, r^N
+        and the symbol are mirrors of its tables, and ``r_norm``,
+        ``neumann_terms`` and ``r_rounding`` are copied.  The mirrored row
         still measures its own residual against A - lambda and falls back to
-        the dense inverse above ``tol``.  A dense or rescued row memoes
-        nothing, so its conjugate is computed in full.
+        the dense inverse above ``tol``.
         """
-        point, self._R_point = self._R_point, None
-        if point is not None and point[0] == lam:
+        lam = complex(lam)
+        if upper is not None and upper.diagnostics["lambda"] != lam.conjugate():
+            raise ValueError(f"upper is at lambda = {upper.diagnostics['lambda']!r}, "
+                             f"not at conj lambda = {lam.conjugate()!r}")
+        upper, point = upper if self.conj_symmetric else None, None
+        if upper is not None:
+            self.require_admissible(lam)
+            bN = GridSymbol(self.grid, self._conj_mirror(upper.b_n.values), check=False)
+        elif self.R_point is not None and self.R_point[0] == lam:
+            point = self.R_point
             _, vals, q_bN, r_mat, r_norm = point
-            self._bN_memo = (point[0], vals)
             bN = GridSymbol(self.grid, vals, check=False)
         else:
-            point, bN = None, self.assemble_bN(lam)
-        lam = complex(lam)
+            bN = self.assemble_bN(lam)
         m_shift = self.shifted_matrix(lam)
-        eye = np.eye(m_shift.shape[0], dtype=complex)
+        dim = len(m_shift)
 
         def residual(res_mat):
-            return extract_symbol(
-                QuantOp(self.grid, self.k, m_shift @ res_mat - eye)).sup_norm()
+            prod = m_shift @ res_mat
+            prod.flat[::dim + 1] -= 1
+            return extract_symbol(QuantOp(self.grid, self.k, prod)).sup_norm()
 
         def mirror(table):
             return GridSymbol(self.grid, self._conj_mirror(table.values), check=False)
 
-        memo, self._resolvent_memo = self._resolvent_memo, None
-        if memo is not None and memo[0] == (lam.conjugate(), tol) and self.conj_symmetric:
-            _, upper_mat, upper = memo
-            res_mat = self._mode_mirror(upper_mat)
-            r_sym = mirror(upper.r_n)
+        mirrored = upper is not None and upper.diagnostics["method"] == "neumann"
+        if mirrored:
+            res_mat = self._mode_mirror(upper.matrix)
             diag = {**upper.diagnostics, "lambda": lam, "mirrored": True,
                     "residual": residual(res_mat)}
+            r_sym = mirror(upper.r_n)
         else:
             if point is None:
                 q_bN = quantize(bN).matrix
@@ -551,7 +540,7 @@ class ParametrixCalculator:
             diag = {"lambda": lam, "method": None, "r_norm": r_norm,
                     "neumann_terms": 0, "residual": None, "mirrored": False,
                     "r_rounding": _remainder_rounding(
-                        len(eye), np.linalg.norm(m_shift), np.linalg.norm(q_bN))}
+                        dim, np.linalg.norm(m_shift), np.linalg.norm(q_bN))}
             if r_norm < 0.5:
                 K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
                     if r_norm > 0 else 0
@@ -564,15 +553,12 @@ class ParametrixCalculator:
             res_mat = dense_resolvent(self.quantized_symbol, lam)
             diag["method"] = "dense" if diag["method"] is None else "neumann->dense"
             diag["residual"] = residual(res_mat)
-        if diag["mirrored"] and diag["method"] == "neumann":
+        if mirrored and diag["method"] == "neumann":
             symbol = mirror(upper.symbol)
         else:
             symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
-        result = LeibnizResolvent(symbol=symbol, s_n=symbol - bN,
-                                  diagnostics=diag, b_n=bN, r_n=r_sym)
-        if diag["method"] == "neumann" and not diag["mirrored"]:
-            self._resolvent_memo = ((lam, tol), res_mat, result)
-        return result
+        return LeibnizResolvent(symbol=symbol, s_n=symbol - bN, diagnostics=diag,
+                                b_n=bN, r_n=r_sym, matrix=res_mat)
 
     # -- invertibility radius ------------------------------------------------------
 
@@ -605,8 +591,8 @@ class ParametrixCalculator:
         :meth:`mirror_error_bound` is at most 1/2, and is otherwise computed
         with quantize(b^N) = P conj(Q_up) P; other symbols compute it.
         ``find_R_points`` counts the points computed, passed by the mirror
-        bound and skipped.  The upper point at R is kept for
-        :meth:`leibniz_resolvent`.
+        bound and skipped.  The upper point at R is kept as ``R_point``,
+        which :meth:`leibniz_resolvent` reuses at that lambda.
         """
         radii = _R_CANDIDATES
         pairs = self.sector.ray_points(radii).reshape(-1, 2)
@@ -630,8 +616,7 @@ class ParametrixCalculator:
                 if norm_bound(self.remainder_matrix(lo, q_bN=q_lo), 0.5) > 0.5:
                     break
             R = rad
-            self._R_point = (complex(up), bN.values, q_bN, r_up, bound)
-        self._bN_memo = None  # no other b^N table outlives the search
+            self.R_point = (complex(up), bN.values, q_bN, r_up, bound)
         self.find_R_points = {"computed": computed, "mirror_bound": mirrored,
                               "skipped": 2 * len(radii) - computed - mirrored}
         if R is None:
@@ -697,10 +682,9 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     falls back to the dense inverse wherever ||quantize(r^N)|| >= 1/2, and
     the row's method says so.
 
-    The rows come in (lambda, conj lambda) pairs, upper ray first, so on a
-    ``conj_symmetric`` symbol each lower Neumann row is the mirror of its
-    upper partner (:meth:`ParametrixCalculator.leibniz_resolvent`), with its
-    own residual measured against A.
+    The rows come in (lambda, conj lambda) pairs, upper ray first, and each
+    upper row's resolvent is passed to its partner as ``upper``
+    (:meth:`ParametrixCalculator.leibniz_resolvent`).
 
     Fitted log-log slopes against <lambda>: ``rN`` near -1, ``sN`` near -2,
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
@@ -718,25 +702,26 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     params = calc.class_params
     rem_weight = calc.N * (params.rho - params.delta) - params.m
     rows = []
-    for lam in calc.sector.ray_points(np.asarray(radii, dtype=float)):
-        lam = complex(lam)
-        if not calc.sector.contains(lam):
-            raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
-        lr = calc.leibniz_resolvent(lam, tol=tol)
-        rows.append({
-            "lambda": lam,
-            "bracket": float(japanese_bracket(lam)),
-            "sup_bN": class_weighted_sup(lr.b_n, 0.0, margin),
-            "sup_rN": class_weighted_sup(lr.r_n, 0.0, margin),
-            "class_sup_rN": class_weighted_sup(lr.r_n, rem_weight, margin),
-            "sup_sN": class_weighted_sup(lr.s_n, 0.0, margin),
-            "class_sup_sN": class_weighted_sup(lr.s_n, rem_weight, margin),
-            "residual": lr.diagnostics["residual"],
-            "method": lr.diagnostics["method"],
-            "mirrored": lr.diagnostics["mirrored"],
-            "neumann_terms": lr.diagnostics["neumann_terms"],
-            "r_rounding": lr.diagnostics["r_rounding"],
-        })
+    for pair in calc.sector.ray_points(np.asarray(radii, dtype=float)).reshape(-1, 2):
+        lr = None
+        for lam in map(complex, pair):
+            if not calc.sector.contains(lam):
+                raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
+            lr = calc.leibniz_resolvent(lam, tol=tol, upper=lr)
+            rows.append({
+                "lambda": lam,
+                "bracket": float(japanese_bracket(lam)),
+                "sup_bN": class_weighted_sup(lr.b_n, 0.0, margin),
+                "sup_rN": class_weighted_sup(lr.r_n, 0.0, margin),
+                "class_sup_rN": class_weighted_sup(lr.r_n, rem_weight, margin),
+                "sup_sN": class_weighted_sup(lr.s_n, 0.0, margin),
+                "class_sup_sN": class_weighted_sup(lr.s_n, rem_weight, margin),
+                "residual": lr.diagnostics["residual"],
+                "method": lr.diagnostics["method"],
+                "mirrored": lr.diagnostics["mirrored"],
+                "neumann_terms": lr.diagnostics["neumann_terms"],
+                "r_rounding": lr.diagnostics["r_rounding"],
+            })
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows

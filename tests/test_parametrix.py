@@ -243,6 +243,12 @@ def eval_spy(calc, monkeypatch):
     return lams
 
 
+def partner_bN(calc, lam):
+    """b^N of the resolvent at conj lambda, handed the one at lambda."""
+    upper = calc.leibniz_resolvent(lam)
+    return calc.leibniz_resolvent(lam.conjugate(), upper=upper).b_n.values
+
+
 class TestConjugateMirror:
     """The lower-ray b^N as the mirror of the upper-ray one, against the term
     list evaluated at conj lambda."""
@@ -254,8 +260,7 @@ class TestConjugateMirror:
         expected = []
         for rad in MIRROR_RADII:
             lam = complex(calc.sector.boundary_point(rad))
-            calc.assemble_bN(lam)
-            mirrored = calc.assemble_bN(lam.conjugate()).values
+            mirrored = partner_bN(calc, lam)
             direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
             assert np.array_equal(mirrored, direct), rad
             expected += [lam, lam.conjugate()]
@@ -268,8 +273,8 @@ class TestConjugateMirror:
         calc = calc_of(sector_right, ASYMMETRIC[name])
         lams = eval_spy(calc, monkeypatch)
         points = [complex(lam) for lam in calc.sector.ray_points(MIRROR_RADII)]
-        for lam in points:
-            calc.assemble_bN(lam)
+        for lam in points[0::2]:
+            partner_bN(calc, lam)
         assert not calc.conj_symmetric
         assert lams == points
 
@@ -280,10 +285,19 @@ class TestConjugateMirror:
         calc = calc_of(sector_right, ASYMMETRIC[name])
         calc.conj_symmetric = True
         lam = complex(calc.sector.boundary_point(8.0))
-        calc.assemble_bN(lam)
-        mirrored = calc.assemble_bN(lam.conjugate()).values
+        mirrored = partner_bN(calc, lam)
         direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
         assert rel_sup_diff(mirrored, direct) > 1e-3
+
+    def test_wrong_partner_is_rejected(self, sector_right):
+        # upper must be the resolvent at conj lambda: at lambda itself, or at
+        # the conjugate of another radius, the mirror would be another b^N
+        calc = calc_of(sector_right, *MIRRORED["ref1d"])
+        lam = complex(calc.sector.boundary_point(8.0))
+        upper = calc.leibniz_resolvent(lam)
+        for other in (lam, complex(calc.sector.boundary_point(16.0, upper=False))):
+            with pytest.raises(ValueError, match="not at conj lambda"):
+                calc.leibniz_resolvent(other, upper=upper)
 
     @pytest.mark.parametrize("name, share", [("ref1d", 2), ("odd_in_xi", 1)])
     def test_find_R_and_sweep_evaluate_once_per_pair(self, sector_right, monkeypatch,
@@ -386,8 +400,31 @@ class TestFindRPoint:
         calc = slow_decay_calc
         R = calc.find_R()
         assert calc.find_R_points["computed"] > 1
-        assert calc._R_point[0] == complex(calc.sector.boundary_point(R))
-        assert calc._R_point[4] <= 0.5
+        assert calc.R_point[0] == complex(calc.sector.boundary_point(R))
+        assert calc.R_point[4] <= 0.5
+
+
+class TestCallOrder:
+    """A row depends on its own lambda alone, not on the calls before it."""
+
+    @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
+    def test_repeated_sweeps_equal_a_fresh_one(self, sector_right, name):
+        args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
+        calc = calc_of(sector_right, *args)
+        radii = np.geomspace(calc.find_R(), 1e4, 5)
+        first = sc.parametrix_sweep(calc, radii).rows
+        second = sc.parametrix_sweep(calc, radii).rows
+        fresh = sc.parametrix_sweep(calc_of(sector_right, *args), radii).rows
+        assert first == second == fresh
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_assemble_bN_after_its_conjugate(self, sector_right, name):
+        calc = calc_of(sector_right, *MIRRORED[name])
+        for rad in MIRROR_RADII:
+            lam = complex(calc.sector.boundary_point(rad))
+            calc.assemble_bN(lam)
+            got = calc.assemble_bN(lam.conjugate()).values
+            assert np.array_equal(got, calc.eval_terms(calc.bN_terms, lam.conjugate()))
 
 
 SUP_COLUMNS = ("sup_bN", "sup_rN", "sup_sN", "class_sup_rN", "class_sup_sN")
@@ -409,9 +446,9 @@ def resolvent_spy(calc, monkeypatch):
         counts["remainder"] += 1
         return remainder_orig(*args, **kwargs)
 
-    def spy(lam, tol=1e-11):
+    def spy(lam, tol=1e-11, upper=None):
         counts.update(quantize=0, remainder=0)
-        out = resolvent_orig(lam, tol=tol)
+        out = resolvent_orig(lam, tol=tol, upper=upper)
         calls.append((out.diagnostics["mirrored"], counts["quantize"],
                       counts["remainder"]))
         return out
@@ -685,17 +722,21 @@ class TestLeibnizResolvent:
         monkeypatch.setattr(calc, "remainder_matrix", spy)
         radii = np.geomspace(calc.find_R(), 1e4, 10)
         tol = 1e-11
-        neumann = 0
-        for lam in calc.sector.ray_points(radii):
-            diag = calc.leibniz_resolvent(complex(lam), tol=tol).diagnostics
-            if diag["method"] != "neumann":
-                continue
-            neumann += 1
-            rho, K = diag["r_norm"], diag["neumann_terms"] - 1
-            r_mat = r_mats[lam.conjugate() if diag["mirrored"] else lam]
-            assert rho >= np.linalg.norm(r_mat, 2), lam
-            assert rho ** (K + 1) / (1.0 - rho) <= tol, lam
-        assert neumann == 20
+        neumann = mirrored = 0
+        for pair in calc.sector.ray_points(radii).reshape(-1, 2):
+            lr = None
+            for lam in pair:
+                lr = calc.leibniz_resolvent(complex(lam), tol=tol, upper=lr)
+                diag = lr.diagnostics
+                if diag["method"] != "neumann":
+                    continue
+                neumann += 1
+                mirrored += diag["mirrored"]
+                rho, K = diag["r_norm"], diag["neumann_terms"] - 1
+                r_mat = r_mats[lam.conjugate() if diag["mirrored"] else lam]
+                assert rho >= np.linalg.norm(r_mat, 2), lam
+                assert rho ** (K + 1) / (1.0 - rho) <= tol, lam
+        assert (neumann, mirrored) == (20, 10)
 
     def test_2d_resolvent_residual(self, sector_right):
         grid = sc.TorusGrid(n=2, points=8)
@@ -867,6 +908,14 @@ class TestFindRWalk:
         calc = find_R_case(request, sector_right, name)
         assert calc.find_R() == find_R_all_points(calc)
 
+    def test_reference_evaluates_every_point(self, sector_right, monkeypatch):
+        # the search over every point forms each b^N itself, so it checks
+        # find_R's mirror against no mirror
+        calc = calc_of(sector_right, *MIRRORED["ref1d"])
+        lams = eval_spy(calc, monkeypatch)
+        assert find_R_all_points(calc) == 1.0
+        assert lams == list(calc.sector.ray_points(parametrix._R_CANDIDATES))
+
     @pytest.mark.parametrize("name", FIND_R_CASES)
     def test_mirror_bound_covers_the_mirror_error(self, request, sector_right, name):
         # ||r_lo - P conj(r_up) P||_2 <= mirror_error_bound at every radius,
@@ -888,7 +937,6 @@ class TestFindRWalk:
         assert calc.find_R_points == {"computed": 21, "mirror_bound": 21, "skipped": 0}
         upper = calc.sector.ray_points(parametrix._R_CANDIDATES)[0::2]
         assert lams == list(upper[::-1])
-        assert calc._bN_memo is None
 
     def test_walk_stops_at_the_first_failing_point(self, slow_decay_calc,
                                                    monkeypatch):
@@ -899,7 +947,6 @@ class TestFindRWalk:
         assert slow_decay_calc.find_R_points == {
             "computed": 16, "mirror_bound": 15, "skipped": 11}
         assert [abs(lam) for lam in lams] == pytest.approx(2.0 ** np.arange(20, 4, -1))
-        assert slow_decay_calc._bN_memo is None
 
     def test_asymmetric_symbol_computes_every_lower_point(self, sector_right):
         calc = tilted_calc(sector_right)
