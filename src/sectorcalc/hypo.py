@@ -19,11 +19,13 @@ data (collected in the report), not exceptions.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .densela import _hoelder_bounds
+from .errors import SectorcalcError
 from .grid import _spectral_norms, certified_maxima, pointwise_inverse, sample
 from .util import japanese_bracket, multi_indices_below
 
@@ -163,6 +165,13 @@ def _sample_maxima(best, values, lam, factors):
     return bool(np.all(np.isfinite(rn)))
 
 
+def _require_finite(best, lam):
+    """Refuse a sample that is, or leaves a running constant, not finite."""
+    if not all(map(math.isfinite, (lam.real, lam.imag, *best))):
+        raise SectorcalcError(f"resolvent bound constant at sample lambda={complex(lam)!r} "
+                              "is not finite (symbol too large for double precision)")
+
+
 def estimate_hypo_constants(expr, sector, grid, class_params, report,
                             max_order=2):
     """Estimate c_{alpha,beta} and c0 and store them in the report.
@@ -183,7 +192,8 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     decides where an exact norm can still reach a running max, and the
     constants are the same floats as the maxima of the full norm table.  A
     derivative that vanishes at every node gives the constant 0.0 and takes
-    no part in the certificate.
+    no part in the certificate.  A sample or constant that is not finite (a
+    symbol too large for double precision) is a SectorcalcError.
     """
     if not report.passed:
         raise ValueError("estimate_hypo_constants requires a passing spectrum check")
@@ -219,11 +229,14 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
         if not finite:
             raise ValueError(f"(a - lambda) singular at a sample lambda={lam!r}; "
                              "inconsistent with the passed spectrum check")
+        _require_finite(best, lam)
     # Exterior-of-sector samples: outside every Omega_{x,xi} by construction.
     c0 = best[-1:]
     for factor in (1.0, 2.0, 4.0, 8.0):
         for angle in (0.0, sector.theta / 2.0, -sector.theta / 2.0):
-            _sample_maxima(c0, masked, factor * 2.0 * sup_a * np.exp(1j * angle), [])
+            lam = factor * 2.0 * sup_a * np.exp(1j * angle)
+            _sample_maxima(c0, masked, lam, [])
+            _require_finite(c0, lam)
 
     c_table.update(zip(keys, best))
     report.c_table = c_table

@@ -19,14 +19,16 @@ decays too.
 On top of the recursion sit the sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
-b^N is evaluated from one term list, the b_0 .. b_{N-1} lists concatenated.
-Every factor other than b_0 is lambda-independent, so a term list compiles
-once.  For a scalar symbol it becomes one table per power of b_0 and
-evaluates as a polynomial in b_0.  For a matrix symbol it becomes one
-shared-prefix product tree of its factor words, so a product that begins
-several terms is formed once; the tree is evaluated on component-major
-(k, k, grid) arrays with each k x k product written out entrywise, less the
-multiply-adds of table entries that vanish at every node.  b_0 is
+``remainder`` alone forms r^N: a pure record of b^N, Q = quantize(b^N),
+||A - lambda||_F, (A - lambda) Q - 1 and its norm bound.  b^N is evaluated
+from one term list, the b_0 .. b_{N-1} lists concatenated.  Every factor
+other than b_0 is lambda-independent, so a term list compiles once.  For a
+scalar symbol it becomes one table per power of b_0 and evaluates as a
+polynomial in b_0.  For a matrix symbol it becomes one shared-prefix
+product tree of its factor words, so a product that begins several terms is
+formed once; the tree is evaluated on component-major (k, k, grid) arrays
+with each k x k product written out entrywise, less the multiply-adds of
+table entries that vanish at every node.  b_0 is
 :func:`grid.pointwise_inverse` of the component-major table.
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
@@ -34,17 +36,17 @@ satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
 b^N(x, xi, conj lambda) = conj b^N(x, -xi, lambda); with P the mode
 permutation xi -> -xi, conj(A) = P A P and
 (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P.  The sweep hands each
-upper-ray resolvent to its lower-ray partner, which mirrors its b^N and, if
-it is a Neumann resolvent, its remainder and resolvent too: no b_0
-inverses, no quantization and no products.  The mirrored residual is still
-measured against A.  The calculator decides the symmetry once, at
+upper-ray resolvent to its lower-ray partner.  The partner of a Neumann
+resolvent mirrors its b^N, remainder and resolvent (no b_0 inverses, no
+quantization, no products) and measures its residual against A; every other
+row is computed.  The calculator decides the symmetry once, at
 construction: bitwise on the tables its compiled b^N term list reads, and
 within 64 eps max|A| on the quantized symbol.
 
 ``find_R`` walks the radii down and stops at the first failing point; on a
 symmetric symbol a lower point passes by its upper partner's bound plus a
-certified bound of the mirror's error where that decides it.  The Neumann
-series is summed by binary splitting, in O(log K) products.
+bound of the mirror's error where that decides it.  The Neumann series is
+summed by binary splitting, in O(log K) products.
 """
 
 from __future__ import annotations
@@ -253,6 +255,19 @@ class LeibnizResolvent:
     matrix: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Remainder:
+    """r^N at ``lam``: b^N, Q = quantize(b^N), (A - lambda) Q - 1 and its norm_bound
+    against 1/2; of A - lambda only ||.||_F, since ``R_point`` is kept."""
+
+    lam: complex
+    b_n: GridSymbol
+    q_bN: np.ndarray
+    shift_norm: float
+    matrix: np.ndarray
+    norm: float
+
+
 class ParametrixCalculator:
     """Caches the lambda-independent data of the parametrix construction.
 
@@ -296,9 +311,7 @@ class ParametrixCalculator:
                                            max(0, grid.xi_max - 1))
         self._deriv_cache = {}
         self._compiled = {}
-        # (lambda, b^N values, quantize(b^N), remainder matrix, norm_bound)
-        # of find_R's upper point at R
-        self.R_point = None
+        self.R_point = None  # find_R's Remainder at R e^{i theta}
         # compiling b^N tabulates every derivative of a that it reads
         (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
         a = self.a_tab.values
@@ -451,26 +464,21 @@ class ParametrixCalculator:
         return GridSymbol(self.grid, self.eval_terms(self.bN_terms, complex(lam)),
                           check=False)
 
-    def remainder_matrix(self, lam, q_bN=None, m_shift=None):
-        """quantize(r^N) = (A - lambda) quantize(b^N) - 1, with no symbol
-        extraction.  A caller that already holds quantize(b^N).matrix
-        (``q_bN``) or A - lambda (``m_shift``) passes it in."""
-        if q_bN is None:
-            q_bN = quantize(self.assemble_bN(lam)).matrix
-        if m_shift is None:
-            m_shift = self.shifted_matrix(lam)
-        prod = m_shift @ q_bN
-        prod.flat[::len(prod) + 1] -= 1
-        return prod
-
-    def remainder(self, lam, q_bN=None, m_shift=None):
-        """r^N = (a-lambda)#b^N - 1.
-
-        Returns (GridSymbol, remainder matrix); the matrix is exactly the
-        quantization of the remainder symbol.
-        """
-        r_mat = self.remainder_matrix(lam, q_bN=q_bN, m_shift=m_shift)
-        return extract_symbol(QuantOp(self.grid, self.k, r_mat)), r_mat
+    def remainder(self, lam):
+        """r^N = (a - lambda)#b^N - 1 at lambda as a :class:`Remainder`, with no
+        symbol extraction; b^N comes from :meth:`assemble_bN`, which checks
+        lambda.  A remainder matrix that is not finite (a symbol too large for
+        double precision) is a SectorcalcError."""
+        lam = complex(lam)
+        b_n = self.assemble_bN(lam)
+        q_bN = quantize(b_n).matrix
+        m_shift = self.shifted_matrix(lam)
+        matrix = m_shift @ q_bN
+        matrix.flat[::len(matrix) + 1] -= 1
+        if not np.all(np.isfinite(matrix)):
+            raise SectorcalcError(f"remainder at lambda={lam!r} is not finite")
+        return Remainder(lam, b_n, q_bN, float(np.linalg.norm(m_shift)), matrix,
+                         norm_bound(matrix, 0.5))
 
     # -- resolvent ---------------------------------------------------------------
 
@@ -483,69 +491,56 @@ class ParametrixCalculator:
         the geometric tail bound ||r||^(K+1)/(1 - ||r||) drops below ``tol``
         is certified too.  The dense Leibniz inverse takes over when
         ||quantize(r^N)||_2 >= 1/2 or the Neumann residual symbol stays
-        above ``tol``.  b^N comes from :meth:`assemble_bN`, which checks
-        that lambda is admissible.  :func:`neumann_sum` sums the K + 1
-        terms (``neumann_terms``).  ``r_rounding`` is the remainder matrix's
-        :func:`_remainder_rounding`.  At the lambda of :meth:`find_R`'s
-        ``R_point``, b^N, quantize(b^N), the remainder matrix and ``r_norm``
-        are taken from it (the same floats).
+        above ``tol``.  :func:`neumann_sum` sums the K + 1 terms
+        (``neumann_terms``); ``r_rounding`` is :func:`_remainder_rounding`.
 
         ``upper`` is this calculator's result at conj lambda with the same
         ``tol`` (a ValueError if its lambda is another).  On a
-        ``conj_symmetric`` symbol b^N is its ``_conj_mirror``; if its method
-        is "neumann", the resolvent matrix is its :meth:`_mode_mirror`, r^N
-        and the symbol are mirrors of its tables, and ``r_norm``,
-        ``neumann_terms`` and ``r_rounding`` are copied.  The mirrored row
-        still measures its own residual against A - lambda and falls back to
-        the dense inverse above ``tol``.
+        ``conj_symmetric`` symbol whose ``upper`` method is "neumann", b^N,
+        r^N and the symbol are mirrors of its tables, the resolvent matrix is
+        its :meth:`_mode_mirror`, and ``r_norm``, ``neumann_terms`` and
+        ``r_rounding`` are copied; the mirrored row still measures its own
+        residual against A - lambda and falls back to the dense inverse above
+        ``tol``.  Every other row starts from a :class:`Remainder`:
+        :meth:`find_R`'s ``R_point`` at its lambda, else :meth:`remainder`.
         """
         lam = complex(lam)
         if upper is not None and upper.diagnostics["lambda"] != lam.conjugate():
             raise ValueError(f"upper is at lambda = {upper.diagnostics['lambda']!r}, "
                              f"not at conj lambda = {lam.conjugate()!r}")
-        upper, point = upper if self.conj_symmetric else None, None
-        if upper is not None:
-            self.require_admissible(lam)
-            bN = GridSymbol(self.grid, self._conj_mirror(upper.b_n.values), check=False)
-        elif self.R_point is not None and self.R_point[0] == lam:
-            point = self.R_point
-            _, vals, q_bN, r_mat, r_norm = point
-            bN = GridSymbol(self.grid, vals, check=False)
-        else:
-            bN = self.assemble_bN(lam)
-        m_shift = self.shifted_matrix(lam)
-        dim = len(m_shift)
+        mirrored = self.conj_symmetric and upper is not None \
+            and upper.diagnostics["method"] == "neumann"
 
         def residual(res_mat):
-            prod = m_shift @ res_mat
-            prod.flat[::dim + 1] -= 1
+            # a mirrored row forms A - lambda only for this product
+            prod = (self.shifted_matrix(lam) if mirrored else m_shift) @ res_mat
+            prod.flat[::len(prod) + 1] -= 1
             return extract_symbol(QuantOp(self.grid, self.k, prod)).sup_norm()
 
         def mirror(table):
             return GridSymbol(self.grid, self._conj_mirror(table.values), check=False)
 
-        mirrored = upper is not None and upper.diagnostics["method"] == "neumann"
         if mirrored:
+            self.require_admissible(lam)
+            bN = mirror(upper.b_n)
             res_mat = self._mode_mirror(upper.matrix)
             diag = {**upper.diagnostics, "lambda": lam, "mirrored": True,
                     "residual": residual(res_mat)}
-            r_sym = mirror(upper.r_n)
         else:
-            if point is None:
-                q_bN = quantize(bN).matrix
-                r_sym, r_mat = self.remainder(lam, q_bN=q_bN, m_shift=m_shift)
-                r_norm = norm_bound(r_mat, 0.5)
-            else:
-                r_sym = extract_symbol(QuantOp(self.grid, self.k, r_mat))
+            point = self.R_point
+            if point is None or point.lam != lam:
+                point = self.remainder(lam)
+            m_shift = self.shifted_matrix(lam)
+            bN, r_norm = point.b_n, point.norm
             diag = {"lambda": lam, "method": None, "r_norm": r_norm,
                     "neumann_terms": 0, "residual": None, "mirrored": False,
                     "r_rounding": _remainder_rounding(
-                        dim, np.linalg.norm(m_shift), np.linalg.norm(q_bN))}
+                        len(m_shift), point.shift_norm, np.linalg.norm(point.q_bN))}
             if r_norm < 0.5:
                 K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
                     if r_norm > 0 else 0
                 K = max(0, min(K, _MAX_NEUMANN))
-                res_mat = q_bN @ neumann_sum(r_mat, K)
+                res_mat = point.q_bN @ neumann_sum(point.matrix, K)
                 diag.update(method="neumann", neumann_terms=K + 1,
                             residual=residual(res_mat))
         if diag["method"] is None or diag["residual"] > tol:
@@ -557,22 +552,23 @@ class ParametrixCalculator:
             symbol = mirror(upper.symbol)
         else:
             symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
+        r_sym = mirror(upper.r_n) if mirrored else \
+            extract_symbol(QuantOp(self.grid, self.k, point.matrix))
         return LeibnizResolvent(symbol=symbol, s_n=symbol - bN, diagnostics=diag,
                                 b_n=bN, r_n=r_sym, matrix=res_mat)
 
     # -- invertibility radius ------------------------------------------------------
 
-    def mirror_error_bound(self, q_bN, m_shift):
-        """Bound of ||r_lo - P conj(r_up) P||_2 at the upper point with
-        quantize(b^N) = Q = ``q_bN`` and A - lambda = ``m_shift``, where r_lo
-        is formed from A - conj lambda and Q_lo = P conj(Q) P, so quantize
-        adds no term.  With alpha = ||A - P conj(A) P||_F, it is
+    def mirror_error_bound(self, point):
+        """Bound of ||r_lo - P conj(r_up) P||_2 at the upper :class:`Remainder`
+        ``point`` with quantize(b^N) = Q, for r_lo formed from A - conj lambda
+        and Q_lo = P conj(Q) P.  With alpha = ||A - P conj(A) P||_F, it is
         alpha ||Q||_F (A's asymmetry) plus the :func:`_remainder_rounding` of
         both products, r_lo's taken with ||A - conj lambda||_F <=
-        ||A - lambda||_F + alpha.
+        ||A - lambda||_F + alpha.  The lower point's own quantize(b^N) differs
+        from P conj(Q) P by the FFT's rounding, which the bound leaves out.
         """
-        q_norm, s_norm = np.linalg.norm(q_bN), np.linalg.norm(m_shift)
-        dim = len(q_bN)
+        q_norm, s_norm, dim = np.linalg.norm(point.q_bN), point.shift_norm, len(point.q_bN)
         return (self.mirror_asymmetry * q_norm
                 + _remainder_rounding(dim, s_norm, q_norm)
                 + _remainder_rounding(dim, s_norm + self.mirror_asymmetry, q_norm))
@@ -581,42 +577,33 @@ class ParametrixCalculator:
         """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
         all sampled boundary points with |lambda| >= R.
 
-        Each point is decided by :func:`densela.norm_bound`: the Frobenius
-        norm or the Hoelder bound (||M||_1 ||M||_inf)^(1/2) where either is
-        below 1/2, the exact spectral norm (one SVD) elsewhere, so every
-        passed point is certified.  The radii are walked down, upper point
-        first, to the first failing point, which excludes its radius and
-        every smaller one.  On a ``conj_symmetric`` symbol a lower point
-        passes without a product when its upper partner's bound plus
-        :meth:`mirror_error_bound` is at most 1/2, and is otherwise computed
-        with quantize(b^N) = P conj(Q_up) P; other symbols compute it.
-        ``find_R_points`` counts the points computed, passed by the mirror
-        bound and skipped.  The upper point at R is kept as ``R_point``,
-        which :meth:`leibniz_resolvent` reuses at that lambda.
+        Each point is a :meth:`remainder`, decided by its certified ``norm``
+        (:func:`densela.norm_bound`).  The radii are walked down, upper
+        point first, to the first failing point, which excludes its radius
+        and every smaller one.  On a ``conj_symmetric`` symbol a lower point
+        passes without a remainder when its upper partner's norm plus
+        :meth:`mirror_error_bound` is at most 1/2; every other lower point
+        is computed.  ``find_R_points`` counts the points computed, passed
+        by the mirror bound and skipped.  The upper point at R is kept as
+        ``R_point``, which :meth:`leibniz_resolvent` reuses at that lambda.
         """
         radii = _R_CANDIDATES
         pairs = self.sector.ray_points(radii).reshape(-1, 2)
         computed = mirrored = 0
         R = None
         for rad, (up, lo) in reversed(list(zip(radii, pairs))):
-            bN = self.assemble_bN(up)
-            q_bN = quantize(bN).matrix
-            m_shift = self.shifted_matrix(up)
-            r_up = self.remainder_matrix(up, q_bN=q_bN, m_shift=m_shift)
-            bound = norm_bound(r_up, 0.5)
+            point = self.remainder(up)
             computed += 1
-            if bound > 0.5:
+            if point.norm > 0.5:
                 break
-            if self.conj_symmetric and \
-                    bound + self.mirror_error_bound(q_bN, m_shift) <= 0.5:
+            if self.conj_symmetric and point.norm + self.mirror_error_bound(point) <= 0.5:
                 mirrored += 1
             else:
                 computed += 1
-                q_lo = self._mode_mirror(q_bN) if self.conj_symmetric else None
-                if norm_bound(self.remainder_matrix(lo, q_bN=q_lo), 0.5) > 0.5:
+                if self.remainder(lo).norm > 0.5:
                     break
             R = rad
-            self.R_point = (complex(up), bN.values, q_bN, r_up, bound)
+            self.R_point = point
         self.find_R_points = {"computed": computed, "mirror_bound": mirrored,
                               "skipped": 2 * len(radii) - computed - mirrored}
         if R is None:

@@ -245,7 +245,7 @@ def find_R_all_points(calc):
     remainder matrix is formed and decided by ``norm_bound``, with no early
     stop and no mirror bound."""
     radii = parametrix._R_CANDIDATES
-    passed = [norm_bound(calc.remainder_matrix(lam), 0.5) <= 0.5
+    passed = [norm_bound(calc.remainder(lam).matrix, 0.5) <= 0.5
               for lam in calc.sector.ray_points(radii)]
     for candidate in radii:
         if all(ok for rad, ok in zip(np.repeat(radii, 2), passed)

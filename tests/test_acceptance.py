@@ -222,7 +222,7 @@ def test_criterion_10_degenerate_x_independent_suite():
     lam = -3.0
     bjs = calc.bj(lam)
     higher = max(b.sup_norm() for b in bjs[1:])
-    r_sym, _ = calc.remainder(lam)
+    r_sym = sc.extract_symbol(sc.QuantOp(grid, calc.k, calc.remainder(lam).matrix))
     r_sup = r_sym.sup_norm(interior_margin=3)
     f = sc.power_quotient(1.0)
     contour = sc.build_contour(sector, d=1.0, tol=1e-8)

@@ -2,6 +2,7 @@
 
 import csv
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,26 @@ class TestNumericalErrors:
         monkeypatch.setitem(cli._COMMANDS, "check", fail)
         assert main(["check", "--config", cfg_file, "--out", str(tmp_path)]) == 3
         assert ("hint: a larger shift" in capsys.readouterr().err) == hinted
+
+    @pytest.mark.parametrize("command, symbol, message", [
+        ("check", "1e153", r"resolvent bound constant at sample "
+         r"lambda=\(1\.6e\+154\+0j\) is not finite \(symbol too large for double "
+         r"precision\)"),
+        ("check", "2e307", r"resolvent bound constant at sample lambda=\(.*\) is not "
+         r"finite .*"),
+        ("parametrix", "2e307", r"remainder at lambda=\(.*\+1048576j\) is not finite"),
+    ], ids=["check_1e153", "check_2e307", "parametrix_2e307"])
+    def test_symbol_too_large_for_doubles(self, tmp_path, capsys, command, symbol,
+                                          message):
+        # check's exterior samples reach |lambda| = 16 sup|a|, where <lambda>
+        # overflows, and wrote c0 = inf with PASS; the quantized 2e307 symbol
+        # overflows, and the first remainder of find_R is not finite
+        cfg = write_cfg(tmp_path, f"symbol.expr = {symbol}+xi1^2\nclass.m = 2\n"
+                        "grid.points = 16\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert re.fullmatch("error: " + message + "\n", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestParametrixOutputs:

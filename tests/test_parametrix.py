@@ -1,5 +1,8 @@
 """Parametrix recursion, remainder decay, Neumann resolvent, radius R."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,18 @@ def dense_reference(calc, lam):
     """Symbol of the LU resolvent (A - lambda)^{-1}, built outside the calculator."""
     X = sc.dense_resolvent(calc.quantized_symbol, lam)
     return extract_symbol(QuantOp(calc.grid, calc.k, X))
+
+
+def remainder_symbol(calc, lam):
+    """The symbol of the remainder matrix at lambda."""
+    return extract_symbol(QuantOp(calc.grid, calc.k, calc.remainder(lam).matrix))
+
+
+def record_bytes(point):
+    """Every field of a remainder record as bytes, for bitwise comparison."""
+    return {f.name: np.asarray(getattr(getattr(point, f.name), "values",
+                                       getattr(point, f.name))).tobytes()
+            for f in dataclasses.fields(point)}
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +304,29 @@ class TestConjugateMirror:
         direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
         assert rel_sup_diff(mirrored, direct) > 1e-3
 
+    @pytest.mark.parametrize("name, rad, tol, method", [
+        ("ref1d", 64.0, 1e-300, "neumann->dense"),
+        ("slow_decay_calc", 8.0, 1e-11, "dense")])
+    def test_dense_partner_is_computed(self, request, sector_right, monkeypatch,
+                                       name, rad, tol, method):
+        # the partner of a row that is not Neumann mirrors nothing: it
+        # evaluates b^N at conj lambda itself, and its row is the one computed
+        # with no partner (an unreachable tol forces the rescue)
+        calc = (calc_of(sector_right, *MIRRORED[name]) if name in MIRRORED
+                else request.getfixturevalue(name))
+        lams = eval_spy(calc, monkeypatch)
+        lam = complex(calc.sector.boundary_point(rad))
+        upper = calc.leibniz_resolvent(lam, tol=tol)
+        lower = calc.leibniz_resolvent(lam.conjugate(), tol=tol, upper=upper)
+        alone = calc.leibniz_resolvent(lam.conjugate(), tol=tol)
+        assert calc.conj_symmetric and upper.diagnostics["method"] == method
+        assert lams == [lam, lam.conjugate(), lam.conjugate()]
+        assert lower.diagnostics == alone.diagnostics
+        for got, want in ((lower.matrix, alone.matrix),
+                          *((getattr(lower, f).values, getattr(alone, f).values)
+                            for f in ("symbol", "s_n", "b_n", "r_n"))):
+            assert got.tobytes() == want.tobytes()
+
     def test_wrong_partner_is_rejected(self, sector_right):
         # upper must be the resolvent at conj lambda: at lambda itself, or at
         # the conjugate of another radius, the mirror would be another b^N
@@ -395,13 +433,24 @@ class TestFindRPoint:
         fresh = sc.parametrix_sweep(calc_of(sector_right, *args), radii).rows
         assert rows == fresh
 
+    @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
+    def test_remainder_is_pure(self, sector_right, name):
+        # two calls at one lambda give bitwise equal records; find_R's point
+        # at R is the remainder there
+        calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
+        lam = complex(calc.sector.boundary_point(8.0))
+        assert record_bytes(calc.remainder(lam)) == record_bytes(calc.remainder(lam))
+        R = calc.find_R()
+        at_R = calc.remainder(calc.sector.boundary_point(R))
+        assert record_bytes(calc.R_point) == record_bytes(at_R)
+
     def test_point_is_the_accepted_radius(self, sector_right, slow_decay_calc):
         # the walk stops at a failing point below R; the kept point is R's
         calc = slow_decay_calc
         R = calc.find_R()
         assert calc.find_R_points["computed"] > 1
-        assert calc.R_point[0] == complex(calc.sector.boundary_point(R))
-        assert calc.R_point[4] <= 0.5
+        assert calc.R_point.lam == complex(calc.sector.boundary_point(R))
+        assert calc.R_point.norm <= 0.5
 
 
 class TestCallOrder:
@@ -579,8 +628,8 @@ class TestAssembleAndRemainder:
         assert (bN - b0).sup_norm() <= 1e-14
 
     def test_x_independent_remainder_vanishes(self, xind_calc):
-        r, r_mat = xind_calc.remainder(-1.0)
-        assert r.sup_norm() <= 1e-12
+        r_mat = xind_calc.remainder(-1.0).matrix
+        assert remainder_symbol(xind_calc, -1.0).sup_norm() <= 1e-12
         assert sc.operator_norm(r_mat) <= 1e-12
 
     def test_remainder_split_oscillatory_part_negligible(self, calc32):
@@ -592,7 +641,7 @@ class TestAssembleAndRemainder:
         # q_N of a - lam is q_N of a minus lam b^N: lam has no xi-derivative
         a_q_n = sc.leibniz_truncated(calc32.expr, bN, calc32.N)
         q_n = sc.GridSymbol(calc32.grid, a_q_n.values - lam * bN.values, check=False)
-        r_n = calc32.remainder(lam)[0]
+        r_n = remainder_symbol(calc32, lam)
         osc = sc.GridSymbol(calc32.grid, r_n.values + one.values - q_n.values,
                             check=False)
         qminus1 = q_n - one
@@ -683,7 +732,7 @@ class TestLeibnizResolvent:
     def test_neumann_identity(self, calc32):
         # (1+r)^{-#} = 1 - r # (1+r)^{-#} in the operator algebra
         lam = complex(calc32.sector.boundary_point(64.0))
-        _, r_mat = calc32.remainder(lam)
+        r_mat = calc32.remainder(lam).matrix
         eye = np.eye(r_mat.shape[0], dtype=complex)
         inv = np.linalg.solve(eye + r_mat, eye)
         assert np.max(np.abs(inv - (eye - r_mat @ inv))) <= 1e-12
@@ -713,13 +762,14 @@ class TestLeibnizResolvent:
         # find_R's, made at the same lambda)
         calc = calc_of(sector_right, MATRIX3)
         r_mats = {}
-        orig = calc.remainder_matrix
+        orig = calc.remainder
 
-        def spy(lam, q_bN=None, m_shift=None):
-            r_mats[complex(lam)] = orig(lam, q_bN=q_bN, m_shift=m_shift)
-            return r_mats[complex(lam)]
+        def spy(lam):
+            point = orig(lam)
+            r_mats[point.lam] = point.matrix
+            return point
 
-        monkeypatch.setattr(calc, "remainder_matrix", spy)
+        monkeypatch.setattr(calc, "remainder", spy)
         radii = np.geomspace(calc.find_R(), 1e4, 10)
         tol = 1e-11
         neumann = mirrored = 0
@@ -781,7 +831,7 @@ class TestFindR:
         weight = calc32.N - calc32.class_params.m
         vals = []
         for rad in (512.0, 1024.0):
-            r_sym, _ = calc32.remainder(complex(calc32.sector.boundary_point(rad)))
+            r_sym = remainder_symbol(calc32, complex(calc32.sector.boundary_point(rad)))
             vals.append(class_weighted_sup(r_sym, weight, margin))
         assert vals[1] <= 0.6 * vals[0]
 
@@ -821,14 +871,15 @@ class TestFindR:
                 exact.append(x)
             return norm(x, ord, *args, **kwargs)
 
-        orig = calc.remainder_matrix
+        orig = calc.remainder
 
-        def spy(lam, q_bN=None, m_shift=None):
-            computed.append(orig(lam, q_bN=q_bN, m_shift=m_shift))
-            return computed[-1]
+        def spy(lam):
+            point = orig(lam)
+            computed.append(point.matrix)
+            return point
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        monkeypatch.setattr(calc, "remainder_matrix", spy)
+        monkeypatch.setattr(calc, "remainder", spy)
         assert calc.find_R() == R
         monkeypatch.undo()
         assert len(exact) == fallbacks
@@ -840,7 +891,7 @@ class TestFindR:
         radii = 2.0 ** np.arange(21)
         points = calc.sector.ray_points(radii)
         assert len(points) == 42
-        passed = [norm(calc.remainder(lam)[1], 2) <= 0.5 for lam in points]
+        passed = [norm(calc.remainder(lam).matrix, 2) <= 0.5 for lam in points]
         above = [all(ok for rad, ok in zip(np.repeat(radii, 2), passed) if rad >= r)
                  for r in radii]
         assert radii[above.index(True)] == R
@@ -852,15 +903,19 @@ class TestFindR:
         q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         r_mat = q @ np.diag([0.6, 0.4]) @ q.T
         assert sc.operator_norm(r_mat) == pytest.approx(0.4)
-        monkeypatch.setattr(parametrix.ParametrixCalculator, "remainder_matrix",
-                            lambda self, lam, q_bN=None, m_shift=None: r_mat)
+        # every remainder reads (r_mat + 1) 1 - 1 = r_mat
+        eye = np.eye(2)
+        monkeypatch.setattr(parametrix, "quantize", lambda b_n: SimpleNamespace(matrix=eye))
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "shifted_matrix",
+                            lambda self, lam: r_mat + eye)
         with pytest.raises(sc.SectorcalcError, match="no invertibility radius"):
             xind_calc.find_R()
 
     @pytest.mark.parametrize("fixture, R", [("calc32", 1.0), ("slow_decay_calc", 64.0)])
     def test_no_symbol_extraction(self, request, monkeypatch, fixture, R):
-        # find_R reads only the remainder matrices: no extract_symbol call,
-        # and the same R as the matrices of the full remainder give
+        # find_R and remainder read only the remainder matrices: no
+        # extract_symbol call; the resolvent's r^N is the symbol of the
+        # remainder's matrix
         calc = request.getfixturevalue(fixture)
         calls = []
 
@@ -870,10 +925,11 @@ class TestFindR:
 
         monkeypatch.setattr(parametrix, "extract_symbol", counting_extract)
         assert calc.find_R() == R
-        assert calls == []
         lam = complex(calc.sector.boundary_point(4.0))
-        assert np.array_equal(calc.remainder_matrix(lam), calc.remainder(lam)[1])
-        assert len(calls) == 1
+        calc.remainder(lam)
+        assert calls == []
+        r_n = calc.leibniz_resolvent(lam).r_n.values
+        assert np.array_equal(r_n, remainder_symbol(calc, lam).values)
 
 
 # find_R against the search over all 42 points: the TestFindR fixtures,
@@ -919,15 +975,19 @@ class TestFindRWalk:
     @pytest.mark.parametrize("name", FIND_R_CASES)
     def test_mirror_bound_covers_the_mirror_error(self, request, sector_right, name):
         # ||r_lo - P conj(r_up) P||_2 <= mirror_error_bound at every radius,
-        # r_lo formed from the mirrored quantize(b^N) as find_R forms it
+        # r_lo formed from the mirrored quantize(b^N); on a symmetric symbol
+        # also r_lo as find_R computes it, from its own quantize(b^N), whose
+        # FFT rounding the bound leaves out
         calc = find_R_case(request, sector_right, name)
         for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
-            q_bN = quantize(calc.assemble_bN(up)).matrix
-            m_shift = calc.shifted_matrix(up)
-            r_up = calc.remainder_matrix(up, q_bN=q_bN, m_shift=m_shift)
-            r_lo = calc.remainder_matrix(lo, q_bN=calc._mode_mirror(q_bN))
-            error = np.linalg.norm(r_lo - calc._mode_mirror(r_up), 2)
-            assert error <= calc.mirror_error_bound(q_bN, m_shift), (name, up)
+            point = calc.remainder(up)
+            bound = calc.mirror_error_bound(point)
+            r_lo = calc.shifted_matrix(lo) @ calc._mode_mirror(point.q_bN)
+            r_lo.flat[::len(r_lo) + 1] -= 1
+            r_lows = [r_lo] + [calc.remainder(lo).matrix] * calc.conj_symmetric
+            for r_lo in r_lows:
+                error = np.linalg.norm(r_lo - calc._mode_mirror(point.matrix), 2)
+                assert error <= bound, (name, up)
 
     def test_mirror_bound_passes_every_lower_point_of_the_benchmark(
             self, sector_right, monkeypatch):
@@ -955,6 +1015,22 @@ class TestFindRWalk:
         # 2^20 .. 64: both points; the lower point at 64 fails
         assert calc.find_R_points == {"computed": 30, "mirror_bound": 0, "skipped": 12}
 
+    @pytest.mark.parametrize("name", ["slow_decay_calc"] + sorted(MIRRORED))
+    def test_failing_mirror_bound_computes_the_lower_point(self, request, sector_right,
+                                                           monkeypatch, name):
+        # with the mirror bound failing everywhere, a symmetric symbol's
+        # lower points are computed like an asymmetric symbol's, from their
+        # own b^N, and R is the search's over every point
+        calc = find_R_case(request, sector_right, name)
+        monkeypatch.setattr(calc, "mirror_error_bound", lambda point: 1.0)
+        lams = eval_spy(calc, monkeypatch)
+        assert calc.conj_symmetric
+        assert calc.find_R() == find_R_all_points(calc)
+        computed = calc.find_R_points["computed"]
+        assert calc.find_R_points["mirror_bound"] == 0 and computed > 1
+        pairs = calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2)
+        assert lams[:computed] == list(pairs[::-1].ravel()[:computed])
+
     def test_too_small_a_bound_changes_R(self, sector_right, monkeypatch):
         # mutation: the gate forced and the mirror bound set to 0 pass the
         # failing lower point at 64 behind its upper partner, so R moves
@@ -962,7 +1038,7 @@ class TestFindRWalk:
         calc = tilted_calc(sector_right)
         assert find_R_all_points(calc) == 128.0
         calc.conj_symmetric = True
-        monkeypatch.setattr(calc, "mirror_error_bound", lambda q_bN, m_shift: 0.0)
+        monkeypatch.setattr(calc, "mirror_error_bound", lambda point: 0.0)
         assert calc.find_R() == 64.0
 
 
@@ -995,7 +1071,7 @@ class TestNeumannSum:
         Ks = (range(65) if name != "scene2d" else
               (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 14, 15, 16, 21, 31, 32, 42, 64))
         for rad in (1.0, 100.0):
-            r_mat = calc.remainder(complex(calc.sector.boundary_point(rad)))[1]
+            r_mat = calc.remainder(complex(calc.sector.boundary_point(rad))).matrix
             self.check(r_mat, Ks)
 
     def test_horner_count_of_the_reference(self):
