@@ -5,13 +5,14 @@ operator value is the Dunford integral
 
     f(A) = (i / 2 pi) int_{boundary of the sector} f(lambda) (A - lambda)^{-1} d lambda,
 
-realized by composite Gauss-Legendre quadrature in log radius along the two
-boundary rays.  Orientation is pinned by the scalar Cauchy test (the
-quadrature must reproduce f(z0) for z0 on the positive real axis), not by
-convention.  One LU Dunford engine serves the dense-operator value f(A) and
-the symbol-level value f(a) (the same sum on the quantized symbol, then
-extracted); the parametrix part of the integral, with b^N in place of the
-resolvent, is the independent symbol-side construction.
+realized by the trapezoid rule on a lattice in u = ln r along the two
+boundary rays (nodes e^{jh}, anchored at r = 1, the step h halved from 1).
+Orientation is pinned by the scalar Cauchy test (the quadrature must
+reproduce f(z0) for z0 on the positive real axis), not by convention.  One
+LU Dunford engine serves the dense-operator value f(A) and the symbol-level
+value f(a) (the same sum on the quantized symbol, then extracted); the
+parametrix part of the integral, with b^N in place of the resolvent, is the
+independent symbol-side construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .densela import _as_matrix, operator_norm
 from .errors import ContourError, SingularOperatorError
@@ -28,7 +28,7 @@ from .quantop import QuantOp, extract_symbol
 from .util import fit_loglog_slope, japanese_bracket
 
 _MAX_DECADES = 220
-_MAX_NODES_PER_DECADE = 1024
+_MIN_STEP = 2.0 ** -9  # finest lattice step in ln r: about 1180 nodes per decade
 # Dunford engine: nodes per stacked LU batch (see _accumulate_resolvents);
 # residual bound of its checks.
 _CHUNK = 8
@@ -156,13 +156,14 @@ class Contour:
 
     ``nodes`` and complex ``weights`` absorb orientation and d(lambda); the
     Dunford value of f at operator A is
-    (i/2 pi) sum_q w_q f(lambda_q) (A - lambda_q)^{-1}.
+    (i/2 pi) sum_q w_q f(lambda_q) (A - lambda_q)^{-1}.  ``step`` is the
+    lattice step h in u = ln r.
     """
 
     theta: float
     r_min: float
     r_max: float
-    nodes_per_decade: int
+    step: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -176,34 +177,20 @@ class Contour:
                        np.sum(self.weights * vals / (z0 - self.nodes)))
 
 
-def _log_gl_ray(theta_ray, r_min, r_max, per_decade):
-    """Composite Gauss-Legendre nodes/weights in log r along one ray."""
-    s_lo, s_hi = np.log10(r_min), np.log10(r_max)
-    n_panels = max(1, int(np.ceil(s_hi - s_lo)))
-    edges = np.linspace(s_lo, s_hi, n_panels + 1)
-    t, w = leggauss(per_decade)
-    nodes, weights = [], []
-    ln10 = np.log(10.0)
-    phase = np.exp(1j * theta_ray)
-    for p in range(n_panels):
-        mid = 0.5 * (edges[p] + edges[p + 1])
-        half = 0.5 * (edges[p + 1] - edges[p])
-        s = mid + half * t
-        r = 10.0 ** s
-        nodes.append(r * phase)
-        weights.append(phase * ln10 * r * w * half)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _assemble_contour(sector, r_min, r_max, per_decade):
-    up_n, up_w = _log_gl_ray(sector.theta, r_min, r_max, per_decade)
-    lo_n, lo_w = _log_gl_ray(-sector.theta, r_min, r_max, per_decade)
+def _lattice(sector, r_min, r_max, step):
+    """Trapezoid rule in u = ln r on both rays: nodes r e^{+-i theta} at
+    r = e^{j step}, weights +-step lambda.  u runs over the whole numbers
+    floor(ln r_min) .. ceil(ln r_max), so the lattice is anchored at r = 1 and,
+    for step = 2^-k, holds the lattice of step 2^(1-k) bitwise:
+    (2j)(step/2) = j step exactly."""
+    j = np.arange(np.floor(np.log(r_min)) / step, np.ceil(np.log(r_max)) / step + 1.0)
+    r = np.exp(j * step)
+    up, lo = r * np.exp(1j * sector.theta), r * np.exp(-1j * sector.theta)
     # Orientation: down the upper ray, out along the lower ray, so the scalar
     # Cauchy identity holds for z0 in the sector complement.
-    nodes = np.concatenate([up_n, lo_n])
-    weights = np.concatenate([-up_w, lo_w])
-    return Contour(theta=sector.theta, r_min=r_min, r_max=r_max,
-                   nodes_per_decade=per_decade, nodes=nodes, weights=weights)
+    return Contour(theta=sector.theta, r_min=r_min, r_max=r_max, step=step,
+                   nodes=np.concatenate([up, lo]),
+                   weights=step * np.concatenate([-up, lo]))
 
 
 _PROBE_Z0 = (0.5, 1.0, 4.0, 20.0)
@@ -215,13 +202,14 @@ def _probe_fun(z, d=1.0):
     return np.exp(d * np.log(z) - 2.0 * d * np.log1p(z))
 
 
-def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
+def build_contour(sector, d, tol, c_f=1.0, step=None):
     """Contour with truncation radii from the decay tail bounds.
 
     The outer tail c_f r^{-d}/d and the inner tail c_f r^{d+1}/(d+1)
-    are each kept below tol/4; the per-decade node count is doubled until
-    the scalar Cauchy certificate moves by less than tol/4 and reproduces
-    the probe values within tol.
+    are each kept below tol/4.  The lattice step in ln r is halved from 1
+    (down to 2^-9) until the scalar Cauchy certificate moves by less than
+    tol/4 and the finer level reproduces the probe values within tol; a
+    given ``step`` returns that lattice uncertified.
     """
     if tol <= 0 or d <= 0:
         raise ContourError("tol and d must be positive")
@@ -235,16 +223,16 @@ def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
             "decay exponent too small for the requested tolerance")
     probes = [z0 for z0 in _PROBE_Z0 if 10.0 * r_min <= z0 <= 0.1 * r_max] or [1.0]
 
-    if nodes_per_decade is not None:
-        return _assemble_contour(sector, r_min, r_max, nodes_per_decade)
+    if step is not None:
+        return _lattice(sector, r_min, r_max, step)
 
     def probe(z):
         return _probe_fun(z, d)
 
-    per_decade = 8
+    step = 1.0
     prev = None
-    while per_decade <= _MAX_NODES_PER_DECADE:
-        contour = _assemble_contour(sector, r_min, r_max, per_decade)
+    while step >= _MIN_STEP:
+        contour = _lattice(sector, r_min, r_max, step)
         vals = np.array([contour.dunford_scalar(probe, z0) for z0 in probes])
         err = float(np.max(np.abs(vals - _probe_fun(np.array(probes), d))))
         if prev is not None:
@@ -252,9 +240,9 @@ def build_contour(sector, d, tol, c_f=1.0, nodes_per_decade=None):
             if moved < tol / 4.0 and err < tol:
                 return contour
         prev = vals
-        per_decade *= 2
+        step /= 2.0
     raise ContourError(
-        f"Cauchy certificate not reached within {_MAX_NODES_PER_DECADE} nodes/decade "
+        f"Cauchy certificate not reached at step {_MIN_STEP:g} in ln r "
         f"(residual {err:.2e} vs tol {tol:.1e})")
 
 

@@ -192,8 +192,9 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     decides where an exact norm can still reach a running max, and the
     constants are the same floats as the maxima of the full norm table.  A
     derivative that vanishes at every node gives the constant 0.0 and takes
-    no part in the certificate.  A sample or constant that is not finite (a
-    symbol too large for double precision) is a SectorcalcError.
+    no part in the certificate.  A sample radius (up to 16 sup|a|), sample or
+    constant that is not finite (a symbol too large for double precision) is
+    a SectorcalcError.
     """
     if not report.passed:
         raise ValueError("estimate_hypo_constants requires a passing spectrum check")
@@ -202,6 +203,9 @@ def estimate_hypo_constants(expr, sector, grid, class_params, report,
     mask = np.broadcast_to(mask, grid.x_shape + grid.xi_shape)
     masked = np.ascontiguousarray(tab.values[mask].transpose(1, 2, 0))
     sup_a = tab.sup_norm()
+    if not math.isfinite(16.0 * max(sup_a, 1.0)):
+        raise SectorcalcError(f"sup|a| = {sup_a:.3g} is too large for double precision: "
+                              "the lambda samples reach 16 sup|a|")
     lo, hi = max(report.c, 1e-3), 10.0 * max(sup_a, 1.0)
     radii = np.geomspace(lo, hi, SAMPLES_PER_RAY)
     lambdas = [0.0 + 0.0j]

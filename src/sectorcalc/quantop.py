@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, SectorcalcError
 from .grid import GridSymbol, sample, spectral_Dx
 from .util import multi_factorial, multi_indices_below
 
@@ -83,14 +83,19 @@ def quantize(a):
 
     Columns realize op(a) on the Fourier modes: op(a) e_xi = e^{i x.xi} a(x, xi),
     expanded over the window modes via the x-DFT of a(., xi).  Dimension is
-    capped at 512 so LU solves stay sub-second per contour node.
+    capped at 512 so LU solves stay sub-second per contour node.  A DFT that
+    overflows (a symbol too large for doubles) is a SectorcalcError.
     """
     g = a.grid
     if a.k * g.n_modes > _MAX_DENSE_DIM:
         raise GridMismatchError(
             f"operator dimension {a.k * g.n_modes} exceeds the desk-scale cap "
             f"{_MAX_DENSE_DIM}; shrink the grid or matrix size")
-    fft = np.fft.fftn(a.values, axes=tuple(range(g.n))) / g.points ** g.n
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        fft = np.fft.fftn(a.values, axes=tuple(range(g.n))) / g.points ** g.n
+    if not np.all(np.isfinite(fft)):
+        raise SectorcalcError("quantized symbol is not finite (symbol too large "
+                              "for double precision)")
     fft = fft.reshape((g.points,) * g.n + (g.n_modes, a.k, a.k))
     block = fft[_index_arrays(g)]
     matrix = block.transpose(0, 2, 1, 3).reshape(a.k * g.n_modes, a.k * g.n_modes)

@@ -50,5 +50,6 @@ def fit_loglog_slope(xs, ys):
 
 
 def japanese_bracket(z):
-    """<z> = (1 + |z|^2)^(1/2) for scalars or arrays."""
-    return np.sqrt(1.0 + np.abs(z) ** 2)
+    """<z> = (1 + |z|^2)^(1/2) for scalars or arrays, inf where |z|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(1.0 + np.abs(z) ** 2)

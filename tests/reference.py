@@ -3,7 +3,8 @@
 None of these runs in a CLI stage or an acceptance criterion: each is a
 second route to a quantity the package computes another way (FFT
 application against the dense matrix, the deformed contour against the
-straight rays, the full norm tables against the certified sups and maxima,
+straight rays, the composite Gauss-Legendre contour against the
+trapezoid lattice, the full norm tables against the certified sups and maxima,
 exact-derivative seminorms, every find_R point against the early-stopping
 walk, Horner's Neumann sum against binary splitting, products counted as
 they are formed), or a stated paper construct that only a test exercises.
@@ -164,6 +165,32 @@ def pointwise_resolvent_norms(values, lam, inverse=None):
 # ---------------------------------------------------------------------------
 # Functional calculus references
 # ---------------------------------------------------------------------------
+
+def gl_contour(sector, r_min, r_max, per_decade):
+    """The composite Gauss-Legendre contour the trapezoid lattice replaced:
+    ``per_decade`` nodes on each panel of log10 r, about one decade wide,
+    over exactly [r_min, r_max] on both rays, oriented as ``build_contour``'s
+    (down the upper ray, out along the lower).  Its rays start at r_min
+    itself, which no lattice contour does; it has no step."""
+    def ray(theta_ray):
+        s_lo, s_hi = np.log10(r_min), np.log10(r_max)
+        edges = np.linspace(s_lo, s_hi, max(1, int(np.ceil(s_hi - s_lo))) + 1)
+        t, w = leggauss(per_decade)
+        phase = np.exp(1j * theta_ray)
+        nodes, weights = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            r = 10.0 ** (mid + half * t)
+            nodes.append(r * phase)
+            weights.append(phase * np.log(10.0) * r * w * half)
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    up_n, up_w = ray(sector.theta)
+    lo_n, lo_w = ray(-sector.theta)
+    return sc.Contour(theta=sector.theta, r_min=r_min, r_max=r_max, step=None,
+                      nodes=np.concatenate([up_n, lo_n]),
+                      weights=np.concatenate([-up_w, lo_w]))
+
 
 def resolvent_quotient(mu):
     """f_mu(z) = z / ((mu - z)(1 + z)); mu must lie inside the sector so the

@@ -129,7 +129,7 @@ def test_criterion_06_operator_symbol_equivalence(scene):
         f.ensure_cf(scene.sector)
         contour = sc.build_contour(scene.sector, d=f.d, tol=1e-8, c_f=f.c_f)
         fine = sc.build_contour(scene.sector, d=f.d, tol=1e-9, c_f=f.c_f,
-                                nodes_per_decade=4 * contour.nodes_per_decade)
+                                step=contour.step / 4)
         fa = sc.f_of_symbol(scene.quantized_symbol, f, contour)
         oracle = sc.f_of_operator_oracle(scene.quantized_symbol, f, fine)
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) \
@@ -137,6 +137,24 @@ def test_criterion_06_operator_symbol_equivalence(scene):
         worst = max(worst, rel)
     report(6, "operator/symbol calculus equivalence", worst <= 1e-6,
            f"max rel discrepancy {worst:.2e}")
+
+
+def test_dunford_values_match_eig(scene):
+    # beside criterion 6, which measures quadrature convergence only: each
+    # accepted calc and bip f(A) against V f(Lambda) V^-1 from eig, within
+    # 4 cond(V) tol
+    A = scene.quantized_symbol.matrix
+    eigs, V = np.linalg.eig(A)
+    V_inv = np.linalg.inv(V)
+    cond = np.linalg.cond(V)
+    cases = [(sc.power_quotient(s), 1e-5) for s in (0.25, 0.5, 1.0, 2.0)] + \
+        [(sc.imaginary_power_regularized(t, 1000), 1e-6) for t in (-5.0, 0.0, 5.0)]
+    for f, tol in cases:
+        f.ensure_cf(scene.sector)
+        contour = sc.build_contour(scene.sector, d=f.d, tol=tol, c_f=f.c_f)
+        err = np.linalg.norm(sc.f_of_operator_oracle(A, f, contour)
+                             - (V * f(eigs)) @ V_inv, 2)
+        assert err <= 4.0 * cond * tol, (f.name, err)
 
 
 def test_criterion_07_uniform_bound_stability(scene, family12, family24):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
+from sectorcalc import funcalc
 from sectorcalc.densela import dense_resolvent
-from sectorcalc.funcalc import (_CHUNK, _accumulate_resolvents, _assemble_contour,
-                                _probe_fun)
+from sectorcalc.funcalc import _CHUNK, _accumulate_resolvents, _probe_fun
 
-from reference import bn_f_deformed, resolvent_quotient
+from reference import bn_f_deformed, gl_contour, resolvent_quotient
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ class TestContour:
     def test_orientation_pinned_by_cauchy(self, sector_right, contour_d1):
         flipped = sc.Contour(theta=contour_d1.theta, r_min=contour_d1.r_min,
                              r_max=contour_d1.r_max,
-                             nodes_per_decade=contour_d1.nodes_per_decade,
+                             step=contour_d1.step,
                              nodes=contour_d1.nodes, weights=-contour_d1.weights)
         got = flipped.dunford_scalar(_probe_fun, 1.0)
         assert abs(got + _probe_fun(1.0)) <= 1e-8
@@ -124,10 +124,59 @@ class TestContour:
 
     def test_doubling_stability(self, sector_right, contour_d1):
         finer = sc.build_contour(sector_right, d=1.0, tol=1e-8,
-                                 nodes_per_decade=2 * contour_d1.nodes_per_decade)
+                                 step=contour_d1.step / 2)
         a = contour_d1.dunford_scalar(_probe_fun, 4.0)
         b = finer.dunford_scalar(_probe_fun, 4.0)
         assert abs(a - b) <= 2.5e-9
+
+    @pytest.mark.parametrize("d, tol", [(1.0, 1e-8), (0.25, 1e-5), (2.0, 1e-6)])
+    def test_levels_nested_and_anchored(self, sector_right, d, tol):
+        # each halving keeps every node of the level before it, bit for bit,
+        # and r = 1 is a node of every level
+        levels = [sc.build_contour(sector_right, d=d, tol=tol, step=2.0 ** -k)
+                  for k in range(7)]
+        anchor = np.exp(1j * sector_right.theta).tobytes()
+        for coarse, fine in zip(levels, levels[1:]):
+            fine_nodes = {z.tobytes() for z in fine.nodes}
+            assert all(z.tobytes() in fine_nodes for z in coarse.nodes)
+            assert len(fine) == 2 * len(coarse) - 2
+        for level in levels:
+            assert anchor in {z.tobytes() for z in level.nodes}
+            up = np.abs(level.nodes[:len(level) // 2])
+            assert up[0] <= level.r_min and up[-1] >= level.r_max
+
+    def test_step_floor_raises(self, sector_right, monkeypatch):
+        # a tolerance below rounding is never certified: the step is halved
+        # from 1 down to 2^-9, and there the builder gives up
+        steps = []
+        lattice = funcalc._lattice
+
+        def recording(sector, r_min, r_max, step):
+            steps.append(step)
+            return lattice(sector, r_min, r_max, step)
+
+        monkeypatch.setattr(funcalc, "_lattice", recording)
+        with pytest.raises(sc.ContourError, match="not reached at step 0.00195312"):
+            sc.build_contour(sector_right, d=1.0, tol=1e-17)
+        assert steps == [2.0 ** -k for k in range(10)]
+
+    def test_reference_scene_lengths_pinned(self, sector_right):
+        # calc (tol 1e-5) and bip (tol 1e-6, n_reg 1000) contours of the
+        # reference scene; every one is accepted at step 1/4
+        calc = []
+        for s in (0.25, 0.5, 1.0, 2.0):
+            f = sc.power_quotient(s)
+            f.validate(sector_right)
+            calc.append(sc.build_contour(sector_right, d=f.d, tol=1e-5, c_f=f.c_f))
+        bip = []
+        for t in np.linspace(-5.0, 5.0, 11):
+            f = sc.imaginary_power_regularized(float(t), 1000)
+            f.validate(sector_right)
+            bip.append(sc.build_contour(sector_right, d=1.0, tol=1e-6, c_f=f.c_f))
+        assert [len(c) for c in calc] == [570, 298, 162, 98]
+        assert [len(c) for c in bip] == [362, 346, 330, 314, 290, 274,
+                                         290, 314, 330, 346, 362]
+        assert {c.step for c in calc + bip} == {0.25}
 
 
 class TestFOfSymbol:
@@ -203,11 +252,28 @@ class TestOperatorOracle:
         f.ensure_cf(sector_right)
         contour = sc.build_contour(sector_right, d=1.0, tol=1e-8, c_f=f.c_f)
         fine = sc.build_contour(sector_right, d=1.0, tol=1e-9, c_f=f.c_f,
-                                nodes_per_decade=4 * contour.nodes_per_decade)
+                                step=contour.step / 4)
         fa = sc.f_of_symbol(calc16.quantized_symbol, f, contour)
         oracle = sc.f_of_operator_oracle(calc16.quantized_symbol, f, fine)
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) / sc.operator_norm(oracle)
         assert rel <= 1e-6
+
+    @pytest.mark.parametrize("f, tol", [
+        (sc.power_quotient(0.25), 1e-5), (sc.power_quotient(2.0), 1e-5),
+        (sc.imaginary_power_regularized(0.0, 1000), 1e-6),
+        (sc.imaginary_power_regularized(5.0, 1000), 1e-6),
+    ], ids=["s0.25", "s2", "t0", "t5"])
+    def test_lattice_matches_gauss_legendre(self, sector_right, f, tol):
+        # the slow path the lattice replaced: composite Gauss-Legendre with 16
+        # nodes per decade over the same radii
+        grid = sc.TorusGrid(n=1, points=32)
+        expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
+        A = sc.quantize(sc.sample(expr, grid))
+        f.ensure_cf(sector_right)
+        lattice = sc.build_contour(sector_right, d=f.d, tol=tol, c_f=f.c_f)
+        gl16 = gl_contour(sector_right, lattice.r_min, lattice.r_max, 16)
+        diff = sc.f_of_operator_oracle(A, f, lattice) - sc.f_of_operator_oracle(A, f, gl16)
+        assert np.linalg.norm(diff, 2) <= tol
 
 
     def test_every_node_residual_checked(self, calc16, contour_d1, monkeypatch):
@@ -472,7 +538,7 @@ class TestDeformedContour:
                                        sector_right, N=3)
         f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        rays = _assemble_contour(calc.sector, R, 1e12, 24)
+        rays = gl_contour(calc.sector, R, 1e12, 24)
         straight = sc.bn_part(calc, f, rays.nodes, rays.weights)
         deformed = bn_f_deformed(calc, f, R)
         scale = straight.sup_norm()
@@ -488,7 +554,7 @@ class TestDeformedContour:
                                        sector_right, N=1)
         f = sc.power_quotient(1.0)
         R = 2.0 * (2.0 * calc.sup_a)
-        rays = _assemble_contour(calc.sector, R, 1e12, 24)
+        rays = gl_contour(calc.sector, R, 1e12, 24)
         a = calc.a_tab.values[..., 0, 0]
         scalar = sum(w * f(lam) / (a - lam) for lam, w in zip(rays.nodes, rays.weights))
         scalar = 1j / (2.0 * np.pi) * scalar
