@@ -29,6 +29,8 @@ from .util import fit_loglog_slope, japanese_bracket
 
 _MAX_DECADES = 220
 _MIN_STEP = 2.0 ** -9  # finest lattice step in ln r: about 1180 nodes per decade
+# HFun.validate widens its sampled range to at most 1e-100 .. 1e100.
+_VALIDATE_MAX_DECADE = 100
 # Dunford engine: nodes per stacked LU batch (see _accumulate_resolvents);
 # residual bound of its checks.
 _CHUNK = 8
@@ -67,13 +69,24 @@ class HFun:
         return self.fn(np.asarray(z, dtype=complex))
 
     def _decay_products(self, sector):
-        """|f(z)| (|z|^d + |z|^-d) on the validation rays."""
-        lo, hi, eps = 1e-4, 1e4, 1e-3
-        radii = np.geomspace(lo, hi, int(np.log10(hi / lo) * 20))
-        angles = (0.0, sector.theta - eps, -(sector.theta - eps))
-        z = np.concatenate([radii * np.exp(1j * ang) for ang in angles])
-        with np.errstate(over="ignore", invalid="ignore"):  # validate rejects them
-            return np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
+        """|f(z)| (|z|^d + |z|^-d) on the validation rays (see :meth:`validate`)."""
+        angles = np.array([0.0, sector.theta - 1e-3, -(sector.theta - 1e-3)])
+
+        def products(radii):
+            z = (np.exp(1j * angles)[:, None] * radii).ravel()
+            with np.errstate(over="ignore", invalid="ignore"):  # validate rejects them
+                return np.abs(self(z)) * (np.abs(z) ** self.d + np.abs(z) ** -self.d)
+
+        def peak(exponent):
+            return np.max(products(10.0 ** exponent))
+
+        out = [products(np.geomspace(1e-4, 1e4, 160))]
+        for sign in (1, -1):
+            end = 4
+            while end < _VALIDATE_MAX_DECADE and peak(sign * end) > 2 * peak(sign * (end - 1)):
+                out.append(products(10.0 ** (sign * (end + np.arange(1, 21) / 20))))
+                end += 1
+        return np.concatenate(out)
 
     def ensure_cf(self, sector):
         """c_f, set by :meth:`validate` when unset: a non-finite sample on the
@@ -85,9 +98,15 @@ class HFun:
         """Check the decay bound on the validation rays; returns c_f.
 
         The rays are arg 0 and +-(theta - 1e-3), sampled at 20 radii per
-        decade over 1e-4 .. 1e4.  Every sample of |f(z)| (|z|^d + |z|^-d)
-        must be finite, and a c_f set beforehand must bound their maximum
-        (relative slack 1e-9); an unset c_f is set 1% above that maximum.
+        decade over 1e-4 .. 1e4.  Each end of that range is widened by a
+        decade while the product |f(z)| (|z|^d + |z|^-d) there is still
+        growing: while its max over the rays at the end radius is more than
+        twice that a decade inside, up to 1e-100 .. 1e100.  So a corner past
+        1e4, as psi_n's at |z| ~ n, enters c_f; a flat tail, as
+        power_quotient's or psi_1000's, leaves the range as it is.  Every
+        sample must be finite, and a c_f set beforehand must bound their
+        maximum (relative slack 1e-9); an unset c_f is set 1% above that
+        maximum.
         """
         prod = self._decay_products(sector)
         if not np.all(np.isfinite(prod)):

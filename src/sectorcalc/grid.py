@@ -5,7 +5,7 @@ x runs over the P-point uniform grid per axis, xi over the integer frequency
 window {-Xi..Xi}^n.  Class membership is therefore only certified on the
 window; reports record the window used.  Window sups of a tabulated symbol
 (plain, weighted by a power of <xi>, or on the interior window) all go
-through :func:`class_weighted_sup`; the pointwise matrix modulus is the
+through :func:`class_weighted_sups`; the pointwise matrix modulus is the
 spectral norm.  These sups (by the Frobenius bound ||M||_2 <= ||M||_F) and
 the constants of :mod:`sectorcalc.hypo` share one kernel,
 :func:`certified_maxima`: exact norms only where an upper bound can still
@@ -270,28 +270,38 @@ def class_weighted_sup(gs, weight_exponent, interior_margin=0):
     With weight_exponent = -(order of p's class) this is the q_{0,0}
     seminorm of the class, the quantity the decay statements are about.
     ``interior_margin`` keeps only window modes at least that far from the
-    window edge.
+    window edge.  :func:`class_weighted_sups` takes several exponents in
+    one pass.
+    """
+    return class_weighted_sups(gs, (weight_exponent,), interior_margin)[0]
+
+
+def class_weighted_sups(gs, weight_exponents, interior_margin=0):
+    """[:func:`class_weighted_sup` of gs at each of ``weight_exponents``],
+    the same floats, from one pass over the nodes.
 
     For k > 1 the Frobenius norms of all nodes are formed from views of the
     values, with no copy of the (..., k, k) stack; they bound the spectral
     norms from above, and :func:`certified_maxima` takes exact norms only
-    where the weighted bound can still reach the sup.  A non-finite
+    where some weighted bound can still reach its sup.  A non-finite
     Frobenius norm at any node falls back to the full norm table, so NaN and
     inf propagate as they do there.
     """
     g = gs.grid
     window = _window_slices(g, interior_margin)
-    w = (g.bracket_xi() ** weight_exponent)[window[g.n:]]
+    ws = [(g.bracket_xi() ** e)[window[g.n:]] for e in weight_exponents]
     if gs.k > 1:
         frob2 = sum(np.einsum("...ij,...ij->...", part, part)
                     for part in (gs.values.real, gs.values.imag))
         if np.all(np.isfinite(frob2)):
             vals = gs.values[window]
-            best = [0.0]
+            best = [0.0] * len(ws)
             certified_maxima(best, np.sqrt(frob2[window]),
-                             lambda nodes: _spectral_norms(vals[nodes]), [(1.0, w)])
-            return best[0]
-    return float(np.max(gs.spectral_norms()[window] * w))
+                             lambda nodes: _spectral_norms(vals[nodes]),
+                             [(1.0, w) for w in ws])
+            return best
+    norms = gs.spectral_norms()[window]
+    return [float(np.max(norms * w)) for w in ws]
 
 
 def certified_maxima(best, bound, exact, factors):

@@ -28,7 +28,7 @@ polynomial in b_0.  For a matrix symbol it becomes one shared-prefix
 product tree of its factor words, so a product that begins several terms is
 formed once; the tree is evaluated on component-major (k, k, grid) arrays
 with each k x k product written out entrywise, less the multiply-adds of
-table entries that vanish at every node.  b_0 is
+table and b_0 entries that vanish at every node.  b_0 is
 :func:`grid.pointwise_inverse` of the component-major table.
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
@@ -58,7 +58,7 @@ import numpy as np
 
 from .densela import dense_resolvent, norm_bound
 from .errors import SectorcalcError
-from .grid import GridSymbol, class_weighted_sup, pointwise_inverse, sample
+from .grid import GridSymbol, class_weighted_sups, pointwise_inverse, sample
 from .quantop import QuantOp, extract_symbol, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
@@ -82,6 +82,17 @@ def _remainder_rounding(dim, shift_norm, q_norm):
     and the subtraction's u = eps / 2; eps sqrt(dim) / 2 is u |1|.
     """
     return float((dim + 8) * _EPS * shift_norm * q_norm + 0.5 * _EPS * np.sqrt(dim))
+
+
+def _fft_rounding(grid):
+    """t eta / (1 - t eta) >= ||fl(F x) - F x||_2 / ||F x||_2 for the DFT F
+    of size P^n that ``quantize`` computes, t = n log2 P: Higham's bound for
+    a power-of-two FFT (Accuracy and Stability of Numerical Algorithms,
+    Thm. 24.2), with eta = mu + gamma_4 (sqrt(2) + mu) and twiddle factors
+    within mu = eps."""
+    t = grid.n * np.log2(grid.points)
+    eta = _EPS + 2 * _EPS / (1 - 2 * _EPS) * (np.sqrt(2) + _EPS)
+    return float(t * eta / (1 - t * eta))
 
 
 def neumann_sum(r_mat, K):
@@ -215,13 +226,14 @@ def _cm_matmul(a, b, rows):
     return out
 
 
-def _tree_sum(children, b0):
+def _tree_sum(children, b0, b0_rows):
     """sum_child F_child T(child) over a product-tree level, T as in
-    ``ParametrixCalculator._product_tree``; b0 is component-major."""
+    ``ParametrixCalculator._product_tree``; b0 is component-major, with
+    zero pattern ``b0_rows`` for :func:`_cm_matmul`."""
     acc = None
     for table, rows, coeff, grand in children:
-        factor = b0 if table is None else table
-        term = _cm_matmul(factor, _tree_sum(grand, b0), rows) if grand else None
+        factor, rows = (b0, b0_rows) if table is None else (table, rows)
+        term = _cm_matmul(factor, _tree_sum(grand, b0, b0_rows), rows) if grand else None
         if coeff != 0:
             term = coeff * factor if term is None else term + coeff * factor
         if acc is None:
@@ -389,7 +401,8 @@ class ParametrixCalculator:
         A node is a list of children (table, rows, c, grandchildren):
         ``table`` is the component-major factor on the edge (None for b_0),
         ``rows`` its zero pattern for :func:`_cm_matmul` (``rows[i]`` the
-        columns m with table[i, m] nonzero at some node; None for b_0) and
+        columns m with table[i, m] nonzero at some node; None for b_0, whose
+        pattern :meth:`eval_terms` reads off its values at each lambda) and
         ``c`` the summed coefficient of the words ending at the child.  With
         T(node) = c_node 1 + sum_child F_child T(child), the term list is
         T(root), and a factor prefix shared by several words is multiplied
@@ -423,7 +436,9 @@ class ParametrixCalculator:
         ``lam`` may be a scalar or broadcast over node axes (one lambda per
         grid node).  Scalars evaluate the compiled polynomial in b_0 by
         Horner; matrices evaluate the compiled product tree on component-major
-        arrays, with b_0 viewed as (k, k, ...).
+        arrays, with b_0 viewed as (k, k, ...).  The b_0 factors skip the
+        entries that vanish at every node, as a triangular a's exact zeros
+        do when no row is exchanged.
         """
         b0 = self.b0_values(lam)
         if self.k == 1:
@@ -433,7 +448,9 @@ class ParametrixCalculator:
             for table in reversed(tables[:-1]):
                 acc = acc * s + table
             return acc[..., None, None]
-        acc = _tree_sum(self._product_tree(terms), _component_major(b0))
+        b0 = _component_major(b0)
+        b0_rows = [[m for m in range(self.k) if np.any(b0[i, m])] for i in range(self.k)]
+        acc = _tree_sum(self._product_tree(terms), b0, b0_rows)
         return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def bj(self, lam):
@@ -561,17 +578,23 @@ class ParametrixCalculator:
 
     def mirror_error_bound(self, point):
         """Bound of ||r_lo - P conj(r_up) P||_2 at the upper :class:`Remainder`
-        ``point`` with quantize(b^N) = Q, for r_lo formed from A - conj lambda
-        and Q_lo = P conj(Q) P.  With alpha = ||A - P conj(A) P||_F, it is
-        alpha ||Q||_F (A's asymmetry) plus the :func:`_remainder_rounding` of
-        both products, r_lo's taken with ||A - conj lambda||_F <=
-        ||A - lambda||_F + alpha.  The lower point's own quantize(b^N) differs
-        from P conj(Q) P by the FFT's rounding, which the bound leaves out.
+        ``point`` with quantize(b^N) = Q, for r_lo = (A - conj lambda) Q_lo - 1
+        as :meth:`remainder` forms it.  The lower b^N is the bitwise mirror of
+        the upper one, so Q_lo and P conj(Q) P differ only by the FFT's
+        rounding of each, e = 2 :func:`_fft_rounding` ||b^N||_F / P^(n/2) in
+        the Frobenius norm.  With alpha = ||A - P conj(A) P||_F and
+        ||A - conj lambda||_F <= ||A - lambda||_F + alpha = s, the bound is
+        alpha ||Q||_F (A's asymmetry) + s e (Q_lo's rounding) plus the
+        :func:`_remainder_rounding` of both products, r_lo's taken with
+        ||Q_lo||_F <= ||Q||_F + e.
         """
-        q_norm, s_norm, dim = np.linalg.norm(point.q_bN), point.shift_norm, len(point.q_bN)
-        return (self.mirror_asymmetry * q_norm
-                + _remainder_rounding(dim, s_norm, q_norm)
-                + _remainder_rounding(dim, s_norm + self.mirror_asymmetry, q_norm))
+        g = self.grid
+        q_norm, dim = np.linalg.norm(point.q_bN), len(point.q_bN)
+        s_lo = point.shift_norm + self.mirror_asymmetry
+        q_err = 2 * _fft_rounding(g) * np.linalg.norm(point.b_n.values) / g.points ** (g.n / 2)
+        return (self.mirror_asymmetry * q_norm + s_lo * q_err
+                + _remainder_rounding(dim, point.shift_norm, q_norm)
+                + _remainder_rounding(dim, s_lo, q_norm + q_err))
 
     def find_R(self):
         """Smallest R in ``_R_CANDIDATES`` with ||quantize(r^N)|| <= 1/2 on
@@ -671,7 +694,11 @@ def parametrix_sweep(calc, radii, tol=1e-11):
 
     The rows come in (lambda, conj lambda) pairs, upper ray first, and each
     upper row's resolvent is passed to its partner as ``upper``
-    (:meth:`ParametrixCalculator.leibniz_resolvent`).
+    (:meth:`ParametrixCalculator.leibniz_resolvent`).  A mirrored row's
+    b^N and r^N, and its s^N while its method stays "neumann", are
+    ``_conj_mirror``s of its partner's, so it takes their sups from its
+    partner's row: the interior window is symmetric and <xi> is even.  A
+    computed table's plain and class sups come from one pass.
 
     Fitted log-log slopes against <lambda>: ``rN`` near -1, ``sN`` near -2,
     ``bN_weighted`` (of <lambda> sup|b^N|) near 0.  The decay laws are
@@ -687,7 +714,7 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     """
     margin = calc.default_interior_margin
     params = calc.class_params
-    rem_weight = calc.N * (params.rho - params.delta) - params.m
+    weights = (0.0, calc.N * (params.rho - params.delta) - params.m)
     rows = []
     for pair in calc.sector.ray_points(np.asarray(radii, dtype=float)).reshape(-1, 2):
         lr = None
@@ -695,20 +722,19 @@ def parametrix_sweep(calc, radii, tol=1e-11):
             if not calc.sector.contains(lam):
                 raise SectorcalcError(f"sweep lambda {lam!r} escaped the sector")
             lr = calc.leibniz_resolvent(lam, tol=tol, upper=lr)
-            rows.append({
-                "lambda": lam,
-                "bracket": float(japanese_bracket(lam)),
-                "sup_bN": class_weighted_sup(lr.b_n, 0.0, margin),
-                "sup_rN": class_weighted_sup(lr.r_n, 0.0, margin),
-                "class_sup_rN": class_weighted_sup(lr.r_n, rem_weight, margin),
-                "sup_sN": class_weighted_sup(lr.s_n, 0.0, margin),
-                "class_sup_sN": class_weighted_sup(lr.s_n, rem_weight, margin),
-                "residual": lr.diagnostics["residual"],
-                "method": lr.diagnostics["method"],
-                "mirrored": lr.diagnostics["mirrored"],
-                "neumann_terms": lr.diagnostics["neumann_terms"],
-                "r_rounding": lr.diagnostics["r_rounding"],
-            })
+            diag = lr.diagnostics
+            row = {"lambda": lam, "bracket": float(japanese_bracket(lam))}
+            for table, names in (("b_n", ("sup_bN",)),
+                                 ("r_n", ("sup_rN", "class_sup_rN")),
+                                 ("s_n", ("sup_sN", "class_sup_sN"))):
+                if diag["mirrored"] and (table != "s_n" or diag["method"] == "neumann"):
+                    row.update((name, rows[-1][name]) for name in names)
+                else:
+                    row.update(zip(names, class_weighted_sups(
+                        getattr(lr, table), weights[:len(names)], margin)))
+            row.update((key, diag[key]) for key in
+                       ("residual", "method", "mirrored", "neumann_terms", "r_rounding"))
+            rows.append(row)
     fit_rows = [row for row in rows if row["bracket"] >= 2.0 * calc.min_a]
     if len({row["bracket"] for row in fit_rows}) < 3:
         fit_rows = rows

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sectorcalc import build_contour, cli, imaginary_power_regularized, parametrix
+from sectorcalc import (build_contour, cli, imaginary_power_regularized, parametrix,
+                        quantize, sample)
 from sectorcalc.cli import main
 from sectorcalc.config import CONFIG_KEYS, load_config, parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
@@ -488,6 +489,25 @@ class TestBipOutputs:
         rate = float([r for r in rows if r[0] == "rate"][0][1])
         theta = float([r for r in rows if r[0] == "theta"][0][1])
         assert rate <= theta + 0.2
+
+
+    def test_large_n_reg_norms_match_eig(self, tmp_path):
+        # psi_n's corners sit at |z| ~ n and 1/n: with n = 1e7 the validation
+        # range must widen past 1e-4 .. 1e4 for c_f and the contour to reach
+        # them (a c_f of 1e4 left the t = 0 norm 4.3e-5 low)
+        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
+                        "grid.points = 16\nshift = 5\nbip.steps = 3\n"
+                        "bip.n_reg = 10000000\n")
+        assert main(["bip", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "imaginary_powers.csv") as fh:
+            norms = {float(t): float(v) for t, v in list(csv.reader(fh))[1:-2]}
+        assert sorted(norms) == [-5.0, 0.0, 5.0]
+        rc = resolve_config(load_config(cfg))
+        eigs, V = np.linalg.eig(quantize(sample(rc.expr, rc.grid)).matrix)
+        V_inv, bound = np.linalg.inv(V), 4.0 * np.linalg.cond(V) * rc.bip_quad_tol
+        for t, norm in norms.items():
+            f = imaginary_power_regularized(t, rc.bip_n_reg)
+            assert abs(norm - np.linalg.norm((V * f(eigs)) @ V_inv, 2)) <= bound, t
 
 
 class TestTwoDimensional:

@@ -62,6 +62,21 @@ class TestHFun:
             expected = float(np.max(f._decay_products(sector_right)) * 1.01)
             assert f.ensure_cf(sector_right) == expected
 
+    @pytest.mark.parametrize("f", [sc.power_quotient(0.5), sc.power_quotient(2.0),
+                                   sc.imaginary_power_regularized(0.0, 1000),
+                                   sc.imaginary_power_regularized(5.0, 1000)],
+                             ids=lambda f: f.name)
+    def test_flat_tails_keep_the_validation_range(self, sector_right, f):
+        # 20 radii per decade over 1e-4 .. 1e4 on three rays, no more
+        assert len(f._decay_products(sector_right)) == 3 * 160
+
+    def test_growing_corners_widen_the_validation_range(self, sector_right):
+        # |psi_n(z)| (|z| + 1/|z|) grows tenfold per decade up to |z| ~ n and
+        # down to 1/n, where it levels off at n: both ends widen by 4 decades
+        f = sc.imaginary_power_regularized(0.0, 10 ** 7)
+        assert len(f._decay_products(sector_right)) == 3 * (160 + 2 * 4 * 20)
+        assert 1e7 <= f.validate(sector_right) <= 1.02e7
+
     def test_ensure_cf_rejects_overflowing_samples(self, sector_right):
         # |z^(500 i)| = exp(-500 arg z) overflows on the lower validation ray
         f = sc.imaginary_power_regularized(500.0, 1000)

@@ -6,7 +6,8 @@ import pytest
 import sectorcalc as sc
 from sectorcalc.dsl import Call, Var
 from sectorcalc.grid import (BOUND_SLACK, _spectral_norms, _window_slices,
-                             certified_maxima, class_weighted_sup, pointwise_inverse)
+                             certified_maxima, class_weighted_sup, class_weighted_sups,
+                             pointwise_inverse)
 
 from reference import full_table_sup, seminorm
 
@@ -251,6 +252,14 @@ def parametrix_tables(request, sector_right):
     return calc, {"bN": lr.b_n, "rN": lr.r_n, "sN": lr.s_n}
 
 
+def outcome(fn, *args):
+    """repr of fn's result, or of the LinAlgError it raises."""
+    try:
+        return repr(fn(*args))
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
 class TestCertifiedSup:
     """class_weighted_sup of a matrix symbol, decided by the Frobenius bound,
     is the same float as the sup of the full spectral-norm table."""
@@ -299,12 +308,6 @@ class TestCertifiedSup:
     def test_nan_like_the_full_table(self, mode):
         # inside the interior window and outside it; the NaN reaches
         # eigvalsh either way (numpy 2.4 raises LinAlgError on it)
-        def outcome(fn, *args):
-            try:
-                return repr(fn(*args))
-            except np.linalg.LinAlgError as exc:
-                return f"LinAlgError: {exc}"
-
         vals = random_stack(np.random.default_rng(3), 3, points=16)
         vals[2, mode, 1, 1] = np.nan
         gs = stack_symbol(vals)
@@ -322,6 +325,24 @@ class TestCertifiedSup:
             for weight in (0.0, 1.0):
                 assert class_weighted_sup(gs, weight, margin) == \
                     full_table_sup(gs, weight, margin)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_outputs_equal_two_passes(self, parametrix_tables, k):
+        # one pass with the sweep's two weights gives the floats of one pass
+        # per weight, on the sweep's tables, random stacks and a NaN stack
+        calc, tables = parametrix_tables
+        rng = np.random.default_rng(30 + k)
+        nan = random_stack(rng, k)
+        nan[3, 7, 0, 0] = np.nan
+        cases = [stack_symbol(random_stack(rng, k)), stack_symbol(nan)]
+        if k == calc.k:
+            cases += list(tables.values())
+        for gs in cases:
+            for margin in (0, 2):
+                for weights in ((0.0, -1.5), (2.0, 0.0, -1.0)):
+                    assert outcome(class_weighted_sups, gs, weights, margin) == \
+                        outcome(lambda: [class_weighted_sup(gs, w, margin)
+                                         for w in weights])
 
     def test_empty_interior_window_raises(self):
         gs = stack_symbol(np.ones((8, 7, 2, 2), dtype=complex))

@@ -363,6 +363,24 @@ def tree_tables(children):
     return out
 
 
+# matrix symbols with the b_0 zero pattern at each of MIRROR_RADII
+UPPER3, LOWER3, FULL2, LOWER2 = ([[0, 1, 2], [1, 2], [2]], [[0], [0, 1], [0, 1, 2]],
+                                 [[0, 1], [0, 1]], [[0], [0, 1]])
+TRIANGULAR = {
+    "matrix3": (MATRIX3, [UPPER3] * 4),
+    "lower3": ("[[(2+sin(x1))*(1+xi1^2)+5, 0, 0], "
+               "[bracket(xi), (2+cos(x1))*(1+xi1^2)+5, 0], "
+               "[0, bracket(xi), bracket(xi)^2+5]]", [LOWER3] * 4),
+    # the lower entry outgrows the diagonal: rows are exchanged and the
+    # computed b_0 keeps no exact zero, until lambda outgrows both
+    "lower_pivot": ("[[(2+sin(x1))*(1+xi1^2)+5, 0], "
+                    "[3*(2+cos(x1))*(1+xi1^2), (2+sin(x1))*(1+xi1^2)+5]]",
+                    [FULL2] * 3 + [LOWER2]),
+    "pivot": ("[[(2+sin(x1))*(1+xi1^2)+5, 0.1*bracket(xi)], "
+              "[3*(2+cos(x1))*(1+xi1^2), (2+sin(x1))*(1+xi1^2)+5]]", [FULL2] * 4),
+}
+
+
 class TestZeroPattern:
     """The product tree skips the multiply-adds of identically zero table
     entries; b^N stays the full k^3 loop's."""
@@ -389,6 +407,28 @@ class TestZeroPattern:
         for lam, got in zip(lams, fast):
             ref = calc.eval_terms(calc.bN_terms, lam)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), lam
+
+    @pytest.mark.parametrize("name", sorted(TRIANGULAR))
+    def test_b0_zeros_are_skipped_up_to_signed_zeros(self, sector_right, monkeypatch,
+                                                      name):
+        # the b_0 factors take the zero pattern of their values: a triangular
+        # one where a is triangular and no row is exchanged, none otherwise
+        text, patterns = TRIANGULAR[name]
+        calc = calc_of(sector_right, text)
+        lams = [complex(calc.sector.boundary_point(r)) for r in MIRROR_RADII]
+        tree_sum, fast = parametrix._tree_sum, []
+        for lam, pattern in zip(lams, patterns):
+            seen = []
+            monkeypatch.setattr(parametrix, "_tree_sum", lambda children, b0, b0_rows: (
+                seen.append(b0_rows) or tree_sum(children, b0, b0_rows)))
+            fast.append(calc.eval_terms(calc.bN_terms, lam))
+            assert seen and all(rows == pattern for rows in seen), lam
+        monkeypatch.setattr(parametrix, "_tree_sum", tree_sum)
+        full_loop = parametrix._cm_matmul
+        monkeypatch.setattr(parametrix, "_cm_matmul",
+                            lambda a, b, rows: full_loop(a, b, None))
+        for lam, got in zip(lams, fast):
+            assert np.array_equal(got, calc.eval_terms(calc.bN_terms, lam)), lam
 
     def test_cm_matmul_rows(self):
         # skipped entries are zero, one row entirely; the rest bitwise equal
@@ -615,6 +655,49 @@ class TestMirroredResolvent:
         assert [row["method"] for row in shipped.rows[1::2]] == ["neumann->dense"] * 5
         assert all(row["mirrored"] and row["residual"] <= 1e-11
                    for row in shipped.rows[1::2])
+
+
+class TestSweepSups:
+    """Each row's sups against class_weighted_sup taken on that row's own
+    b^N, r^N and s^N, which mirrored rows no longer read."""
+
+    @staticmethod
+    def sweep_and_resolvents(calc, monkeypatch):
+        resolvents, orig = [], calc.leibniz_resolvent
+
+        def spy(lam, tol=1e-11, upper=None):
+            resolvents.append(orig(lam, tol=tol, upper=upper))
+            return resolvents[-1]
+
+        monkeypatch.setattr(calc, "leibniz_resolvent", spy)
+        family = sc.parametrix_sweep(calc, np.geomspace(calc.find_R(), 1e4, 5))
+        assert len(resolvents) == len(family.rows) == 10
+        return family.rows, resolvents
+
+    @pytest.mark.parametrize("case", ["ref1d", "matrix3", "odd_in_xi", "forced_gate"])
+    def test_every_sup_is_the_rows_own(self, sector_right, monkeypatch, case):
+        if case == "odd_in_xi":  # no mirror
+            calc = calc_of(sector_right, ASYMMETRIC[case])
+        elif case == "forced_gate":  # mirrored rows redone dense
+            calc = calc_of(sector_right, ASYMMETRIC["odd_in_xi"])
+            calc.conj_symmetric = True
+        else:
+            calc = calc_of(sector_right, *MIRRORED[case])
+        rows, resolvents = self.sweep_and_resolvents(calc, monkeypatch)
+        params, margin = calc.class_params, calc.default_interior_margin
+        weight = calc.N * (params.rho - params.delta) - params.m
+        for i, (row, lr) in enumerate(zip(rows, resolvents)):
+            assert row == {**row, "sup_bN": class_weighted_sup(lr.b_n, 0.0, margin),
+                           "sup_rN": class_weighted_sup(lr.r_n, 0.0, margin),
+                           "class_sup_rN": class_weighted_sup(lr.r_n, weight, margin),
+                           "sup_sN": class_weighted_sup(lr.s_n, 0.0, margin),
+                           "class_sup_sN": class_weighted_sup(lr.s_n, weight, margin)}, i
+        methods = {(row["mirrored"], row["method"]) for row in rows}
+        assert methods == {"ref1d": {(False, "neumann"), (True, "neumann")},
+                           "matrix3": {(False, "neumann"), (True, "neumann")},
+                           "odd_in_xi": {(False, "neumann")},
+                           "forced_gate": {(False, "neumann"),
+                                           (True, "neumann->dense")}}[case]
 
 
 class TestAssembleAndRemainder:
@@ -976,8 +1059,7 @@ class TestFindRWalk:
     def test_mirror_bound_covers_the_mirror_error(self, request, sector_right, name):
         # ||r_lo - P conj(r_up) P||_2 <= mirror_error_bound at every radius,
         # r_lo formed from the mirrored quantize(b^N); on a symmetric symbol
-        # also r_lo as find_R computes it, from its own quantize(b^N), whose
-        # FFT rounding the bound leaves out
+        # also r_lo as find_R computes it, from its own quantize(b^N)
         calc = find_R_case(request, sector_right, name)
         for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
             point = calc.remainder(up)
@@ -988,6 +1070,42 @@ class TestFindRWalk:
             for r_lo in r_lows:
                 error = np.linalg.norm(r_lo - calc._mode_mirror(point.matrix), 2)
                 assert error <= bound, (name, up)
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED))
+    def test_fft_term_covers_the_lower_points_own_quantization(self, sector_right, name):
+        # the lower b^N is the bitwise mirror of the upper one, and its own
+        # quantize(b^N) is within the bound's FFT term of P conj(Q_up) P
+        calc = calc_of(sector_right, *MIRRORED[name])
+        g = calc.grid
+        for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
+            b_up, b_lo = calc.assemble_bN(up), calc.assemble_bN(lo)
+            assert np.array_equal(calc._conj_mirror(b_up.values), b_lo.values)
+            q_err = (2 * parametrix._fft_rounding(g) * np.linalg.norm(b_up.values)
+                     / g.points ** (g.n / 2))
+            error = np.linalg.norm(quantize(b_lo).matrix
+                                   - calc._mode_mirror(quantize(b_up).matrix))
+            assert error <= q_err, (name, up)
+
+    @pytest.mark.parametrize("n, points", [(1, 16), (1, 128), (2, 16)])
+    def test_fft_rounding_bounds_the_dft_error(self, n, points):
+        # numpy's FFT against the DFT in extended precision, on random tables
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended precision for the reference DFT")
+        grid = sc.TorusGrid(n=n, points=points)
+        j = np.arange(points)
+        pi = 4 * np.arctan(np.longdouble(1))
+        angle = -2 * pi * (np.outer(j, j) % points).astype(np.longdouble) / points
+        dft = np.cos(angle) + 1j * np.sin(angle)
+        if n == 2:
+            dft = np.kron(dft, dft)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(8):
+            x = rng.standard_normal((points,) * n) + 1j * rng.standard_normal((points,) * n)
+            exact = dft @ x.ravel().astype(np.clongdouble)
+            error = np.linalg.norm((np.fft.fftn(x).ravel() - exact).astype(complex))
+            worst = max(worst, error / np.linalg.norm(exact.astype(complex)))
+        assert worst <= parametrix._fft_rounding(grid)
 
     def test_mirror_bound_passes_every_lower_point_of_the_benchmark(
             self, sector_right, monkeypatch):
