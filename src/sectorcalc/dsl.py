@@ -645,15 +645,18 @@ def parse_symbol(text, n=1, k=None):
 # ---------------------------------------------------------------------------
 
 def _sample_points(n):
-    """40 fixed (x, xi) points: 20 at |xi| <= 50, 19 at |xi| <= 2, one at 0."""
-    rng = np.random.default_rng(20240229)
-    xs = rng.uniform(0.0, 2 * np.pi, size=(40, n))
-    xis = np.concatenate([
-        rng.uniform(-50.0, 50.0, size=(20, n)),
-        rng.uniform(-2.0, 2.0, size=(19, n)),
-        np.zeros((1, n)),
-    ])
-    return xs, xis
+    """40 fixed (x, xi) points: 20 at |xi| <= 50, 19 at |xi| <= 2, one at 0.
+    Point j is the Kronecker sequence frac(j sqrt(p)), p the first 2n
+    primes (x on the first n), scaled to each range."""
+    primes, q = [], 2
+    while len(primes) < 2 * n:
+        if all(q % p for p in primes):
+            primes.append(q)
+        q += 1
+    u = np.outer(np.arange(1, 41), np.sqrt(primes)) % 1.0
+    xis = 2 * u[:, n:] - 1
+    return 2 * np.pi * u[:, :n], np.concatenate([50 * xis[:20], 2 * xis[20:39],
+                                                 np.zeros((1, n))])
 
 
 def validate_symbol(expr):

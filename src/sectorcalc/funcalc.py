@@ -294,9 +294,8 @@ def _accumulate_resolvents(M, nodes, coeffs):
     nodes, coeffs = nodes[keep], coeffs[:, keep]
     dim = M.shape[0]
     diag = np.arange(dim)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
+    # equal moduli, golden-ratio phases
+    x = np.exp(2j * np.pi * np.arange(1, dim + 1) * (np.sqrt(5) - 1) / 2) / np.sqrt(dim)
     buf = np.empty((min(_CHUNK, len(nodes)), dim, dim), dtype=complex)
     acc = np.zeros((len(coeffs), dim * dim), dtype=complex)
     spot_done = False

@@ -20,16 +20,11 @@ On top of the recursion sit the sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
 ``remainder`` alone forms r^N: a pure record of b^N, Q = quantize(b^N),
-||A - lambda||_F, (A - lambda) Q - 1 and its norm bound.  b^N is evaluated
-from one term list, the b_0 .. b_{N-1} lists concatenated.  Every factor
-other than b_0 is lambda-independent, so a term list compiles once.  For a
-scalar symbol it becomes one table per power of b_0 and evaluates as a
-polynomial in b_0.  For a matrix symbol it becomes one shared-prefix
-product tree of its factor words, so a product that begins several terms is
-formed once; the tree is evaluated on component-major (k, k, grid) arrays
-with each k x k product written out entrywise, less the multiply-adds of
-table and b_0 entries that vanish at every node.  b_0 is
-:func:`grid.pointwise_inverse` of the component-major table.
+||A - lambda||_F, (A - lambda) Q - 1 and its norm bound.  b^N is one term
+list, the b_0 .. b_{N-1} lists concatenated, compiled once (every factor
+but b_0 is lambda-independent): for a scalar symbol into one table per
+power of b_0, for a matrix symbol into a shared-prefix product tree on
+component-major (k, k, grid) arrays.
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
@@ -283,17 +278,19 @@ class Remainder:
 class ParametrixCalculator:
     """Caches the lambda-independent data of the parametrix construction.
 
-    Derivative tabulations of a, the term lists of the recursion (and their
-    concatenation ``bN_terms``, the one term list of b^N), the compiled
-    term lists (scalar polynomial tables or matrix product trees) and the
-    quantized symbol are computed once; everything per-lambda (b_j, b^N,
-    r^N, the resolvent) is then cheap and independent across lambda.
+    The term lists of the recursion (and their concatenation ``bN_terms``,
+    the one term list of b^N), their compiled forms and the quantized symbol
+    are computed once; everything per-lambda (b_j, b^N, r^N, the resolvent)
+    is then cheap and independent across lambda.  A compile owns the
+    derivative tables of a it reads: a scalar symbol keeps only its S_p, a
+    matrix symbol the tables on its product tree.
 
     ``conj_symmetric`` says whether b^N(conj lambda) = conj b^N(x, -xi, lambda)
     and (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P: whether a and
     every derivative table T of xi-order alpha that b^N reads satisfy
-    T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise, and the quantized
-    symbol A satisfies max|A - P conj(A) P| <= 64 eps max|A|.
+    T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise (checked where b^N's
+    compile samples T), and the quantized symbol A satisfies
+    max|A - P conj(A) P| <= 64 eps max|A|.
     """
 
     def __init__(self, expr, grid, class_params, sector, N):
@@ -321,11 +318,9 @@ class ParametrixCalculator:
         # clamped so tiny windows keep at least the central mode.
         self.default_interior_margin = min(max(4, grid.xi_max // 6),
                                            max(0, grid.xi_max - 1))
-        self._deriv_cache = {}
         self._compiled = {}
         self.R_point = None  # find_R's Remainder at R e^{i theta}
-        # compiling b^N tabulates every derivative of a that it reads
-        (self._scalar_polynomial if self.k == 1 else self._product_tree)(self.bN_terms)
+        tables_mirror = self._compile(self.bN_terms)
         a = self.a_tab.values
         A = self.quantized_symbol.matrix
         asymmetry = A - self._mode_mirror(A)
@@ -333,28 +328,32 @@ class ParametrixCalculator:
         self.find_R_points = None  # set by find_R
         self.conj_symmetric = bool(
             np.max(np.abs(asymmetry)) <= _MIRROR_TOL * np.max(np.abs(A))
-        ) and np.array_equal(self._conj_mirror(a), a) and all(
-            np.array_equal(self._conj_mirror(self.derivative_tab(alpha, beta)),
-                           (-1) ** sum(alpha) * self.derivative_tab(alpha, beta))
-            for alpha, beta in self._deriv_cache)
+        ) and np.array_equal(self._conj_mirror(a), a) and tables_mirror
 
-    # -- caches ---------------------------------------------------------------
-
-    def _derivative_cm(self, alpha, beta):
-        """d^alpha_xi d^beta_x a tabulated component-major, shape (k, k) + grid."""
-        key = (tuple(alpha), tuple(beta))
-        if key not in self._deriv_cache:
-            vals = sample(self.expr.diff(alpha, beta), self.grid).values
-            self._deriv_cache[key] = np.ascontiguousarray(_component_major(vals))
-        return self._deriv_cache[key]
+    # -- derivative tables and compiled term lists ------------------------------
 
     def derivative_tab(self, alpha, beta):
-        """The same table as a node-shaped (..., k, k) view."""
-        return np.moveaxis(self._derivative_cm(alpha, beta), (0, 1), (-2, -1))
+        """d^alpha_xi d^beta_x a, sampled anew, node-shaped (..., k, k)."""
+        return sample(self.expr.diff(alpha, beta), self.grid).values
 
     def shifted_matrix(self, lam):
         m = self.quantized_symbol.matrix
         return m - lam * np.eye(m.shape[0], dtype=complex)
+
+    def _compile(self, terms):
+        """Compile ``terms`` into ``_compiled``.  ``table(f)`` samples factor
+        f's table T component-major and checks there that T(x, -xi) =
+        (-1)^|alpha| conj T(x, xi); returns whether every T passed."""
+        parity = []
+
+        def table(f):
+            tab = self.derivative_tab(f[1], f[2])
+            parity.append(np.array_equal(self._conj_mirror(tab), (-1) ** sum(f[1]) * tab))
+            return np.ascontiguousarray(_component_major(tab))
+
+        compile_list = self._scalar_polynomial if self.k == 1 else self._product_tree
+        self._compiled[tuple(terms)] = compile_list(terms, table)
+        return all(parity)
 
     # -- lambda admissibility ---------------------------------------------------
 
@@ -378,24 +377,27 @@ class ParametrixCalculator:
         inv = pointwise_inverse(_component_major(self.a_tab.values), lam)
         return np.moveaxis(inv, (0, 1), (-2, -1))
 
-    def _scalar_polynomial(self, terms):
+    def _scalar_polynomial(self, terms, table):
         """k=1: lambda-independent tables S_0..S_p, one per power of b_0,
-        with sum(terms) = sum_p S_p b_0^p (evaluated by Horner in b_0)."""
-        key = tuple(terms)
-        if key not in self._compiled:
-            tables = {}
-            for coeff, factors in terms:
-                for f in factors:
-                    if f != _B0:
-                        coeff = coeff * self.derivative_tab(f[1], f[2])[..., 0, 0]
-                power = factors.count(_B0)
-                tables[power] = tables.get(power, 0) + coeff
-            zero = np.zeros(self.a_tab.values.shape[:-2], dtype=complex)
-            self._compiled[key] = [zero + tables.get(p, 0)
-                                   for p in range(max(tables, default=0) + 1)]
-        return self._compiled[key]
+        with sum(terms) = sum_p S_p b_0^p (evaluated by Horner in b_0).  A
+        table is sampled at its first use and dropped after its last."""
+        last = {f: i for i, (_, factors) in enumerate(terms) for f in factors}
+        live, tables = {}, {}
+        for i, (coeff, factors) in enumerate(terms):
+            for f in factors:
+                if f != _B0:
+                    if f not in live:
+                        live[f] = table(f)[0, 0]
+                    coeff = coeff * live[f]
+            for f in factors:
+                if last[f] == i:
+                    live.pop(f, None)
+            power = factors.count(_B0)
+            tables[power] = tables.get(power, 0) + coeff
+        zero = np.zeros(self.a_tab.values.shape[:-2], dtype=complex)
+        return [zero + tables.get(p, 0) for p in range(max(tables, default=0) + 1)]
 
-    def _product_tree(self, terms):
+    def _product_tree(self, terms, table):
         """k>1: the term list as a prefix tree of its factor words.
 
         A node is a list of children (table, rows, c, grandchildren):
@@ -406,51 +408,51 @@ class ParametrixCalculator:
         ``c`` the summed coefficient of the words ending at the child.  With
         T(node) = c_node 1 + sum_child F_child T(child), the term list is
         T(root), and a factor prefix shared by several words is multiplied
-        once.
+        once.  Each distinct table is sampled once.
+        """
+        root = [0.0, {}]
+        for coeff, factors in terms:
+            node = root
+            for f in factors:
+                node = node[1].setdefault(f, [0.0, {}])
+            node[0] += coeff
+        edges = {_B0: (None, None)}
+
+        def freeze(children):
+            out = []
+            for f, (c, grand) in children.items():
+                if f not in edges:
+                    tab = table(f)
+                    edges[f] = (tab, [[m for m in range(self.k) if np.any(tab[i, m])]
+                                      for i in range(self.k)])
+                out.append(edges[f] + (c, freeze(grand)))
+            return out
+        return freeze(root[1])
+
+    def eval_terms(self, terms, lam):
+        """Evaluate a term list at lambda, compiled on first use; returns
+        node-shaped (..., k, k).
+
+        ``lam`` may be a scalar or broadcast over node axes (one lambda per
+        grid node).  Scalars evaluate the polynomial in b_0 by Horner,
+        matrices the product tree with b_0 viewed as (k, k, ...).  The b_0
+        factors skip the entries that vanish at every node, as a triangular
+        a's exact zeros do when no row is exchanged.
         """
         key = tuple(terms)
         if key not in self._compiled:
-            root = [0.0, {}]
-            for coeff, factors in terms:
-                node = root
-                for f in factors:
-                    node = node[1].setdefault(f, [0.0, {}])
-                node[0] += coeff
-
-            def freeze(children):
-                out = []
-                for f, (c, grand) in children.items():
-                    table = rows = None
-                    if f != _B0:
-                        table = self._derivative_cm(f[1], f[2])
-                        rows = [[m for m in range(self.k) if np.any(table[i, m])]
-                                for i in range(self.k)]
-                    out.append((table, rows, c, freeze(grand)))
-                return out
-            self._compiled[key] = freeze(root[1])
-        return self._compiled[key]
-
-    def eval_terms(self, terms, lam):
-        """Evaluate a term list at lambda; returns node-shaped (..., k, k).
-
-        ``lam`` may be a scalar or broadcast over node axes (one lambda per
-        grid node).  Scalars evaluate the compiled polynomial in b_0 by
-        Horner; matrices evaluate the compiled product tree on component-major
-        arrays, with b_0 viewed as (k, k, ...).  The b_0 factors skip the
-        entries that vanish at every node, as a triangular a's exact zeros
-        do when no row is exchanged.
-        """
+            self._compile(terms)
+        compiled = self._compiled[key]
         b0 = self.b0_values(lam)
         if self.k == 1:
             s = b0[..., 0, 0]
-            tables = self._scalar_polynomial(terms)
-            acc = tables[-1]
-            for table in reversed(tables[:-1]):
+            acc = compiled[-1]
+            for table in reversed(compiled[:-1]):
                 acc = acc * s + table
             return acc[..., None, None]
         b0 = _component_major(b0)
         b0_rows = [[m for m in range(self.k) if np.any(b0[i, m])] for i in range(self.k)]
-        acc = _tree_sum(self._product_tree(terms), b0, b0_rows)
+        acc = _tree_sum(compiled, b0, b0_rows)
         return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def bj(self, lam):

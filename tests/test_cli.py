@@ -1,13 +1,17 @@
 """Command-line front end: exit codes, CSV schemas, determinism."""
 
 import csv
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import sectorcalc
 from sectorcalc import (build_contour, cli, imaginary_power_regularized, parametrix,
                         quantize, sample)
 from sectorcalc.cli import main
@@ -665,3 +669,26 @@ class TestLuCounts:
         dense = sum(m in ("dense", "neumann->dense") for m in methods)
         assert dense == (len(methods) if rescued else 0)
         assert solves == 2 * dense
+
+
+class TestImports:
+    def test_a_run_imports_no_numpy_random(self, tmp_path):
+        # importing numpy.random costs 10-18 ms on every CLI run; the
+        # validation points and the resolvent check vector are closed-form
+        cfg = write_cfg(tmp_path, SMALL_REF1D_CFG)
+        code = "\n".join([
+            "import sys",
+            "import sectorcalc",
+            "from sectorcalc.cli import main",
+            "from sectorcalc.config import load_config, resolve_config",
+            f"resolve_config(load_config({cfg!r}))",
+            f"assert main(['calc', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0",
+            "print('numpy.random' in sys.modules)"])
+        src = str(pathlib.Path(sectorcalc.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-1] == "False"
+        assert (tmp_path / "fcalc_report.csv").exists()

@@ -1,6 +1,8 @@
 """Parametrix recursion, remainder decay, Neumann resolvent, radius R."""
 
 import dataclasses
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,7 +390,7 @@ class TestZeroPattern:
     @pytest.mark.parametrize("name", ["matrix3", "matrix_cfg", "jordan2"])
     def test_pattern_is_the_nonzero_entries(self, sector_right, name):
         calc = calc_of(sector_right, *MIRRORED[name])
-        tables = tree_tables(calc._product_tree(calc.bN_terms))
+        tables = tree_tables(calc._compiled[tuple(calc.bN_terms)])
         skipped = 0
         for table, rows in tables:
             assert rows == [[m for m in range(calc.k) if np.any(table[i, m] != 0)]
@@ -440,6 +442,125 @@ class TestZeroPattern:
         got, ref = parametrix._cm_matmul(a, b, rows), parametrix._cm_matmul(a, b, None)
         assert np.array_equal(got[:2].view(np.uint64), ref[:2].view(np.uint64))
         assert np.array_equal(got[2], ref[2]) and not np.any(got[2])
+
+
+def bN_factors(calc):
+    """The distinct derivative factors of b^N's term list, in first-use order."""
+    return list(dict.fromkeys(f for _, factors in calc.bN_terms
+                              for f in factors if f != ("b0",)))
+
+
+def gate_from_every_table(calc):
+    """``conj_symmetric`` as the calculator decided it when it kept every
+    table: A, a and each table of b^N, sampled anew by ``derivative_tab``."""
+    A, a = calc.quantized_symbol.matrix, calc.a_tab.values
+    tables = ((f[1], calc.derivative_tab(f[1], f[2])) for f in bN_factors(calc))
+    return bool(np.max(np.abs(A - calc._mode_mirror(A)))
+                <= 64 * np.finfo(float).eps * np.max(np.abs(A))) \
+        and np.array_equal(calc._conj_mirror(a), a) \
+        and all(np.array_equal(calc._conj_mirror(tab), (-1) ** sum(alpha) * tab)
+                for alpha, tab in tables)
+
+
+def polynomial_from_every_table(calc):
+    """The S_p tables of b^N from ``derivative_tab``, term by term."""
+    tables = {}
+    for coeff, factors in calc.bN_terms:
+        for f in factors:
+            if f != ("b0",):
+                coeff = coeff * calc.derivative_tab(f[1], f[2])[..., 0, 0]
+        power = factors.count(("b0",))
+        tables[power] = tables.get(power, 0) + coeff
+    zero = np.zeros(calc.a_tab.values.shape[:-2], dtype=complex)
+    return [zero + tables.get(p, 0) for p in range(max(tables) + 1)]
+
+
+# MIRRORED's scene2d is a 2-D scalar symbol too; this one fails the gate
+ODD2D = ("(2+sin(x1)*cos(x2))*(1+xi1^2+xi2^2)+5+xi2", 2)
+GATE_SYMBOLS = {**MIRRORED, **{name: (text,) for name, text in ASYMMETRIC.items()},
+                "odd2d": ODD2D}
+SCALAR = sorted(name for name in GATE_SYMBOLS
+                if name not in ("matrix3", "matrix_cfg", "jordan2"))
+
+
+class TestCompileOwnsTables:
+    """b^N's compile samples each derivative table once, checks its parity
+    there, and a scalar compile keeps none of them."""
+
+    @pytest.mark.parametrize("name", sorted(GATE_SYMBOLS))
+    def test_gate_equals_the_check_over_every_table(self, sector_right, name):
+        calc = calc_of(sector_right, *GATE_SYMBOLS[name])
+        assert calc.conj_symmetric == gate_from_every_table(calc)
+        assert calc.conj_symmetric == (name in MIRRORED)
+
+    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "matrix3"])
+    def test_one_odd_table_closes_the_gate(self, sector_right, monkeypatch, name):
+        # i T breaks (-1)^|alpha| conj T(x, -xi) = T(x, xi) for any nonzero T;
+        # A and a keep their symmetry, so the table check alone decides
+        calc = calc_of(sector_right, *MIRRORED[name])
+        factors = [f for f in bN_factors(calc) if np.any(calc.derivative_tab(f[1], f[2]))]
+        assert factors
+        orig = parametrix.ParametrixCalculator.derivative_tab
+        for broken in factors:
+            def skewed(self, alpha, beta):
+                tab = orig(self, alpha, beta)
+                return 1j * tab if ("da", alpha, beta) == broken else tab
+
+            monkeypatch.setattr(parametrix.ParametrixCalculator, "derivative_tab", skewed)
+            calc = calc_of(sector_right, *MIRRORED[name])
+            assert not calc.conj_symmetric, broken
+            assert not gate_from_every_table(calc), broken
+
+    @pytest.mark.parametrize("name", SCALAR)
+    def test_polynomial_tables_equal_the_ones_from_every_table(self, sector_right, name):
+        calc = calc_of(sector_right, *GATE_SYMBOLS[name])
+        got = calc._compiled[tuple(calc.bN_terms)]
+        want = polynomial_from_every_table(calc)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "odd2d", "matrix3", "jordan2"])
+    def test_construction_samples_each_table_once(self, sector_right, monkeypatch, name):
+        sampled, tables = [], []
+        sample, orig = parametrix.sample, parametrix.ParametrixCalculator.derivative_tab
+        monkeypatch.setattr(parametrix, "sample",
+                            lambda expr, grid: sampled.append(expr) or sample(expr, grid))
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "derivative_tab",
+                            lambda self, alpha, beta: tables.append(("da", alpha, beta))
+                            or orig(self, alpha, beta))
+        calc = calc_of(sector_right, *GATE_SYMBOLS[name])
+        assert tables == bN_factors(calc)
+        assert len(sampled) == 1 + len(tables)
+
+    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "odd2d", "matrix3"])
+    def test_scalar_tables_go_at_their_last_use(self, sector_right, monkeypatch, name):
+        # when a scalar compile samples a table, every table whose last term
+        # came before is gone, and after construction none is left; a matrix
+        # symbol's tables stay on its product tree, which every lambda reads
+        refs, alive = [], []
+        orig = parametrix.ParametrixCalculator.derivative_tab
+
+        def tracked(self, alpha, beta):
+            alive.append([ref() is not None for ref in refs])
+            tab = orig(self, alpha, beta)
+            refs.append(weakref.ref(tab.base if tab.base is not None else tab))
+            return tab
+
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "derivative_tab", tracked)
+        calc = calc_of(sector_right, *GATE_SYMBOLS[name])
+        gc.collect()
+        if calc.k > 1:
+            tree = tree_tables(calc._compiled[tuple(calc.bN_terms)])
+            assert len({id(tab) for tab, _ in tree}) == len(refs)
+            return
+        assert refs and not any(ref() is not None for ref in refs)
+        uses = {}
+        for i, (_, factors) in enumerate(calc.bN_terms):
+            for f in factors:
+                uses.setdefault(f, []).append(i)
+        factors = bN_factors(calc)
+        for j, now in enumerate(alive):
+            first = uses[factors[j]][0]
+            assert now == [uses[f][-1] >= first for f in factors[:j]], factors[j]
 
 
 class TestFindRPoint:
