@@ -54,16 +54,26 @@ def cmd_check(rc, args):
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_parametrix(rc, args):
+def _spectrum_gate(rc, command, work):
+    """The gate of ``parametrix``, ``calc`` and ``bip`` before any radius or
+    contour: hypo.C = 0 (a config error otherwise) and the spectral check on
+    the whole window.  Returns whether the check passed, saying that
+    ``work`` is skipped when it did not."""
     if rc.hypo_C > 0:
+        subject = "the parametrix" if command == "parametrix" else "the contour integral"
         raise ConfigError(
-            f"parametrix needs hypo.C = 0, got {rc.hypo_C!r}: the parametrix needs "
+            f"{command} needs hypo.C = 0, got {rc.hypo_C!r}: {subject} needs "
             "the spectral condition on the whole window, and low-frequency "
             "excision is not modelled")
     base = check_spectrum(rc.base_expr, rc.sector, rc.hypo_c, rc.hypo_C, rc.grid)
     if not base.passed:
         print(f"hypoellipticity check failed upstream "
-              f"({base.n_violations} violations); not sweeping")
+              f"({base.n_violations} violations); not {work}")
+    return base.passed
+
+
+def cmd_parametrix(rc, args):
+    if not _spectrum_gate(rc, "parametrix", "sweeping"):
         return EXIT_CHECK_FAILED
     calc = ParametrixCalculator(rc.expr, rc.grid, rc.class_params, rc.sector,
                                 rc.parametrix_N)
@@ -114,6 +124,8 @@ def cmd_calc(rc, args):
     if not rc.functions:
         raise ConfigError("calc requires a nonempty 'functions' list")
     _validate_all(rc.functions, rc.sector)
+    if not _spectrum_gate(rc, "calc", "integrating"):
+        return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
     rows = []
     for f in rc.functions:
@@ -144,6 +156,8 @@ def cmd_bip(rc, args):
     ts = np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps)
     family = [imaginary_power_regularized(float(t), rc.bip_n_reg) for t in ts]
     _validate_all(family, rc.sector)
+    if not _spectrum_gate(rc, "bip", "integrating"):
+        return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
     rows = []
     for t, f in zip(ts, family):

@@ -20,8 +20,9 @@ from .grid import TorusGrid
 from .util import japanese_bracket
 
 # Largest parametrix order N a config may ask for.  At P = 16 and one BLAS
-# thread a parametrix run takes 0.3 s at n = 1, N = 5 and 7.4 s at n = 2,
-# N = 5 (9,270 terms); the n = 2 term lists hold 213,478 terms at N = 6.
+# thread a variable_laplace parametrix run takes 0.2 s at n = 1, N = 5 and
+# 1.0 s at n = 2, N = 5 (9,270 terms, of which the 352 with no zero table
+# are compiled); the n = 2 term lists hold 213,478 terms at N = 6.
 MAX_PARAMETRIX_N = 5
 
 # Smallest parametrix.tol a config may ask for.  Sweep residuals sit at
@@ -204,8 +205,8 @@ def resolve_config(values):
         calc_quad_tol=cfg.get_positive("calc.quad_tol", 1e-5),
         functions=build_function_family(specs, bip_n_reg),
         bip_tmax=cfg.get_positive("bip.tmax", 5.0),
-        bip_steps=cfg.get_int_in("bip.steps", 11, 2,
-                                 why=" (the growth rate is a fit)"),
+        bip_steps=cfg.get_int_in("bip.steps", 11, 3, why=(
+            " (the growth rate is a line fitted against |t|; two steps give one |t|)")),
         bip_n_reg=bip_n_reg,
         bip_quad_tol=cfg.get_positive("bip.quad_tol", 1e-6),
     )

@@ -232,14 +232,18 @@ def build_contour(sector, d, tol, c_f=1.0, step=None):
     """
     if tol <= 0 or d <= 0:
         raise ContourError("tol and d must be positive")
+    # the span in decades from logarithms, before r_max can overflow
+    lg_cf, lg_tol = np.log10(4.0 * c_f), np.log10(tol)
+    decades = (lg_cf - np.log10(d) - lg_tol) / d \
+        - min((np.log10(d + 1.0) + lg_tol - lg_cf) / (d + 1.0), -2.0)
+    if decades > _MAX_DECADES:
+        raise ContourError(
+            f"contour spans {decades:.4g} decades (> {_MAX_DECADES}); "
+            "decay exponent too small for the requested tolerance")
     r_max = (4.0 * c_f / (d * tol)) ** (1.0 / d)
     r_min = min(((d + 1.0) * tol / (4.0 * c_f)) ** (1.0 / (d + 1.0)), 1e-2)
     if r_min > r_max:
         raise ContourError(f"r_min={r_min:g} > r_max={r_max:g}")
-    if np.log10(r_max / r_min) > _MAX_DECADES:
-        raise ContourError(
-            f"contour spans {np.log10(r_max / r_min):.0f} decades (> {_MAX_DECADES}); "
-            "decay exponent too small for the requested tolerance")
     probes = [z0 for z0 in _PROBE_Z0 if 10.0 * r_min <= z0 <= 0.1 * r_max] or [1.0]
 
     if step is not None:
@@ -407,12 +411,12 @@ def bn_part(calc, f, nodes, weights):
     the Dunford integral.
 
     Each node lambda_q (with its weight) is a scalar or one lambda per grid
-    node.  b^N is one ``eval_terms`` call per node; i/2 pi is applied once,
-    to the sum.
+    node.  b^N is one ``calc.evaluate`` call per node; i/2 pi is applied
+    once, to the sum.
     """
     acc = 0.0
     for lam, w in zip(nodes, weights):
-        acc = acc + (w * f(lam))[..., None, None] * calc.eval_terms(calc.bN_terms, lam)
+        acc = acc + (w * f(lam))[..., None, None] * calc.evaluate(calc.compiled_bN, lam)
     return GridSymbol(calc.grid, 1j / (2.0 * np.pi) * acc, check=False)
 
 

@@ -22,9 +22,9 @@ when the remainder is not small), and the empirical invertibility radius R.
 ``remainder`` alone forms r^N: a pure record of b^N, Q = quantize(b^N),
 ||A - lambda||_F, (A - lambda) Q - 1 and its norm bound.  b^N is one term
 list, the b_0 .. b_{N-1} lists concatenated, compiled once (every factor
-but b_0 is lambda-independent): for a scalar symbol into one table per
-power of b_0, for a matrix symbol into a shared-prefix product tree on
-component-major (k, k, grid) arrays.
+but b_0 is lambda-independent; a table zero at every node drops out with its
+terms): for a scalar symbol into one table per power of b_0, for a matrix
+symbol into a shared-prefix product tree on component-major (k, k, grid) arrays.
 
 The boundary rays are sampled in conjugate pairs.  When the symbol
 satisfies a(x, -xi) = conj a(x, xi), as every real operator's does,
@@ -279,11 +279,11 @@ class ParametrixCalculator:
     """Caches the lambda-independent data of the parametrix construction.
 
     The term lists of the recursion (and their concatenation ``bN_terms``,
-    the one term list of b^N), their compiled forms and the quantized symbol
-    are computed once; everything per-lambda (b_j, b^N, r^N, the resolvent)
-    is then cheap and independent across lambda.  A compile owns the
-    derivative tables of a it reads: a scalar symbol keeps only its S_p, a
-    matrix symbol the tables on its product tree.
+    the one term list of b^N), its compiled form ``compiled_bN`` and the
+    quantized symbol are computed once; everything per-lambda (b_j, b^N, r^N,
+    the resolvent) is then cheap and independent across lambda.  The compile
+    owns the nonzero derivative tables of a it reads: a scalar symbol keeps
+    only its S_p, a matrix symbol the tables on its product tree.
 
     ``conj_symmetric`` says whether b^N(conj lambda) = conj b^N(x, -xi, lambda)
     and (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P: whether a and
@@ -318,9 +318,8 @@ class ParametrixCalculator:
         # clamped so tiny windows keep at least the central mode.
         self.default_interior_margin = min(max(4, grid.xi_max // 6),
                                            max(0, grid.xi_max - 1))
-        self._compiled = {}
         self.R_point = None  # find_R's Remainder at R e^{i theta}
-        tables_mirror = self._compile(self.bN_terms)
+        self.compiled_bN, tables_mirror = self._compile(self.bN_terms)
         a = self.a_tab.values
         A = self.quantized_symbol.matrix
         asymmetry = A - self._mode_mirror(A)
@@ -341,19 +340,18 @@ class ParametrixCalculator:
         return m - lam * np.eye(m.shape[0], dtype=complex)
 
     def _compile(self, terms):
-        """Compile ``terms`` into ``_compiled``.  ``table(f)`` samples factor
-        f's table T component-major and checks there that T(x, -xi) =
-        (-1)^|alpha| conj T(x, xi); returns whether every T passed."""
+        """(``terms`` compiled for :meth:`evaluate`, whether every table T
+        passed): ``table(f)`` samples T, checks T(x, -xi) = (-1)^|alpha| conj
+        T(x, xi) and returns T component-major, or None if T is zero."""
         parity = []
 
         def table(f):
             tab = self.derivative_tab(f[1], f[2])
             parity.append(np.array_equal(self._conj_mirror(tab), (-1) ** sum(f[1]) * tab))
-            return np.ascontiguousarray(_component_major(tab))
+            return np.ascontiguousarray(_component_major(tab)) if np.any(tab) else None
 
         compile_list = self._scalar_polynomial if self.k == 1 else self._product_tree
-        self._compiled[tuple(terms)] = compile_list(terms, table)
-        return all(parity)
+        return compile_list(terms, table), all(parity)
 
     # -- lambda admissibility ---------------------------------------------------
 
@@ -378,24 +376,25 @@ class ParametrixCalculator:
         return np.moveaxis(inv, (0, 1), (-2, -1))
 
     def _scalar_polynomial(self, terms, table):
-        """k=1: lambda-independent tables S_0..S_p, one per power of b_0,
-        with sum(terms) = sum_p S_p b_0^p (evaluated by Horner in b_0).  A
-        table is sampled at its first use and dropped after its last."""
+        """k=1: S_0..S_p with sum(terms) = sum_p S_p b_0^p over the terms with no
+        zero table (Horner in b_0; None where none reaches b_0^p).  A table is
+        sampled at its first use and dropped after its last, a zero one at once."""
         last = {f: i for i, (_, factors) in enumerate(terms) for f in factors}
         live, tables = {}, {}
         for i, (coeff, factors) in enumerate(terms):
             for f in factors:
-                if f != _B0:
-                    if f not in live:
-                        live[f] = table(f)[0, 0]
-                    coeff = coeff * live[f]
+                if f != _B0 and f not in live:
+                    live[f] = table(f)
+            if all(f == _B0 or live[f] is not None for f in factors):
+                for f in factors:
+                    if f != _B0:
+                        coeff = coeff * live[f][0, 0]
+                power = factors.count(_B0)
+                tables[power] = tables.get(power, 0) + coeff
             for f in factors:
                 if last[f] == i:
                     live.pop(f, None)
-            power = factors.count(_B0)
-            tables[power] = tables.get(power, 0) + coeff
-        zero = np.zeros(self.a_tab.values.shape[:-2], dtype=complex)
-        return [zero + tables.get(p, 0) for p in range(max(tables, default=0) + 1)]
+        return [tables.get(p) for p in range(max(tables, default=-1) + 1)]
 
     def _product_tree(self, terms, table):
         """k>1: the term list as a prefix tree of its factor words.
@@ -404,11 +403,12 @@ class ParametrixCalculator:
         ``table`` is the component-major factor on the edge (None for b_0),
         ``rows`` its zero pattern for :func:`_cm_matmul` (``rows[i]`` the
         columns m with table[i, m] nonzero at some node; None for b_0, whose
-        pattern :meth:`eval_terms` reads off its values at each lambda) and
+        pattern :meth:`evaluate` reads off its values at each lambda) and
         ``c`` the summed coefficient of the words ending at the child.  With
         T(node) = c_node 1 + sum_child F_child T(child), the term list is
         T(root), and a factor prefix shared by several words is multiplied
-        once.  Each distinct table is sampled once.
+        once.  Each distinct table is sampled once; a zero table's edge goes
+        with its subtree, and so does a child left with no subtree and c = 0.
         """
         root = [0.0, {}]
         for coeff, factors in terms:
@@ -423,15 +423,17 @@ class ParametrixCalculator:
             for f, (c, grand) in children.items():
                 if f not in edges:
                     tab = table(f)
-                    edges[f] = (tab, [[m for m in range(self.k) if np.any(tab[i, m])]
-                                      for i in range(self.k)])
-                out.append(edges[f] + (c, freeze(grand)))
+                    edges[f] = tab if tab is None else (tab, [
+                        [m for m in range(self.k) if np.any(tab[i, m])] for i in range(self.k)])
+                grand = freeze(grand)
+                if edges[f] is not None and (grand or c != 0):
+                    out.append(edges[f] + (c, grand))
             return out
         return freeze(root[1])
 
-    def eval_terms(self, terms, lam):
-        """Evaluate a term list at lambda, compiled on first use; returns
-        node-shaped (..., k, k).
+    def evaluate(self, compiled, lam):
+        """Evaluate a term list compiled by :meth:`_compile` at lambda;
+        returns node-shaped (..., k, k), exact zeros when nothing is left.
 
         ``lam`` may be a scalar or broadcast over node axes (one lambda per
         grid node).  Scalars evaluate the polynomial in b_0 by Horner,
@@ -439,16 +441,14 @@ class ParametrixCalculator:
         factors skip the entries that vanish at every node, as a triangular
         a's exact zeros do when no row is exchanged.
         """
-        key = tuple(terms)
-        if key not in self._compiled:
-            self._compile(terms)
-        compiled = self._compiled[key]
         b0 = self.b0_values(lam)
+        if not compiled:
+            return np.zeros(b0.shape, dtype=complex)
         if self.k == 1:
             s = b0[..., 0, 0]
             acc = compiled[-1]
             for table in reversed(compiled[:-1]):
-                acc = acc * s + table
+                acc = acc * s if table is None else acc * s + table
             return acc[..., None, None]
         b0 = _component_major(b0)
         b0_rows = [[m for m in range(self.k) if np.any(b0[i, m])] for i in range(self.k)]
@@ -456,15 +456,14 @@ class ParametrixCalculator:
         return np.ascontiguousarray(np.moveaxis(acc, (0, 1), (-2, -1)))
 
     def bj(self, lam):
-        """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible)."""
+        """GridSymbols b_0 .. b_{N-1} at lambda (checked admissible), compiled anew."""
         self.require_admissible(lam)
-        return [GridSymbol(self.grid, self.eval_terms(terms, complex(lam)), check=False)
-                for terms in self.term_lists]
+        return [GridSymbol(self.grid, self.evaluate(self._compile(terms)[0], complex(lam)),
+                           check=False) for terms in self.term_lists]
 
     def _conj_mirror(self, values):
         """conj v(x, -xi) of a node-shaped (..., k, k) table."""
-        n = self.grid.n
-        return np.flip(values, axis=tuple(range(n, 2 * n))).conj()
+        return np.flip(values, axis=tuple(range(self.grid.n, 2 * self.grid.n))).conj()
 
     def _mode_mirror(self, matrix):
         """P conj(M) P, the quantization of the ``_conj_mirror`` of M's symbol.
@@ -477,10 +476,10 @@ class ParametrixCalculator:
         return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
 
     def assemble_bN(self, lam):
-        """b^N(lambda) = sum_{j<N} b_j(lambda), one term list evaluated at
+        """b^N(lambda) = sum_{j<N} b_j(lambda), ``compiled_bN`` evaluated at
         lambda (checked admissible)."""
         self.require_admissible(lam)
-        return GridSymbol(self.grid, self.eval_terms(self.bN_terms, complex(lam)),
+        return GridSymbol(self.grid, self.evaluate(self.compiled_bN, complex(lam)),
                           check=False)
 
     def remainder(self, lam):

@@ -52,6 +52,10 @@ def write_cfg(tmp_path, text, name="alt.cfg"):
     return str(path)
 
 
+STEPS_MESSAGE = ("config error: bip.steps must be >= 3 (the growth rate is a line "
+                 "fitted against |t|; two steps give one |t|)\n")
+
+
 class TestExitCodes:
     def test_check_passes(self, cfg_file, tmp_path):
         assert main(["check", "--config", cfg_file, "--out", str(tmp_path)]) == 0
@@ -87,6 +91,56 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, BASE_CFG.replace(
             "symbol.preset = variable_laplace", "symbol.preset = -variable_laplace"))
         assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("symbol, violations", [
+        ("symbol.preset = -bracket_power 2", 240),
+        ("symbol.expr = exp(i*x1)*bracket(xi)^2+10\nclass.m = 2", 50)],
+        ids=["negated", "rotating_phase"])
+    @pytest.mark.parametrize("command", ["parametrix", "calc", "bip"])
+    def test_spectrum_gate_runs_before_any_contour(self, tmp_path, capsys, monkeypatch,
+                                                   command, symbol, violations):
+        # spectrum in the sector: a calc or bip contour would enclose none of
+        # it, so no command builds a contour or searches a radius
+        def refuse(*args, **kwargs):
+            raise AssertionError("contour or radius built")
+        monkeypatch.setattr(cli, "build_contour", refuse)
+        monkeypatch.setattr(cli.ParametrixCalculator, "find_R", refuse)
+        cfg = write_cfg(tmp_path, f"{symbol}\ngrid.points = 16\n"
+                        "functions = power_quotient 1\nbip.steps = 3\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        work = "sweeping" if command == "parametrix" else "integrating"
+        assert capsys.readouterr().out == (f"hypoellipticity check failed upstream "
+                                           f"({violations} violations); not {work}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["calc", "bip"])
+    def test_calc_and_bip_with_excision_fail_at_the_gate(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        # the check behind the contour integral needs the whole window too
+        monkeypatch.setattr(cli, "build_contour", None)
+        cfg = write_cfg(tmp_path, BASE_CFG + "hypo.C = 0.5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command} needs hypo.C = 0, got 0.5: "
+                              "the contour integral needs")
+        assert list(out.iterdir()) == []
+
+    def test_small_decay_exponent_is_a_numerical_failure(self, tmp_path, capsys):
+        # r_max = (4 c_f/(d tol))^(1/d) overflows at d = 0.001: the decade
+        # budget is tested in logarithms first
+        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\ngrid.points = 16\n"
+                        "shift = 5\nfunctions = power_quotient 0.001\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["calc", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: contour spans \d+ decades \(> 220\); "
+                            r"decay exponent too small for the requested tolerance\n", err)
+        assert list(out.iterdir()) == []
 
     def test_parametrix_with_excision_fails_before_find_R(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -184,9 +238,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("line, message", [
         ("bip.n_reg = 0", "bip.n_reg must be >= 1"),
         ("bip.n_reg = -3", "bip.n_reg must be >= 1"),
-        ("bip.steps = 0", "bip.steps must be >= 2"),
-        ("bip.steps = 1", "bip.steps must be >= 2"),
-    ], ids=["n_reg_0", "n_reg_negative", "steps_0", "steps_1"])
+        ("bip.steps = 0", STEPS_MESSAGE),
+        ("bip.steps = 1", STEPS_MESSAGE),
+        ("bip.steps = 2", STEPS_MESSAGE),
+    ], ids=["n_reg_0", "n_reg_negative", "steps_0", "steps_1", "steps_2"])
     @pytest.mark.parametrize("command", ["bip", "calc"])
     def test_bip_ranges_are_config_errors(self, tmp_path, capsys, line, message,
                                           command):

@@ -131,6 +131,24 @@ class TestContour:
             # r_max = 4 c_f / tol = 4e-12 falls below the capped r_min = 1e-2
             sc.build_contour(sector_right, d=1.0, tol=1.0, c_f=1e-12)
 
+    def test_decade_budget_is_tested_in_logarithms(self, sector_right):
+        # at d = 1e-3 r_max = (4 c_f/(d tol))^(1/d) overflows a double
+        with pytest.raises(sc.ContourError, match=r"^contour spans 8608 decades \(> 220\)"):
+            sc.build_contour(sector_right, d=1e-3, tol=1e-5)
+
+    @pytest.mark.parametrize("d", [0.025, 0.033, 0.033009028132879474, 0.03300902813287948,
+                                   0.0331, 0.05])
+    def test_decade_budget_as_the_radii_decide_it(self, sector_right, d):
+        # where the radii are finite, the budget rejects what their ratio spans
+        r_max = (4.0 / (d * 1e-5)) ** (1.0 / d)
+        r_min = min(((d + 1.0) * 1e-5 / 4.0) ** (1.0 / (d + 1.0)), 1e-2)
+        if np.log10(r_max / r_min) > 220:
+            with pytest.raises(sc.ContourError, match="decades"):
+                sc.build_contour(sector_right, d=d, tol=1e-5, step=1.0)
+        else:
+            contour = sc.build_contour(sector_right, d=d, tol=1e-5, step=1.0)
+            assert (contour.r_min, contour.r_max) == (r_min, r_max)
+
     def test_matched_decay_certificates(self, sector_right):
         for d in (0.5, 2.0):
             contour = sc.build_contour(sector_right, d=d, tol=1e-8)

@@ -214,7 +214,7 @@ class TestCompiledTerms:
         angles = np.linspace(-1.4, 1.4, rho.size).reshape(rho.shape)
         lam = rho * np.exp(1j * angles)
         ref = literal_terms(calc, calc.bN_terms, lam)
-        assert rel_sup_diff(calc.eval_terms(calc.bN_terms, lam), ref) <= 1e-13
+        assert rel_sup_diff(calc.evaluate(calc.compiled_bN, lam), ref) <= 1e-13
 
 
 # The benchmark's symbols and the CI configs' parametrix symbols, at P = 16:
@@ -235,28 +235,29 @@ ASYMMETRIC = {"imag_shift": "(2+sin(x1))*(1+xi1^2)+5+2*i",
 MIRROR_RADII = (1.0, 8.0, 100.0, 1e4)
 
 
-def calc_of(sector, text, n=1, shift=0.0):
-    """N = 3 calculator at P = 16 of a preset name or a symbol text (m = 2)."""
+def calc_of(sector, text, n=1, shift=0.0, N=3, points=16):
+    """Calculator of a preset name or a symbol text (m = 2), by default
+    N = 3 at P = 16."""
     if "(" in text:
         expr, params = sc.parse_symbol(text, n=n), sc.SymbolClassParams(m=2)
     else:
         expr, params = sc.get_preset(text, n=n)
     if shift:
         expr = sc.shift(expr, shift)
-    return sc.ParametrixCalculator(expr, sc.TorusGrid(n=n, points=16), params,
-                                   sector, N=3)
+    return sc.ParametrixCalculator(expr, sc.TorusGrid(n=n, points=points), params,
+                                   sector, N=N)
 
 
 def eval_spy(calc, monkeypatch):
-    """The lambdas at which ``calc`` evaluates a term list, in call order."""
+    """The lambdas at which ``calc`` evaluates a compiled term list, in call order."""
     lams = []
-    orig = calc.eval_terms
+    orig = calc.evaluate
 
-    def spy(terms, lam):
+    def spy(compiled, lam):
         lams.append(lam)
-        return orig(terms, lam)
+        return orig(compiled, lam)
 
-    monkeypatch.setattr(calc, "eval_terms", spy)
+    monkeypatch.setattr(calc, "evaluate", spy)
     return lams
 
 
@@ -278,7 +279,7 @@ class TestConjugateMirror:
         for rad in MIRROR_RADII:
             lam = complex(calc.sector.boundary_point(rad))
             mirrored = partner_bN(calc, lam)
-            direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
+            direct = calc.evaluate(calc.compiled_bN, lam.conjugate())
             assert np.array_equal(mirrored, direct), rad
             expected += [lam, lam.conjugate()]
         assert calc.conj_symmetric
@@ -303,7 +304,7 @@ class TestConjugateMirror:
         calc.conj_symmetric = True
         lam = complex(calc.sector.boundary_point(8.0))
         mirrored = partner_bN(calc, lam)
-        direct = calc.eval_terms(calc.bN_terms, lam.conjugate())
+        direct = calc.evaluate(calc.compiled_bN, lam.conjugate())
         assert rel_sup_diff(mirrored, direct) > 1e-3
 
     @pytest.mark.parametrize("name, rad, tol, method", [
@@ -390,24 +391,26 @@ class TestZeroPattern:
     @pytest.mark.parametrize("name", ["matrix3", "matrix_cfg", "jordan2"])
     def test_pattern_is_the_nonzero_entries(self, sector_right, name):
         calc = calc_of(sector_right, *MIRRORED[name])
-        tables = tree_tables(calc._compiled[tuple(calc.bN_terms)])
+        tables = tree_tables(calc.compiled_bN)
         skipped = 0
         for table, rows in tables:
             assert rows == [[m for m in range(calc.k) if np.any(table[i, m] != 0)]
                             for i in range(calc.k)]
             skipped += calc.k ** 2 - sum(map(len, rows))
-        assert skipped > 0
+        # jordan2 is x-independent: every term but b_0 has a zero table, so
+        # its tree holds no table at all
+        assert skipped > 0 if name != "jordan2" else not tables
 
     @pytest.mark.parametrize("name", ["matrix3", "matrix_cfg", "jordan2"])
     def test_bN_equals_the_full_loop(self, sector_right, monkeypatch, name):
         calc = calc_of(sector_right, *MIRRORED[name])
         lams = [complex(calc.sector.boundary_point(r)) for r in MIRROR_RADII]
-        fast = [calc.eval_terms(calc.bN_terms, lam) for lam in lams]
+        fast = [calc.evaluate(calc.compiled_bN, lam) for lam in lams]
         full_loop = parametrix._cm_matmul
         monkeypatch.setattr(parametrix, "_cm_matmul",
                             lambda a, b, rows: full_loop(a, b, None))
         for lam, got in zip(lams, fast):
-            ref = calc.eval_terms(calc.bN_terms, lam)
+            ref = calc.evaluate(calc.compiled_bN, lam)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), lam
 
     @pytest.mark.parametrize("name", sorted(TRIANGULAR))
@@ -423,14 +426,14 @@ class TestZeroPattern:
             seen = []
             monkeypatch.setattr(parametrix, "_tree_sum", lambda children, b0, b0_rows: (
                 seen.append(b0_rows) or tree_sum(children, b0, b0_rows)))
-            fast.append(calc.eval_terms(calc.bN_terms, lam))
+            fast.append(calc.evaluate(calc.compiled_bN, lam))
             assert seen and all(rows == pattern for rows in seen), lam
         monkeypatch.setattr(parametrix, "_tree_sum", tree_sum)
         full_loop = parametrix._cm_matmul
         monkeypatch.setattr(parametrix, "_cm_matmul",
                             lambda a, b, rows: full_loop(a, b, None))
         for lam, got in zip(lams, fast):
-            assert np.array_equal(got, calc.eval_terms(calc.bN_terms, lam)), lam
+            assert np.array_equal(got, calc.evaluate(calc.compiled_bN, lam)), lam
 
     def test_cm_matmul_rows(self):
         # skipped entries are zero, one row entirely; the rest bitwise equal
@@ -462,17 +465,61 @@ def gate_from_every_table(calc):
                 for alpha, tab in tables)
 
 
-def polynomial_from_every_table(calc):
-    """The S_p tables of b^N from ``derivative_tab``, term by term."""
+def polynomial_of(calc, terms):
+    """{p: S_p} of a scalar term list from ``derivative_tab``, term by term."""
     tables = {}
-    for coeff, factors in calc.bN_terms:
+    for coeff, factors in terms:
         for f in factors:
             if f != ("b0",):
                 coeff = coeff * calc.derivative_tab(f[1], f[2])[..., 0, 0]
         power = factors.count(("b0",))
         tables[power] = tables.get(power, 0) + coeff
+    return tables
+
+
+def polynomial_from_every_table(calc):
+    """The S_p tables of b^N from ``derivative_tab``, term by term, each a
+    full array, zero ones included."""
+    tables = polynomial_of(calc, calc.bN_terms)
     zero = np.zeros(calc.a_tab.values.shape[:-2], dtype=complex)
     return [zero + tables.get(p, 0) for p in range(max(tables) + 1)]
+
+
+def zero_factors(calc):
+    """The factors of b^N whose ``derivative_tab`` is zero at every node."""
+    return {f for f in bN_factors(calc) if not np.any(calc.derivative_tab(f[1], f[2]))}
+
+
+def live_terms(calc):
+    """The terms of b^N with no zero factor."""
+    zero = zero_factors(calc)
+    return [term for term in calc.bN_terms if not zero.intersection(term[1])]
+
+
+def bN_from_every_table(calc, lam):
+    """b^N at lambda from every table of its term list, zero ones included,
+    sampled anew by ``derivative_tab``: for a scalar symbol by Horner over
+    every S_p, for a matrix symbol over the full product tree of the term
+    list with every k x k product the full loop."""
+    b0 = calc.b0_values(lam)
+    if calc.k == 1:
+        tables = polynomial_from_every_table(calc)
+        s, acc = b0[..., 0, 0], tables[-1]
+        for table in reversed(tables[:-1]):
+            acc = acc * s + table
+        return acc[..., None, None]
+
+    def tree(words):
+        children = {}
+        for coeff, factors in words:
+            children.setdefault(factors[0], []).append((coeff, factors[1:]))
+        return [(None if f == ("b0",) else np.ascontiguousarray(
+                    np.moveaxis(calc.derivative_tab(f[1], f[2]), (-2, -1), (0, 1))),
+                 None, sum(c for c, rest in group if not rest),
+                 tree([(c, rest) for c, rest in group if rest]))
+                for f, group in children.items()]
+    acc = parametrix._tree_sum(tree(calc.bN_terms), np.moveaxis(b0, (-2, -1), (0, 1)), None)
+    return np.moveaxis(acc, (0, 1), (-2, -1))
 
 
 # MIRRORED's scene2d is a 2-D scalar symbol too; this one fails the gate
@@ -513,10 +560,20 @@ class TestCompileOwnsTables:
 
     @pytest.mark.parametrize("name", SCALAR)
     def test_polynomial_tables_equal_the_ones_from_every_table(self, sector_right, name):
+        # bitwise the S_p of the terms with no zero table, None where none of
+        # them reaches b_0^p; up to signed zeros the S_p of every term
         calc = calc_of(sector_right, *GATE_SYMBOLS[name])
-        got = calc._compiled[tuple(calc.bN_terms)]
-        want = polynomial_from_every_table(calc)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        got = calc.compiled_bN
+        live = polynomial_of(calc, live_terms(calc))
+        every = polynomial_from_every_table(calc)
+        assert len(got) == len(every) == max(live) + 1
+        for p, (table, full) in enumerate(zip(got, every)):
+            if table is None:
+                assert p not in live and not np.any(full), p
+                continue
+            assert np.broadcast_to(table, full.shape).tobytes() \
+                == np.broadcast_to(live[p], full.shape).tobytes(), p
+            assert np.array_equal(np.broadcast_to(table, full.shape), full), p
 
     @pytest.mark.parametrize("name", ["ref1d", "scene2d", "odd2d", "matrix3", "jordan2"])
     def test_construction_samples_each_table_once(self, sector_right, monkeypatch, name):
@@ -531,11 +588,12 @@ class TestCompileOwnsTables:
         assert tables == bN_factors(calc)
         assert len(sampled) == 1 + len(tables)
 
-    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "odd2d", "matrix3"])
+    @pytest.mark.parametrize("name", ["ref1d", "scene2d", "odd2d", "matrix3", "matrix_cfg"])
     def test_scalar_tables_go_at_their_last_use(self, sector_right, monkeypatch, name):
         # when a scalar compile samples a table, every table whose last term
-        # came before is gone, and after construction none is left; a matrix
-        # symbol's tables stay on its product tree, which every lambda reads
+        # came before is gone, and so is every zero table; after construction
+        # none is left.  A matrix symbol's nonzero tables stay on its product
+        # tree, which every lambda reads, and its zero ones are gone
         refs, alive = [], []
         orig = parametrix.ParametrixCalculator.derivative_tab
 
@@ -548,19 +606,118 @@ class TestCompileOwnsTables:
         monkeypatch.setattr(parametrix.ParametrixCalculator, "derivative_tab", tracked)
         calc = calc_of(sector_right, *GATE_SYMBOLS[name])
         gc.collect()
+        kept = [ref() is not None for ref in refs]
+        monkeypatch.undo()
+        factors, zero = bN_factors(calc), zero_factors(calc)
         if calc.k > 1:
-            tree = tree_tables(calc._compiled[tuple(calc.bN_terms)])
-            assert len({id(tab) for tab, _ in tree}) == len(refs)
+            tree = {id(tab): tab for tab, _ in tree_tables(calc.compiled_bN)}
+            assert len(tree) == len(factors) - len(zero)
+            assert all(np.any(tab) for tab in tree.values())
             return
-        assert refs and not any(ref() is not None for ref in refs)
+        assert refs and not any(kept)
         uses = {}
-        for i, (_, factors) in enumerate(calc.bN_terms):
-            for f in factors:
+        for i, (_, factors_i) in enumerate(calc.bN_terms):
+            for f in factors_i:
                 uses.setdefault(f, []).append(i)
-        factors = bN_factors(calc)
         for j, now in enumerate(alive):
             first = uses[factors[j]][0]
-            assert now == [uses[f][-1] >= first for f in factors[:j]], factors[j]
+            assert now == [uses[f][-1] >= first and f not in zero
+                           for f in factors[:j]], factors[j]
+
+
+# b^N's compile scenes: the benchmark's three and the 2-D scene at N = 4
+# (P = 8), where 21 of the 34 tables are zero at every node
+COMPILE_SCENES = {"ref1d": dict(text="variable_laplace", n=1, shift=5.0),
+                  "scene2d": dict(text="variable_laplace", n=2, shift=5.0),
+                  "matrix3": dict(text=MATRIX3),
+                  "scene2d_N4": dict(text="variable_laplace", n=2, N=4, points=8)}
+X_INDEPENDENT = {1: "bracket(xi)^2+1",
+                 2: "[[bracket(xi)^2+1, bracket(xi)], [0, bracket(xi)^2+2]]"}
+
+
+class TestCompileOnce:
+    """One compile of b^N per calculator, holding only what an evaluation at
+    lambda reads: a table zero at every node drops out with its terms."""
+
+    @pytest.mark.parametrize("name", sorted(COMPILE_SCENES))
+    def test_bN_equals_the_build_from_every_table(self, sector_right, name):
+        # up to signed zeros, at boundary points and at one lambda per node
+        calc = calc_of(sector_right, **COMPILE_SCENES[name])
+        lams = [complex(lam) for lam in calc.sector.ray_points(MIRROR_RADII)]
+        rho = 2.0 * calc.a_tab.spectral_norms()
+        lams.append(rho * np.exp(1j * np.linspace(-1.4, 1.4, rho.size).reshape(rho.shape)))
+        for lam in lams:
+            assert np.array_equal(calc.evaluate(calc.compiled_bN, lam),
+                                  bN_from_every_table(calc, lam))
+        assert calc.conj_symmetric == gate_from_every_table(calc)
+
+    @pytest.mark.parametrize("name, tables, kept_tables, terms, kept_terms", [
+        ("scene2d", 14, 8, 28, 8), ("scene2d_N4", 34, 13, 456, 48)])
+    def test_zero_tables_fold_away(self, sector_right, monkeypatch, name, tables,
+                                   kept_tables, terms, kept_terms):
+        sampled, orig = [], parametrix.ParametrixCalculator.derivative_tab
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "derivative_tab",
+                            lambda self, alpha, beta: sampled.append(("da", alpha, beta))
+                            or orig(self, alpha, beta))
+        calc = calc_of(sector_right, **COMPILE_SCENES[name])
+        monkeypatch.undo()
+        assert len(sampled) == len(set(sampled)) == tables
+        assert tables - len(zero_factors(calc)) == kept_tables
+        live = live_terms(calc)
+        assert (len(calc.bN_terms), len(live)) == (terms, kept_terms)
+        # the powers of b_0 the live terms reach, and no other, hold a table
+        got = calc.compiled_bN
+        assert [p for p, table in enumerate(got) if table is not None] \
+            == sorted(polynomial_of(calc, live))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_placeholder_powers(self, sector_right, n):
+        # every b_j term starts with b_0 and none holds b_0^2, for N <= 5: no
+        # term reaches S_0 or S_2, and S_1 is b_0's own coefficient, 1
+        for terms in parametrix.bj_term_lists(n, 5):
+            assert all(f[0] == ("b0",) and f.count(("b0",)) != 2 for _, f in terms)
+        for name in SCALAR:
+            args = GATE_SYMBOLS[name]
+            if len(args) == 1 or args[1] == n:
+                got = calc_of(sector_right, *args).compiled_bN
+                assert got[0] is None and got[2] is None, name
+                assert type(got[1]) is complex and got[1] == 1, name
+
+    @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
+    def test_construction_compiles_once(self, sector_right, monkeypatch, name):
+        # find_R, the sweep and bn_part compile nothing; bj compiles its own
+        # lists and keeps none of them
+        calls, orig = [], parametrix.ParametrixCalculator._compile
+        monkeypatch.setattr(parametrix.ParametrixCalculator, "_compile",
+                            lambda self, terms: calls.append(len(terms)) or orig(self, terms))
+        calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
+        assert calls == [len(calc.bN_terms)]
+        R = calc.find_R()
+        sc.parametrix_sweep(calc, np.geomspace(R, 1e4, 5))
+        contour = sc.build_contour(calc.sector, d=1.0, tol=1e-3)
+        sc.bn_part(calc, sc.HFun(lambda z: z / (1 + z) ** 2, d=1.0),
+                   contour.nodes, contour.weights)
+        assert len(calls) == 1
+        attributes = set(vars(calc))
+        calc.bj(complex(calc.sector.boundary_point(8.0)))
+        assert calls[1:] == [len(terms) for terms in calc.term_lists]
+        assert set(vars(calc)) == attributes
+
+    @pytest.mark.parametrize("k", sorted(X_INDEPENDENT))
+    def test_x_independent_bj_are_exact_zeros(self, sector_right, k):
+        # every table with an x-derivative is zero, so each b_j list with
+        # j >= 1 folds away entirely
+        calc = sc.ParametrixCalculator(sc.parse_symbol(X_INDEPENDENT[k], n=1, k=k),
+                                       sc.TorusGrid(n=1, points=16),
+                                       sc.SymbolClassParams(m=2), sector_right, N=4)
+        lam = complex(calc.sector.boundary_point(8.0))
+        b = calc.bj(lam)
+        assert np.array_equal(b[0].values, calc.b0_values(lam))
+        zero = np.zeros(calc.a_tab.values.shape, dtype=complex)
+        for j, terms in enumerate(calc.term_lists[1:], 1):
+            assert calc._compile(terms)[0] == [], j
+            assert b[j].values.tobytes() == zero.tobytes(), j
+        assert np.array_equal(calc.assemble_bN(lam).values, b[0].values)
 
 
 class TestFindRPoint:
@@ -572,17 +729,17 @@ class TestFindRPoint:
         args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
         calc = calc_of(sector_right, *args)
         evals, quantized = [], []
-        eval_orig, quantize_orig = calc.eval_terms, parametrix.quantize
+        eval_orig, quantize_orig = calc.evaluate, parametrix.quantize
 
-        def eval_spy(terms, lam):
-            evals.append((lam, eval_orig(terms, lam)))
+        def eval_spy(compiled, lam):
+            evals.append((lam, eval_orig(compiled, lam)))
             return evals[-1][1]
 
         def quantize_spy(a):
             quantized.append(a.values)
             return quantize_orig(a)
 
-        monkeypatch.setattr(calc, "eval_terms", eval_spy)
+        monkeypatch.setattr(calc, "evaluate", eval_spy)
         monkeypatch.setattr(parametrix, "quantize", quantize_spy)
         R = calc.find_R()
         radii = np.geomspace(R, 1e4, 5)
@@ -634,7 +791,7 @@ class TestCallOrder:
             lam = complex(calc.sector.boundary_point(rad))
             calc.assemble_bN(lam)
             got = calc.assemble_bN(lam.conjugate()).values
-            assert np.array_equal(got, calc.eval_terms(calc.bN_terms, lam.conjugate()))
+            assert np.array_equal(got, calc.evaluate(calc.compiled_bN, lam.conjugate()))
 
 
 SUP_COLUMNS = ("sup_bN", "sup_rN", "sup_sN", "class_sup_rN", "class_sup_sN")
