@@ -120,6 +120,15 @@ def _validate_all(family, sector):
         raise ConfigError(str(exc)) from exc
 
 
+def _certified(norm, what, command, quad_tol):
+    """A reported operator norm, refused when it is at or below the
+    quadrature tolerance that bounds its error: it has no certified digit."""
+    if not norm > quad_tol:
+        raise ContourError(f"{what} = {norm!r} is at or below {command}.quad_tol = "
+                           f"{quad_tol!r}: the quadrature certifies no digit of it")
+    return norm
+
+
 def cmd_calc(rc, args):
     if not rc.functions:
         raise ConfigError("calc requires a nonempty 'functions' list")
@@ -134,10 +143,12 @@ def cmd_calc(rc, args):
         fa = f_of_symbol(A, f, contour)
         oracle = f_of_operator_oracle(A, f, contour)
         sup = f.sup_norm(rc.sector)
-        op_norm_oracle = operator_norm(oracle)
         q_fa = quantize(fa).matrix
+        op_norm_oracle, op_norm_symbol = (
+            _certified(operator_norm(op), f"{f.name}: {column}", "calc", rc.calc_quad_tol)
+            for column, op in (("op_norm_oracle", oracle), ("op_norm_symbol", q_fa)))
         discrepancy = operator_norm(q_fa - oracle) / op_norm_oracle
-        rows.append((f.name, sup, op_norm_oracle, operator_norm(q_fa),
+        rows.append((f.name, sup, op_norm_oracle, op_norm_symbol,
                      op_norm_oracle / sup, discrepancy))
     M = max(row[4] for row in rows)
     with open(_out_path(args, "fcalc_report.csv"), "w", newline="") as fh:
@@ -153,8 +164,8 @@ def cmd_calc(rc, args):
 
 
 def cmd_bip(rc, args):
-    ts = np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps)
-    family = [imaginary_power_regularized(float(t), rc.bip_n_reg) for t in ts]
+    ts = np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps).tolist()
+    family = [imaginary_power_regularized(t, rc.bip_n_reg) for t in ts]
     _validate_all(family, rc.sector)
     if not _spectrum_gate(rc, "bip", "integrating"):
         return EXIT_CHECK_FAILED
@@ -163,7 +174,8 @@ def cmd_bip(rc, args):
     for t, f in zip(ts, family):
         _say(args, f"bip: t={t!r}")
         contour = build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol, c_f=f.c_f)
-        rows.append((float(t), operator_norm(f_of_operator_oracle(A, f, contour))))
+        nrm = operator_norm(f_of_operator_oracle(A, f, contour))
+        rows.append((t, _certified(nrm, f"t={t!r}: op_norm", "bip", rc.bip_quad_tol)))
     rate = float(np.polyfit(np.abs([r[0] for r in rows]),
                             np.log([r[1] for r in rows]), 1)[0])
     with open(_out_path(args, "imaginary_powers.csv"), "w", newline="") as fh:

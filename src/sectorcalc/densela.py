@@ -1,14 +1,14 @@
 """Dense linear-algebra backend: LU resolvents and operator norms.
 
 Everything here is deterministic: the dense resolvent is one LAPACK
-partial-pivot LU solve refined by a second, and the resolvent-norm sweep's
-norms are exact from the smallest singular value.  Norms come in two kinds.
-Power iteration from a fixed all-ones start vector (:func:`operator_norm`)
-approaches ||M||_2 from below; it serves reported norms only.  A decision
-that compares a norm with a threshold (Neumann eligibility and length, the
-invertibility radius) takes :func:`norm_bound`, an upper bound that is the
-exact norm wherever the comparison could go the other way.  Solves at
-distinct lambda are independent; matrices are immutable by convention.
+partial-pivot LU solve refined by a second, and every norm is exact where
+it is reported.  :func:`operator_norm` is ||M||_2, the largest singular
+value from one SVD, and the resolvent-norm sweep's norms are exact from the
+smallest.  A decision that compares a norm with a threshold (Neumann
+eligibility and length, the invertibility radius) takes :func:`norm_bound`,
+an upper bound that is the exact norm wherever the comparison could go the
+other way.  Solves at distinct lambda are independent; matrices are
+immutable by convention.
 """
 
 from __future__ import annotations
@@ -49,39 +49,14 @@ def dense_resolvent(A, lam):
 
 
 def operator_norm(A, tol=1e-8, maxiter=5000, return_info=False):
-    """Spectral norm by power iteration on A*A.
+    """Spectral norm ||A||_2, the largest singular value from one SVD.
 
-    Deterministic all-ones start vector; stops when successive estimates
-    agree to relative ``tol``.  On hitting the iteration cap the best
-    estimate is returned with ``converged=False`` (use ``return_info``).
+    ``tol`` and ``maxiter`` have no effect, and ``return_info`` returns
+    ``(norm, True, 0)``: they exist only for the benchmark tracer's norm
+    wrapper, which passes them through and unpacks three values.
     """
-    M = _as_matrix(A)
-    dim = M.shape[0]
-    v = np.ones(dim, dtype=complex) / np.sqrt(dim)
-    MH = M.conj().T
-    prev = None
-    converged = False
-    iterations = 0
-    s = 0.0
-    for iterations in range(1, maxiter + 1):
-        w = M @ v
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            converged = True
-            break
-        u = MH @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            converged = True
-            break
-        v = u / nu
-        if prev is not None and abs(s - prev) <= tol * s:
-            converged = True
-            break
-        prev = s
-    if return_info:
-        return s, converged, iterations
-    return s
+    s = float(np.linalg.svd(getattr(A, "matrix", A), compute_uv=False)[0])
+    return (s, True, 0) if return_info else s
 
 
 def _hoelder_bounds(inv):
@@ -102,7 +77,7 @@ def norm_bound(M, t):
     ``t``, so comparing it with ``t`` decides ||M||_2 against ``t``.
     """
     bound = min(float(np.linalg.norm(M)), float(_hoelder_bounds(M[None])[0]))
-    return bound if bound < t else float(np.linalg.norm(M, 2))
+    return bound if bound < t else operator_norm(M)
 
 
 def resolvent_norm_sweep(A, sector, radii):

@@ -45,7 +45,7 @@ class SingularOperatorError(SectorcalcError):
 
 
 class ContourError(SectorcalcError):
-    """Contour tolerances unreachable within the node budget."""
+    """Contour tolerance unreachable, or too coarse to certify a digit of a norm."""
 
 
 class ConfigError(SectorcalcError):

@@ -372,7 +372,7 @@ class HinfProbeReport:
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
     """Estimate the calculus bound M = max_f ||f(A)|| / ||f||_inf.
 
-    Operator norms via power iteration on the dense Dunford integral; sup
+    Exact operator norms (one SVD each) of the dense Dunford integral; sup
     norms via stabilized boundary sampling.  Each family member is
     validated against its declared decay before use.  Members of equal
     decay exponent share one contour (sized for the largest bound constant

@@ -375,6 +375,25 @@ class TestNumericalErrors:
         assert re.fullmatch("error: " + message + "\n", capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, message", [
+        ("calc", r"power_quotient 1\.0: op_norm_oracle = 4\.99\d*e-154 is at or below "
+         r"calc\.quad_tol = 1e-05"),
+        ("bip", r"t=-5\.0: op_norm = 8\.75\d*e-149 is at or below bip\.quad_tol = 1e-06"),
+    ], ids=["calc", "bip"])
+    def test_norms_below_the_quadrature_tolerance_are_refused(self, tmp_path, capsys,
+                                                              command, message):
+        # at 1e153 every f(A) is far below the contour's absolute tolerance, so
+        # the quadrature certifies no digit of its norm: calc wrote 5e-154 where
+        # eig gives about 1e-153, and bip fitted a rate through such norms
+        cfg = write_cfg(tmp_path, "symbol.expr = 1e153+xi1^2\nclass.m = 2\n"
+                        "grid.points = 16\nfunctions = power_quotient 1\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert re.fullmatch("numerical failure: " + message
+                            + ": the quadrature certifies no digit of it\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestParametrixOutputs:
     def test_sweep_csv_schema(self, cfg_file, tmp_path):
@@ -567,6 +586,23 @@ class TestBipOutputs:
         for t, norm in norms.items():
             f = imaginary_power_regularized(t, rc.bip_n_reg)
             assert abs(norm - np.linalg.norm((V * f(eigs)) @ V_inv, 2)) <= bound, t
+
+    def test_reference_scene_norms_match_eig(self, tmp_path):
+        # each norm is the integrated f(A)'s largest singular value, within
+        # bip.quad_tol of V f(Lambda) V^-1 (power iteration read t = 0 1.3e-6 low)
+        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
+                        "grid.points = 128\nshift = 5\nbip.steps = 3\n")
+        assert main(["bip", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "imaginary_powers.csv") as fh:
+            norms = {float(t): float(v) for t, v in list(csv.reader(fh))[1:-2]}
+        assert sorted(norms) == [-5.0, 0.0, 5.0]
+        rc = resolve_config(load_config(cfg))
+        eigs, V = np.linalg.eig(quantize(sample(rc.expr, rc.grid)).matrix)
+        V_inv = np.linalg.inv(V)
+        for t, norm in norms.items():
+            f = imaginary_power_regularized(t, rc.bip_n_reg)
+            exact = np.linalg.norm((V * f(eigs)) @ V_inv, 2)
+            assert abs(norm - exact) <= rc.bip_quad_tol, t
 
 
 class TestTwoDimensional:

@@ -116,7 +116,7 @@ class TestOperatorNorm:
     def test_against_jacobi_svd(self):
         rng = np.random.default_rng(21)
         M = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        ours = sc.operator_norm(M, tol=1e-10)
+        ours = sc.operator_norm(M)
         oracle = jacobi_svd_norms(M)[0]
         assert ours == pytest.approx(oracle, rel=1e-7)
 
@@ -128,12 +128,20 @@ class TestOperatorNorm:
             assert sc.operator_norm(A @ B) <= \
                 sc.operator_norm(A) * sc.operator_norm(B) * (1 + 1e-8)
 
-    def test_iteration_cap_flag(self):
-        M = np.diag([1.0, 1.0 - 1e-12]).astype(complex)
-        value, converged, iterations = sc.operator_norm(
-            M, tol=1e-16, maxiter=3, return_info=True)
-        assert iterations == 3 and not converged
-        assert value == pytest.approx(1.0, rel=1e-6)
+    @pytest.mark.parametrize("case", ["lower_start", "jordan", "random_complex"])
+    def test_is_the_largest_singular_value(self, case):
+        # bitwise one SVD's sigma_max: the first matrix's top singular vector
+        # is orthogonal to the all-ones vector, from which power iteration
+        # read 0.4, and a Jordan block's top singular values cluster
+        q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        rng = np.random.default_rng(23)
+        M = {"lower_start": q @ np.diag([0.6, 0.4]) @ q.T,
+             "jordan": 2.0 * np.eye(12) + np.eye(12, k=1),
+             "random_complex": rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)),
+             }[case]
+        assert sc.operator_norm(M) == np.linalg.svd(M, compute_uv=False)[0]
+        assert sc.operator_norm(M, 1e-8, 5000, return_info=True) == \
+            (sc.operator_norm(M), True, 0)
 
     def test_zero_matrix(self):
         assert sc.operator_norm(np.zeros((5, 5), dtype=complex)) == 0.0
@@ -158,10 +166,12 @@ class TestNormBound:
 
     def test_power_iteration_lower_bound_not_taken(self):
         # ||M||_2 = 0.6, but power iteration from the all-ones vector, which
-        # is orthogonal to the top singular vector, reads 0.4
+        # is orthogonal to the top singular vector, would read 0.4
         q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         M = q @ np.diag([0.6, 0.4]) @ q.T
-        assert sc.operator_norm(M) == pytest.approx(0.4)
+        ones = np.ones(2) / np.sqrt(2.0)
+        assert np.linalg.norm(M @ ones) == pytest.approx(0.4)
+        assert sc.operator_norm(M) == pytest.approx(0.6)
         assert densela.norm_bound(M, 0.5) == np.linalg.norm(M, 2)
 
     def test_small_matrix_takes_the_cheaper_bound(self):

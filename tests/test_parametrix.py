@@ -1224,13 +1224,12 @@ class TestFindR:
         # where the walk stops (||.||_2 = 0.871).  R is the radius that the
         # exact norms of all 42 points give
         calc = request.getfixturevalue(fixture)
-        norm = np.linalg.norm
+        norm, svd = np.linalg.norm, np.linalg.svd
         exact, computed = [], []
 
-        def counting_norm(x, ord=None, *args, **kwargs):
-            if ord == 2:
-                exact.append(x)
-            return norm(x, ord, *args, **kwargs)
+        def counting_svd(x, *args, **kwargs):
+            exact.append(x)
+            return svd(x, *args, **kwargs)
 
         orig = calc.remainder
 
@@ -1239,7 +1238,7 @@ class TestFindR:
             computed.append(point.matrix)
             return point
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(calc, "remainder", spy)
         assert calc.find_R() == R
         monkeypatch.undo()
@@ -1260,10 +1259,11 @@ class TestFindR:
     def test_lower_bound_cannot_certify(self, xind_calc, monkeypatch):
         # ||M||_2 = 0.6 and ||M||_F = 0.72, while power iteration from the
         # all-ones vector, orthogonal to M's top singular vector
-        # (1, -1)/sqrt(2), reads 0.4: only the exact norm rejects M
+        # (1, -1)/sqrt(2), would read 0.4: only the exact norm rejects M
         q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
         r_mat = q @ np.diag([0.6, 0.4]) @ q.T
-        assert sc.operator_norm(r_mat) == pytest.approx(0.4)
+        assert np.linalg.norm(r_mat @ np.ones(2)) / np.sqrt(2.0) == pytest.approx(0.4)
+        assert sc.operator_norm(r_mat) == pytest.approx(0.6)
         # every remainder reads (r_mat + 1) 1 - 1 = r_mat
         eye = np.eye(2)
         monkeypatch.setattr(parametrix, "quantize", lambda b_n: SimpleNamespace(matrix=eye))
