@@ -10,6 +10,7 @@ spectral norm.  These sups (by the Frobenius bound ||M||_2 <= ||M||_F) and
 the constants of :mod:`sectorcalc.hypo` share one kernel,
 :func:`certified_maxima`: exact norms only where an upper bound can still
 reach a running max, each max the same float as that of the full norm table.
+A table's mirror conj v(x, -xi) is :func:`conj_mirror`.
 """
 
 from __future__ import annotations
@@ -183,6 +184,13 @@ def pointwise_inverse(a, lam):
         inv[r] *= recips[r]
         inv[:r] -= work[:r, r, None] * inv[r]
     return inv
+
+
+def conj_mirror(values):
+    """conj v(x, -xi) of a node-shaped table: its n xi axes reversed (the
+    window is symmetric), its entries conjugated."""
+    n = values.ndim // 2 - 1
+    return np.flip(values, axis=tuple(range(n, 2 * n))).conj()
 
 
 class GridSymbol:

@@ -20,7 +20,7 @@ On top of the recursion sit the sum b^N, the remainder
 r^N = (a-lambda)#b^N - 1, the Neumann inversion of 1 + r^N (dense fallback
 when the remainder is not small), and the empirical invertibility radius R.
 ``remainder`` alone forms r^N: a pure record of b^N, Q = quantize(b^N),
-||A - lambda||_F, (A - lambda) Q - 1 and its norm bound.  b^N is one term
+A - lambda, (A - lambda) Q - 1 and its norm bound.  b^N is one term
 list, the b_0 .. b_{N-1} lists concatenated, compiled once (every factor
 but b_0 is lambda-independent; a table zero at every node drops out with its
 terms): for a scalar symbol into one table per power of b_0, for a matrix
@@ -36,12 +36,13 @@ resolvent mirrors its b^N, remainder and resolvent (no b_0 inverses, no
 quantization, no products) and measures its residual against A; every other
 row is computed.  The calculator decides the symmetry once, at
 construction: bitwise on the tables its compiled b^N term list reads, and
-within 64 eps max|A| on the quantized symbol.
+within 64 eps max|A| on the quantized symbol.  The mirrors are the
+layouts' own, :func:`grid.conj_mirror` and :func:`quantop.mode_mirror`.
 
 ``find_R`` walks the radii down and stops at the first failing point; on a
 symmetric symbol a lower point passes by its upper partner's bound plus a
-bound of the mirror's error where that decides it.  The Neumann series is
-summed by binary splitting, in O(log K) products.
+bound of the mirror's error where that decides it.  It keeps no point.  The
+Neumann series is summed by binary splitting, in O(log K) products.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import numpy as np
 
 from .densela import dense_resolvent, norm_bound
 from .errors import SectorcalcError
-from .grid import GridSymbol, class_weighted_sups, pointwise_inverse, sample
-from .quantop import QuantOp, extract_symbol, quantize
+from .grid import GridSymbol, class_weighted_sups, conj_mirror, pointwise_inverse, sample
+from .quantop import QuantOp, extract_symbol, fft_rounding, mode_mirror, quantize
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
 
@@ -68,26 +69,15 @@ _EPS = np.finfo(float).eps
 _MIRROR_TOL = 64 * _EPS
 
 
-def _remainder_rounding(dim, shift_norm, q_norm):
-    """(dim + 8) eps ||S||_F ||Q||_F + eps sqrt(dim) / 2 >= the Frobenius
+def _remainder_rounding(dim, s_norm, q_norm):
+    """(dim + 8) eps s_norm q_norm + eps sqrt(dim) / 2 >= the Frobenius
     rounding error of fl(fl(S Q) - 1), S = fl(A - lambda), given the norms.
 
     (dim + 8) eps covers the product's sqrt(2) gamma_(dim+2) (Higham,
     Accuracy and Stability of Numerical Algorithms, 3.5-3.6), the shift's
     and the subtraction's u = eps / 2; eps sqrt(dim) / 2 is u |1|.
     """
-    return float((dim + 8) * _EPS * shift_norm * q_norm + 0.5 * _EPS * np.sqrt(dim))
-
-
-def _fft_rounding(grid):
-    """t eta / (1 - t eta) >= ||fl(F x) - F x||_2 / ||F x||_2 for the DFT F
-    of size P^n that ``quantize`` computes, t = n log2 P: Higham's bound for
-    a power-of-two FFT (Accuracy and Stability of Numerical Algorithms,
-    Thm. 24.2), with eta = mu + gamma_4 (sqrt(2) + mu) and twiddle factors
-    within mu = eps."""
-    t = grid.n * np.log2(grid.points)
-    eta = _EPS + 2 * _EPS / (1 - 2 * _EPS) * (np.sqrt(2) + _EPS)
-    return float(t * eta / (1 - t * eta))
+    return float((dim + 8) * _EPS * s_norm * q_norm + 0.5 * _EPS * np.sqrt(dim))
 
 
 def neumann_sum(r_mat, K):
@@ -264,13 +254,12 @@ class LeibnizResolvent:
 
 @dataclass(frozen=True, eq=False)
 class Remainder:
-    """r^N at ``lam``: b^N, Q = quantize(b^N), (A - lambda) Q - 1 and its norm_bound
-    against 1/2; of A - lambda only ||.||_F, since ``R_point`` is kept."""
+    """r^N at one lambda: b^N, Q = quantize(b^N), ``shift`` = A - lambda,
+    (A - lambda) Q - 1 and its norm_bound against 1/2."""
 
-    lam: complex
     b_n: GridSymbol
     q_bN: np.ndarray
-    shift_norm: float
+    shift: np.ndarray
     matrix: np.ndarray
     norm: float
 
@@ -318,16 +307,15 @@ class ParametrixCalculator:
         # clamped so tiny windows keep at least the central mode.
         self.default_interior_margin = min(max(4, grid.xi_max // 6),
                                            max(0, grid.xi_max - 1))
-        self.R_point = None  # find_R's Remainder at R e^{i theta}
         self.compiled_bN, tables_mirror = self._compile(self.bN_terms)
         a = self.a_tab.values
         A = self.quantized_symbol.matrix
-        asymmetry = A - self._mode_mirror(A)
+        asymmetry = A - mode_mirror(A, self.k)
         self.mirror_asymmetry = float(np.linalg.norm(asymmetry))
         self.find_R_points = None  # set by find_R
         self.conj_symmetric = bool(
             np.max(np.abs(asymmetry)) <= _MIRROR_TOL * np.max(np.abs(A))
-        ) and np.array_equal(self._conj_mirror(a), a) and tables_mirror
+        ) and np.array_equal(conj_mirror(a), a) and tables_mirror
 
     # -- derivative tables and compiled term lists ------------------------------
 
@@ -347,7 +335,7 @@ class ParametrixCalculator:
 
         def table(f):
             tab = self.derivative_tab(f[1], f[2])
-            parity.append(np.array_equal(self._conj_mirror(tab), (-1) ** sum(f[1]) * tab))
+            parity.append(np.array_equal(conj_mirror(tab), (-1) ** sum(f[1]) * tab))
             return np.ascontiguousarray(_component_major(tab)) if np.any(tab) else None
 
         compile_list = self._scalar_polynomial if self.k == 1 else self._product_tree
@@ -461,20 +449,6 @@ class ParametrixCalculator:
         return [GridSymbol(self.grid, self.evaluate(self._compile(terms)[0], complex(lam)),
                            check=False) for terms in self.term_lists]
 
-    def _conj_mirror(self, values):
-        """conj v(x, -xi) of a node-shaped (..., k, k) table."""
-        return np.flip(values, axis=tuple(range(self.grid.n, 2 * self.grid.n))).conj()
-
-    def _mode_mirror(self, matrix):
-        """P conj(M) P, the quantization of the ``_conj_mirror`` of M's symbol.
-
-        P maps mode xi to -xi.  The modes are lexicographic over a symmetric
-        window, so P reverses the flat mode order; each k x k block is
-        conjugated in place, not transposed.
-        """
-        m, k = self.grid.n_modes, self.k
-        return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
-
     def assemble_bN(self, lam):
         """b^N(lambda) = sum_{j<N} b_j(lambda), ``compiled_bN`` evaluated at
         lambda (checked admissible)."""
@@ -488,15 +462,15 @@ class ParametrixCalculator:
         lambda.  A remainder matrix that is not finite (a symbol too large for
         double precision) is a SectorcalcError."""
         lam = complex(lam)
+        # A - lambda formed after b^N's temporaries gave matrix3 1.6x the page faults
+        m_shift = self.shifted_matrix(lam)
         b_n = self.assemble_bN(lam)
         q_bN = quantize(b_n).matrix
-        m_shift = self.shifted_matrix(lam)
         matrix = m_shift @ q_bN
         matrix.flat[::len(matrix) + 1] -= 1
         if not np.all(np.isfinite(matrix)):
             raise SectorcalcError(f"remainder at lambda={lam!r} is not finite")
-        return Remainder(lam, b_n, q_bN, float(np.linalg.norm(m_shift)), matrix,
-                         norm_bound(matrix, 0.5))
+        return Remainder(b_n, q_bN, m_shift, matrix, norm_bound(matrix, 0.5))
 
     # -- resolvent ---------------------------------------------------------------
 
@@ -515,12 +489,12 @@ class ParametrixCalculator:
         ``upper`` is this calculator's result at conj lambda with the same
         ``tol`` (a ValueError if its lambda is another).  On a
         ``conj_symmetric`` symbol whose ``upper`` method is "neumann", b^N,
-        r^N and the symbol are mirrors of its tables, the resolvent matrix is
-        its :meth:`_mode_mirror`, and ``r_norm``, ``neumann_terms`` and
-        ``r_rounding`` are copied; the mirrored row still measures its own
-        residual against A - lambda and falls back to the dense inverse above
-        ``tol``.  Every other row starts from a :class:`Remainder`:
-        :meth:`find_R`'s ``R_point`` at its lambda, else :meth:`remainder`.
+        r^N and the symbol are :func:`grid.conj_mirror`s of its tables, the
+        resolvent matrix is its :func:`quantop.mode_mirror`, and ``r_norm``,
+        ``neumann_terms`` and ``r_rounding`` are copied; the mirrored row
+        still measures its own residual against A - lambda and falls back to
+        the dense inverse above ``tol``.  Every other row starts from its own
+        :meth:`remainder`, whose A - lambda its residuals reuse.
         """
         lam = complex(lam)
         if upper is not None and upper.diagnostics["lambda"] != lam.conjugate():
@@ -531,29 +505,25 @@ class ParametrixCalculator:
 
         def residual(res_mat):
             # a mirrored row forms A - lambda only for this product
-            prod = (self.shifted_matrix(lam) if mirrored else m_shift) @ res_mat
+            prod = (self.shifted_matrix(lam) if mirrored else point.shift) @ res_mat
             prod.flat[::len(prod) + 1] -= 1
             return extract_symbol(QuantOp(self.grid, self.k, prod)).sup_norm()
 
-        def mirror(table):
-            return GridSymbol(self.grid, self._conj_mirror(table.values), check=False)
-
         if mirrored:
             self.require_admissible(lam)
-            bN = mirror(upper.b_n)
-            res_mat = self._mode_mirror(upper.matrix)
+            bN, r_sym, symbol = (GridSymbol(self.grid, conj_mirror(t.values), check=False)
+                                 for t in (upper.b_n, upper.r_n, upper.symbol))
+            res_mat = mode_mirror(upper.matrix, self.k)
             diag = {**upper.diagnostics, "lambda": lam, "mirrored": True,
                     "residual": residual(res_mat)}
         else:
-            point = self.R_point
-            if point is None or point.lam != lam:
-                point = self.remainder(lam)
-            m_shift = self.shifted_matrix(lam)
+            point = self.remainder(lam)
             bN, r_norm = point.b_n, point.norm
+            r_sym = extract_symbol(QuantOp(self.grid, self.k, point.matrix))
             diag = {"lambda": lam, "method": None, "r_norm": r_norm,
                     "neumann_terms": 0, "residual": None, "mirrored": False,
                     "r_rounding": _remainder_rounding(
-                        len(m_shift), point.shift_norm, np.linalg.norm(point.q_bN))}
+                        len(point.shift), *map(np.linalg.norm, (point.shift, point.q_bN)))}
             if r_norm < 0.5:
                 K = int(np.ceil(np.log(tol * (1.0 - r_norm)) / np.log(r_norm))) \
                     if r_norm > 0 else 0
@@ -566,12 +536,8 @@ class ParametrixCalculator:
             res_mat = dense_resolvent(self.quantized_symbol, lam)
             diag["method"] = "dense" if diag["method"] is None else "neumann->dense"
             diag["residual"] = residual(res_mat)
-        if mirrored and diag["method"] == "neumann":
-            symbol = mirror(upper.symbol)
-        else:
+        if not mirrored or diag["method"] != "neumann":
             symbol = extract_symbol(QuantOp(self.grid, self.k, res_mat))
-        r_sym = mirror(upper.r_n) if mirrored else \
-            extract_symbol(QuantOp(self.grid, self.k, point.matrix))
         return LeibnizResolvent(symbol=symbol, s_n=symbol - bN, diagnostics=diag,
                                 b_n=bN, r_n=r_sym, matrix=res_mat)
 
@@ -582,8 +548,8 @@ class ParametrixCalculator:
         ``point`` with quantize(b^N) = Q, for r_lo = (A - conj lambda) Q_lo - 1
         as :meth:`remainder` forms it.  The lower b^N is the bitwise mirror of
         the upper one, so Q_lo and P conj(Q) P differ only by the FFT's
-        rounding of each, e = 2 :func:`_fft_rounding` ||b^N||_F / P^(n/2) in
-        the Frobenius norm.  With alpha = ||A - P conj(A) P||_F and
+        rounding of each, e = 2 :func:`quantop.fft_rounding` ||b^N||_F /
+        P^(n/2) in the Frobenius norm.  With alpha = ||A - P conj(A) P||_F and
         ||A - conj lambda||_F <= ||A - lambda||_F + alpha = s, the bound is
         alpha ||Q||_F (A's asymmetry) + s e (Q_lo's rounding) plus the
         :func:`_remainder_rounding` of both products, r_lo's taken with
@@ -591,10 +557,11 @@ class ParametrixCalculator:
         """
         g = self.grid
         q_norm, dim = np.linalg.norm(point.q_bN), len(point.q_bN)
-        s_lo = point.shift_norm + self.mirror_asymmetry
-        q_err = 2 * _fft_rounding(g) * np.linalg.norm(point.b_n.values) / g.points ** (g.n / 2)
+        s_up = np.linalg.norm(point.shift)
+        s_lo = s_up + self.mirror_asymmetry
+        q_err = 2 * fft_rounding(g) * np.linalg.norm(point.b_n.values) / g.points ** (g.n / 2)
         return (self.mirror_asymmetry * q_norm + s_lo * q_err
-                + _remainder_rounding(dim, point.shift_norm, q_norm)
+                + _remainder_rounding(dim, s_up, q_norm)
                 + _remainder_rounding(dim, s_lo, q_norm + q_err))
 
     def find_R(self):
@@ -608,8 +575,7 @@ class ParametrixCalculator:
         passes without a remainder when its upper partner's norm plus
         :meth:`mirror_error_bound` is at most 1/2; every other lower point
         is computed.  ``find_R_points`` counts the points computed, passed
-        by the mirror bound and skipped.  The upper point at R is kept as
-        ``R_point``, which :meth:`leibniz_resolvent` reuses at that lambda.
+        by the mirror bound and skipped.
         """
         radii = _R_CANDIDATES
         pairs = self.sector.ray_points(radii).reshape(-1, 2)
@@ -627,7 +593,6 @@ class ParametrixCalculator:
                 if self.remainder(lo).norm > 0.5:
                     break
             R = rad
-            self.R_point = point
         self.find_R_points = {"computed": computed, "mirror_bound": mirrored,
                               "skipped": 2 * len(radii) - computed - mirrored}
         if R is None:
@@ -697,7 +662,7 @@ def parametrix_sweep(calc, radii, tol=1e-11):
     upper row's resolvent is passed to its partner as ``upper``
     (:meth:`ParametrixCalculator.leibniz_resolvent`).  A mirrored row's
     b^N and r^N, and its s^N while its method stays "neumann", are
-    ``_conj_mirror``s of its partner's, so it takes their sups from its
+    :func:`grid.conj_mirror`s of its partner's, so it takes their sups from its
     partner's row: the interior window is symmetric and <xi> is even.  A
     computed table's plain and class sups come from one pass.
 

@@ -17,7 +17,8 @@ where the x-frequency content of a(., xi), shifted by xi, stays inside the
 window - i.e. for x-trigonometric symbols of degree B at modes
 |xi| <= Xi - B (exactly, for x-independent symbols).  Compositions are
 asserted on the interior window |xi| <= Xi - K for the same reason: mode
-shifts leak past the truncation at the edge.
+shifts leak past the truncation at the edge.  The mode layout's mirror is
+:func:`mode_mirror`; :func:`fft_rounding` bounds the rounding of the DFT.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ def _index_arrays(grid):
 
 
 _MAX_DENSE_DIM = 512
+_EPS = np.finfo(float).eps
 
 
 def quantize(a):
@@ -100,6 +102,26 @@ def quantize(a):
     block = fft[_index_arrays(g)]
     matrix = block.transpose(0, 2, 1, 3).reshape(a.k * g.n_modes, a.k * g.n_modes)
     return QuantOp(g, a.k, matrix)
+
+
+def fft_rounding(grid):
+    """t eta / (1 - t eta) >= ||fl(F x) - F x||_2 / ||F x||_2 for the DFT F
+    of size P^n that :func:`quantize` computes, t = n log2 P: Higham's bound
+    for a power-of-two FFT (Accuracy and Stability of Numerical Algorithms,
+    Thm. 24.2), with eta = mu + gamma_4 (sqrt(2) + mu) and twiddle factors
+    within mu = eps."""
+    t = grid.n * np.log2(grid.points)
+    eta = _EPS + 2 * _EPS / (1 - 2 * _EPS) * (np.sqrt(2) + _EPS)
+    return float(t * eta / (1 - t * eta))
+
+
+def mode_mirror(matrix, k):
+    """P conj(M) P, P the mode permutation xi -> -xi: the quantization of
+    the :func:`grid.conj_mirror` of M's symbol.  The modes are lexicographic
+    over a symmetric window, so P reverses the flat mode order; each k x k
+    block is conjugated in place, not transposed."""
+    m = len(matrix) // k
+    return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
 
 
 def extract_symbol(op):

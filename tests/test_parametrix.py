@@ -10,9 +10,9 @@ import pytest
 
 import sectorcalc as sc
 from sectorcalc import parametrix
-from sectorcalc.grid import class_weighted_sup
+from sectorcalc.grid import class_weighted_sup, conj_mirror
 from sectorcalc.densela import _hoelder_bounds
-from sectorcalc.quantop import QuantOp, extract_symbol, quantize
+from sectorcalc.quantop import QuantOp, extract_symbol, fft_rounding, mode_mirror, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
 
@@ -344,7 +344,7 @@ class TestConjugateMirror:
     def test_find_R_and_sweep_evaluate_once_per_pair(self, sector_right, monkeypatch,
                                                      name, share):
         # a symmetric symbol evaluates b^N at half of the boundary points; the
-        # sweep's first row, R e^{i theta}, takes find_R's evaluation
+        # sweep's first row, R e^{i theta}, evaluates its own, as find_R did
         args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
         calc = calc_of(sector_right, *args)
         lams = eval_spy(calc, monkeypatch)
@@ -352,8 +352,8 @@ class TestConjugateMirror:
         assert len(lams) == 42 // share
         del lams[:]
         sc.parametrix_sweep(calc, np.geomspace(R, 1e4, 5))
-        assert len(lams) == 10 // share - 1
-        assert complex(calc.sector.boundary_point(R)) not in lams
+        assert len(lams) == 10 // share
+        assert lams[0] == complex(calc.sector.boundary_point(R))
 
 
 def tree_tables(children):
@@ -458,10 +458,10 @@ def gate_from_every_table(calc):
     table: A, a and each table of b^N, sampled anew by ``derivative_tab``."""
     A, a = calc.quantized_symbol.matrix, calc.a_tab.values
     tables = ((f[1], calc.derivative_tab(f[1], f[2])) for f in bN_factors(calc))
-    return bool(np.max(np.abs(A - calc._mode_mirror(A)))
+    return bool(np.max(np.abs(A - mode_mirror(A, calc.k)))
                 <= 64 * np.finfo(float).eps * np.max(np.abs(A))) \
-        and np.array_equal(calc._conj_mirror(a), a) \
-        and all(np.array_equal(calc._conj_mirror(tab), (-1) ** sum(alpha) * tab)
+        and np.array_equal(conj_mirror(a), a) \
+        and all(np.array_equal(conj_mirror(tab), (-1) ** sum(alpha) * tab)
                 for alpha, tab in tables)
 
 
@@ -721,11 +721,14 @@ class TestCompileOnce:
 
 
 class TestFindRPoint:
-    """The sweep's first row, R e^{i theta}, takes find_R's b^N, quantize(b^N),
-    remainder matrix and norm bound."""
+    """The sweep's first row, R e^{i theta}, forms its own remainder there:
+    find_R keeps no point, and ``remainder`` is pure, so the row's b^N,
+    quantize(b^N), remainder matrix and norm bound are bitwise find_R's."""
 
     @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
     def test_one_evaluation_and_quantize_at_R(self, sector_right, monkeypatch, name):
+        # find_R and the sweep each evaluate and quantize b^N at R once,
+        # bitwise the same tables
         args = MIRRORED[name] if name in MIRRORED else (ASYMMETRIC[name],)
         calc = calc_of(sector_right, *args)
         evals, quantized = [], []
@@ -742,10 +745,14 @@ class TestFindRPoint:
         monkeypatch.setattr(calc, "evaluate", eval_spy)
         monkeypatch.setattr(parametrix, "quantize", quantize_spy)
         R = calc.find_R()
+        at_R_lam = complex(calc.sector.boundary_point(R))
+        in_find_R = [vals for lam, vals in evals if lam == at_R_lam]
+        del evals[:], quantized[:]
         radii = np.geomspace(R, 1e4, 5)
         rows = sc.parametrix_sweep(calc, radii).rows
-        at_R = [vals for lam, vals in evals if lam == complex(calc.sector.boundary_point(R))]
-        assert len(at_R) == 1
+        at_R = [vals for lam, vals in evals if lam == at_R_lam]
+        assert len(in_find_R) == len(at_R) == 1
+        assert at_R[0].tobytes() == in_find_R[0].tobytes()
         assert sum(np.array_equal(vals, at_R[0]) for vals in quantized) == 1
         # the same row as a sweep with no find_R before it
         fresh = sc.parametrix_sweep(calc_of(sector_right, *args), radii).rows
@@ -753,22 +760,22 @@ class TestFindRPoint:
 
     @pytest.mark.parametrize("name", ["ref1d", "matrix3", "odd_in_xi"])
     def test_remainder_is_pure(self, sector_right, name):
-        # two calls at one lambda give bitwise equal records; find_R's point
-        # at R is the remainder there
+        # two calls at one lambda give bitwise equal records, and the point
+        # at R passes
         calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
         lam = complex(calc.sector.boundary_point(8.0))
         assert record_bytes(calc.remainder(lam)) == record_bytes(calc.remainder(lam))
         R = calc.find_R()
-        at_R = calc.remainder(calc.sector.boundary_point(R))
-        assert record_bytes(calc.R_point) == record_bytes(at_R)
+        assert calc.remainder(calc.sector.boundary_point(R)).norm <= 0.5
 
     def test_point_is_the_accepted_radius(self, sector_right, slow_decay_calc):
-        # the walk stops at a failing point below R; the kept point is R's
+        # the walk stops at the failing upper point at R / 2; both points at
+        # R pass
         calc = slow_decay_calc
         R = calc.find_R()
         assert calc.find_R_points["computed"] > 1
-        assert calc.R_point.lam == complex(calc.sector.boundary_point(R))
-        assert calc.R_point.norm <= 0.5
+        assert calc.remainder(calc.sector.boundary_point(R / 2)).norm > 0.5
+        assert all(calc.remainder(lam).norm <= 0.5 for lam in calc.sector.ray_points([R]))
 
 
 class TestCallOrder:
@@ -850,17 +857,18 @@ class TestMirroredResolvent:
     """The lower-ray Neumann resolvent as the mirror of the upper-ray one,
     against the full two-ray sweep it replaces."""
 
-    def test_mode_mirror_is_the_quantized_symbol_mirror(self, sector_right):
-        # P conj(M) P against quantize of conj a(x, -xi), on a 3x3 table with
-        # no symmetry, so a transposed block or an unreversed mode would show
-        calc = calc_of(sector_right, MATRIX3)
+    @pytest.mark.parametrize("name", ["matrix3", "scene2d"])
+    def test_mode_mirror_is_the_quantized_symbol_mirror(self, sector_right, name):
+        # P conj(M) P against quantize of conj a(x, -xi), on a table of the
+        # symbol's shape with no symmetry: on the 3x3 table a transposed block
+        # would show, on the 2-D one an unreversed axis or mode
+        calc = calc_of(sector_right, *MIRRORED[name])
         rng = np.random.default_rng(7)
         shape = calc.a_tab.values.shape
         table = sc.GridSymbol(calc.grid, rng.normal(size=shape)
                               + 1j * rng.normal(size=shape), check=False)
-        mirrored = sc.GridSymbol(calc.grid, calc._conj_mirror(table.values),
-                                 check=False)
-        assert rel_sup_diff(calc._mode_mirror(quantize(table).matrix),
+        mirrored = sc.GridSymbol(calc.grid, conj_mirror(table.values), check=False)
+        assert rel_sup_diff(mode_mirror(quantize(table).matrix, calc.k),
                             quantize(mirrored).matrix) <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(MIRRORED))
@@ -893,11 +901,32 @@ class TestMirroredResolvent:
             upper_neumann = family.rows[i - i % 2]["method"] == "neumann"
             assert mirrored == (i % 2 == 1 and upper_neumann), i
             assert row["mirrored"] == mirrored
-            if mirrored or i == 0:  # row 0 takes find_R's point at R
+            if mirrored:
                 assert (n_quantize, n_remainder) == (0, 0), i
             else:
                 assert (n_quantize, n_remainder) == (1, 1), i
         assert sum(mirrored for mirrored, _, _ in calls) > 0
+
+    @pytest.mark.parametrize("name, tol", [("ref1d", 1e-11), ("matrix3", 1e-11),
+                                           ("odd_in_xi", 1e-11), ("ref1d", 1e-300)])
+    def test_each_row_forms_the_shift_once(self, sector_right, monkeypatch, name, tol):
+        # a computed row forms A - lambda in its remainder, and its residuals
+        # reuse it; a mirrored row forms it for its one residual.  The
+        # unreachable tol rescues every row, with a second residual each
+        calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
+        formed, orig = [], calc.shifted_matrix
+
+        def spy(lam):
+            formed.append(lam)
+            return orig(lam)
+
+        R = calc.find_R()
+        monkeypatch.setattr(calc, "shifted_matrix", spy)
+        family = sc.parametrix_sweep(calc, np.geomspace(R, 1e4, 5), tol=tol)
+        assert formed == [row["lambda"] for row in family.rows]
+        methods = {(row["mirrored"], row["method"]) for row in family.rows}
+        assert methods == ({(False, "neumann->dense")} if tol < 1e-100 else
+                           {(False, "neumann"), (name in MIRRORED, "neumann")})
 
     @pytest.mark.parametrize("name", sorted(MIRRORED) + sorted(ASYMMETRIC))
     def test_operator_gate_separates_the_symbols(self, sector_right, name):
@@ -905,7 +934,7 @@ class TestMirroredResolvent:
         # operators and above 1e14 eps on the others
         calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
         A = calc.quantized_symbol.matrix
-        asymmetry = np.max(np.abs(A - calc._mode_mirror(A))) / np.max(np.abs(A))
+        asymmetry = np.max(np.abs(A - mode_mirror(A, calc.k))) / np.max(np.abs(A))
         assert (asymmetry <= 0.2 * np.finfo(float).eps) == (name in MIRRORED)
         assert calc.conj_symmetric == (name in MIRRORED)
 
@@ -1119,15 +1148,14 @@ class TestLeibnizResolvent:
         # on the non-normal 3x3 symbol every Neumann row's ||r^N|| is an upper
         # bound of the exact norm of the remainder matrix it inverts, and the
         # tail bound of the series it ran is below tol
-        # (a mirrored row inverts its upper partner's matrix; the first row
-        # find_R's, made at the same lambda)
+        # (a mirrored row inverts its upper partner's matrix)
         calc = calc_of(sector_right, MATRIX3)
         r_mats = {}
         orig = calc.remainder
 
         def spy(lam):
             point = orig(lam)
-            r_mats[point.lam] = point.matrix
+            r_mats[complex(lam)] = point.matrix
             return point
 
         monkeypatch.setattr(calc, "remainder", spy)
@@ -1342,11 +1370,11 @@ class TestFindRWalk:
         for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
             point = calc.remainder(up)
             bound = calc.mirror_error_bound(point)
-            r_lo = calc.shifted_matrix(lo) @ calc._mode_mirror(point.q_bN)
+            r_lo = calc.shifted_matrix(lo) @ mode_mirror(point.q_bN, calc.k)
             r_lo.flat[::len(r_lo) + 1] -= 1
             r_lows = [r_lo] + [calc.remainder(lo).matrix] * calc.conj_symmetric
             for r_lo in r_lows:
-                error = np.linalg.norm(r_lo - calc._mode_mirror(point.matrix), 2)
+                error = np.linalg.norm(r_lo - mode_mirror(point.matrix, calc.k), 2)
                 assert error <= bound, (name, up)
 
     @pytest.mark.parametrize("name", sorted(MIRRORED))
@@ -1357,11 +1385,11 @@ class TestFindRWalk:
         g = calc.grid
         for up, lo in calc.sector.ray_points(parametrix._R_CANDIDATES).reshape(-1, 2):
             b_up, b_lo = calc.assemble_bN(up), calc.assemble_bN(lo)
-            assert np.array_equal(calc._conj_mirror(b_up.values), b_lo.values)
-            q_err = (2 * parametrix._fft_rounding(g) * np.linalg.norm(b_up.values)
+            assert np.array_equal(conj_mirror(b_up.values), b_lo.values)
+            q_err = (2 * fft_rounding(g) * np.linalg.norm(b_up.values)
                      / g.points ** (g.n / 2))
             error = np.linalg.norm(quantize(b_lo).matrix
-                                   - calc._mode_mirror(quantize(b_up).matrix))
+                                   - mode_mirror(quantize(b_up).matrix, calc.k))
             assert error <= q_err, (name, up)
 
     @pytest.mark.parametrize("n, points", [(1, 16), (1, 128), (2, 16)])
@@ -1383,7 +1411,7 @@ class TestFindRWalk:
             exact = dft @ x.ravel().astype(np.clongdouble)
             error = np.linalg.norm((np.fft.fftn(x).ravel() - exact).astype(complex))
             worst = max(worst, error / np.linalg.norm(exact.astype(complex)))
-        assert worst <= parametrix._fft_rounding(grid)
+        assert worst <= fft_rounding(grid)
 
     def test_mirror_bound_passes_every_lower_point_of_the_benchmark(
             self, sector_right, monkeypatch):
