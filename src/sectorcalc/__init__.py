@@ -12,9 +12,9 @@ from .errors import (ConfigError, ContourError, DerivativeOrderError,
                      SingularOperatorError, SymbolDomainError, SymbolSyntaxError,
                      UnknownIdentifierError)
 from .funcalc import (Contour, HFun, HinfProbeReport, bn_part, build_contour,
-                      f_of_operator_oracle, f_of_symbol, hinf_bound_probe,
-                      imaginary_power_regularized, power_quotient,
-                      regularizer_value, resolvent_decay_probe)
+                      dunford_family, f_of_operator_oracle, f_of_symbol,
+                      hinf_bound_probe, imaginary_power_regularized,
+                      power_quotient, regularizer_value, resolvent_decay_probe)
 from .grid import GridSymbol, TorusGrid, class_weighted_sup, grid_seminorm, sample
 from .hypo import (HypoReport, check_spectrum, eigenvalues_grid,
                    estimate_hypo_constants)

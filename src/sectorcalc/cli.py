@@ -19,12 +19,11 @@ import numpy as np
 from .config import load_config, resolve_config
 from .densela import operator_norm
 from .errors import ConfigError, ContourError, SectorcalcError, SingularOperatorError
-from .funcalc import (build_contour, f_of_operator_oracle, f_of_symbol,
-                      imaginary_power_regularized)
+from .funcalc import build_contour, dunford_family, imaginary_power_regularized
 from .grid import sample
 from .hypo import check_spectrum, estimate_hypo_constants
 from .parametrix import ParametrixCalculator, neumann_products, parametrix_sweep
-from .quantop import quantize
+from .quantop import QuantOp, extract_symbol, quantize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -136,13 +135,18 @@ def cmd_calc(rc, args):
     if not _spectrum_gate(rc, "calc", "integrating"):
         return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
+    contours = [build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f)
+                for f in rc.functions]
     rows = []
-    for f in rc.functions:
+    for f, (oracle, inverted) in zip(rc.functions,
+                                     dunford_family(A, list(zip(rc.functions, contours)))):
         _say(args, f"calc: {f.name}")
-        contour = build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f)
-        fa = f_of_symbol(A, f, contour)
-        oracle = f_of_operator_oracle(A, f, contour)
-        sup = f.sup_norm(rc.sector)
+        # the symbol-level f(a) is the symbol of f(A), extracted on A's grid
+        fa = extract_symbol(QuantOp(A.grid, A.k, oracle))
+        try:
+            sup = f.sup_norm(rc.sector)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         q_fa = quantize(fa).matrix
         op_norm_oracle, op_norm_symbol = (
             _certified(operator_norm(op), f"{f.name}: {column}", "calc", rc.calc_quad_tol)
@@ -150,6 +154,7 @@ def cmd_calc(rc, args):
         discrepancy = operator_norm(q_fa - oracle) / op_norm_oracle
         rows.append((f.name, sup, op_norm_oracle, op_norm_symbol,
                      op_norm_oracle / sup, discrepancy))
+    _say(args, f"calc: {sum(map(len, contours))} contour nodes, {inverted} inverted")
     M = max(row[4] for row in rows)
     with open(_out_path(args, "fcalc_report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -170,12 +175,14 @@ def cmd_bip(rc, args):
     if not _spectrum_gate(rc, "bip", "integrating"):
         return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
+    contours = [build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol, c_f=f.c_f)
+                for f in family]
     rows = []
-    for t, f in zip(ts, family):
+    for t, (op, inverted) in zip(ts, dunford_family(A, list(zip(family, contours)))):
         _say(args, f"bip: t={t!r}")
-        contour = build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol, c_f=f.c_f)
-        nrm = operator_norm(f_of_operator_oracle(A, f, contour))
-        rows.append((t, _certified(nrm, f"t={t!r}: op_norm", "bip", rc.bip_quad_tol)))
+        rows.append((t, _certified(operator_norm(op), f"t={t!r}: op_norm", "bip",
+                                   rc.bip_quad_tol)))
+    _say(args, f"bip: {sum(map(len, contours))} contour nodes, {inverted} inverted")
     rate = float(np.polyfit(np.abs([r[0] for r in rows]),
                             np.log([r[1] for r in rows]), 1)[0])
     with open(_out_path(args, "imaginary_powers.csv"), "w", newline="") as fh:

@@ -736,34 +736,45 @@ class TestLuCounts:
 
         monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
         monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve))
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert main([command, "--verbose", "--config", cfg, "--out", str(out)]) == 0
         return sum(counted)
 
     def test_check_makes_none(self, tmp_path, monkeypatch):
         cfg, rc = self.scene(tmp_path)
         assert self.lu_solves("check", cfg, tmp_path, rc.grid.n_modes, monkeypatch) == 0
 
-    def test_calc_inverts_each_node_twice(self, tmp_path, monkeypatch):
-        # the symbol path and the oracle each invert every contour node
+    @staticmethod
+    def distinct_nodes(contours):
+        return len(np.unique(np.concatenate([c.nodes for c in contours])))
+
+    def test_calc_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):
+        # one family call: the four nested contours share their nodes
         cfg, rc = self.scene(tmp_path)
-        nodes = 0
+        contours = []
         for f in rc.functions:
             f.validate(rc.sector)
-            nodes += len(build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol,
-                                       c_f=f.c_f))
+            contours.append(build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol,
+                                          c_f=f.c_f))
+        assert sum(map(len, contours)) == 1128
         assert self.lu_solves("calc", cfg, tmp_path, rc.grid.n_modes,
-                              monkeypatch) == 2 * nodes == 2256
+                              monkeypatch) == self.distinct_nodes(contours) == 570
+        assert "calc: 1128 contour nodes, 570 inverted" in \
+            capsys.readouterr().err.splitlines()
 
-    def test_bip_inverts_each_node_once(self, tmp_path, monkeypatch):
+    def test_bip_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):
+        # t and -t share their contour, and every contour holds the shorter ones
         cfg, rc = self.scene(tmp_path)
-        nodes = 0
+        contours = []
         for t in np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps):
             f = imaginary_power_regularized(float(t), rc.bip_n_reg)
             f.validate(rc.sector)
-            nodes += len(build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol,
-                                       c_f=f.c_f))
+            contours.append(build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol,
+                                          c_f=f.c_f))
+        assert sum(map(len, contours)) == 998
         assert self.lu_solves("bip", cfg, tmp_path, rc.grid.n_modes,
-                              monkeypatch) == nodes == 998
+                              monkeypatch) == self.distinct_nodes(contours) == 362
+        assert "bip: 998 contour nodes, 362 inverted" in \
+            capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize("rescued", [False, True], ids=["neumann", "rescued"])
     def test_parametrix_solves_twice_per_dense_row(self, tmp_path, monkeypatch,

@@ -8,7 +8,8 @@ import pytest
 import sectorcalc as sc
 from sectorcalc import funcalc
 from sectorcalc.densela import dense_resolvent
-from sectorcalc.funcalc import _CHUNK, _accumulate_resolvents, _probe_fun
+from sectorcalc.funcalc import (_CHUNK, _FAMILY_GROUP, _SPOT_TOL, _accumulate_resolvents,
+                                _check_vector, _probe_fun)
 
 from reference import bn_f_deformed, gl_contour, resolvent_quotient
 
@@ -88,6 +89,26 @@ class TestHFun:
         # |z/(1+z)^2| on the boundary ray: t/(1+t^2), maximal 1/2 at z = i
         f = sc.power_quotient(1.0)
         assert f.sup_norm(sector_right) == pytest.approx(0.5, rel=1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [1.0, np.pi / 2, 2.0, 3.0])
+    def test_sup_norm_of_steep_power_quotient(self, theta):
+        # on arg z = phi, |z/(1+z)^2| = 1/(r + 2 cos phi + 1/r) peaks at r = 1,
+        # so sup |f| = (2 + 2 cos theta)^-s; at s = 50 the quotient of two
+        # exponentials is inf/inf on the rays at |z| = 1e6, and a single
+        # density reads 1.3-87% low
+        s = 50.0
+        f = sc.power_quotient(s)
+        exact = (2.0 + 2.0 * np.cos(theta)) ** -s
+        assert f.sup_norm(sc.Sector(theta=theta)) == pytest.approx(exact, rel=1e-2)
+
+    def test_sup_norm_rejects_non_finite_samples(self, sector_right):
+        # max(cur, nan) keeps cur: a dropped sample would read low
+        def fn(z):
+            return np.where(np.abs(z) > 1e5, np.nan, z / (1.0 + z) ** 2)
+        f = sc.HFun(fn, d=1.0, name="nan_tail")
+        with pytest.raises(ValueError, match="nan_tail: non-finite"):
+            f.sup_norm(sector_right)
 
     def test_positive_decay_required(self):
         with pytest.raises(ValueError):
@@ -383,6 +404,58 @@ class TestDunfordEngine:
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
 
+    @staticmethod
+    def invisible_to_check_vector(dim, node=None, M=None):
+        """np.linalg.inv plus u v^H with v^H x = 0 for the engine's check
+        vector x, at every node or at one: each node's unit-vector residual
+        still holds, the full identity does not."""
+        x = _check_vector(dim)
+        u = np.zeros(dim, dtype=complex)
+        u[0] = 1.0
+        v = u - x * np.conj(x[0])
+        real_inv = np.linalg.inv
+        corrupted = []
+
+        def inv(a):
+            out = real_inv(a)
+            for q in range(len(out)):
+                if node is None or a[q, 0, 0] == M[0, 0] - node:
+                    out[q] += np.outer(u, v.conj())
+                    corrupted.append((a[q].copy(), out[q].copy()))
+            return out
+
+        def unit_residuals():
+            return [np.linalg.norm(a @ (y @ x) - x) for a, y in corrupted]
+        return inv, unit_residuals
+
+    def test_spot_residual_catches_what_the_unit_vector_misses(
+            self, calc16, contour_d1, monkeypatch):
+        M = calc16.quantized_symbol.matrix
+        inv, unit_residuals = self.invisible_to_check_vector(M.shape[0])
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        with pytest.raises(sc.SingularOperatorError,
+                           match=r"resolvent residual \S+ at lambda"):
+            sc.f_of_operator_oracle(calc16.quantized_symbol, sc.power_quotient(1.0),
+                                    contour_d1)
+        assert 0 < len(unit_residuals()) <= _CHUNK
+        assert max(unit_residuals()) <= _SPOT_TOL
+
+    def test_spot_residual_on_each_rows_first_node(self, calc16, sector_right,
+                                                   monkeypatch):
+        # the d = 2 row starts inside the d = 1/4 row's range: its first node
+        # is spot-checked though it is not the call's first node
+        pairs = _calc_contours(sector_right)
+        first = pairs[-1][1].nodes[0]
+        assert first in pairs[0][1].nodes[1:]
+        M = calc16.quantized_symbol.matrix
+        inv, unit_residuals = self.invisible_to_check_vector(M.shape[0], first, M)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        with pytest.raises(sc.SingularOperatorError,
+                           match=r"resolvent residual \S+ at lambda"):
+            list(sc.dunford_family(calc16.quantized_symbol, pairs))
+        assert len(unit_residuals()) == 1
+        assert max(unit_residuals()) <= _SPOT_TOL
+
     def test_working_set_bounded_by_chunk(self, sector_right):
         # The engine holds about two chunk stacks of n x n matrices (the
         # shifted buffer and one chunk's inverses); the peak must not grow
@@ -402,6 +475,108 @@ class TestDunfordEngine:
         finally:
             tracemalloc.stop()
         assert peak <= (2 * _CHUNK + 5) * dim * dim * 16
+
+
+def _relative_frobenius(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def _calc_contours(sector, tol=1e-5):
+    """The reference scene's calc family: four nested power-quotient contours."""
+    family = [sc.power_quotient(s) for s in (0.25, 0.5, 1.0, 2.0)]
+    for f in family:
+        f.validate(sector)
+    return [(f, sc.build_contour(sector, d=f.d, tol=tol, c_f=f.c_f)) for f in family]
+
+
+class TestDunfordFamily:
+    """One engine call per group over the union of the members' nodes,
+    against each member's own call (the slow path)."""
+
+    @staticmethod
+    def against_slow_path(A, pairs):
+        fast = list(sc.dunford_family(A, pairs))
+        assert len(fast) == len(pairs)
+        for (f, contour), (op, _) in zip(pairs, fast):
+            slow = sc.f_of_operator_oracle(A, f, contour)
+            assert _relative_frobenius(op, slow) <= 1e-12
+        return fast
+
+    @staticmethod
+    def distinct(pairs):
+        return len(np.unique(np.concatenate([c.nodes for _, c in pairs])))
+
+    def test_calc_contours(self, calc16, sector_right):
+        pairs = _calc_contours(sector_right)
+        assert [len(c) for _, c in pairs] == [570, 298, 162, 98]
+        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert [n for _, n in fast] == [self.distinct(pairs)] * 4 == [570] * 4
+
+    def test_explicit_steps(self, calc16, sector_right):
+        # a step-1/2 lattice inside a longer step-1/4 one, and the reverse
+        family = [sc.power_quotient(1.0), resolvent_quotient(-25.0),
+                  sc.imaginary_power_regularized(2.0, 100)]
+        pairs = [(family[0], sc.build_contour(sector_right, d=1.0, tol=1e-6, step=0.5)),
+                 (family[1], sc.build_contour(sector_right, d=1.0, tol=1e-9, step=0.25)),
+                 (family[2], sc.build_contour(sector_right, d=1.0, tol=1e-4, step=0.5))]
+        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert fast[-1][1] == self.distinct(pairs) < sum(len(c) for _, c in pairs)
+
+    def test_grouped_family(self, calc16, sector_right, monkeypatch):
+        # more members than one engine call takes: groups of _FAMILY_GROUP,
+        # each over its own union
+        ts = np.linspace(-5.0, 5.0, _FAMILY_GROUP + 3)
+        pairs = []
+        for t in ts:
+            f = sc.imaginary_power_regularized(float(t), 1000)
+            f.validate(sector_right)
+            pairs.append((f, sc.build_contour(sector_right, d=1.0, tol=1e-6, c_f=f.c_f)))
+        rows = []
+        engine = funcalc._accumulate_resolvents
+
+        def recording(M, nodes, coeffs):
+            rows.append(len(coeffs))
+            return engine(M, nodes, coeffs)
+
+        monkeypatch.setattr(funcalc, "_accumulate_resolvents", recording)
+        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert rows[:2] == [_FAMILY_GROUP, 3]
+        first = self.distinct(pairs[:_FAMILY_GROUP])
+        assert [n for _, n in fast] == [first] * _FAMILY_GROUP + \
+            [first + self.distinct(pairs[_FAMILY_GROUP:])] * 3
+
+    def test_node_on_one_members_range_raises(self, sector_right):
+        # an eigenvalue exactly at a node that only the longer contour holds
+        short = sc.build_contour(sector_right, d=1.0, tol=1e-2, step=0.5)
+        long = sc.build_contour(sector_right, d=1.0, tol=1e-8, step=0.5)
+        outside = long.nodes[np.abs(long.nodes) > 10.0 * short.r_max]
+        dim = 12
+        M = np.triu(np.full((dim, dim), 0.5 + 0.25j), 1) + np.diag(
+            np.append(np.arange(1.0, dim), outside[0])).astype(complex)
+        f = sc.power_quotient(1.0)
+        sc.f_of_operator_oracle(M, f, short)
+        with pytest.raises(sc.SingularOperatorError):
+            list(sc.dunford_family(M, [(f, short), (f, long)]))
+
+    def test_working_set_bounded_by_group(self, sector_right):
+        # the sum holds at most _FAMILY_GROUP matrices, and a group's sum is
+        # released before the next one is built
+        grid = sc.TorusGrid(n=1, points=128)
+        expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
+        A = sc.quantize(sc.sample(expr, grid))
+        dim = A.matrix.shape[0]
+        family = [sc.imaginary_power_regularized(float(t), 100)
+                  for t in np.linspace(-1.0, 1.0, 5 * _FAMILY_GROUP // 2)]
+        contour = sc.build_contour(sector_right, d=1.0, tol=1e-2, step=1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in sc.dunford_family(A, [(f, contour) for f in family]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * _CHUNK + _FAMILY_GROUP + 5) * dim * dim * 16
 
 
 def regularized_imaginary_power(calc, t, n_reg, quad_tol=1e-8):
