@@ -19,7 +19,8 @@ import numpy as np
 from .config import load_config, resolve_config
 from .densela import operator_norm
 from .errors import ConfigError, ContourError, SectorcalcError, SingularOperatorError
-from .funcalc import build_contour, dunford_family, imaginary_power_regularized
+from .funcalc import (build_contour, dunford_family, hinf_bound_probe,
+                      imaginary_power_regularized)
 from .grid import sample
 from .hypo import check_spectrum, estimate_hypo_constants
 from .parametrix import ParametrixCalculator, neumann_products, parametrix_sweep
@@ -135,27 +136,21 @@ def cmd_calc(rc, args):
     if not _spectrum_gate(rc, "calc", "integrating"):
         return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
-    contours = [build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol, c_f=f.c_f)
-                for f in rc.functions]
+    try:
+        probe = hinf_bound_probe(A, rc.functions, rc.sector, quad_tol=rc.calc_quad_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
-    for f, (oracle, inverted) in zip(rc.functions,
-                                     dunford_family(A, list(zip(rc.functions, contours)))):
-        _say(args, f"calc: {f.name}")
+    for (name, sup, op_norm_oracle, ratio), oracle in zip(probe.rows, probe.ops):
+        _say(args, f"calc: {name}")
         # the symbol-level f(a) is the symbol of f(A), extracted on A's grid
-        fa = extract_symbol(QuantOp(A.grid, A.k, oracle))
-        try:
-            sup = f.sup_norm(rc.sector)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        q_fa = quantize(fa).matrix
-        op_norm_oracle, op_norm_symbol = (
-            _certified(operator_norm(op), f"{f.name}: {column}", "calc", rc.calc_quad_tol)
-            for column, op in (("op_norm_oracle", oracle), ("op_norm_symbol", q_fa)))
+        q_fa = quantize(extract_symbol(QuantOp(A.grid, A.k, oracle))).matrix
+        _certified(op_norm_oracle, f"{name}: op_norm_oracle", "calc", rc.calc_quad_tol)
+        op_norm_symbol = _certified(operator_norm(q_fa), f"{name}: op_norm_symbol",
+                                    "calc", rc.calc_quad_tol)
         discrepancy = operator_norm(q_fa - oracle) / op_norm_oracle
-        rows.append((f.name, sup, op_norm_oracle, op_norm_symbol,
-                     op_norm_oracle / sup, discrepancy))
-    _say(args, f"calc: {sum(map(len, contours))} contour nodes, {inverted} inverted")
-    M = max(row[4] for row in rows)
+        rows.append((name, sup, op_norm_oracle, op_norm_symbol, ratio, discrepancy))
+    _say(args, f"calc: {probe.nodes} contour nodes, {probe.inverted} inverted")
     with open(_out_path(args, "fcalc_report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "sup_norm", "op_norm_oracle", "op_norm_symbol",
@@ -163,8 +158,8 @@ def cmd_calc(rc, args):
         for name, sup, opo, ops, ratio, disc in rows:
             writer.writerow([name, repr(sup), repr(opo), repr(ops),
                              repr(ratio), repr(disc)])
-        writer.writerow(["M", "", "", "", repr(M), ""])
-    print(f"M = {M!r} over {len(rows)} functions")
+        writer.writerow(["M", "", "", "", repr(probe.M), ""])
+    print(f"M = {probe.M!r} over {len(rows)} functions")
     return EXIT_OK
 
 

@@ -11,11 +11,14 @@ Orientation is pinned by the scalar Cauchy test (the quadrature must
 reproduce f(z0) for z0 on the positive real axis), not by convention.  One
 LU Dunford engine serves a whole family: :func:`dunford_family` inverts each
 distinct node of its members' contours once, with one coefficient row per
-member, so each f(A) keeps its own lattice and truncation.  The one-member
-case is the dense-operator value f(A) (:func:`f_of_operator_oracle`), and
-the symbol-level value f(a) is its extracted symbol (:func:`f_of_symbol`);
-the parametrix part of the integral, with b^N in place of the resolvent, is
-the independent symbol-side construction.
+member, so each f(A) keeps its own lattice and truncation.  The calculus
+bound M = max ||f(A)|| / ||f||_inf over a family is :func:`hinf_bound_probe`,
+one such call with each member on its own contour; ``calc`` reports through
+it.  The one-member case is the dense-operator value f(A)
+(:func:`f_of_operator_oracle`), and the symbol-level value f(a) is its
+extracted symbol (:func:`f_of_symbol`); the parametrix part of the integral,
+with b^N in place of the resolvent, is the independent symbol-side
+construction.
 """
 
 from __future__ import annotations
@@ -416,45 +419,41 @@ def f_of_symbol(A, f, contour):
 
 @dataclass
 class HinfProbeReport:
-    """Per-function ratios ||f(A)|| / ||f||_inf, their maximum M, and the
-    integrated f(A) matrices ``ops``, aligned with ``rows``."""
+    """Per-function rows (name, ||f||_inf, ||f(A)||, ratio), their maximum
+    ratio M and the integrated f(A) matrices ``ops``, aligned with ``rows``;
+    ``nodes`` sums the members' contour nodes, ``inverted`` counts the
+    distinct ones."""
 
     rows: list
     M: float
     ops: list
+    nodes: int
+    inverted: int
 
 
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
     """Estimate the calculus bound M = max_f ||f(A)|| / ||f||_inf.
 
-    Exact operator norms (one SVD each) of the dense Dunford integral; sup
-    norms via stabilized boundary sampling.  Each family member is
-    validated against its declared decay before use.  Members of equal
-    decay exponent share one contour (sized for the largest bound constant
-    in the group), so scaling a member rescales numerator and denominator
-    exactly and leaves its ratio unchanged.  One Dunford-engine call per
-    contour inverts each node once for the whole group.
+    Each member is validated against its declared decay and integrated on
+    its own contour, sized by its own c_f, in one :func:`dunford_family`
+    call, so each distinct node is inverted once for the whole family.
+    Exact operator norms (one SVD each); sup norms via stabilized boundary
+    sampling.  Scaling a member by a constant scales its f(A) and its sup
+    norm alike; its c_f scales too and may widen its contour, so its ratio
+    is unchanged up to the quadrature error.
     """
     if not family:
         raise ValueError("function family must be nonempty")
-    for f in family:
-        f.validate(sector)
-    mat = _as_matrix(A)
-    ops = [None] * len(family)
-    for d in dict.fromkeys(f.d for f in family):
-        members = [i for i, f in enumerate(family) if f.d == d]
-        c_f = max(family[i].c_f for i in members)
-        contour = build_contour(sector, d=d, tol=quad_tol, c_f=c_f)
-        coeffs = np.array([contour.weights * family[i](contour.nodes) for i in members])
-        for i, op in zip(members, _accumulate_resolvents(mat, contour.nodes, coeffs)):
-            ops[i] = op
-    rows = []
-    for f, op in zip(family, ops):
+    contours = [build_contour(sector, d=f.d, tol=quad_tol, c_f=f.validate(sector))
+                for f in family]
+    rows, ops = [], []
+    for f, (op, inverted) in zip(family, dunford_family(A, list(zip(family, contours)))):
         opn = operator_norm(op)
         sup = f.sup_norm(sector)
         rows.append((f.name, sup, opn, opn / sup))
-    M = max(r[3] for r in rows)
-    return HinfProbeReport(rows=rows, M=M, ops=ops)
+        ops.append(op)
+    return HinfProbeReport(rows=rows, M=max(r[3] for r in rows), ops=ops,
+                           nodes=sum(map(len, contours)), inverted=inverted)
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,21 @@ def test_criterion_05_resolvent_bound(scene):
 
 
 def test_criterion_06_operator_symbol_equivalence(scene):
-    worst = 0.0
+    # one family Dunford call: each f on its accepted lattice and on that
+    # lattice's step/4 refinement, two different sums
+    A = scene.quantized_symbol
+    pairs = []
     for s in (0.25, 0.5, 1.0, 2.0):
         f = sc.power_quotient(s)
         f.ensure_cf(scene.sector)
         contour = sc.build_contour(scene.sector, d=f.d, tol=1e-8, c_f=f.c_f)
         fine = sc.build_contour(scene.sector, d=f.d, tol=1e-9, c_f=f.c_f,
                                 step=contour.step / 4)
-        fa = sc.f_of_symbol(scene.quantized_symbol, f, contour)
-        oracle = sc.f_of_operator_oracle(scene.quantized_symbol, f, fine)
+        pairs += [(f, contour), (f, fine)]
+    ops = [op for op, _ in sc.dunford_family(A, pairs)]
+    worst = 0.0
+    for accepted, oracle in zip(ops[::2], ops[1::2]):
+        fa = sc.extract_symbol(sc.QuantOp(A.grid, A.k, accepted))
         rel = sc.operator_norm(sc.quantize(fa).matrix - oracle) \
             / sc.operator_norm(oracle)
         worst = max(worst, rel)
@@ -149,11 +155,11 @@ def test_dunford_values_match_eig(scene):
     cond = np.linalg.cond(V)
     cases = [(sc.power_quotient(s), 1e-5) for s in (0.25, 0.5, 1.0, 2.0)] + \
         [(sc.imaginary_power_regularized(t, 1000), 1e-6) for t in (-5.0, 0.0, 5.0)]
-    for f, tol in cases:
-        f.ensure_cf(scene.sector)
-        contour = sc.build_contour(scene.sector, d=f.d, tol=tol, c_f=f.c_f)
-        err = np.linalg.norm(sc.f_of_operator_oracle(A, f, contour)
-                             - (V * f(eigs)) @ V_inv, 2)
+    pairs = [(f, sc.build_contour(scene.sector, d=f.d, tol=tol,
+                                  c_f=f.ensure_cf(scene.sector)))
+             for f, tol in cases]
+    for (f, tol), (op, _) in zip(cases, sc.dunford_family(A, pairs)):
+        err = np.linalg.norm(op - (V * f(eigs)) @ V_inv, 2)
         assert err <= 4.0 * cond * tol, (f.name, err)
 
 
@@ -190,13 +196,13 @@ def test_criterion_07_uniform_bound_stability(scene, family12, family24):
 
 def test_criterion_08_bounded_imaginary_powers(scene):
     ts = np.linspace(-5.0, 5.0, 11)
-    norms = []
+    pairs = []
     for t in ts:
         f = sc.imaginary_power_regularized(float(t), 1000)
-        f.ensure_cf(scene.sector)
-        contour = sc.build_contour(scene.sector, d=1.0, tol=1e-6, c_f=f.c_f)
-        norms.append(sc.operator_norm(
-            sc.f_of_operator_oracle(scene.quantized_symbol, f, contour)))
+        pairs.append((f, sc.build_contour(scene.sector, d=1.0, tol=1e-6,
+                                          c_f=f.ensure_cf(scene.sector))))
+    norms = [sc.operator_norm(op)
+             for op, _ in sc.dunford_family(scene.quantized_symbol, pairs)]
     rate = float(np.polyfit(np.abs(ts), np.log(norms), 1)[0])
     ok = rate <= THETA + 0.2
     report(8, "bounded imaginary powers", ok,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import sectorcalc
-from sectorcalc import (build_contour, cli, imaginary_power_regularized, parametrix,
-                        quantize, sample)
+from sectorcalc import (build_contour, cli, funcalc, imaginary_power_regularized,
+                        parametrix, quantize, sample)
 from sectorcalc.cli import main
 from sectorcalc.config import CONFIG_KEYS, load_config, parse_config_text, resolve_config
 from sectorcalc.errors import ContourError, SingularOperatorError
@@ -103,7 +103,9 @@ class TestExitCodes:
         # it, so no command builds a contour or searches a radius
         def refuse(*args, **kwargs):
             raise AssertionError("contour or radius built")
-        monkeypatch.setattr(cli, "build_contour", refuse)
+        # bip builds its contours in cli, calc inside hinf_bound_probe
+        for module in (cli, funcalc):
+            monkeypatch.setattr(module, "build_contour", refuse)
         monkeypatch.setattr(cli.ParametrixCalculator, "find_R", refuse)
         cfg = write_cfg(tmp_path, f"{symbol}\ngrid.points = 16\n"
                         "functions = power_quotient 1\nbip.steps = 3\n")
@@ -119,7 +121,8 @@ class TestExitCodes:
     def test_calc_and_bip_with_excision_fail_at_the_gate(self, tmp_path, capsys,
                                                          monkeypatch, command):
         # the check behind the contour integral needs the whole window too
-        monkeypatch.setattr(cli, "build_contour", None)
+        for module in (cli, funcalc):
+            monkeypatch.setattr(module, "build_contour", None)
         cfg = write_cfg(tmp_path, BASE_CFG + "hypo.C = 0.5\n")
         out = tmp_path / "out"
         out.mkdir()

@@ -647,16 +647,16 @@ class TestHinfProbe:
         assert m_ext >= m_base - 1e-12
         assert m_ext <= 2.0 * m_base
 
-    def test_shared_contour_inverted_once(self, calc16, sector_right, monkeypatch):
-        family = [sc.power_quotient(1.0), resolvent_quotient(-25.0),
-                  sc.imaginary_power_regularized(1.0, 100)]
+    @staticmethod
+    def probe_on_own_contours(A, family, sector, tol, monkeypatch):
+        """The probe's report, after checking that it inverts each distinct
+        node of the members' own contours once and that each norm is the
+        oracle's on that member's own contour."""
         for f in family:
-            f.validate(sector_right)
-        contour = sc.build_contour(sector_right, d=1.0, tol=1e-6,
-                                   c_f=max(f.c_f for f in family))
-        A = calc16.quantized_symbol
+            f.validate(sector)
+        contours = [sc.build_contour(sector, d=f.d, tol=tol, c_f=f.c_f) for f in family]
         expected = [sc.operator_norm(sc.f_of_operator_oracle(A, f, contour))
-                    for f in family]
+                    for f, contour in zip(family, contours)]
         real_inv = np.linalg.inv
         inverted = []
 
@@ -665,13 +665,33 @@ class TestHinfProbe:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        report = sc.hinf_bound_probe(A, family, sector_right, quad_tol=1e-6)
-        assert sum(inverted) == len(contour)
+        report = sc.hinf_bound_probe(A, family, sector, quad_tol=tol)
+        distinct = len(np.unique(np.concatenate([c.nodes for c in contours])))
+        assert sum(inverted) == report.inverted == distinct
+        assert report.nodes == sum(map(len, contours))
         for row, ref in zip(report.rows, expected):
             assert row[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
+        return report
+
+    def test_shared_contour_inverted_once(self, calc16, sector_right, monkeypatch):
+        # each member on its own contour; a node the contours share is
+        # inverted once for the whole family
+        family = [sc.power_quotient(1.0), resolvent_quotient(-25.0),
+                  sc.imaginary_power_regularized(1.0, 100)]
+        self.probe_on_own_contours(calc16.quantized_symbol, family, sector_right, 1e-6,
+                                   monkeypatch)
+
+    def test_equal_decay_members_keep_their_own_contours(self, calc16, sector_right,
+                                                         monkeypatch):
+        # two members of decay 1: power_quotient's contour is the shorter, and
+        # is not widened to the regularized power's c_f
+        family = [sc.power_quotient(1), sc.imaginary_power_regularized(1.0, 1000)]
+        report = self.probe_on_own_contours(calc16.quantized_symbol, family,
+                                            sector_right, 1e-5, monkeypatch)
+        assert (report.nodes, report.inverted) == (428, 266)
 
     def test_matrices_match_f_of_symbol(self, calc16, sector_right):
-        # the slow path: f_of_symbol of each member on its group's contour
+        # the slow path: f_of_symbol of each member on its own contour
         family = [sc.power_quotient(s) for s in (0.5, 1.0, 2.0)] + \
             [sc.imaginary_power_regularized(t, 100) for t in (-1.0, 1.0)]
         A = calc16.quantized_symbol
@@ -679,8 +699,7 @@ class TestHinfProbe:
         assert len(report.ops) == len(report.rows) == len(family)
         for f, row, op in zip(family, report.rows, report.ops):
             assert row[0] == f.name
-            c_f = max(g.c_f for g in family if g.d == f.d)
-            contour = sc.build_contour(sector_right, d=f.d, tol=1e-5, c_f=c_f)
+            contour = sc.build_contour(sector_right, d=f.d, tol=1e-5, c_f=f.c_f)
             slow = sc.f_of_symbol(A, f, contour).values
             fast = sc.extract_symbol(sc.QuantOp(A.grid, A.k, op)).values
             assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
