@@ -19,8 +19,7 @@ import numpy as np
 from .config import load_config, resolve_config
 from .densela import operator_norm
 from .errors import ConfigError, ContourError, SectorcalcError, SingularOperatorError
-from .funcalc import (build_contour, dunford_family, hinf_bound_probe,
-                      imaginary_power_regularized)
+from .funcalc import hinf_bound_probe, imaginary_power_regularized
 from .grid import sample
 from .hypo import check_spectrum, estimate_hypo_constants
 from .parametrix import ParametrixCalculator, neumann_products, parametrix_sweep
@@ -170,14 +169,15 @@ def cmd_bip(rc, args):
     if not _spectrum_gate(rc, "bip", "integrating"):
         return EXIT_CHECK_FAILED
     A = quantize(sample(rc.expr, rc.grid))
-    contours = [build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol, c_f=f.c_f)
-                for f in family]
+    try:
+        probe = hinf_bound_probe(A, family, rc.sector, quad_tol=rc.bip_quad_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
-    for t, (op, inverted) in zip(ts, dunford_family(A, list(zip(family, contours)))):
+    for t, (_, _, op_norm, _) in zip(ts, probe.rows):
         _say(args, f"bip: t={t!r}")
-        rows.append((t, _certified(operator_norm(op), f"t={t!r}: op_norm", "bip",
-                                   rc.bip_quad_tol)))
-    _say(args, f"bip: {sum(map(len, contours))} contour nodes, {inverted} inverted")
+        rows.append((t, _certified(op_norm, f"t={t!r}: op_norm", "bip", rc.bip_quad_tol)))
+    _say(args, f"bip: {probe.nodes} contour nodes, {probe.inverted} inverted")
     rate = float(np.polyfit(np.abs([r[0] for r in rows]),
                             np.log([r[1] for r in rows]), 1)[0])
     with open(_out_path(args, "imaginary_powers.csv"), "w", newline="") as fh:

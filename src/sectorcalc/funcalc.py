@@ -10,15 +10,15 @@ boundary rays (nodes e^{jh}, anchored at r = 1, the step h halved from 1).
 Orientation is pinned by the scalar Cauchy test (the quadrature must
 reproduce f(z0) for z0 on the positive real axis), not by convention.  One
 LU Dunford engine serves a whole family: :func:`dunford_family` inverts each
-distinct node of its members' contours once, with one coefficient row per
-member, so each f(A) keeps its own lattice and truncation.  The calculus
-bound M = max ||f(A)|| / ||f||_inf over a family is :func:`hinf_bound_probe`,
-one such call with each member on its own contour; ``calc`` reports through
-it.  The one-member case is the dense-operator value f(A)
-(:func:`f_of_operator_oracle`), and the symbol-level value f(a) is its
-extracted symbol (:func:`f_of_symbol`); the parametrix part of the integral,
-with b^N in place of the resolvent, is the independent symbol-side
-construction.
+distinct node of its members' contours once, in one engine call, with one
+coefficient row per member, so each f(A) keeps its own lattice and
+truncation.  The calculus bound M = max ||f(A)|| / ||f||_inf over a family is
+:func:`hinf_bound_probe`, one such call with each member on its own contour;
+``calc`` and ``bip`` report through it.  The one-member case is the
+dense-operator value f(A) (:func:`f_of_operator_oracle`), and the
+symbol-level value f(a) is its extracted symbol (:func:`f_of_symbol`); the
+parametrix part of the integral, with b^N in place of the resolvent, is the
+independent symbol-side construction.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ _VALIDATE_MAX_DECADE = 100
 # residual bound of its checks.
 _CHUNK = 8
 _SPOT_TOL = 1e-9
-# dunford_family's members per engine call: its (F, n, n) sum then holds no
-# more matrices than the engine's two chunk stacks
-_FAMILY_GROUP = 2 * _CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +368,27 @@ def _union(contours):
 
 
 def dunford_family(A, pairs):
-    """f(A) for each (f, contour) pair, in order, each with the running count
-    of nodes inverted so far.
+    """f(A) for each (f, contour) pair, as one (F, n, n) stack in pair order,
+    and the number of distinct nodes inverted.
 
-    Members run in groups of at most ``_FAMILY_GROUP``, one engine call per
-    group, so the engine's sum never holds more matrices than its two chunk
-    stacks, however long the family.  A call inverts each distinct node of
-    the union of its members' contours once.  A member's coefficient row is
-    its own weights times f on its own nodes, and zero elsewhere, so each
-    f(A) keeps its own lattice and truncation.  A generator: a group is
-    integrated when its first member is asked for, and each f(A) is a copy,
-    so a member kept by the caller does not keep its group's sum alive.
+    One engine call over the union of the members' contours inverts each
+    distinct node once.  A member's coefficient row is its own weights times
+    f on its own nodes, and zero elsewhere, so each f(A) keeps its own
+    lattice and truncation.  The stack holds one n x n matrix per member
+    beside the engine's two chunk stacks.
     """
-    mat = _as_matrix(A)
-    inverted = 0
-    for start in range(0, len(pairs), _FAMILY_GROUP):
-        group = pairs[start:start + _FAMILY_GROUP]
-        nodes, positions = _union([contour for _, contour in group])
-        coeffs = np.zeros((len(group), len(nodes)), dtype=complex)
-        for row, (f, contour), pos in zip(coeffs, group, positions):
-            row[pos] = contour.weights * f(contour.nodes)
-        inverted += int(np.count_nonzero(np.any(coeffs != 0.0, axis=0)))
-        sums = _accumulate_resolvents(mat, nodes, coeffs)
-        for row in range(len(group)):
-            yield sums[row].copy(), inverted
-        del sums  # so the next group's sum is not built beside this one
+    nodes, positions = _union([contour for _, contour in pairs])
+    coeffs = np.zeros((len(pairs), len(nodes)), dtype=complex)
+    for row, (f, contour), pos in zip(coeffs, pairs, positions):
+        row[pos] = contour.weights * f(contour.nodes)
+    inverted = int(np.count_nonzero(np.any(coeffs != 0.0, axis=0)))
+    return _accumulate_resolvents(_as_matrix(A), nodes, coeffs), inverted
 
 
 def f_of_operator_oracle(A, f, contour):
     """Dense-operator Dunford integral: (i/2 pi) sum w f(lambda)(A-lambda)^{-1},
     the one-member case of :func:`dunford_family`."""
-    op, _ = next(dunford_family(A, [(f, contour)]))
-    return op
+    return dunford_family(A, [(f, contour)])[0][0]
 
 
 def f_of_symbol(A, f, contour):
@@ -420,13 +406,13 @@ def f_of_symbol(A, f, contour):
 @dataclass
 class HinfProbeReport:
     """Per-function rows (name, ||f||_inf, ||f(A)||, ratio), their maximum
-    ratio M and the integrated f(A) matrices ``ops``, aligned with ``rows``;
+    ratio M and the (F, n, n) stack ``ops`` of f(A), aligned with ``rows``;
     ``nodes`` sums the members' contour nodes, ``inverted`` counts the
     distinct ones."""
 
     rows: list
     M: float
-    ops: list
+    ops: np.ndarray
     nodes: int
     inverted: int
 
@@ -446,12 +432,12 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
         raise ValueError("function family must be nonempty")
     contours = [build_contour(sector, d=f.d, tol=quad_tol, c_f=f.validate(sector))
                 for f in family]
-    rows, ops = [], []
-    for f, (op, inverted) in zip(family, dunford_family(A, list(zip(family, contours)))):
+    ops, inverted = dunford_family(A, list(zip(family, contours)))
+    rows = []
+    for f, op in zip(family, ops):
         opn = operator_norm(op)
         sup = f.sup_norm(sector)
         rows.append((f.name, sup, opn, opn / sup))
-        ops.append(op)
     return HinfProbeReport(rows=rows, M=max(r[3] for r in rows), ops=ops,
                            nodes=sum(map(len, contours)), inverted=inverted)
 

@@ -134,7 +134,7 @@ def test_criterion_06_operator_symbol_equivalence(scene):
         fine = sc.build_contour(scene.sector, d=f.d, tol=1e-9, c_f=f.c_f,
                                 step=contour.step / 4)
         pairs += [(f, contour), (f, fine)]
-    ops = [op for op, _ in sc.dunford_family(A, pairs)]
+    ops, _ = sc.dunford_family(A, pairs)
     worst = 0.0
     for accepted, oracle in zip(ops[::2], ops[1::2]):
         fa = sc.extract_symbol(sc.QuantOp(A.grid, A.k, accepted))
@@ -146,24 +146,30 @@ def test_criterion_06_operator_symbol_equivalence(scene):
 
 
 def test_dunford_values_match_eig(scene):
-    # beside criterion 6, which measures quadrature convergence only: each
-    # accepted calc and bip f(A) against V f(Lambda) V^-1 from eig, within
-    # 4 cond(V) tol
-    A = scene.quantized_symbol.matrix
-    eigs, V = np.linalg.eig(A)
+    # beside criterion 6, which measures quadrature convergence only: the
+    # calc and bip families through hinf_bound_probe, the path both reports
+    # take, each f(A) and each row's norm against V f(Lambda) V^-1 from eig,
+    # within 4 cond(V) tol.  An error the whole engine shares, which
+    # criteria 7 and 8 cannot see, shows here.
+    A = scene.quantized_symbol
+    eigs, V = np.linalg.eig(A.matrix)
     V_inv = np.linalg.inv(V)
     cond = np.linalg.cond(V)
-    cases = [(sc.power_quotient(s), 1e-5) for s in (0.25, 0.5, 1.0, 2.0)] + \
-        [(sc.imaginary_power_regularized(t, 1000), 1e-6) for t in (-5.0, 0.0, 5.0)]
-    pairs = [(f, sc.build_contour(scene.sector, d=f.d, tol=tol,
-                                  c_f=f.ensure_cf(scene.sector)))
-             for f, tol in cases]
-    for (f, tol), (op, _) in zip(cases, sc.dunford_family(A, pairs)):
-        err = np.linalg.norm(op - (V * f(eigs)) @ V_inv, 2)
-        assert err <= 4.0 * cond * tol, (f.name, err)
+    for family, tol in (
+            ([sc.power_quotient(s) for s in (0.25, 0.5, 1.0, 2.0)], 1e-5),
+            ([sc.imaginary_power_regularized(float(t), 1000)
+              for t in np.linspace(-5.0, 5.0, 11)], 1e-6)):
+        probe = sc.hinf_bound_probe(A, family, scene.sector, quad_tol=tol)
+        for f, (_, _, op_norm, _), op in zip(family, probe.rows, probe.ops):
+            exact = (V * f(eigs)) @ V_inv
+            err = np.linalg.norm(op - exact, 2)
+            assert err <= 4.0 * cond * tol, (f.name, err)
+            norm_err = abs(op_norm - np.linalg.norm(exact, 2))
+            assert norm_err <= 4.0 * cond * tol, (f.name, norm_err)
 
 
 def test_criterion_07_uniform_bound_stability(scene, family12, family24):
+    # an engine-wide error cancels in M: test_dunford_values_match_eig guards it
     probe12 = sc.hinf_bound_probe(scene.quantized_symbol, family12,
                                   scene.sector, quad_tol=1e-5)
     probe24 = sc.hinf_bound_probe(scene.quantized_symbol, family24,
@@ -195,6 +201,7 @@ def test_criterion_07_uniform_bound_stability(scene, family12, family24):
 
 
 def test_criterion_08_bounded_imaginary_powers(scene):
+    # a fitted rate hides an engine-wide error: test_dunford_values_match_eig guards it
     ts = np.linspace(-5.0, 5.0, 11)
     pairs = []
     for t in ts:
@@ -202,7 +209,7 @@ def test_criterion_08_bounded_imaginary_powers(scene):
         pairs.append((f, sc.build_contour(scene.sector, d=1.0, tol=1e-6,
                                           c_f=f.ensure_cf(scene.sector))))
     norms = [sc.operator_norm(op)
-             for op, _ in sc.dunford_family(scene.quantized_symbol, pairs)]
+             for op in sc.dunford_family(scene.quantized_symbol, pairs)[0]]
     rate = float(np.polyfit(np.abs(ts), np.log(norms), 1)[0])
     ok = rate <= THETA + 0.2
     report(8, "bounded imaginary powers", ok,

@@ -103,9 +103,8 @@ class TestExitCodes:
         # it, so no command builds a contour or searches a radius
         def refuse(*args, **kwargs):
             raise AssertionError("contour or radius built")
-        # bip builds its contours in cli, calc inside hinf_bound_probe
-        for module in (cli, funcalc):
-            monkeypatch.setattr(module, "build_contour", refuse)
+        # calc and bip build their contours inside hinf_bound_probe
+        monkeypatch.setattr(funcalc, "build_contour", refuse)
         monkeypatch.setattr(cli.ParametrixCalculator, "find_R", refuse)
         cfg = write_cfg(tmp_path, f"{symbol}\ngrid.points = 16\n"
                         "functions = power_quotient 1\nbip.steps = 3\n")
@@ -121,8 +120,7 @@ class TestExitCodes:
     def test_calc_and_bip_with_excision_fail_at_the_gate(self, tmp_path, capsys,
                                                          monkeypatch, command):
         # the check behind the contour integral needs the whole window too
-        for module in (cli, funcalc):
-            monkeypatch.setattr(module, "build_contour", None)
+        monkeypatch.setattr(funcalc, "build_contour", None)
         cfg = write_cfg(tmp_path, BASE_CFG + "hypo.C = 0.5\n")
         out = tmp_path / "out"
         out.mkdir()
@@ -721,8 +719,9 @@ class TestLuCounts:
     a stack of them counts by its batch size."""
 
     @staticmethod
-    def scene(tmp_path, extra=""):
-        cfg = write_cfg(tmp_path, SMALL_REF1D_CFG + extra)
+    def scene(tmp_path, steps=3):
+        cfg = write_cfg(tmp_path, SMALL_REF1D_CFG.replace("bip.steps = 3",
+                                                          f"bip.steps = {steps}"))
         return cfg, resolve_config(load_config(cfg))
 
     @staticmethod
@@ -764,20 +763,28 @@ class TestLuCounts:
         assert "calc: 1128 contour nodes, 570 inverted" in \
             capsys.readouterr().err.splitlines()
 
-    def test_bip_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):
+    def bip_counts(self, tmp_path, monkeypatch, capsys, steps, nodes):
         # t and -t share their contour, and every contour holds the shorter ones
-        cfg, rc = self.scene(tmp_path)
+        cfg, rc = self.scene(tmp_path, steps)
         contours = []
         for t in np.linspace(-rc.bip_tmax, rc.bip_tmax, rc.bip_steps):
             f = imaginary_power_regularized(float(t), rc.bip_n_reg)
             f.validate(rc.sector)
             contours.append(build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol,
                                           c_f=f.c_f))
-        assert sum(map(len, contours)) == 998
+        assert sum(map(len, contours)) == nodes
         assert self.lu_solves("bip", cfg, tmp_path, rc.grid.n_modes,
                               monkeypatch) == self.distinct_nodes(contours) == 362
-        assert "bip: 998 contour nodes, 362 inverted" in \
+        assert f"bip: {nodes} contour nodes, 362 inverted" in \
             capsys.readouterr().err.splitlines()
+
+    def test_bip_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):
+        self.bip_counts(tmp_path, monkeypatch, capsys, 3, 998)
+
+    def test_long_bip_family_inverts_each_distinct_node_once(self, tmp_path,
+                                                              monkeypatch, capsys):
+        # twenty members: still one engine call, so no node is inverted twice
+        self.bip_counts(tmp_path, monkeypatch, capsys, 20, 6440)
 
     @pytest.mark.parametrize("rescued", [False, True], ids=["neumann", "rescued"])
     def test_parametrix_solves_twice_per_dense_row(self, tmp_path, monkeypatch,

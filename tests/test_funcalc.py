@@ -8,8 +8,8 @@ import pytest
 import sectorcalc as sc
 from sectorcalc import funcalc
 from sectorcalc.densela import dense_resolvent
-from sectorcalc.funcalc import (_CHUNK, _FAMILY_GROUP, _SPOT_TOL, _accumulate_resolvents,
-                                _check_vector, _probe_fun)
+from sectorcalc.funcalc import (_CHUNK, _SPOT_TOL, _accumulate_resolvents, _check_vector,
+                                _probe_fun)
 
 from reference import bn_f_deformed, gl_contour, resolvent_quotient
 
@@ -452,7 +452,7 @@ class TestDunfordEngine:
         monkeypatch.setattr(np.linalg, "inv", inv)
         with pytest.raises(sc.SingularOperatorError,
                            match=r"resolvent residual \S+ at lambda"):
-            list(sc.dunford_family(calc16.quantized_symbol, pairs))
+            sc.dunford_family(calc16.quantized_symbol, pairs)
         assert len(unit_residuals()) == 1
         assert max(unit_residuals()) <= _SPOT_TOL
 
@@ -490,17 +490,17 @@ def _calc_contours(sector, tol=1e-5):
 
 
 class TestDunfordFamily:
-    """One engine call per group over the union of the members' nodes,
-    against each member's own call (the slow path)."""
+    """One engine call over the union of the members' nodes, against each
+    member's own call (the slow path)."""
 
     @staticmethod
     def against_slow_path(A, pairs):
-        fast = list(sc.dunford_family(A, pairs))
-        assert len(fast) == len(pairs)
-        for (f, contour), (op, _) in zip(pairs, fast):
+        ops, inverted = sc.dunford_family(A, pairs)
+        assert len(ops) == len(pairs)
+        for (f, contour), op in zip(pairs, ops):
             slow = sc.f_of_operator_oracle(A, f, contour)
             assert _relative_frobenius(op, slow) <= 1e-12
-        return fast
+        return inverted
 
     @staticmethod
     def distinct(pairs):
@@ -509,8 +509,8 @@ class TestDunfordFamily:
     def test_calc_contours(self, calc16, sector_right):
         pairs = _calc_contours(sector_right)
         assert [len(c) for _, c in pairs] == [570, 298, 162, 98]
-        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
-        assert [n for _, n in fast] == [self.distinct(pairs)] * 4 == [570] * 4
+        inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert inverted == self.distinct(pairs) == 570
 
     def test_explicit_steps(self, calc16, sector_right):
         # a step-1/2 lattice inside a longer step-1/4 one, and the reverse
@@ -519,13 +519,13 @@ class TestDunfordFamily:
         pairs = [(family[0], sc.build_contour(sector_right, d=1.0, tol=1e-6, step=0.5)),
                  (family[1], sc.build_contour(sector_right, d=1.0, tol=1e-9, step=0.25)),
                  (family[2], sc.build_contour(sector_right, d=1.0, tol=1e-4, step=0.5))]
-        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
-        assert fast[-1][1] == self.distinct(pairs) < sum(len(c) for _, c in pairs)
+        inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert inverted == self.distinct(pairs) < sum(len(c) for _, c in pairs)
 
-    def test_grouped_family(self, calc16, sector_right, monkeypatch):
-        # more members than one engine call takes: groups of _FAMILY_GROUP,
-        # each over its own union
-        ts = np.linspace(-5.0, 5.0, _FAMILY_GROUP + 3)
+    def test_long_family_is_one_engine_call(self, calc16, sector_right, monkeypatch):
+        # however long the family, one engine call over one union: no node
+        # is inverted twice
+        ts = np.linspace(-5.0, 5.0, 19)
         pairs = []
         for t in ts:
             f = sc.imaginary_power_regularized(float(t), 1000)
@@ -539,11 +539,10 @@ class TestDunfordFamily:
             return engine(M, nodes, coeffs)
 
         monkeypatch.setattr(funcalc, "_accumulate_resolvents", recording)
-        fast = self.against_slow_path(calc16.quantized_symbol, pairs)
-        assert rows[:2] == [_FAMILY_GROUP, 3]
-        first = self.distinct(pairs[:_FAMILY_GROUP])
-        assert [n for _, n in fast] == [first] * _FAMILY_GROUP + \
-            [first + self.distinct(pairs[_FAMILY_GROUP:])] * 3
+        inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
+        # the family's one call, then each member's own (the slow path)
+        assert rows == [19] + [1] * 19
+        assert inverted == self.distinct(pairs)
 
     def test_node_on_one_members_range_raises(self, sector_right):
         # an eigenvalue exactly at a node that only the longer contour holds
@@ -556,27 +555,27 @@ class TestDunfordFamily:
         f = sc.power_quotient(1.0)
         sc.f_of_operator_oracle(M, f, short)
         with pytest.raises(sc.SingularOperatorError):
-            list(sc.dunford_family(M, [(f, short), (f, long)]))
+            sc.dunford_family(M, [(f, short), (f, long)])
 
-    def test_working_set_bounded_by_group(self, sector_right):
-        # the sum holds at most _FAMILY_GROUP matrices, and a group's sum is
-        # released before the next one is built
+    def test_working_set_bounded_by_family(self, sector_right):
+        # one f(A) per member beside the engine's two chunk stacks: a second
+        # (F, n, n) stack, such as per-member copies, would break the bound
         grid = sc.TorusGrid(n=1, points=128)
         expr = sc.shift(sc.parse_symbol("(2+sin(x1))*(1+xi1^2)", n=1), 5.0)
         A = sc.quantize(sc.sample(expr, grid))
         dim = A.matrix.shape[0]
         family = [sc.imaginary_power_regularized(float(t), 100)
-                  for t in np.linspace(-1.0, 1.0, 5 * _FAMILY_GROUP // 2)]
+                  for t in np.linspace(-1.0, 1.0, 40)]
         contour = sc.build_contour(sector_right, d=1.0, tol=1e-2, step=1.0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for _ in sc.dunford_family(A, [(f, contour) for f in family]):
-                pass
+            ops, _ = sc.dunford_family(A, [(f, contour) for f in family])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= (2 * _CHUNK + _FAMILY_GROUP + 5) * dim * dim * 16
+        assert ops.shape == (len(family), dim, dim)
+        assert peak <= (2 * _CHUNK + len(family) + 5) * dim * dim * 16
 
 
 def regularized_imaginary_power(calc, t, n_reg, quad_tol=1e-8):
