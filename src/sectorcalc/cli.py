@@ -128,6 +128,13 @@ def _certified(norm, what, command, quad_tol):
     return norm
 
 
+def _engine_line(command, probe):
+    """The --verbose count of a :func:`hinf_bound_probe` call: contour nodes,
+    LU solves, and whether the lower ray was mirrored."""
+    rays = "lower ray mirrored" if probe.mirrored else "both rays inverted"
+    return f"{command}: {probe.nodes} contour nodes, {probe.inverted} inverted, {rays}"
+
+
 def cmd_calc(rc, args):
     if not rc.functions:
         raise ConfigError("calc requires a nonempty 'functions' list")
@@ -149,7 +156,7 @@ def cmd_calc(rc, args):
                                     "calc", rc.calc_quad_tol)
         discrepancy = operator_norm(q_fa - oracle) / op_norm_oracle
         rows.append((name, sup, op_norm_oracle, op_norm_symbol, ratio, discrepancy))
-    _say(args, f"calc: {probe.nodes} contour nodes, {probe.inverted} inverted")
+    _say(args, _engine_line("calc", probe))
     with open(_out_path(args, "fcalc_report.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "sup_norm", "op_norm_oracle", "op_norm_symbol",
@@ -177,7 +184,7 @@ def cmd_bip(rc, args):
     for t, (_, _, op_norm, _) in zip(ts, probe.rows):
         _say(args, f"bip: t={t!r}")
         rows.append((t, _certified(op_norm, f"t={t!r}: op_norm", "bip", rc.bip_quad_tol)))
-    _say(args, f"bip: {probe.nodes} contour nodes, {probe.inverted} inverted")
+    _say(args, _engine_line("bip", probe))
     rate = float(np.polyfit(np.abs([r[0] for r in rows]),
                             np.log([r[1] for r in rows]), 1)[0])
     with open(_out_path(args, "imaginary_powers.csv"), "w", newline="") as fh:

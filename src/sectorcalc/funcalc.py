@@ -12,9 +12,13 @@ reproduce f(z0) for z0 on the positive real axis), not by convention.  One
 LU Dunford engine serves a whole family: :func:`dunford_family` inverts each
 distinct node of its members' contours once, in one engine call, with one
 coefficient row per member, so each f(A) keeps its own lattice and
-truncation.  The calculus bound M = max ||f(A)|| / ||f||_inf over a family is
-:func:`hinf_bound_probe`, one such call with each member on its own contour;
-``calc`` and ``bip`` report through it.  The one-member case is the
+truncation.  On an operator with conj(A) = P A P (P the mode flip
+xi -> -xi, as for a real symbol), the lower-ray resolvents are mirrors of
+the upper-ray ones, (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P,
+so only the upper ray is inverted.  The calculus bound
+M = max ||f(A)|| / ||f||_inf over a family is :func:`hinf_bound_probe`, one
+such call with each member on its own contour; ``calc`` and ``bip`` report
+through it.  The one-member case is the
 dense-operator value f(A) (:func:`f_of_operator_oracle`), and the
 symbol-level value f(a) is its extracted symbol (:func:`f_of_symbol`); the
 parametrix part of the integral, with b^N in place of the resolvent, is the
@@ -30,7 +34,7 @@ import numpy as np
 from .densela import _as_matrix, operator_norm
 from .errors import ContourError, SingularOperatorError
 from .grid import GridSymbol
-from .quantop import QuantOp, extract_symbol
+from .quantop import QuantOp, extract_symbol, mirror_holds, mode_mirror
 from .util import fit_loglog_slope, japanese_bracket
 
 _MAX_DECADES = 220
@@ -291,30 +295,37 @@ def _check_vector(dim):
     return np.exp(2j * np.pi * np.arange(1, dim + 1) * (np.sqrt(5) - 1) / 2) / np.sqrt(dim)
 
 
-def _accumulate_resolvents(M, nodes, coeffs):
-    """(i/2 pi) sum_q coeffs[f, q] (M - lambda_q)^{-1}, stacked over rows f.
+def _accumulate_resolvents(M, nodes, coeffs, lower, k):
+    """(i/2 pi) sum_q (coeffs[f, q] X_q + lower[f, q] P conj(X_q) P), stacked
+    over rows f, for X_q = (M - lambda_q)^{-1} and P the mode permutation
+    xi -> -xi of a ``k``-component operator (:func:`quantop.mode_mirror`).
 
-    ``coeffs`` is (F, Q): each node is inverted once for all F rows, and
-    skipped where every row vanishes.  ``np.linalg.inv`` solves
-    (M - lambda) X = I by LAPACK gesv (partial-pivot LU, then two triangular
-    solves) for ``_CHUNK`` nodes per call.  The shifted matrices live in one
-    (``_CHUNK``, n, n) buffer: M is copied in and lambda subtracted on the
-    diagonal only.  Each chunk is added to the (F, n*n) sum row by row, and
-    the sum is scaled in place, so no second (F, n*n) array is formed.
+    ``coeffs`` and ``lower`` are (F, Q): each node is inverted once for all
+    F rows and both sides, and skipped where every row of both vanishes.  On
+    an operator with conj(M) = P M P, P conj(X_q) P is the resolvent at
+    conj lambda_q, so ``lower`` carries the lower-ray nodes folded onto their
+    upper partners; an all-zero ``lower`` is the plain sum, and ``k`` is then
+    not read.  ``np.linalg.inv`` solves (M - lambda) X = I by LAPACK gesv
+    (partial-pivot LU, then two triangular solves) for ``_CHUNK`` nodes per
+    call.  The shifted matrices live in one (``_CHUNK``, n, n) buffer: M is
+    copied in and lambda subtracted on the diagonal only.  Each chunk is added
+    to the (F, n*n) sum row by row, its lower side as
+    mode_mirror(conj(lower) . X), one n x n matrix, and the sum is scaled in
+    place, so no second (F, n*n) array is formed.
     The engine holds about two chunk stacks of n x n matrices at once (the
     shifted buffer and one chunk's inverses), so ``_CHUNK`` sets its peak
     memory.  8 nodes keep that small without slowing the inverse: at
     n = 127 a stacked inverse costs 0.90 ms per node for 8 nodes against
     1.11 ms for 24 (2 BLAS threads), and calc plus bip on the reference
     scene take the same time, within noise, for 2 to 24.
-    Every node is residual-checked on one fixed unit vector x
+    Every inverted node is residual-checked on one fixed unit vector x
     (:func:`_check_vector`), ||M y - lambda y - x|| with
     y = (M - lambda)^{-1} x, and each row's first node against the full
     identity, so a near-singular shift cannot pass silently.
     """
-    keep = np.any(coeffs != 0.0, axis=0)
-    nodes, coeffs = nodes[keep], coeffs[:, keep]
-    spots = np.argmax(coeffs != 0.0, axis=1)  # each row's first node
+    keep = np.any((coeffs != 0.0) | (lower != 0.0), axis=0)
+    nodes, coeffs, lower = nodes[keep], coeffs[:, keep], lower[:, keep]
+    spots = np.argmax((coeffs != 0.0) | (lower != 0.0), axis=1)  # each row's first node
     dim = M.shape[0]
     diag = np.arange(dim)
     x = _check_vector(dim)
@@ -323,6 +334,7 @@ def _accumulate_resolvents(M, nodes, coeffs):
     for start in range(0, len(nodes), _CHUNK):
         lam = nodes[start:start + _CHUNK]
         cf = coeffs[:, start:start + _CHUNK]
+        lo = lower[:, start:start + _CHUNK]
         shifted = buf[:len(lam)]
         shifted[...] = M
         shifted[:, diag, diag] -= lam[:, None]
@@ -347,47 +359,69 @@ def _accumulate_resolvents(M, nodes, coeffs):
                 f"resolvent residual {node_res[worst]:.2e} on a unit vector at "
                 f"lambda={lam[worst]!r}; contour touches the spectrum")
         flat = inv.reshape(len(lam), dim * dim)
-        for row, c in zip(acc, cf):
+        for row, c, c_lo in zip(acc, cf, lo):
             row += c @ flat
+            if np.any(c_lo):
+                row += mode_mirror((c_lo.conj() @ flat).reshape(dim, dim), k).ravel()
         del inv, flat  # so the next chunk's inverse is not built beside this one
     acc *= 1j / (2.0 * np.pi)
     return acc.reshape(len(coeffs), dim, dim)
 
 
-def _union(contours):
-    """The distinct nodes of ``contours`` in order of first appearance, and
-    each contour's node positions among them.  Lattices of one sector share
-    their nodes bitwise (see :func:`_lattice`)."""
-    every = np.concatenate([c.nodes for c in contours])
-    _, first, inverse = np.unique(every, return_index=True, return_inverse=True)
+def _distinct(values):
+    """The distinct ``values`` in order of first appearance, and each
+    value's position among them."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return every[first[order]], np.split(rank[inverse.ravel()],
-                                         np.cumsum([len(c) for c in contours])[:-1])
+    return values[first[order]], rank[inverse.ravel()]
 
 
 def dunford_family(A, pairs):
     """f(A) for each (f, contour) pair, as one (F, n, n) stack in pair order,
-    and the number of distinct nodes inverted.
+    the number of distinct nodes inverted, and whether the lower ray was
+    mirrored.
 
     One engine call over the union of the members' contours inverts each
-    distinct node once.  A member's coefficient row is its own weights times
+    distinct node once; lattices of one sector share their nodes bitwise
+    (see :func:`_lattice`), and a lower node is an upper one's conjugate
+    bitwise.  A member's coefficient row is its own weights times
     f on its own nodes, and zero elsewhere, so each f(A) keeps its own
-    lattice and truncation.  The stack holds one n x n matrix per member
+    lattice and truncation.  When A is a :class:`QuantOp` that passes
+    :func:`quantop.mirror_holds`, the lower ray is mirrored: a lower node
+    lambda is folded onto the upper node conj lambda (inverted there if no
+    member holds it), and its coefficients enter the engine's lower side,
+    since (A - lambda)^{-1} = P conj((A - conj lambda)^{-1}) P.  That halves
+    the inversions of a two-ray lattice.  The mirrored value rests on the
+    resolvent identity: for R the resolvent of A,
+    ||R(conj lambda) - P conj(R(lambda)) P||
+    <= ||R(conj lambda)|| ||A - P conj(A) P|| ||R(lambda)||,
+    and the gate bounds max|A - P conj(A) P| by 64 eps max|A|.  Any other A,
+    a plain matrix included, integrates both rays, in the same engine call
+    with an all-zero lower side.  The stack holds one n x n matrix per member
     beside the engine's two chunk stacks.
     """
-    nodes, positions = _union([contour for _, contour in pairs])
-    coeffs = np.zeros((len(pairs), len(nodes)), dtype=complex)
-    for row, (f, contour), pos in zip(coeffs, pairs, positions):
-        row[pos] = contour.weights * f(contour.nodes)
-    inverted = int(np.count_nonzero(np.any(coeffs != 0.0, axis=0)))
-    return _accumulate_resolvents(_as_matrix(A), nodes, coeffs), inverted
+    mirrored = isinstance(A, QuantOp) and mirror_holds(A)
+    every = np.concatenate([contour.nodes for _, contour in pairs])
+    folded = mirrored & (every.imag < 0.0)
+    nodes, position = _distinct(np.where(folded, every.conj(), every))
+    coeffs = np.zeros((2, len(pairs), len(nodes)), dtype=complex)  # upper, lower
+    ends = np.cumsum([len(contour) for _, contour in pairs])
+    for row, ((f, contour), end) in enumerate(zip(pairs, ends)):
+        span = slice(end - len(contour), end)
+        coeffs[folded[span].astype(int), row, position[span]] = \
+            contour.weights * f(contour.nodes)
+    inverted = int(np.count_nonzero(np.any(coeffs != 0.0, axis=(0, 1))))
+    ops = _accumulate_resolvents(_as_matrix(A), nodes, coeffs[0], coeffs[1],
+                                 A.k if mirrored else None)
+    return ops, inverted, mirrored
 
 
 def f_of_operator_oracle(A, f, contour):
     """Dense-operator Dunford integral: (i/2 pi) sum w f(lambda)(A-lambda)^{-1},
-    the one-member case of :func:`dunford_family`."""
+    the one-member case of :func:`dunford_family` (lower ray mirrored where
+    A passes its gate)."""
     return dunford_family(A, [(f, contour)])[0][0]
 
 
@@ -407,14 +441,16 @@ def f_of_symbol(A, f, contour):
 class HinfProbeReport:
     """Per-function rows (name, ||f||_inf, ||f(A)||, ratio), their maximum
     ratio M and the (F, n, n) stack ``ops`` of f(A), aligned with ``rows``;
-    ``nodes`` sums the members' contour nodes, ``inverted`` counts the
-    distinct ones."""
+    ``nodes`` sums the members' contour nodes, ``inverted`` counts the LU
+    solves made (the distinct nodes, upper ray only when ``mirrored``), and
+    ``mirrored`` says whether the lower ray was folded onto the upper one."""
 
     rows: list
     M: float
     ops: np.ndarray
     nodes: int
     inverted: int
+    mirrored: bool
 
 
 def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
@@ -432,14 +468,15 @@ def hinf_bound_probe(A, family, sector, quad_tol=1e-8):
         raise ValueError("function family must be nonempty")
     contours = [build_contour(sector, d=f.d, tol=quad_tol, c_f=f.validate(sector))
                 for f in family]
-    ops, inverted = dunford_family(A, list(zip(family, contours)))
+    ops, inverted, mirrored = dunford_family(A, list(zip(family, contours)))
     rows = []
     for f, op in zip(family, ops):
         opn = operator_norm(op)
         sup = f.sup_norm(sector)
         rows.append((f.name, sup, opn, opn / sup))
     return HinfProbeReport(rows=rows, M=max(r[3] for r in rows), ops=ops,
-                           nodes=sum(map(len, contours)), inverted=inverted)
+                           nodes=sum(map(len, contours)), inverted=inverted,
+                           mirrored=mirrored)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ resolvent mirrors its b^N, remainder and resolvent (no b_0 inverses, no
 quantization, no products) and measures its residual against A; every other
 row is computed.  The calculator decides the symmetry once, at
 construction: bitwise on the tables its compiled b^N term list reads, and
-within 64 eps max|A| on the quantized symbol.  The mirrors are the
-layouts' own, :func:`grid.conj_mirror` and :func:`quantop.mode_mirror`.
+on the quantized symbol by :func:`quantop.mirror_holds`, the decision the
+Dunford engine reads too.  The mirrors are the layouts' own,
+:func:`grid.conj_mirror` and :func:`quantop.mode_mirror`.
 
 ``find_R`` walks the radii down and stops at the first failing point; on a
 symmetric symbol a lower point passes by its upper partner's bound plus a
@@ -55,7 +56,8 @@ import numpy as np
 from .densela import dense_resolvent, norm_bound
 from .errors import SectorcalcError
 from .grid import GridSymbol, class_weighted_sups, conj_mirror, pointwise_inverse, sample
-from .quantop import QuantOp, extract_symbol, fft_rounding, mode_mirror, quantize
+from .quantop import (QuantOp, extract_symbol, fft_rounding, mirror_holds, mode_mirror,
+                      quantize)
 from .util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                    multi_indices_of_order)
 
@@ -65,8 +67,6 @@ _MAX_NEUMANN = 400
 # Invertibility radii find_R tries: the powers of two 1 .. 2^20.
 _R_CANDIDATES = tuple(2.0 ** p for p in range(21))
 _EPS = np.finfo(float).eps
-# Relative bound on max|A - P conj(A) P| for a symmetric quantized symbol.
-_MIRROR_TOL = 64 * _EPS
 
 
 def _remainder_rounding(dim, s_norm, q_norm):
@@ -278,8 +278,8 @@ class ParametrixCalculator:
     and (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P: whether a and
     every derivative table T of xi-order alpha that b^N reads satisfy
     T(x, -xi) = (-1)^|alpha| conj T(x, xi), bitwise (checked where b^N's
-    compile samples T), and the quantized symbol A satisfies
-    max|A - P conj(A) P| <= 64 eps max|A|.
+    compile samples T), and the quantized symbol A passes
+    :func:`quantop.mirror_holds`, max|A - P conj(A) P| <= 64 eps max|A|.
     """
 
     def __init__(self, expr, grid, class_params, sector, N):
@@ -310,12 +310,10 @@ class ParametrixCalculator:
         self.compiled_bN, tables_mirror = self._compile(self.bN_terms)
         a = self.a_tab.values
         A = self.quantized_symbol.matrix
-        asymmetry = A - mode_mirror(A, self.k)
-        self.mirror_asymmetry = float(np.linalg.norm(asymmetry))
+        self.mirror_asymmetry = float(np.linalg.norm(A - mode_mirror(A, self.k)))
         self.find_R_points = None  # set by find_R
-        self.conj_symmetric = bool(
-            np.max(np.abs(asymmetry)) <= _MIRROR_TOL * np.max(np.abs(A))
-        ) and np.array_equal(conj_mirror(a), a) and tables_mirror
+        self.conj_symmetric = mirror_holds(self.quantized_symbol) \
+            and np.array_equal(conj_mirror(a), a) and tables_mirror
 
     # -- derivative tables and compiled term lists ------------------------------
 

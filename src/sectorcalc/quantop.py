@@ -18,7 +18,8 @@ window - i.e. for x-trigonometric symbols of degree B at modes
 |xi| <= Xi - B (exactly, for x-independent symbols).  Compositions are
 asserted on the interior window |xi| <= Xi - K for the same reason: mode
 shifts leak past the truncation at the edge.  The mode layout's mirror is
-:func:`mode_mirror`; :func:`fft_rounding` bounds the rounding of the DFT.
+:func:`mode_mirror`, and :func:`mirror_holds` decides whether an operator is
+its own mirror; :func:`fft_rounding` bounds the rounding of the DFT.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def _index_arrays(grid):
 
 _MAX_DENSE_DIM = 512
 _EPS = np.finfo(float).eps
+# Relative bound on max|A - P conj(A) P| for a conjugate-symmetric operator.
+_MIRROR_TOL = 64 * _EPS
 
 
 def quantize(a):
@@ -122,6 +125,16 @@ def mode_mirror(matrix, k):
     block is conjugated in place, not transposed."""
     m = len(matrix) // k
     return np.flip(matrix.reshape(m, k, m, k), axis=(0, 2)).conj().reshape(m * k, m * k)
+
+
+def mirror_holds(op):
+    """Whether the operator ``op`` is its own :func:`mode_mirror`,
+    max|A - P conj(A) P| <= 64 eps max|A|: then conj(A) = P A P and
+    (A - conj lambda)^{-1} = P conj((A - lambda)^{-1}) P up to that
+    asymmetry.  The one operator-level mirror decision: the parametrix
+    calculator's gate and the Dunford engine's lower-ray fold both read it."""
+    A = op.matrix
+    return bool(np.max(np.abs(A - mode_mirror(A, op.k))) <= _MIRROR_TOL * np.max(np.abs(A)))
 
 
 def extract_symbol(op):

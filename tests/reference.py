@@ -4,7 +4,7 @@ None of these runs in a CLI stage or an acceptance criterion: each is a
 second route to a quantity the package computes another way (FFT
 application against the dense matrix, the deformed contour against the
 straight rays, the composite Gauss-Legendre contour against the
-trapezoid lattice, the full norm tables against the certified sups and maxima,
+trapezoid lattice, the two-ray Dunford sum against the mirrored one, the full norm tables against the certified sups and maxima,
 exact-derivative seminorms, every find_R point against the early-stopping
 walk, Horner's Neumann sum against binary splitting, products counted as
 they are formed), or a stated paper construct that only a test exercises.
@@ -190,6 +190,17 @@ def gl_contour(sector, r_min, r_max, per_decade):
     return sc.Contour(theta=sector.theta, r_min=r_min, r_max=r_max, step=None,
                       nodes=np.concatenate([up_n, lo_n]),
                       weights=np.concatenate([-up_w, lo_w]))
+
+
+def two_ray_dunford(A, f, contour):
+    """(i/2 pi) sum_q w_q f(lambda_q) inv(A - lambda_q), one ``np.linalg.inv``
+    per node of both rays: no chunk, no shared node, no mirror."""
+    M = A.matrix if isinstance(A, sc.QuantOp) else np.asarray(A, dtype=complex)
+    eye = np.eye(len(M), dtype=complex)
+    out = np.zeros_like(M)
+    for lam, w in zip(contour.nodes, contour.weights):
+        out += w * f(lam) * np.linalg.inv(M - lam * eye)
+    return 1j / (2.0 * np.pi) * out
 
 
 def resolvent_quotient(mu):

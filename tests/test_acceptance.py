@@ -134,7 +134,7 @@ def test_criterion_06_operator_symbol_equivalence(scene):
         fine = sc.build_contour(scene.sector, d=f.d, tol=1e-9, c_f=f.c_f,
                                 step=contour.step / 4)
         pairs += [(f, contour), (f, fine)]
-    ops, _ = sc.dunford_family(A, pairs)
+    ops, _, _ = sc.dunford_family(A, pairs)
     worst = 0.0
     for accepted, oracle in zip(ops[::2], ops[1::2]):
         fa = sc.extract_symbol(sc.QuantOp(A.grid, A.k, accepted))

@@ -749,8 +749,15 @@ class TestLuCounts:
     def distinct_nodes(contours):
         return len(np.unique(np.concatenate([c.nodes for c in contours])))
 
+    @staticmethod
+    def upper_nodes(contours):
+        """The distinct nodes with each lower-ray node taken as its conjugate."""
+        every = np.concatenate([c.nodes for c in contours])
+        return len(np.unique(np.where(every.imag < 0, every.conj(), every)))
+
     def test_calc_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):
-        # one family call: the four nested contours share their nodes
+        # one family call: the four nested contours share their nodes, and
+        # the real symbol's lower ray is the mirror of its upper ray
         cfg, rc = self.scene(tmp_path)
         contours = []
         for f in rc.functions:
@@ -758,9 +765,10 @@ class TestLuCounts:
             contours.append(build_contour(rc.sector, d=f.d, tol=rc.calc_quad_tol,
                                           c_f=f.c_f))
         assert sum(map(len, contours)) == 1128
+        assert self.distinct_nodes(contours) == 570
         assert self.lu_solves("calc", cfg, tmp_path, rc.grid.n_modes,
-                              monkeypatch) == self.distinct_nodes(contours) == 570
-        assert "calc: 1128 contour nodes, 570 inverted" in \
+                              monkeypatch) == self.upper_nodes(contours) == 285
+        assert "calc: 1128 contour nodes, 285 inverted, lower ray mirrored" in \
             capsys.readouterr().err.splitlines()
 
     def bip_counts(self, tmp_path, monkeypatch, capsys, steps, nodes):
@@ -773,9 +781,10 @@ class TestLuCounts:
             contours.append(build_contour(rc.sector, d=1.0, tol=rc.bip_quad_tol,
                                           c_f=f.c_f))
         assert sum(map(len, contours)) == nodes
+        assert self.distinct_nodes(contours) == 362
         assert self.lu_solves("bip", cfg, tmp_path, rc.grid.n_modes,
-                              monkeypatch) == self.distinct_nodes(contours) == 362
-        assert f"bip: {nodes} contour nodes, 362 inverted" in \
+                              monkeypatch) == self.upper_nodes(contours) == 181
+        assert f"bip: {nodes} contour nodes, 181 inverted, lower ray mirrored" in \
             capsys.readouterr().err.splitlines()
 
     def test_bip_inverts_each_distinct_node_once(self, tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from sectorcalc.densela import dense_resolvent
 from sectorcalc.funcalc import (_CHUNK, _SPOT_TOL, _accumulate_resolvents, _check_vector,
                                 _probe_fun)
 
-from reference import bn_f_deformed, gl_contour, resolvent_quotient
+from reference import bn_f_deformed, gl_contour, resolvent_quotient, two_ray_dunford
 
 
 @pytest.fixture(scope="module")
@@ -351,15 +351,27 @@ class TestOperatorOracle:
         assert len(calls) == 2
 
 
-def _literal_dunford(M, nodes, coeffs):
-    """(i/2 pi) sum_q coeffs[f, q] inv(M - lambda_q I), one node at a time."""
+def _literal_dunford(M, nodes, coeffs, lower=None, k=1):
+    """(i/2 pi) sum_q (coeffs[f, q] X_q + lower[f, q] P conj(X_q) P) for
+    X_q = inv(M - lambda_q I), one node at a time, with P conj(.) P formed
+    as the flip of the (mode, component) blocks' mode indices."""
     eye = np.eye(M.shape[0], dtype=complex)
+    m = M.shape[0] // k
     out = np.zeros((coeffs.shape[0],) + M.shape, dtype=complex)
     for q, lam in enumerate(nodes):
         inv = np.linalg.inv(M - lam * eye)
+        blocks = inv.reshape(m, k, m, k)
+        mirror = np.conj(blocks[::-1, :, ::-1, :]).reshape(M.shape)
         for f in range(coeffs.shape[0]):
             out[f] += coeffs[f, q] * inv
+            if lower is not None:
+                out[f] += lower[f, q] * mirror
     return 1j / (2.0 * np.pi) * out
+
+
+def _plain(M, nodes, coeffs):
+    """The engine with no lower side: the plain sum over ``nodes``."""
+    return _accumulate_resolvents(M, nodes, coeffs, np.zeros_like(coeffs), None)
 
 
 class TestDunfordEngine:
@@ -376,7 +388,7 @@ class TestDunfordEngine:
     def test_matches_literal_sum(self, calc16, contour_d1, family_coeffs, rows, count):
         M = calc16.quantized_symbol.matrix
         nodes, coeffs = contour_d1.nodes[:count], family_coeffs[:rows, :count]
-        got = _accumulate_resolvents(M, nodes, coeffs)
+        got = _plain(M, nodes, coeffs)
         ref = _literal_dunford(M, nodes, coeffs)
         assert got.shape == ref.shape == (rows,) + M.shape
         for g, r in zip(got, ref):
@@ -399,8 +411,26 @@ class TestDunfordEngine:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        got = _accumulate_resolvents(M, nodes, coeffs)
+        got = _plain(M, nodes, coeffs)
         assert sum(inverted) == count - len(zero)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lower_side_adds_the_mirrored_resolvent(self, calc16, contour_d1,
+                                                    family_coeffs, k):
+        # a general matrix, no symmetry: the lower side adds
+        # lower[f, q] P conj(X_q) P whatever M is; a node with only a lower
+        # coefficient is inverted too, and a node with neither is skipped
+        M = np.random.default_rng(3).standard_normal((14, 14)) + 20.0 * np.eye(14)
+        count = 2 * _CHUNK + 3
+        nodes = contour_d1.nodes[:count]
+        coeffs = family_coeffs[:, :count].copy()
+        lower = family_coeffs[:, count:2 * count][:, ::-1].copy()
+        coeffs[:, [1, _CHUNK + 2]] = 0.0
+        lower[:, [_CHUNK + 2, 2 * _CHUNK]] = 0.0
+        got = _accumulate_resolvents(M, nodes, coeffs, lower, k)
+        ref = _literal_dunford(M, nodes, coeffs, lower, k)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
 
@@ -489,16 +519,25 @@ def _calc_contours(sector, tol=1e-5):
     return [(f, sc.build_contour(sector, d=f.d, tol=tol, c_f=f.c_f)) for f in family]
 
 
+def _upper_nodes(contours):
+    """The distinct nodes of ``contours`` with each lower-ray node taken as
+    its conjugate: the nodes a mirrored call inverts."""
+    every = np.concatenate([c.nodes for c in contours])
+    return len(np.unique(np.where(every.imag < 0, every.conj(), every)))
+
+
 class TestDunfordFamily:
-    """One engine call over the union of the members' nodes, against each
-    member's own call (the slow path)."""
+    """One engine call over the union of the members' nodes, its lower ray
+    mirrored, against each member's two-ray sum node by node (the slow
+    path)."""
 
     @staticmethod
     def against_slow_path(A, pairs):
-        ops, inverted = sc.dunford_family(A, pairs)
+        ops, inverted, mirrored = sc.dunford_family(A, pairs)
         assert len(ops) == len(pairs)
+        assert mirrored == isinstance(A, sc.QuantOp)
         for (f, contour), op in zip(pairs, ops):
-            slow = sc.f_of_operator_oracle(A, f, contour)
+            slow = two_ray_dunford(A, f, contour)
             assert _relative_frobenius(op, slow) <= 1e-12
         return inverted
 
@@ -509,7 +548,14 @@ class TestDunfordFamily:
     def test_calc_contours(self, calc16, sector_right):
         pairs = _calc_contours(sector_right)
         assert [len(c) for _, c in pairs] == [570, 298, 162, 98]
+        assert self.distinct(pairs) == 570
         inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
+        assert inverted == _upper_nodes([c for _, c in pairs]) == 285
+
+    def test_plain_matrix_integrates_both_rays(self, calc16, sector_right):
+        # a plain ndarray carries no mode layout: no mirror
+        pairs = _calc_contours(sector_right)
+        inverted = self.against_slow_path(calc16.quantized_symbol.matrix, pairs)
         assert inverted == self.distinct(pairs) == 570
 
     def test_explicit_steps(self, calc16, sector_right):
@@ -520,7 +566,8 @@ class TestDunfordFamily:
                  (family[1], sc.build_contour(sector_right, d=1.0, tol=1e-9, step=0.25)),
                  (family[2], sc.build_contour(sector_right, d=1.0, tol=1e-4, step=0.5))]
         inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
-        assert inverted == self.distinct(pairs) < sum(len(c) for _, c in pairs)
+        assert 2 * inverted == self.distinct(pairs) < sum(len(c) for _, c in pairs)
+        assert inverted == _upper_nodes([c for _, c in pairs])
 
     def test_long_family_is_one_engine_call(self, calc16, sector_right, monkeypatch):
         # however long the family, one engine call over one union: no node
@@ -534,15 +581,14 @@ class TestDunfordFamily:
         rows = []
         engine = funcalc._accumulate_resolvents
 
-        def recording(M, nodes, coeffs):
+        def recording(M, nodes, coeffs, lower, k):
             rows.append(len(coeffs))
-            return engine(M, nodes, coeffs)
+            return engine(M, nodes, coeffs, lower, k)
 
         monkeypatch.setattr(funcalc, "_accumulate_resolvents", recording)
         inverted = self.against_slow_path(calc16.quantized_symbol, pairs)
-        # the family's one call, then each member's own (the slow path)
-        assert rows == [19] + [1] * 19
-        assert inverted == self.distinct(pairs)
+        assert rows == [19]
+        assert inverted == _upper_nodes([c for _, c in pairs])
 
     def test_node_on_one_members_range_raises(self, sector_right):
         # an eigenvalue exactly at a node that only the longer contour holds
@@ -570,11 +616,11 @@ class TestDunfordFamily:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ops, _ = sc.dunford_family(A, [(f, contour) for f in family])
+            ops, _, mirrored = sc.dunford_family(A, [(f, contour) for f in family])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert ops.shape == (len(family), dim, dim)
+        assert mirrored and ops.shape == (len(family), dim, dim)
         assert peak <= (2 * _CHUNK + len(family) + 5) * dim * dim * 16
 
 
@@ -649,12 +695,12 @@ class TestHinfProbe:
     @staticmethod
     def probe_on_own_contours(A, family, sector, tol, monkeypatch):
         """The probe's report, after checking that it inverts each distinct
-        node of the members' own contours once and that each norm is the
-        oracle's on that member's own contour."""
+        upper-ray node of the members' own contours once and that each norm
+        is the two-ray sum's on that member's own contour."""
         for f in family:
             f.validate(sector)
         contours = [sc.build_contour(sector, d=f.d, tol=tol, c_f=f.c_f) for f in family]
-        expected = [sc.operator_norm(sc.f_of_operator_oracle(A, f, contour))
+        expected = [sc.operator_norm(two_ray_dunford(A, f, contour))
                     for f, contour in zip(family, contours)]
         real_inv = np.linalg.inv
         inverted = []
@@ -665,8 +711,8 @@ class TestHinfProbe:
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         report = sc.hinf_bound_probe(A, family, sector, quad_tol=tol)
-        distinct = len(np.unique(np.concatenate([c.nodes for c in contours])))
-        assert sum(inverted) == report.inverted == distinct
+        assert report.mirrored
+        assert sum(inverted) == report.inverted == _upper_nodes(contours)
         assert report.nodes == sum(map(len, contours))
         for row, ref in zip(report.rows, expected):
             assert row[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -687,7 +733,7 @@ class TestHinfProbe:
         family = [sc.power_quotient(1), sc.imaginary_power_regularized(1.0, 1000)]
         report = self.probe_on_own_contours(calc16.quantized_symbol, family,
                                             sector_right, 1e-5, monkeypatch)
-        assert (report.nodes, report.inverted) == (428, 266)
+        assert (report.nodes, report.inverted) == (428, 133)
 
     def test_matrices_match_f_of_symbol(self, calc16, sector_right):
         # the slow path: f_of_symbol of each member on its own contour

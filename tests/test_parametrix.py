@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import sectorcalc as sc
-from sectorcalc import parametrix
+from sectorcalc import parametrix, quantop
 from sectorcalc.grid import class_weighted_sup, conj_mirror
 from sectorcalc.densela import _hoelder_bounds
 from sectorcalc.quantop import QuantOp, extract_symbol, fft_rounding, mode_mirror, quantize
 from sectorcalc.util import (fit_loglog_slope, japanese_bracket, multi_factorial,
                              multi_indices_of_order)
 
-from reference import (apply_dxi, find_R_all_points, neumann_horner,
-                       products_formed, unit_symbol)
+from reference import (apply_dxi, find_R_all_points, neumann_horner, products_formed,
+                       two_ray_dunford, unit_symbol)
 
 
 def dense_reference(calc, lam):
@@ -941,7 +941,7 @@ class TestMirroredResolvent:
     def test_operator_gate_is_read(self, sector_right, monkeypatch):
         # ref1d's A is symmetric to 0.08 eps, not bitwise: a zero bound
         # closes the gate although every table passes the bitwise check
-        monkeypatch.setattr(parametrix, "_MIRROR_TOL", 0.0)
+        monkeypatch.setattr(quantop, "_MIRROR_TOL", 0.0)
         assert not calc_of(sector_right, *MIRRORED["ref1d"]).conj_symmetric
 
     @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
@@ -962,6 +962,31 @@ class TestMirroredResolvent:
         assert [row["method"] for row in shipped.rows[1::2]] == ["neumann->dense"] * 5
         assert all(row["mirrored"] and row["residual"] <= 1e-11
                    for row in shipped.rows[1::2])
+
+
+class TestDunfordMirror:
+    """The family Dunford call, its lower ray mirrored where the operator
+    gate holds, against the two-ray sum with one ``np.linalg.inv`` per node
+    of both rays."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED) + sorted(ASYMMETRIC))
+    def test_family_matches_the_two_ray_sum(self, sector_right, name):
+        calc = calc_of(sector_right, *(MIRRORED.get(name) or (ASYMMETRIC[name],)))
+        A = calc.quantized_symbol
+        # two members on their own contours: the union holds both lattices
+        family = [sc.power_quotient(1.0), sc.imaginary_power_regularized(1.0, 100)]
+        pairs = [(f, sc.build_contour(sector_right, d=f.d, tol=1e-4,
+                                      c_f=f.validate(sector_right))) for f in family]
+        ops, inverted, mirrored = sc.dunford_family(A, pairs)
+        every = np.concatenate([c.nodes for _, c in pairs])
+        upper = np.unique(every[every.imag > 0])
+        assert mirrored == (name in MIRRORED) == calc.conj_symmetric
+        # the lattices' lower nodes are the upper ones' conjugates, bitwise
+        assert np.array_equal(np.unique(every), np.union1d(upper, upper.conj()))
+        assert inverted == (len(upper) if mirrored else 2 * len(upper))
+        for (f, contour), op in zip(pairs, ops):
+            ref = two_ray_dunford(A, f, contour)
+            assert np.linalg.norm(op - ref) / np.linalg.norm(ref) <= 1e-12
 
 
 class TestSweepSups:
