@@ -942,7 +942,13 @@ class TestMirroredResolvent:
         # ref1d's A is symmetric to 0.08 eps, not bitwise: a zero bound
         # closes the gate although every table passes the bitwise check
         monkeypatch.setattr(quantop, "_MIRROR_TOL", 0.0)
-        assert not calc_of(sector_right, *MIRRORED["ref1d"]).conj_symmetric
+        calc = calc_of(sector_right, *MIRRORED["ref1d"])
+        assert not calc.conj_symmetric
+        # the Dunford engine reads the same decision: both rays are inverted
+        contour = sc.build_contour(sector_right, d=1.0, tol=1e-2, step=1.0)
+        _, inverted, mirrored = sc.dunford_family(calc.quantized_symbol,
+                                                  [(sc.power_quotient(1.0), contour)])
+        assert not mirrored and inverted == len(contour)
 
     @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
     def test_asymmetric_symbol_mirrors_no_row(self, sector_right, name):
