@@ -1,12 +1,14 @@
-"""Command-line front end: exit codes, CSV schemas, determinism."""
+"""Command-line front end: exit codes, CSV schemas, determinism.
+
+The CLI scenarios are rows of ``tests/scenarios.py``, run here in-process;
+the other tests read CSV schemas and cells, check cells against an oracle,
+patch a stage, count solves or run the module entry point."""
 
 import csv
 import os
 import pathlib
-import re
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from sectorcalc.config import CONFIG_KEYS, load_config, parse_config_text, resol
 from sectorcalc.errors import ContourError, SingularOperatorError
 from sectorcalc.util import fit_loglog_slope
 
+import scenarios
 from reference import products_formed
+from scenarios import NAMED, Row, run
 
 BASE_CFG = """
 symbol.preset = variable_laplace
@@ -52,8 +56,23 @@ def write_cfg(tmp_path, text, name="alt.cfg"):
     return str(path)
 
 
-STEPS_MESSAGE = ("config error: bip.steps must be >= 3 (the growth rate is a line "
-                 "fitted against |t|; two steps give one |t|)\n")
+def runs(rows):
+    """A test method that runs one table row, or each row of a list under
+    its id, through :func:`scenarios.run`."""
+    if isinstance(rows, Row):
+        def test(self, tmp_path, capsys):
+            run(rows, tmp_path, capsys)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=lambda row: row.id)
+    def test_row(self, row, tmp_path, capsys):
+        run(row, tmp_path, capsys)
+    return test_row
+
+
+@pytest.mark.parametrize("row", scenarios.RUNS, ids=lambda row: row.id)
+def test_scenario(row, tmp_path, capsys):
+    run(row, tmp_path, capsys)
 
 
 class TestExitCodes:
@@ -66,26 +85,21 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "symbol.preset = -bracket_power 2\ngrid.points = 16\n")
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_missing_config_file(self, tmp_path):
-        assert main(["check", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path)]) == 1
-
-    def test_bad_schema(self, tmp_path):
-        cfg = write_cfg(tmp_path, "this is not a key value line\n")
-        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
-
-    def test_bad_expression_is_config_error(self, tmp_path):
-        cfg = write_cfg(tmp_path, "symbol.expr = 2+*x1\nclass.m = 2\ngrid.points = 16\n")
-        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG + "parametrix.N = 1\n")
-        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 1
-
-    def test_parametrix_rejects_bad_order(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG.replace("parametrix.N = 3",
-                                                   "parametrix.N = 0"))
-        assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 1
+    test_missing_config_file = runs(NAMED["missing_config_file"])
+    test_bad_schema = runs(NAMED["bad_schema"])
+    test_bad_expression_is_config_error = runs(NAMED["bad_expression_is_config_error"])
+    test_duplicate_key_rejected = runs(NAMED["duplicate_key_rejected"])
+    test_parametrix_rejects_bad_order = runs(NAMED["parametrix_rejects_bad_order"])
+    test_calc_requires_functions = runs(NAMED["calc_requires_functions"])
+    test_unknown_subcommand_is_usage_error = runs(
+        NAMED["unknown_subcommand_is_usage_error"])
+    test_small_decay_exponent_is_a_numerical_failure = runs(
+        NAMED["small_decay_exponent_is_a_numerical_failure"])
+    test_bad_function_specs_are_config_errors = runs(scenarios.BAD_FUNCTION_SPECS)
+    test_overflowing_decay_samples_are_config_errors = runs(scenarios.OVERFLOWING_DECAY)
+    test_sweep_ranges_past_rounding_are_config_errors = runs(scenarios.SWEEP_RANGES)
+    test_bip_ranges_are_config_errors = runs(scenarios.BIP_RANGES)
+    test_out_of_range_values_are_config_errors = runs(scenarios.OUT_OF_RANGE)
 
     def test_parametrix_fails_upstream_check(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace(
@@ -130,19 +144,6 @@ class TestExitCodes:
                               "the contour integral needs")
         assert list(out.iterdir()) == []
 
-    def test_small_decay_exponent_is_a_numerical_failure(self, tmp_path, capsys):
-        # r_max = (4 c_f/(d tol))^(1/d) overflows at d = 0.001: the decade
-        # budget is tested in logarithms first
-        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\ngrid.points = 16\n"
-                        "shift = 5\nfunctions = power_quotient 0.001\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["calc", "--config", cfg, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"numerical failure: contour spans \d+ decades \(> 220\); "
-                            r"decay exponent too small for the requested tolerance\n", err)
-        assert list(out.iterdir()) == []
-
     def test_parametrix_with_excision_fails_before_find_R(self, tmp_path, capsys,
                                                           monkeypatch):
         # the parametrix needs the spectral condition on the whole window and
@@ -159,68 +160,6 @@ class TestExitCodes:
         assert err.startswith("config error: parametrix needs hypo.C = 0")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command, spec, message", [
-        ("calc", "sine 1", "unknown function spec 'sine 1'"),
-        ("calc", "power_quotient", "bad function spec 'power_quotient'"),
-        ("calc", "imag_power one", "bad function spec 'imag_power one'"),
-        ("calc", "power_quotient nan", "'power_quotient nan': the number must be finite"),
-        ("calc", "power_quotient inf", "'power_quotient inf': the number must be finite"),
-        ("calc", "imag_power nan", "'imag_power nan': the number must be finite"),
-        ("calc", "imag_power inf", "'imag_power inf': the number must be finite"),
-        ("calc", "power_quotient 1 2", "'power_quotient 1 2': expected one number"),
-        ("check", "power_quotient abc", "bad function spec 'power_quotient abc'"),
-    ], ids=["unknown", "missing_argument", "not_a_number", "power_quotient_nan",
-            "power_quotient_inf", "imag_power_nan", "imag_power_inf", "two_numbers",
-            "check_not_a_number"])
-    def test_bad_function_specs_are_config_errors(self, tmp_path, capsys, command,
-                                                  spec, message):
-        cfg = write_cfg(tmp_path, BASE_CFG.replace(
-            "functions = power_quotient 0.5, power_quotient 1", f"functions = {spec}"))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("command, line, message", [
-        ("calc", "functions = imag_power 500",
-         "imag_power 500.0~reg100: non-finite values on validation rays"),
-        ("bip", "bip.tmax = 500",
-         "imag_power -500.0~reg100: non-finite values on validation rays"),
-    ], ids=["calc", "bip"])
-    def test_overflowing_decay_samples_are_config_errors(self, tmp_path, capsys,
-                                                         command, line, message):
-        # |z^(it)| = exp(-t arg z) overflows on the validation rays at |t| = 500
-        key = line.split(" =")[0] + " "
-        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
-        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("line, message", [
-        ("lambda.max = 1e300", "lambda.max = 1e+300 is too large: "
-         "<lambda> = (1 + lambda^2)^(1/2) overflows"),
-        ("parametrix.tol = 1e-16", "parametrix.tol = 1e-16 must be >= 1e-14: below "
-         "it the sweep's residuals miss the tolerance at rounding level"),
-    ], ids=["lambda_max_overflow", "tol_below_rounding"])
-    @pytest.mark.filterwarnings("error")
-    def test_sweep_ranges_past_rounding_are_config_errors(self, tmp_path, capsys,
-                                                         line, message):
-        # <lambda> = inf at 1e300 broke the sweep's slope fit; at tol 1e-16
-        # every sweep row failed its Neumann residual and was redone dense
-        key = line.split(" =")[0] + " "
-        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
-        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["parametrix", "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert list(out.iterdir()) == []
-
     @pytest.mark.parametrize("preset, code", [("rotated_phase", 0),
                                               ("rotated_phase 2", 2)])
     def test_rotated_phase_preset(self, tmp_path, preset, code):
@@ -228,111 +167,10 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, f"symbol.preset = {preset}\ngrid.points = 16\n")
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == code
 
-    def test_calc_requires_functions(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG.replace(
-            "functions = power_quotient 0.5, power_quotient 1", "functions ="))
-        assert main(["calc", "--config", cfg, "--out", str(tmp_path)]) == 1
-
-    def test_unknown_subcommand_is_usage_error(self, cfg_file, tmp_path):
-        assert main(["frobnicate", "--config", cfg_file, "--out", str(tmp_path)]) == 1
-
-    @pytest.mark.parametrize("line, message", [
-        ("bip.n_reg = 0", "bip.n_reg must be >= 1"),
-        ("bip.n_reg = -3", "bip.n_reg must be >= 1"),
-        ("bip.steps = 0", STEPS_MESSAGE),
-        ("bip.steps = 1", STEPS_MESSAGE),
-        ("bip.steps = 2", STEPS_MESSAGE),
-    ], ids=["n_reg_0", "n_reg_negative", "steps_0", "steps_1", "steps_2"])
-    @pytest.mark.parametrize("command", ["bip", "calc"])
-    def test_bip_ranges_are_config_errors(self, tmp_path, capsys, line, message,
-                                          command):
-        # calc runs imag_power through the same regularizer index
-        dropped = (line.split(" =")[0] + " ", "functions ")
-        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(dropped)]
-        cfg = write_cfg(tmp_path, "\n".join(rows + ["functions = imag_power 1", line]))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
-        assert list(out.iterdir()) == []
-
-
-    @pytest.mark.parametrize("command, line, message", [
-        ("calc", "contour.nodes_per_decade = 16",
-         "unknown config key 'contour.nodes_per_decade'"),
-        ("parametrix", "lambda.count = 0", "lambda.count must be >= 2"),
-        ("parametrix", "lambda.count = 1", "lambda.count must be >= 2"),
-        ("parametrix", "parametrix.tol = 0", "'parametrix.tol': must be > 0"),
-        ("parametrix", "parametrix.tol = -1", "'parametrix.tol': must be > 0"),
-        ("bip", "bip.tmax = 0", "'bip.tmax': must be > 0"),
-        ("bip", "bip.quad_tol = 0", "'bip.quad_tol': must be > 0"),
-        ("calc", "calc.quad_tol = 0", "'calc.quad_tol': must be > 0"),
-        ("check", "hypo.max_order = -1", "hypo.max_order must be in [0, 8]"),
-        ("check", "hypo.max_order = 9", "hypo.max_order must be in [0, 8]"),
-        ("parametrix", "lambda.max = 0.5", "must exceed max(lambda.min, R)"),
-        ("parametrix", "shift = nan", "'shift': must be finite"),
-        ("check", "hypo.c = nan", "'hypo.c': must be finite"),
-        ("check", "hypo.C = nan", "'hypo.C': must be finite"),
-        ("check", "hypo.C = 7.5", "hypo.C = 7.5 must lie in [0, 7.0]"),
-        ("check", "hypo.C = -1", "hypo.C = -1.0 must lie in [0, 7.0]"),
-        ("check", "hypo.c = -1", "'hypo.c': must be > 0"),
-        ("parametrix", "class.m = nan", "'class.m': must be finite"),
-        ("parametrix", "lambda.min = nan", "'lambda.min': must be finite"),
-        ("parametrix", "lambda.max = inf", "'lambda.max': must be finite"),
-        ("parametrix", "parametrix.N = 6", "parametrix.N must be in [1, 5]"),
-        ("parametrix", "parametrix.N = 9", "parametrix.N must be in [1, 5]"),
-        ("check", "grid.xi_max = -3", "xi_max must be >= 0, got -3"),
-        ("parametrix", "grid.xi_max = -1", "xi_max must be >= 0, got -1"),
-        ("parametrix", "lambda.min = -5", "lambda.min must be >= 0, got -5.0"),
-        ("parametrix", "parametrix.n = 9",
-         "unknown config key 'parametrix.n': docs/config.md lists the keys"),
-        ("check", "lambda.cuont = 1",
-         "unknown config key 'lambda.cuont': docs/config.md lists the keys"),
-    ], ids=["nodes_per_decade", "lambda_count_0", "lambda_count_1", "tol_0",
-            "tol_negative", "tmax_0", "bip_quad_tol_0", "calc_quad_tol_0",
-            "max_order_negative", "max_order_9", "lambda_max_below_R",
-            "shift_nan", "hypo_c_nan", "hypo_C_nan", "hypo_C_past_window",
-            "hypo_C_negative",
-            "hypo_c_negative", "class_m_nan", "lambda_min_nan", "lambda_max_inf",
-            "parametrix_N_6", "parametrix_N_9", "xi_max_negative", "xi_max_minus_1",
-            "lambda_min_negative", "misspelled_N", "misspelled_count"])
-    def test_out_of_range_values_are_config_errors(self, tmp_path, capsys, command,
-                                                   line, message):
-        key = line.split(" =")[0] + " "
-        rows = [row for row in BASE_CFG.splitlines() if not row.startswith(key)]
-        rows = [row.replace("grid.points = 32", "grid.points = 16") for row in rows]
-        cfg = write_cfg(tmp_path, "\n".join(rows + [line]))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
-        assert list(out.iterdir()) == []
-
-
-MATRIX2_EXPR = ("[[(2+sin(x1))*(1+xi1^2)+2, bracket(xi)], "
-                "[0, (2+cos(x1))*(1+xi1^2)+2]]")
-
 
 class TestMatrixSymbols:
-    def test_size_comes_from_the_text(self, tmp_path):
-        cfg = write_cfg(tmp_path, f"symbol.expr = {MATRIX2_EXPR}\nclass.m = 2\n"
-                                  "grid.points = 16\n")
-        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert "k = 2" in (tmp_path / "hypo_summary.txt").read_text()
-
-    @pytest.mark.parametrize("symbol", [
-        f"symbol.expr = {MATRIX2_EXPR}\nsymbol.k = 3",
-        "symbol.preset = jordan2\nsymbol.k = 1",
-        "symbol.expr = [[1, 0] junk [0, 1]]",
-    ], ids=["expr_k_mismatch", "preset_k_mismatch", "junk_between_rows"])
-    def test_bad_matrix_symbols_are_config_errors(self, tmp_path, capsys, symbol):
-        cfg = write_cfg(tmp_path, f"{symbol}\nclass.m = 2\ngrid.points = 16\n")
-        out = tmp_path / "out"
-        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
-        assert not out.exists()
+    test_size_comes_from_the_text = runs(NAMED["size_comes_from_the_text"])
+    test_bad_matrix_symbols_are_config_errors = runs(scenarios.BAD_MATRIX_SYMBOLS)
 
 
 class TestNumericalErrors:
@@ -349,51 +187,9 @@ class TestNumericalErrors:
         assert main(["check", "--config", cfg_file, "--out", str(tmp_path)]) == 3
         assert ("hint: a larger shift" in capsys.readouterr().err) == hinted
 
-    @pytest.mark.parametrize("command, symbol, message", [
-        ("check", "1e153", r"resolvent bound constant at sample "
-         r"lambda=\(1\.6e\+154\+0j\) is not finite \(symbol too large for double "
-         r"precision\)"),
-        ("check", "2e307", r"sup\|a\| = 2e\+307 is too large for double precision: "
-         r"the lambda samples reach 16 sup\|a\|"),
-        ("parametrix", "2e307", r"quantized symbol is not finite \(symbol too large for "
-         r"double precision\)"),
-        ("bip", "2e307", r"quantized symbol is not finite \(symbol too large for "
-         r"double precision\)"),
-    ], ids=["check_1e153", "check_2e307", "parametrix_2e307", "bip_2e307"])
-    def test_symbol_too_large_for_doubles(self, tmp_path, capsys, command, symbol,
-                                          message):
-        # check's exterior samples reach |lambda| = 16 sup|a|, where <lambda>
-        # overflows, and wrote c0 = inf with PASS; at 2e307, 16 sup|a| itself
-        # overflows, and so does the DFT that quantizes the symbol.  Each is
-        # refused with one error line and no numpy warning on the way.
-        cfg = write_cfg(tmp_path, f"symbol.expr = {symbol}+xi1^2\nclass.m = 2\n"
-                        "grid.points = 16\n")
-        out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([command, "--config", cfg, "--out", str(out)]) == 3
-        assert [str(w.message) for w in caught] == []
-        assert re.fullmatch("error: " + message + "\n", capsys.readouterr().err)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, message", [
-        ("calc", r"power_quotient 1\.0: op_norm_oracle = 4\.99\d*e-154 is at or below "
-         r"calc\.quad_tol = 1e-05"),
-        ("bip", r"t=-5\.0: op_norm = 8\.75\d*e-149 is at or below bip\.quad_tol = 1e-06"),
-    ], ids=["calc", "bip"])
-    def test_norms_below_the_quadrature_tolerance_are_refused(self, tmp_path, capsys,
-                                                              command, message):
-        # at 1e153 every f(A) is far below the contour's absolute tolerance, so
-        # the quadrature certifies no digit of its norm: calc wrote 5e-154 where
-        # eig gives about 1e-153, and bip fitted a rate through such norms
-        cfg = write_cfg(tmp_path, "symbol.expr = 1e153+xi1^2\nclass.m = 2\n"
-                        "grid.points = 16\nfunctions = power_quotient 1\n")
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 3
-        assert re.fullmatch("numerical failure: " + message
-                            + ": the quadrature certifies no digit of it\n",
-                            capsys.readouterr().err)
-        assert not out.exists()
+    test_symbol_too_large_for_doubles = runs(scenarios.SYMBOLS_TOO_LARGE)
+    test_norms_below_the_quadrature_tolerance_are_refused = runs(
+        scenarios.NORMS_BELOW_QUAD_TOL)
 
 
 class TestParametrixOutputs:
@@ -422,28 +218,8 @@ lambda.max = 1e3
         assert data and all(float(r[4]) <= 1e-12 for r in data)
 
 
-    def test_underflowing_slope_samples_are_dropped_loudly(self, tmp_path, capsys):
-        # the CI check.cfg scene swept to 1e150: s^N is 0.0 at every row with
-        # <lambda> >= 1e50, and past R every row's r^N is at rounding, so the
-        # rN and sN fits keep no row, both are omitted and a warning names
-        # both with the <lambda> of every row they dropped
-        cfg = write_cfg(tmp_path, "symbol.preset = variable_laplace\n"
-                        "grid.points = 16\nshift = 5\nlambda.max = 1e150\n")
-        assert main(["parametrix", "--config", cfg, "--out", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        warnings = [line for line in captured.err.splitlines()
-                    if line.startswith("warning: ")]
-        assert len(warnings) == 1
-        dropped = "18 of 18 fit rows at rounding or not finite (<lambda> = 4.64e+16, "
-        assert f"slope[rN] {dropped}" in warnings[0]
-        assert f"slope[sN] {dropped}" in warnings[0]
-        assert warnings[0].count("omitted") == 2
-        with open(tmp_path / "parametrix_sweep.csv") as fh:
-            rows = list(csv.reader(fh))[1:]
-        data = [r for r in rows if r[0] != "slope"]
-        assert sum(float(r[7]) == 0.0 for r in data) == 14
-        assert {r[1] for r in rows if r[0] == "slope"} == {"bN_weighted"}
-        assert "slope[sN]" not in captured.out and "slope[rN]" not in captured.out
+    test_underflowing_slope_samples_are_dropped_loudly = runs(
+        NAMED["underflowing_slope_samples_are_dropped_loudly"])
 
     def test_slope_window_stops_at_rounding(self, tmp_path, capsys):
         # swept to 1e9, the scene's r^N sup reads 9.5e-13 at <lambda> = 1e5,
@@ -816,6 +592,13 @@ class TestLuCounts:
         assert solves == 2 * dense
 
 
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(pathlib.Path(sectorcalc.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestImports:
     def test_a_run_imports_no_numpy_random(self, tmp_path):
         # importing numpy.random costs 10-18 ms on every CLI run; the
@@ -829,11 +612,21 @@ class TestImports:
             f"resolve_config(load_config({cfg!r}))",
             f"assert main(['calc', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0",
             "print('numpy.random' in sys.modules)"])
-        src = str(pathlib.Path(sectorcalc.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split()[-1] == "False"
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
         assert (tmp_path / "fcalc_report.csv").exists()
+
+    @pytest.mark.parametrize("row", scenarios.CHECK_RUNS, ids=lambda row: row.id)
+    def test_entry_point_matches_in_process(self, tmp_path, capsys, row):
+        # the module entry point in a fresh interpreter (its own hash seed)
+        # prints and writes byte for byte what the in-process row run does
+        out, err, files = run(row, tmp_path, capsys)
+        entry = tmp_path / "entry"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sectorcalc.cli", row.command, "--config",
+             str(tmp_path / "run.cfg"), "--out", str(entry)],
+            env=src_env(), capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (row.status, out, err)
+        assert {p.name: p.read_bytes() for p in entry.iterdir()} == files
